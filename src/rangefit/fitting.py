@@ -24,9 +24,14 @@ stack only for hole-free windows, and fall back to the frame's masked tan
 channels (added by the builders whenever a frame has holes) otherwise, so a
 window's scatter is always the exact Gram matrix of its valid samples.
 
-The dense kernels are deliberately self-contained: a cyclic Jacobi sweep for
-the symmetric 3x3/4x4 eigenproblem and a 3x3 Cholesky factorization, both
-small enough that their cost is negligible next to the scatter sums.
+Implicit fits take the smallest eigenvector from LAPACK's symmetric solver
+(``np.linalg.eigh``); explicit fits use a hand-unrolled 3x3 Cholesky
+factorization, which ``ExplicitRgbdFitter`` caches per window.
+:func:`fit_rect` fits one window with scalar box sums; :func:`fit_rects`
+fits many windows of one frame at once, gathering every box sum with one
+indexed read per channel and solving the whole batch with array operations.
+A per-window solve in pure Python would cost more than the box sums the
+camera-constant channels save.
 """
 
 from __future__ import annotations
@@ -39,7 +44,15 @@ import numpy as np
 
 from .camera import TanAngleMaps
 from .errors import DegenerateFitError, InsufficientSamplesError
-from .integral import ChannelStack, Rect, _check_rect
+from .integral import (
+    CONSTANT_CHANNELS,
+    ChannelStack,
+    Rect,
+    _box_corners,
+    _box_sums,
+    _check_rect,
+    _check_rects,
+)
 from .synth import DepthImage
 
 IMPLICIT_STANDARD = "implicit-standard"
@@ -190,75 +203,34 @@ class CholeskyFactor(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def jacobi_eigh(matrix: np.ndarray, max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a small symmetric matrix by cyclic Jacobi sweeps.
+def _eigh(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` over a (..., n, n) stack after checking its input.
 
-    Returns (eigenvalues, eigenvectors) with eigenvectors in columns, both
-    unordered.  Converged when the off-diagonal Frobenius norm falls below
-    1e-13 of the matrix Frobenius norm; raises if the input is non-finite,
-    asymmetric, or fails to converge within ``max_sweeps`` sweeps.
+    Eigenvalues come back ascending, eigenvectors in columns.  Raises
+    ``ValueError`` on non-finite or asymmetric input, which LAPACK would
+    otherwise read silently from the lower triangle.
     """
-    a = np.array(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    a = np.asarray(matrices, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    scale = float(np.abs(a).max())  # NaN or inf when any entry is
+    if not math.isfinite(scale):
         raise ValueError("matrix holds non-finite entries")
-    fro = float(np.linalg.norm(a))
-    if float(np.abs(a - a.T).max()) > 1e-12 * max(fro, 1.0):
+    if np.abs(a - np.swapaxes(a, -1, -2)).max() > 1e-12 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
-
-    n = a.shape[0]
-    v = np.eye(n)
-    if fro == 0.0:
-        return np.zeros(n), v
-
-    threshold = 1e-13 * fro
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= threshold:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                if abs(theta) > 1e8:
-                    # rotation angle at rounding level; avoid theta^2 overflow
-                    t = 0.5 / theta
-                elif theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    akp, akq = a[k, p], a[k, q]
-                    a[k, p] = a[p, k] = c * akp - s * akq
-                    a[k, q] = a[q, k] = s * akp + c * akq
-                for k in range(n):
-                    vkp, vkq = v[k, p], v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
-
-    off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-    if off > threshold:
-        raise DegenerateFitError("eigen iteration did not converge; ill-posed scatter matrix")
-    return np.diag(a).copy(), v
+    return np.linalg.eigh(a)
 
 
 def smallest_eigenvector(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit eigenvector for the smallest eigenvalue of a symmetric matrix."""
-    values, vectors = jacobi_eigh(matrix)
-    idx = int(np.argmin(values))
-    vector = vectors[:, idx]
-    return vector / float(np.linalg.norm(vector)), float(values[idx])
+    """Unit eigenvector for the smallest eigenvalue of a symmetric matrix.
+
+    Raises ``ValueError`` when the matrix is not square, finite and symmetric.
+    """
+    values, vectors = _eigh(matrix)
+    if values.ndim != 1:
+        raise ValueError(f"expected one square matrix, got shape {np.shape(matrix)}")
+    vector = vectors[:, 0]
+    return vector / float(np.linalg.norm(vector)), float(values[0])
 
 
 def cholesky3(matrix: np.ndarray) -> CholeskyFactor:
@@ -293,16 +265,42 @@ def cholesky3(matrix: np.ndarray) -> CholeskyFactor:
     return CholeskyFactor(l00, l10, l11, l20, l21, l22)
 
 
-def solve_cholesky3(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = rhs by forward and back substitution."""
-    b0, b1, b2 = float(rhs[0]), float(rhs[1]), float(rhs[2])
+def _cholesky3_batch(s: np.ndarray) -> tuple[CholeskyFactor, np.ndarray]:
+    """``cholesky3`` over an (N, 3, 3) stack, with the same operations per entry.
+
+    Returns the factor as a ``CholeskyFactor`` of (N,) arrays and a mask of
+    the rows ``cholesky3`` would accept; the other rows hold garbage.
+    """
+    trace = s[:, 0, 0] + s[:, 1, 1] + s[:, 2, 2]
+    floor = _PIVOT_REL * trace
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p0 = s[:, 0, 0]
+        l00 = np.sqrt(p0)
+        l10 = s[:, 1, 0] / l00
+        l20 = s[:, 2, 0] / l00
+        p1 = s[:, 1, 1] - l10 * l10
+        l11 = np.sqrt(p1)
+        l21 = (s[:, 2, 1] - l20 * l10) / l11
+        p2 = s[:, 2, 2] - l20 * l20 - l21 * l21
+        l22 = np.sqrt(p2)
+        ok = np.isfinite(trace) & (trace > 0.0) & (p0 > floor) & (p1 > floor) & (p2 > floor)
+    return CholeskyFactor(l00, l10, l11, l20, l21, l22), ok
+
+
+def _cholesky_substitute(factor: CholeskyFactor, b0, b1, b2):
+    """Forward and back substitution; works on floats and on arrays alike."""
     y0 = b0 / factor.l00
     y1 = (b1 - factor.l10 * y0) / factor.l11
     y2 = (b2 - factor.l20 * y0 - factor.l21 * y1) / factor.l22
     x2 = y2 / factor.l22
     x1 = (y1 - factor.l21 * x2) / factor.l11
     x0 = (y0 - factor.l10 * x1 - factor.l20 * x2) / factor.l00
-    return np.array([x0, x1, x2])
+    return x0, x1, x2
+
+
+def solve_cholesky3(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = rhs by forward and back substitution."""
+    return np.array(_cholesky_substitute(factor, float(rhs[0]), float(rhs[1]), float(rhs[2])))
 
 
 def solve_spd3(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -312,14 +310,11 @@ def solve_spd3(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _pinv_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution for a rank-deficient symmetric system."""
-    values, vectors = jacobi_eigh(matrix)
+    values, vectors = _eigh(matrix)
     tol = _PIVOT_REL * max(float(np.trace(matrix)), 0.0)
-    x = np.zeros(matrix.shape[0])
-    for i, lam in enumerate(values):
-        if lam > tol:
-            u = vectors[:, i]
-            x += u * (float(u @ rhs) / float(lam))
-    return x
+    kept = values > tol
+    u = vectors[:, kept]
+    return u @ ((u.T @ rhs) / values[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +412,98 @@ def _require_channels(stack: ChannelStack, names: tuple[str, ...], what: str) ->
         raise ValueError(f"{what} stack is missing channels: {', '.join(missing)}")
 
 
+# Each formulation's unique scatter entries in upper-triangle row-major order.
+# "n" is the window's valid-sample count; the camera-constant tan channels
+# (CONSTANT_CHANNELS) come from the shared constant stack in hole-free windows
+# and from the frame's masked copies ("m_" prefix) in windows with holes.
+_SCATTER_LAYOUT = {
+    IMPLICIT_STANDARD: ("x2", "xy", "xz", "x", "y2", "yz", "y", "z2", "z", "n"),
+    IMPLICIT_RGBD: (
+        "tx2", "txty", "tx", "tx_over_z", "ty2", "ty", "ty_over_z", "n", "inv_z", "inv_z2",
+    ),
+    EXPLICIT_STANDARD: ("x2", "xy", "x", "y2", "y", "n"),
+    EXPLICIT_RGBD: ("tx2", "txty", "tx", "ty2", "ty", "n"),
+}
+# Right-hand side and residual-diagnostic channels of the explicit normal equations.
+_EXPLICIT_RHS = {
+    EXPLICIT_STANDARD: (("xz", "yz", "z"), "z2"),
+    EXPLICIT_RGBD: (("tx_over_z", "ty_over_z", "inv_z"), "inv_z2"),
+}
+
+
+# Every per-frame channel a formulation reads in hole-free windows.
+_FRAME_CHANNELS = {
+    f: tuple(
+        k for k in layout + _EXPLICIT_RHS.get(f, ((), None))[0]
+        if k != "n" and k not in CONSTANT_CHANNELS
+    )
+    for f, layout in _SCATTER_LAYOUT.items()
+}
+
+
+def _symmetric_index(size: int) -> np.ndarray:
+    index = np.empty((size, size), dtype=np.intp)
+    for k, (i, j) in enumerate(zip(*np.triu_indices(size))):
+        index[i, j] = index[j, i] = k
+    return index
+
+
+# Maps an upper-triangle entry list of length 10 or 6 onto a 4x4 or 3x3 matrix.
+_SYMMETRIC_INDEX = {10: _symmetric_index(4), 6: _symmetric_index(3)}
+
+
+def _assemble(
+    stack: ChannelStack,
+    constant: ChannelStack | None,
+    formulation: str,
+    box: Callable[[np.ndarray], float | np.ndarray],
+    n: float | np.ndarray,
+    full: bool | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray | None, float | np.ndarray | None]:
+    """A formulation's (matrix, rhs, target_sq) from box sums over its channels.
+
+    ``box`` maps a summed-area table to the window's sum: a float for one
+    window, an (N,) array for a batch, in which case every output gains a
+    leading N axis.  ``full`` marks the hole-free windows.  ``rhs`` is None
+    for implicit formulations, ``target_sq`` when the residual channel is
+    absent.  Windows with holes must only reach here when the frame stack
+    carries masked tan channels.
+    """
+    ch = stack.channels
+    layout = _SCATTER_LAYOUT[formulation]
+    rhs_names, residual = _EXPLICIT_RHS.get(formulation, ((), None))
+    frame_names = _FRAME_CHANNELS[formulation]
+    _require_channels(stack, frame_names, "per-frame")
+    sums = {name: box(ch[name].table) for name in frame_names}
+    sums["n"] = n
+    if formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
+        if isinstance(full, np.ndarray):
+            any_full, all_full = bool(full.any()), bool(full.all())
+        else:
+            any_full = all_full = full
+        if any_full:
+            if constant is None:
+                raise ValueError(f"{formulation} requires the camera-constant channel stack")
+            if constant.count.table.shape != stack.count.table.shape:
+                raise ValueError("constant stack dimensions do not match the per-frame stack")
+            _require_channels(constant, CONSTANT_CHANNELS, "constant")
+        for name in CONSTANT_CHANNELS:
+            if all_full:
+                sums[name] = box(constant.channels[name].table)
+            elif not any_full:
+                sums[name] = box(ch["m_" + name].table)
+            else:
+                sums[name] = np.where(
+                    full, box(constant.channels[name].table), box(ch["m_" + name].table)
+                )
+    matrix = np.array([sums[k] for k in layout]).T[..., _SYMMETRIC_INDEX[len(layout)]]
+    if not rhs_names:
+        return matrix, None, None
+    rhs = np.array([sums[k] for k in rhs_names]).T
+    target_sq = box(ch[residual].table) if residual in ch else None
+    return matrix, rhs, target_sq
+
+
 def scatter_from_integrals(
     stack: ChannelStack,
     constant: ChannelStack | None,
@@ -438,98 +525,18 @@ def scatter_from_integrals(
             f"window {rect} holds {n} valid samples; "
             f"{formulation} needs {MIN_SAMPLES[formulation]}"
         )
-
-    ch = stack.channels
-    if formulation == IMPLICIT_STANDARD:
-        _require_channels(stack, ("x2", "xy", "xz", "x", "y2", "yz", "y", "z2", "z"), "per-frame")
-        sx2 = _box(ch["x2"].table, rect)
-        sxy = _box(ch["xy"].table, rect)
-        sxz = _box(ch["xz"].table, rect)
-        sx = _box(ch["x"].table, rect)
-        sy2 = _box(ch["y2"].table, rect)
-        syz = _box(ch["yz"].table, rect)
-        sy = _box(ch["y"].table, rect)
-        sz2 = _box(ch["z2"].table, rect)
-        sz = _box(ch["z"].table, rect)
-        matrix = np.array(
-            [
-                [sx2, sxy, sxz, sx],
-                [sxy, sy2, syz, sy],
-                [sxz, syz, sz2, sz],
-                [sx, sy, sz, float(n)],
-            ]
+    full = n == rect.area
+    if not (full or stack.hole_corrected) and formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
+        # the constant block of a holey window must come from masked tan channels
+        raise ValueError(
+            f"window {rect} contains invalid pixels but the frame stack carries "
+            "no masked tan channels (was it built from a different frame?)"
         )
-        return Scatter4(matrix=matrix, n=n)
-
-    if formulation == EXPLICIT_STANDARD:
-        _require_channels(stack, ("x2", "xy", "x", "y2", "y", "xz", "yz", "z"), "per-frame")
-        sx2 = _box(ch["x2"].table, rect)
-        sxy = _box(ch["xy"].table, rect)
-        sx = _box(ch["x"].table, rect)
-        sy2 = _box(ch["y2"].table, rect)
-        sy = _box(ch["y"].table, rect)
-        matrix = np.array([[sx2, sxy, sx], [sxy, sy2, sy], [sx, sy, float(n)]])
-        rhs = np.array(
-            [_box(ch["xz"].table, rect), _box(ch["yz"].table, rect), _box(ch["z"].table, rect)]
-        )
-        target_sq = _box(ch["z2"].table, rect) if "z2" in ch else None
-        return Scatter3(matrix=matrix, rhs=rhs, n=n, target_sq=target_sq)
-
-    # Camera-constant block: read from the shared constant stack when the
-    # window is hole-free; windows containing invalid pixels read the masked
-    # tan channels the frame's builder added instead, keeping the assembled
-    # matrix an exact Gram matrix of the window's valid samples.
-    if n == rect.area:
-        if constant is None:
-            raise ValueError(f"{formulation} requires the camera-constant channel stack")
-        if constant.count.table.shape != stack.count.table.shape:
-            raise ValueError("constant stack dimensions do not match the per-frame stack")
-        _require_channels(constant, ("tx2", "txty", "ty2", "tx", "ty"), "constant")
-        cc = constant.channels
-        stx2 = _box(cc["tx2"].table, rect)
-        stxty = _box(cc["txty"].table, rect)
-        sty2 = _box(cc["ty2"].table, rect)
-        stx = _box(cc["tx"].table, rect)
-        sty = _box(cc["ty"].table, rect)
-    else:
-        if not stack.hole_corrected:
-            raise ValueError(
-                f"window {rect} contains invalid pixels but the frame stack carries "
-                "no masked tan channels (was it built from a different frame?)"
-            )
-        stx2 = _box(ch["m_tx2"].table, rect)
-        stxty = _box(ch["m_txty"].table, rect)
-        sty2 = _box(ch["m_ty2"].table, rect)
-        stx = _box(ch["m_tx"].table, rect)
-        sty = _box(ch["m_ty"].table, rect)
-    pixel_count = float(n)
-
-    if formulation == IMPLICIT_RGBD:
-        _require_channels(stack, ("tx_over_z", "ty_over_z", "inv_z", "inv_z2"), "per-frame")
-        stxz = _box(ch["tx_over_z"].table, rect)
-        styz = _box(ch["ty_over_z"].table, rect)
-        sinv = _box(ch["inv_z"].table, rect)
-        sinv2 = _box(ch["inv_z2"].table, rect)
-        matrix = np.array(
-            [
-                [stx2, stxty, stx, stxz],
-                [stxty, sty2, sty, styz],
-                [stx, sty, pixel_count, sinv],
-                [stxz, styz, sinv, sinv2],
-            ]
-        )
-        return Scatter4(matrix=matrix, n=n)
-
-    _require_channels(stack, ("tx_over_z", "ty_over_z", "inv_z"), "per-frame")
-    matrix = np.array([[stx2, stxty, stx], [stxty, sty2, sty], [stx, sty, pixel_count]])
-    rhs = np.array(
-        [
-            _box(ch["tx_over_z"].table, rect),
-            _box(ch["ty_over_z"].table, rect),
-            _box(ch["inv_z"].table, rect),
-        ]
+    matrix, rhs, target_sq = _assemble(
+        stack, constant, formulation, lambda table: _box(table, rect), float(n), full
     )
-    target_sq = _box(ch["inv_z2"].table, rect) if "inv_z2" in ch else None
+    if rhs is None:
+        return Scatter4(matrix=matrix, n=n)
     return Scatter3(matrix=matrix, rhs=rhs, n=n, target_sq=target_sq)
 
 
@@ -543,20 +550,28 @@ def _require_n(n: int, minimum: int) -> None:
         raise InsufficientSamplesError(f"fit needs at least {minimum} samples, got {n}")
 
 
+def _implicit_fits(matrices: np.ndarray, counts: np.ndarray) -> list[FitResult]:
+    """Implicit fits of an (N, 4, 4) scatter stack with N sample counts."""
+    values, vectors = _eigh(matrices)
+    lam = values[:, 0]
+    fro = np.linalg.norm(values, axis=1)  # Frobenius norm of a symmetric matrix
+    degenerate = (fro == 0.0) | (values[:, 1] - lam <= _EIGEN_TIE_REL * fro)
+    rms = np.sqrt(np.maximum(lam, 0.0) / counts)
+    return [
+        FitResult(
+            plane=ImplicitPlane(vectors[i, :, 0]),
+            n_points=int(counts[i]),
+            rms_residual=float(rms[i]),
+            eigenvalue=float(lam[i]),
+            degenerate=bool(degenerate[i]),
+        )
+        for i in range(len(counts))
+    ]
+
+
 def _fit_implicit(scatter: Scatter4) -> FitResult:
     _require_n(scatter.n, 4)
-    values, vectors = jacobi_eigh(scatter.matrix)
-    order = np.argsort(values)
-    smallest = int(order[0])
-    lam = float(values[smallest])
-    fro = float(np.linalg.norm(scatter.matrix))
-    gap = float(values[int(order[1])]) - lam
-    degenerate = fro == 0.0 or gap <= _EIGEN_TIE_REL * fro
-    plane = ImplicitPlane(vectors[:, smallest])
-    rms = math.sqrt(max(lam, 0.0) / scatter.n)
-    return FitResult(
-        plane=plane, n_points=scatter.n, rms_residual=rms, eigenvalue=lam, degenerate=degenerate
-    )
+    return _implicit_fits(scatter.matrix[None], np.array([scatter.n]))[0]
 
 
 def fit_implicit_standard(scatter: Scatter4) -> FitResult:
@@ -579,6 +594,26 @@ def fit_implicit_rgbd(scatter: Scatter4) -> FitResult:
     return _fit_implicit(scatter)
 
 
+def _explicit_result(
+    alpha: np.ndarray,
+    rhs: np.ndarray,
+    n: int,
+    target_sq: float | None,
+    space: str,
+    degenerate: bool,
+) -> FitResult:
+    rms = None
+    if target_sq is not None:
+        # At the least-squares solution the residual reduces to
+        # sum(b^2) - alpha . (M^t b).  Differencing aggregated sums puts a
+        # noise floor of about sqrt(eps * mean(b^2)) under the rms; clamp the
+        # tiny negatives the same rounding can produce.
+        sq = max(float(target_sq) - float(alpha @ rhs), 0.0)
+        rms = math.sqrt(sq / n)
+    plane = ExplicitPlane(coefficients=alpha, space=space)
+    return FitResult(plane=plane, n_points=n, rms_residual=rms, degenerate=degenerate)
+
+
 def _fit_explicit(scatter: Scatter3, space: str) -> FitResult:
     _require_n(scatter.n, 3)
     degenerate = False
@@ -587,16 +622,7 @@ def _fit_explicit(scatter: Scatter3, space: str) -> FitResult:
     except DegenerateFitError:
         alpha = _pinv_solve(scatter.matrix, scatter.rhs)
         degenerate = True
-    rms = None
-    if scatter.target_sq is not None:
-        # At the least-squares solution the residual reduces to
-        # sum(b^2) - alpha . (M^t b).  Differencing aggregated sums puts a
-        # noise floor of about sqrt(eps * mean(b^2)) under the rms; clamp the
-        # tiny negatives the same rounding can produce.
-        sq = max(float(scatter.target_sq) - float(alpha @ scatter.rhs), 0.0)
-        rms = math.sqrt(sq / scatter.n)
-    plane = ExplicitPlane(coefficients=alpha, space=space)
-    return FitResult(plane=plane, n_points=scatter.n, rms_residual=rms, degenerate=degenerate)
+    return _explicit_result(alpha, scatter.rhs, scatter.n, scatter.target_sq, space, degenerate)
 
 
 def fit_explicit_standard(scatter: Scatter3) -> FitResult:
@@ -674,17 +700,20 @@ class ExplicitRgbdFitter:
         """Fit one window of one frame.
 
         Hole-free windows reuse the window's cached camera-constant factor;
-        windows containing invalid pixels fall back to the frame's masked tan
-        channels and factor on the spot (the masked system is frame-specific,
-        so there is nothing to cache).
+        windows containing invalid pixels go through
+        :func:`scatter_from_integrals`, which assembles the frame's masked
+        normal equations (they are frame-specific, so there is nothing to
+        cache).
         """
-        ch = stack.channels
+        _check_rect(rect, stack.width, stack.height)
+        if stack.count.table.shape != self.constant.count.table.shape:
+            raise ValueError("constant stack dimensions do not match the per-frame stack")
         n = int(round(_box(stack.count.table, rect)))
-        if n < MIN_SAMPLES[EXPLICIT_RGBD]:
-            raise InsufficientSamplesError(
-                f"window {rect} holds {n} valid samples; "
-                f"{EXPLICIT_RGBD} needs {MIN_SAMPLES[EXPLICIT_RGBD]}"
+        if n != rect.area or n < MIN_SAMPLES[EXPLICIT_RGBD]:
+            return fit_explicit_rgbd(
+                scatter_from_integrals(stack, self.constant, rect, EXPLICIT_RGBD)
             )
+        ch = stack.channels
         rhs = np.array(
             [
                 _box(ch["tx_over_z"].table, rect),
@@ -692,38 +721,13 @@ class ExplicitRgbdFitter:
                 _box(ch["inv_z"].table, rect),
             ]
         )
-        if n == rect.area:
-            factor = self.factor_for(rect)
-            matrix = None
-        else:
-            if not stack.hole_corrected:
-                raise ValueError(
-                    f"window {rect} contains invalid pixels but the frame stack "
-                    "carries no masked tan channels"
-                )
-            matrix = np.array(
-                [
-                    [_box(ch["m_tx2"].table, rect), _box(ch["m_txty"].table, rect), _box(ch["m_tx"].table, rect)],
-                    [_box(ch["m_txty"].table, rect), _box(ch["m_ty2"].table, rect), _box(ch["m_ty"].table, rect)],
-                    [_box(ch["m_tx"].table, rect), _box(ch["m_ty"].table, rect), float(n)],
-                ]
-            )
-            try:
-                factor = cholesky3(matrix)
-            except DegenerateFitError:
-                factor = None
+        factor = self.factor_for(rect)
         if factor is None:
-            alpha = _pinv_solve(matrix if matrix is not None else self.matrix_for(rect), rhs)
-            degenerate = True
+            alpha = _pinv_solve(self.matrix_for(rect), rhs)
         else:
             alpha = solve_cholesky3(factor, rhs)
-            degenerate = False
-        rms = None
-        if "inv_z2" in ch:
-            sq = max(_box(ch["inv_z2"].table, rect) - float(alpha @ rhs), 0.0)
-            rms = math.sqrt(sq / n)
-        plane = ExplicitPlane(coefficients=alpha, space=SPACE_RGBD)
-        return FitResult(plane=plane, n_points=n, rms_residual=rms, degenerate=degenerate)
+        target_sq = _box(ch["inv_z2"].table, rect) if "inv_z2" in ch else None
+        return _explicit_result(alpha, rhs, n, target_sq, SPACE_RGBD, factor is None)
 
 
 def explicit_to_implicit(plane: ExplicitPlane) -> ImplicitPlane:
@@ -784,6 +788,62 @@ def fit_rect(
     else:
         raise ValueError(f"unknown backend {backend!r}; expected 'naive' or 'integral'")
     return FIT_BY_FORMULATION[formulation](scatter)
+
+
+def fit_rects(
+    stack: ChannelStack,
+    constant: ChannelStack | None,
+    rects: np.ndarray,
+    formulation: str,
+) -> list[FitResult | None]:
+    """Fit many windows of one frame on the integral backend at once.
+
+    ``rects`` is an (N, 4) integer array of (x0, y0, x1, y1) rows.  Returns
+    one result per row, equal to what :func:`fit_rect` gives for that window
+    up to rounding in the eigensolver, or None where the window holds too few
+    valid samples.  Raises ``ValueError`` for an out-of-bounds or inverted
+    rect, and under the same conditions as :func:`scatter_from_integrals`.
+    """
+    _check_formulation(formulation)
+    rects = _check_rects(rects, stack.width, stack.height)
+    results: list[FitResult | None] = [None] * len(rects)
+    corners = _box_corners(rects, stack.width)
+    n = np.rint(_box_sums(stack.count.table, corners)).astype(np.int64)
+    fitted = np.flatnonzero(n >= MIN_SAMPLES[formulation])
+    if fitted.size == 0:
+        return results
+    corners, n = corners[:, fitted], n[fitted]
+    x0, y0, x1, y1 = rects[fitted].T
+    full = n == (x1 - x0) * (y1 - y0)
+    if not (full.all() or stack.hole_corrected) and formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
+        raise ValueError(
+            f"window {Rect(*(int(v) for v in rects[fitted[np.argmin(full)]]))} contains "
+            "invalid pixels but the frame stack carries no masked tan channels "
+            "(was it built from a different frame?)"
+        )
+    matrices, rhs, target_sq = _assemble(
+        stack, constant, formulation,
+        lambda table: _box_sums(table, corners), n.astype(np.float64), full,
+    )
+
+    if rhs is None:
+        for i, result in zip(fitted, _implicit_fits(matrices, n)):
+            results[i] = result
+        return results
+
+    if target_sq is None:
+        target_sq = [None] * len(n)
+    factor, solvable = _cholesky3_batch(matrices)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        alpha = np.stack(_cholesky_substitute(factor, rhs[:, 0], rhs[:, 1], rhs[:, 2]), axis=1)
+    for i in np.flatnonzero(~solvable):
+        alpha[i] = _pinv_solve(matrices[i], rhs[i])
+    space = SPACE_STANDARD if formulation == EXPLICIT_STANDARD else SPACE_RGBD
+    for i, j in enumerate(fitted):
+        results[j] = _explicit_result(
+            alpha[i], rhs[i], int(n[i]), target_sq[i], space, not solvable[i]
+        )
+    return results
 
 
 def fit_result_csv_row(

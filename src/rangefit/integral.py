@@ -25,7 +25,6 @@ invalid pixels; only windows actually containing holes pay for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -131,6 +130,33 @@ class ChannelStack:
 def _check_rect(rect: Rect, width: int, height: int) -> None:
     if not (0 <= rect.x0 <= rect.x1 <= width and 0 <= rect.y0 <= rect.y1 <= height):
         raise ValueError(f"rect {rect} out of bounds for {width}x{height} image")
+
+
+def _check_rects(rects: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Validate an (N, 4) integer array of (x0, y0, x1, y1) rows like ``_check_rect``."""
+    rects = np.asarray(rects)
+    if rects.size == 0:
+        return np.zeros((0, 4), dtype=np.int64)
+    if rects.ndim != 2 or rects.shape[1] != 4 or not np.issubdtype(rects.dtype, np.integer):
+        raise ValueError(f"rects must be an (N, 4) integer array, got {rects.dtype} {rects.shape}")
+    x0, y0, x1, y1 = rects.T
+    inside = (0 <= x0) & (x0 <= x1) & (x1 <= width) & (0 <= y0) & (y0 <= y1) & (y1 <= height)
+    if not inside.all():
+        _check_rect(Rect(*(int(v) for v in rects[np.argmin(inside)])), width, height)
+    return rects.astype(np.int64, copy=False)
+
+
+def _box_corners(rects: np.ndarray, width: int) -> np.ndarray:
+    """(4, N) flat table indices of each rect's corners, in ``_box_sums`` order."""
+    x0, y0, x1, y1 = rects.T
+    stride = width + 1
+    return np.stack((y1 * stride + x1, y0 * stride + x1, y1 * stride + x0, y0 * stride + x0))
+
+
+def _box_sums(table: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Box sums of many rects at once, in the same order of operations as ``box_sum``."""
+    t = table.reshape(-1).take(corners)
+    return t[0] - t[1] - t[2] + t[3]
 
 
 def build_integral(channel: np.ndarray, mask: np.ndarray | None = None, name: str = "") -> IntegralImage:
@@ -323,23 +349,3 @@ def build_rgbd_explicit_channels(
         lattices, depth.valid, RGBD_EXPLICIT_CHANNELS,
         constant=False, residual_name=residual_name, hole_corrected=hole_corrected,
     )
-
-
-def dump_channels(stack: ChannelStack, directory: str | Path) -> list[Path]:
-    """Write each channel's table as raw float64 with a one-line header.
-
-    Debug aid: one file per channel named ``<channel>.rawi``, header
-    ``RAWI <width+1> <height+1> <name>\\n`` followed by little-endian float64
-    values in row-major order.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for image in [*stack.channels.values(), stack.count]:
-        path = directory / f"{image.name}.rawi"
-        with open(path, "wb") as fh:
-            h, w = image.table.shape
-            fh.write(f"RAWI {w} {h} {image.name}\n".encode())
-            fh.write(image.table.astype("<f8").tobytes())
-        written.append(path)
-    return written

@@ -3,8 +3,9 @@
 The image is cut into an equal square grid; each tile gets a plane fit, and
 tiles whose residual exceeds the threshold split into four half-size children
 (up to a depth limit).  Tiles with too few valid pixels are rejected outright.
-K-means over the fitted tiles' plane coefficients then groups coplanar tiles
-into labeled segments.
+The quadtree is fitted one level at a time, so the integral backend fits a
+whole level with one batched call.  K-means over the fitted tiles' plane
+coefficients then groups coplanar tiles into labeled segments.
 """
 
 from __future__ import annotations
@@ -17,18 +18,15 @@ import numpy as np
 from . import fitting
 from .camera import TanAngleMaps
 from .errors import InsufficientSamplesError
-from .fitting import (
-    EXPLICIT_RGBD,
-    FORMULATIONS,
-    ExplicitPlane,
-    ExplicitRgbdFitter,
-    FitResult,
-    explicit_to_implicit,
-)
+from .fitting import FORMULATIONS, ExplicitPlane, FitResult, explicit_to_implicit
 from .integral import (
+    COUNT_CHANNEL,
     ChannelStack,
     Rect,
+    _box_corners,
+    _box_sums,
     build_constant_channels,
+    build_integral,
     build_rgbd_explicit_channels,
     build_rgbd_implicit_channels,
     build_standard_explicit_channels,
@@ -347,58 +345,80 @@ def segment(
 
     needs_constant = config.formulation in (fitting.IMPLICIT_RGBD, fitting.EXPLICIT_RGBD)
     stack: ChannelStack | None = None
-    rgbd_fitter: ExplicitRgbdFitter | None = None
     if config.backend == "integral":
         if needs_constant and constant is None:
             constant = build_constant_channels(maps)
         stack = build_frame_stack(depth, maps, config.formulation)
-        if config.formulation == EXPLICIT_RGBD:
-            rgbd_fitter = ExplicitRgbdFitter(constant)
+        count_table = stack.count.table
+    else:
+        count_table = build_integral(depth.valid, name=COUNT_CHANNEL).table
 
-    def fit_tile(rect: Rect) -> FitResult:
-        return fitting.fit_rect(
-            depth,
-            maps,
-            rect,
-            config.formulation,
-            config.backend,
-            stack=stack,
-            constant=constant,
-            rgbd_fitter=rgbd_fitter,
-        )
+    def fit_level(rects: list[Rect]) -> list[FitResult | None]:
+        """Fits of one level's tiles; None where a tile has too few samples."""
+        if stack is not None:
+            boxes = np.array(rects, dtype=np.int64)
+            return fitting.fit_rects(stack, constant, boxes, config.formulation)
+        results: list[FitResult | None] = []
+        for rect in rects:
+            try:
+                results.append(
+                    fitting.fit_rect(depth, maps, rect, config.formulation, config.backend)
+                )
+            except InsufficientSamplesError:
+                results.append(None)
+        return results
 
+    grid = _initial_grid(depth.width, depth.height, config.initial_tile)
+    # Each tile's outcome: a leaf Tile, or None when the tile splits.  Tiles
+    # of one level are disjoint and strictly smaller than their parents, so a
+    # rect names exactly one tile of the quadtree.
+    outcomes: dict[Rect, Tile | None] = {}
+    rects, level = grid, 0
+    while rects:
+        boxes = np.array(rects, dtype=np.int64)
+        n_valid = np.rint(_box_sums(count_table, _box_corners(boxes, depth.width)))
+        area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+        dense = (n_valid >= config.min_valid_fraction * area) & (n_valid > 0)
+        to_fit = [rect for rect, ok in zip(rects, dense) if ok]
+        fits = dict(zip(to_fit, fit_level(to_fit)))
+        children: list[Rect] = []
+        for rect in rects:
+            result = fits.get(rect)
+            if result is None:
+                outcomes[rect] = Tile(rect=rect, status=TileStatus.TOO_INVALID, level=level)
+                continue
+            if config.error_metric == "max":
+                error = _max_residual(depth, maps, rect, result, config.formulation)
+            else:
+                error = np.inf if result.rms_residual is None else result.rms_residual
+            if not result.degenerate and error <= config.threshold:
+                outcomes[rect] = Tile(
+                    rect=rect, status=TileStatus.FITTED, level=level, result=result
+                )
+            elif (
+                level < config.max_depth
+                and rect.x1 - rect.x0 >= 2 * MIN_TILE_EDGE
+                and rect.y1 - rect.y0 >= 2 * MIN_TILE_EDGE
+            ):
+                outcomes[rect] = None
+                children.extend(_split(rect))
+            else:
+                outcomes[rect] = Tile(
+                    rect=rect, status=TileStatus.HIGH_ERROR, level=level, result=result
+                )
+        rects, level = children, level + 1
+
+    # Replay the tree in the depth-first order of a stack-driven walk, which
+    # fixes the tile order k-means seeding sees.
     tiles: list[Tile] = []
-    pending = [(rect, 0) for rect in _initial_grid(depth.width, depth.height, config.initial_tile)]
+    pending = list(grid)
     while pending:
-        rect, level = pending.pop()
-        n_valid = int(np.count_nonzero(depth.valid[rect.y0 : rect.y1, rect.x0 : rect.x1]))
-        if n_valid < config.min_valid_fraction * rect.area or n_valid == 0:
-            tiles.append(Tile(rect=rect, status=TileStatus.TOO_INVALID, level=level))
-            continue
-        try:
-            result = fit_tile(rect)
-        except InsufficientSamplesError:
-            tiles.append(Tile(rect=rect, status=TileStatus.TOO_INVALID, level=level))
-            continue
-        if config.error_metric == "max":
-            error = _max_residual(depth, maps, rect, result, config.formulation)
+        rect = pending.pop()
+        tile = outcomes[rect]
+        if tile is None:
+            pending.extend(_split(rect))
         else:
-            error = np.inf if result.rms_residual is None else result.rms_residual
-        acceptable = not result.degenerate and error <= config.threshold
-        if acceptable:
-            tiles.append(
-                Tile(rect=rect, status=TileStatus.FITTED, level=level, result=result)
-            )
-        elif (
-            level < config.max_depth
-            and rect.x1 - rect.x0 >= 2 * MIN_TILE_EDGE
-            and rect.y1 - rect.y0 >= 2 * MIN_TILE_EDGE
-        ):
-            pending.extend((child, level + 1) for child in _split(rect))
-        else:
-            tiles.append(
-                Tile(rect=rect, status=TileStatus.HIGH_ERROR, level=level, result=result)
-            )
+            tiles.append(tile)
 
     warnings: list[str] = []
     fitted = [t for t in tiles if t.status is TileStatus.FITTED]

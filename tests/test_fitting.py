@@ -32,6 +32,7 @@ from rangefit import (
     fit_implicit_rgbd,
     fit_implicit_standard,
     fit_rect,
+    fit_rects,
     gather_window_samples,
     normal_angle,
     render_scene,
@@ -590,6 +591,129 @@ class TestExplicitRgbdFitter:
             fit_rect(depth, small_maps, rect, EXPLICIT_RGBD, "wat")
         with pytest.raises(ValueError, match="stack"):
             fit_rect(depth, small_maps, rect, EXPLICIT_RGBD, "integral")
+
+    @pytest.mark.parametrize(
+        "rect",
+        [Rect(-60, 0, 10, 10), Rect(60, 0, 70, 10), Rect(30, 10, 10, 30), Rect(0, 30, 10, 10)],
+        ids=["negative-x0", "past-right-edge", "inverted-x", "inverted-y"],
+    )
+    def test_rejects_out_of_bounds_and_inverted_rects(self, small_maps, rect):
+        depth, _ = render_scene(
+            SyntheticScene((random_visible_plane(np.random.default_rng(16)),)),
+            small_maps, noise=NoiseModel(), seed=4, dropout=0.05,
+        )
+        fitter = ExplicitRgbdFitter(build_constant_channels(small_maps))
+        stack = build_rgbd_explicit_channels(depth, small_maps)
+        with pytest.raises(ValueError, match="out of bounds"):
+            fitter.fit(stack, rect)
+
+    def test_rejects_stack_from_another_camera(self, small_maps):
+        from rangefit import CameraIntrinsics, compute_tan_maps
+
+        other = compute_tan_maps(
+            CameraIntrinsics(fx=75.0, fy=75.0, cx=39.5, cy=29.5, width=80, height=60)
+        )
+        depth, _ = render_scene(
+            SyntheticScene((GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0])),)), other
+        )
+        fitter = ExplicitRgbdFitter(build_constant_channels(small_maps))
+        with pytest.raises(ValueError, match="dimensions"):
+            fitter.fit(build_rgbd_explicit_channels(depth, other), Rect(0, 0, 20, 20))
+
+
+def _batch_windows(rng: np.random.Generator) -> list[Rect]:
+    """Random windows plus edge cases: full image, slivers, tiny and empty windows."""
+    rects = [Rect(0, 0, 64, 48), Rect(10, 5, 11, 40), Rect(3, 20, 60, 21), Rect(7, 7, 9, 8),
+             Rect(5, 5, 5, 30), Rect(63, 47, 64, 48)]
+    for _ in range(40):
+        x0, y0 = int(rng.integers(0, 60)), int(rng.integers(0, 44))
+        rects.append(Rect(x0, y0, int(rng.integers(x0 + 1, 65)), int(rng.integers(y0 + 1, 49))))
+    return rects
+
+
+class TestFitRects:
+    @pytest.mark.parametrize("dropout", [0.0, 0.1], ids=["hole-free", "holey"])
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_matches_fit_rect_per_window(self, small_maps, formulation, dropout):
+        rng = np.random.default_rng(18)
+        depth, _ = render_scene(
+            SyntheticScene((random_visible_plane(rng),)),
+            small_maps, noise=NoiseModel(), seed=5, dropout=dropout,
+        )
+        constant = build_constant_channels(small_maps)
+        stack = STACK_BUILDERS[formulation](depth, small_maps)
+        rects = _batch_windows(rng)
+        batch = fit_rects(stack, constant, np.array(rects), formulation)
+        assert len(batch) == len(rects)
+        for rect, got in zip(rects, batch):
+            try:
+                want = fit_rect(
+                    depth, small_maps, rect, formulation, "integral", stack=stack, constant=constant
+                )
+            except InsufficientSamplesError:
+                assert got is None
+                continue
+            np.testing.assert_allclose(
+                got.plane.coefficients, want.plane.coefficients, rtol=1e-12, atol=1e-12
+            )
+            assert got.degenerate == want.degenerate
+            assert got.n_points == want.n_points
+            assert got.rms_residual == pytest.approx(want.rms_residual, rel=1e-9, abs=1e-15)
+            assert got.eigenvalue == pytest.approx(want.eigenvalue, rel=1e-9, abs=1e-12)
+        if formulation == EXPLICIT_RGBD:
+            # a one-pixel-wide sliver has constant tan_x: rank deficient, so
+            # the minimum-norm fallback runs inside the batch
+            assert any(r is not None and r.degenerate for r in batch)
+
+    def test_too_small_windows_give_none(self, small_maps):
+        masked = GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0]), mask_rect=(0, 0, 32, 48))
+        depth, _ = render_scene(SyntheticScene((masked,)), small_maps)
+        constant = build_constant_channels(small_maps)
+        rects = np.array([[40, 8, 60, 28], [0, 0, 2, 1], [4, 4, 4, 9], [0, 0, 8, 8]])
+        for formulation in FORMULATIONS:
+            stack = STACK_BUILDERS[formulation](depth, small_maps)
+            results = fit_rects(stack, constant, rects, formulation)
+            assert results[:3] == [None, None, None]
+            assert results[3] is not None and results[3].n_points == 64
+
+    def test_empty_rect_array(self, small_maps, noisy_scene):
+        _, depth = noisy_scene
+        constant = build_constant_channels(small_maps)
+        for formulation in FORMULATIONS:
+            stack = STACK_BUILDERS[formulation](depth, small_maps)
+            assert fit_rects(stack, constant, np.zeros((0, 4), dtype=np.int64), formulation) == []
+            assert fit_rects(stack, constant, [], formulation) == []
+
+    @pytest.mark.parametrize(
+        "rect",
+        [(-60, 0, 10, 10), (60, 0, 70, 10), (30, 10, 10, 30), (0, 30, 10, 10), (0, 0, 65, 48)],
+        ids=["negative-x0", "past-right-edge", "inverted-x", "inverted-y", "past-full-width"],
+    )
+    def test_rejects_out_of_bounds_and_inverted_rects(self, small_maps, noisy_scene, rect):
+        _, depth = noisy_scene
+        constant = build_constant_channels(small_maps)
+        for formulation in FORMULATIONS:
+            stack = STACK_BUILDERS[formulation](depth, small_maps)
+            with pytest.raises(ValueError, match="out of bounds"):
+                fit_rects(stack, constant, np.array([[0, 0, 8, 8], rect]), formulation)
+
+    def test_rejects_malformed_arrays_and_mismatched_stacks(self, small_maps, noisy_scene):
+        _, depth = noisy_scene
+        constant = build_constant_channels(small_maps)
+        stack = build_rgbd_implicit_channels(depth, small_maps)
+        with pytest.raises(ValueError, match="integer"):
+            fit_rects(stack, constant, np.array([[0.0, 0.0, 8.0, 8.0]]), IMPLICIT_RGBD)
+        with pytest.raises(ValueError, match=r"\(N, 4\)"):
+            fit_rects(stack, constant, np.array([0, 0, 8, 8]), IMPLICIT_RGBD)
+        with pytest.raises(ValueError, match="constant"):
+            fit_rects(stack, None, np.array([[0, 0, 8, 8]]), IMPLICIT_RGBD)
+        from rangefit import CameraIntrinsics, compute_tan_maps
+
+        other = build_constant_channels(compute_tan_maps(
+            CameraIntrinsics(fx=75.0, fy=75.0, cx=39.5, cy=29.5, width=80, height=60)
+        ))
+        with pytest.raises(ValueError, match="dimensions"):
+            fit_rects(stack, other, np.array([[0, 0, 8, 8]]), IMPLICIT_RGBD)
 
 
 class TestCsvRow:

@@ -1,12 +1,20 @@
-"""Dense-kernel tests: Jacobi eigensolver and the 3x3 Cholesky solver."""
+"""Dense-kernel tests: the smallest-eigenvector solve and the 3x3 Cholesky solver."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from rangefit import DegenerateFitError, smallest_eigenvector, solve_spd3
-from rangefit.fitting import cholesky3, jacobi_eigh, solve_cholesky3, _pinv_solve
+from rangefit import (
+    DegenerateFitError,
+    Scatter3,
+    Scatter4,
+    fit_explicit_standard,
+    fit_implicit_standard,
+    smallest_eigenvector,
+    solve_spd3,
+)
+from rangefit.fitting import cholesky3, solve_cholesky3
 
 
 def random_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
@@ -20,6 +28,9 @@ class TestSmallestEigenvector:
         assert lam == pytest.approx(1.0, rel=1e-14)
         residual = np.linalg.norm(np.eye(4) @ v - lam * v)
         assert residual < 1e-12
+        # a tied smallest eigenvalue leaves the plane ambiguous
+        assert fit_implicit_standard(Scatter4(matrix=3.0 * np.eye(4), n=8)).degenerate
+        assert not fit_implicit_standard(Scatter4(matrix=np.diag([4.0, 3.0, 2.0, 1.0]), n=8)).degenerate
 
     def test_simple_diagonal(self):
         v, lam = smallest_eigenvector(np.diag([4.0, 3.0, 2.0, 1.0]))
@@ -40,18 +51,6 @@ class TestSmallestEigenvector:
             quotients = np.einsum("ij,jk,ik->i", probes, s, probes)
             assert lam <= quotients.min() + 1e-9 * fro
 
-    def test_matches_reference_eigenvalues(self):
-        rng = np.random.default_rng(1)
-        for n in (3, 4):
-            for _ in range(100):
-                s = random_psd(rng, n)
-                values, vectors = jacobi_eigh(s)
-                np.testing.assert_allclose(
-                    np.sort(values), np.linalg.eigvalsh(s), rtol=1e-10, atol=1e-10 * np.linalg.norm(s)
-                )
-                # eigenvectors stay orthonormal
-                np.testing.assert_allclose(vectors.T @ vectors, np.eye(n), atol=1e-12)
-
     def test_zero_matrix(self):
         v, lam = smallest_eigenvector(np.zeros((4, 4)))
         assert lam == 0.0
@@ -59,13 +58,16 @@ class TestSmallestEigenvector:
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            smallest_eigenvector(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_rejects_non_finite(self):
         s = np.eye(4)
         s[1, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            jacobi_eigh(s)
+            smallest_eigenvector(s)
+        s[1, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            fit_implicit_standard(Scatter4(matrix=s, n=8))
 
 
 class TestSolveSpd3:
@@ -90,7 +92,7 @@ class TestSolveSpd3:
         m = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 1.0], [3.0, 3.0, 1.0], [4.0, 4.0, 1.0]])
         s = m.T @ m
         with pytest.raises(DegenerateFitError):
-            cholesky3(s)
+            solve_spd3(s, np.ones(3))
 
     def test_factor_reuse_matches_direct_solve(self):
         rng = np.random.default_rng(3)
@@ -101,9 +103,10 @@ class TestSolveSpd3:
             np.testing.assert_array_equal(solve_cholesky3(factor, rhs), solve_spd3(s, rhs))
 
     def test_pinv_solve_minimum_norm(self):
-        # rank-2 system: solution must lie in the row space
+        # rank-2 system: the flagged fallback solution must lie in the row space
         m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        s = m.T @ m
-        rhs = np.array([2.0, 3.0, 0.0])
-        x = _pinv_solve(s, rhs)
-        np.testing.assert_allclose(x, [2.0, 3.0, 0.0], atol=1e-12)
+        result = fit_explicit_standard(
+            Scatter3(matrix=m.T @ m, rhs=np.array([2.0, 3.0, 0.0]), n=5)
+        )
+        assert result.degenerate
+        np.testing.assert_allclose(result.plane.coefficients, [2.0, 3.0, 0.0], atol=1e-12)

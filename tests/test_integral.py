@@ -19,7 +19,6 @@ from rangefit import (
     build_standard_implicit_channels,
     render_scene,
 )
-from rangefit.integral import dump_channels
 
 from conftest import random_visible_plane
 
@@ -286,17 +285,3 @@ class TestPerFrameBuilders:
         )
         with pytest.raises(ValueError):
             build_standard_implicit_channels(noisy_frame, other)
-
-
-class TestDump:
-    def test_dump_channels(self, noisy_frame, small_maps, tmp_path):
-        stack = build_rgbd_explicit_channels(noisy_frame, small_maps)
-        # the holey fixture adds 5 masked tan channels: 3 scatter + residual
-        # + 5 hole-correction + count
-        paths = dump_channels(stack, tmp_path / "channels")
-        assert len(paths) == 10
-        blob = (tmp_path / "channels" / "inv_z.rawi").read_bytes()
-        header, _, rest = blob.partition(b"\n")
-        assert header == b"RAWI 65 49 inv_z"
-        table = np.frombuffer(rest, dtype="<f8").reshape(49, 65)
-        np.testing.assert_array_equal(table, stack.channels["inv_z"].table)

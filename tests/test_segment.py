@@ -7,11 +7,14 @@ import itertools
 import numpy as np
 import pytest
 
+import rangefit.fitting
 from rangefit import (
     EXPLICIT_RGBD,
     EXPLICIT_STANDARD,
+    FORMULATIONS,
     IMPLICIT_RGBD,
     IMPLICIT_STANDARD,
+    InsufficientSamplesError,
     GroundTruthPlane,
     NoiseModel,
     Rect,
@@ -19,15 +22,17 @@ from rangefit import (
     SyntheticScene,
     TileStatus,
     accumulate_scatter_naive,
+    build_constant_channels,
     fit_explicit_rgbd,
     fit_implicit_standard,
+    fit_rect,
     gather_window_samples,
     kmeans,
     render_scene,
     segment,
     tile_features,
 )
-from rangefit.segment import CLUSTER_PALETTE
+from rangefit.segment import CLUSTER_PALETTE, build_frame_stack
 
 from conftest import random_visible_plane
 
@@ -171,7 +176,89 @@ def corner_scene() -> SyntheticScene:
     return SyntheticScene((left, right, floor))
 
 
+def reference_leaves(depth, maps, config: SegConfig, constant) -> list[tuple]:
+    """Leaves of the quadtree walked one tile at a time, as segment once did.
+
+    A stack of pending tiles, each counted by ``np.count_nonzero`` and fitted
+    by a one-window ``fit_rect``; returns (rect, level, status, result) in
+    the walk's order.
+    """
+    stack = build_frame_stack(depth, maps, config.formulation)
+    tile = config.initial_tile
+    pending = [
+        (Rect(x0, y0, min(x0 + tile, depth.width), min(y0 + tile, depth.height)), 0)
+        for y0 in range(0, depth.height, tile)
+        for x0 in range(0, depth.width, tile)
+    ]
+    leaves = []
+    while pending:
+        rect, level = pending.pop()
+        n_valid = int(np.count_nonzero(depth.valid[rect.y0 : rect.y1, rect.x0 : rect.x1]))
+        if n_valid < config.min_valid_fraction * rect.area or n_valid == 0:
+            leaves.append((rect, level, TileStatus.TOO_INVALID, None))
+            continue
+        try:
+            result = fit_rect(
+                depth, maps, rect, config.formulation, "integral", stack=stack, constant=constant
+            )
+        except InsufficientSamplesError:
+            leaves.append((rect, level, TileStatus.TOO_INVALID, None))
+            continue
+        rms = np.inf if result.rms_residual is None else result.rms_residual
+        if not result.degenerate and rms <= config.threshold:
+            leaves.append((rect, level, TileStatus.FITTED, result))
+        elif level < config.max_depth and min(rect.x1 - rect.x0, rect.y1 - rect.y0) >= 4:
+            xm = rect.x0 + (rect.x1 - rect.x0) // 2
+            ym = rect.y0 + (rect.y1 - rect.y0) // 2
+            pending.extend(
+                (child, level + 1)
+                for child in (
+                    Rect(rect.x0, rect.y0, xm, ym), Rect(xm, rect.y0, rect.x1, ym),
+                    Rect(rect.x0, ym, xm, rect.y1), Rect(xm, ym, rect.x1, rect.y1),
+                )
+            )
+        else:
+            leaves.append((rect, level, TileStatus.HIGH_ERROR, result))
+    return leaves
+
+
 class TestSegment:
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_leaves_match_one_window_refits(self, small_maps, formulation, monkeypatch):
+        depth, _ = render_scene(corner_scene(), small_maps, noise=NoiseModel(), seed=12, dropout=0.1)
+        constant = build_constant_channels(small_maps)
+        config = SegConfig(
+            formulation=formulation, initial_tile=16, max_depth=3,
+            rms_threshold=SegConfig(formulation=formulation).threshold / 8,
+            min_valid_fraction=0.9, k=3, seed=0,
+        )
+        batch_calls = []
+        original = rangefit.fitting.fit_rects
+
+        def counting(*args, **kwargs):
+            batch_calls.append(len(args[2]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rangefit.fitting, "fit_rects", counting)
+        tiles = segment(depth, small_maps, config, constant=constant).tiles
+        expected = reference_leaves(depth, small_maps, config, constant)
+
+        assert len(tiles) == len(expected)
+        for tile, (rect, level, status, result) in zip(tiles, expected):
+            assert (tile.rect, tile.level, tile.status) == (rect, level, status)
+            if result is None:
+                assert tile.result is None
+                continue
+            np.testing.assert_allclose(
+                tile.result.plane.coefficients, result.plane.coefficients, rtol=1e-12, atol=1e-12
+            )
+            assert tile.result.degenerate == result.degenerate
+            assert tile.result.n_points == result.n_points
+        statuses = {tile.status for tile in tiles}
+        assert statuses == set(TileStatus)
+        # one batched fit per quadtree level
+        assert len(batch_calls) == max(tile.level for tile in tiles) + 1 == 4
+
     def test_single_plane_all_tiles_fit_at_level_zero(self, small_maps):
         depth, _ = render_scene(
             SyntheticScene((GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0])),)), small_maps
