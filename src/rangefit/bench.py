@@ -29,14 +29,7 @@ from .fitting import (
     ExplicitPlane,
     ExplicitRgbdFitter,
 )
-from .integral import (
-    Rect,
-    build_constant_channels,
-    build_rgbd_explicit_channels,
-    build_rgbd_implicit_channels,
-    build_standard_explicit_channels,
-    build_standard_implicit_channels,
-)
+from .integral import Rect, build_channels, build_constant_channels
 from .synth import DepthImage, GroundTruthPlane, SyntheticScene, render_scene
 
 BACKENDS = ("naive", "integral")
@@ -75,7 +68,7 @@ def op_count_audit(formulation: str) -> OpCountAudit:
     intrinsics = CameraIntrinsics(fx=10.0, fy=10.0, cx=3.5, cy=3.5, width=8, height=8)
     maps = compute_tan_maps(intrinsics)
     depth = DepthImage(values=np.full((8, 8), 2.0))
-    stack = _build_scatter_stack(depth, maps, formulation)
+    stack = build_channels(depth, maps, formulation, include_residual=False)
     actual = len(stack.per_frame_channel_names())
     if actual != channels or len(stack.scatter_names) != channels:
         raise RuntimeError(
@@ -217,19 +210,6 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def _build_scatter_stack(depth, maps, formulation: str):
-    """Per-frame stack with exactly the audited scatter channels (no extras)."""
-    if formulation == IMPLICIT_STANDARD:
-        return build_standard_implicit_channels(depth, maps)
-    if formulation == IMPLICIT_RGBD:
-        return build_rgbd_implicit_channels(depth, maps)
-    if formulation == EXPLICIT_STANDARD:
-        return build_standard_explicit_channels(depth, maps, include_residual=False)
-    if formulation == EXPLICIT_RGBD:
-        return build_rgbd_explicit_channels(depth, maps, include_residual=False)
-    raise ValueError(f"unknown formulation {formulation!r}")
-
-
 def _bench_frame(config: BenchConfig):
     intrinsics = CameraIntrinsics(
         fx=525.0,
@@ -285,7 +265,8 @@ def run_bench(config: BenchConfig | None = None) -> BenchReport:
                 )
                 if backend == "integral":
                     t0 = time.perf_counter()
-                    stack = _build_scatter_stack(depth, maps, formulation)
+                    # exactly the audited scatter channels, no residual
+                    stack = build_channels(depth, maps, formulation, include_residual=False)
                     build_seconds = time.perf_counter() - t0
                 else:
                     stack = None

@@ -46,6 +46,12 @@ from .camera import TanAngleMaps
 from .errors import DegenerateFitError, InsufficientSamplesError
 from .integral import (
     CONSTANT_CHANNELS,
+    COUNT_CHANNEL,
+    EXPLICIT_RGBD,
+    EXPLICIT_STANDARD,
+    FORMULATIONS,
+    IMPLICIT_RGBD,
+    IMPLICIT_STANDARD,
     ChannelStack,
     Rect,
     _box_corners,
@@ -54,12 +60,6 @@ from .integral import (
     _check_rects,
 )
 from .synth import DepthImage
-
-IMPLICIT_STANDARD = "implicit-standard"
-IMPLICIT_RGBD = "implicit-rgbd"
-EXPLICIT_STANDARD = "explicit-standard"
-EXPLICIT_RGBD = "explicit-rgbd"
-FORMULATIONS = (IMPLICIT_STANDARD, IMPLICIT_RGBD, EXPLICIT_STANDARD, EXPLICIT_RGBD)
 
 SPACE_STANDARD = "standard"
 SPACE_RGBD = "rgbd"
@@ -452,29 +452,38 @@ def _symmetric_index(size: int) -> np.ndarray:
 _SYMMETRIC_INDEX = {10: _symmetric_index(4), 6: _symmetric_index(3)}
 
 
+def _gather(stack: ChannelStack, corners: np.ndarray) -> dict[str, float | np.ndarray]:
+    """Every channel's box sums from one indexed read of the stack's tensor.
+
+    ``corners`` holds flat table indices from ``_box_corners``: (4, N) for a
+    batch, giving (N,) sums per channel, or (4,) for one window.  The sums
+    are formed in the same order of operations as ``_box_sums``.
+    """
+    t = stack.tensor.reshape(len(stack.index), -1).take(corners, axis=1)
+    sums = t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3]
+    return {name: sums[i] for name, i in stack.index.items()}
+
+
 def _assemble(
     stack: ChannelStack,
     constant: ChannelStack | None,
     formulation: str,
-    box: Callable[[np.ndarray], float | np.ndarray],
+    corners: np.ndarray,
     n: float | np.ndarray,
     full: bool | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None, float | np.ndarray | None]:
     """A formulation's (matrix, rhs, target_sq) from box sums over its channels.
 
-    ``box`` maps a summed-area table to the window's sum: a float for one
-    window, an (N,) array for a batch, in which case every output gains a
-    leading N axis.  ``full`` marks the hole-free windows.  ``rhs`` is None
-    for implicit formulations, ``target_sq`` when the residual channel is
-    absent.  Windows with holes must only reach here when the frame stack
-    carries masked tan channels.
+    ``corners`` are the windows' flat corner indices (see :func:`_gather`):
+    for a batch every output gains a leading N axis.  ``full`` marks the
+    hole-free windows.  ``rhs`` is None for implicit formulations,
+    ``target_sq`` when the residual channel is absent.  Windows with holes
+    must only reach here when the frame stack carries masked tan channels.
     """
-    ch = stack.channels
     layout = _SCATTER_LAYOUT[formulation]
     rhs_names, residual = _EXPLICIT_RHS.get(formulation, ((), None))
-    frame_names = _FRAME_CHANNELS[formulation]
-    _require_channels(stack, frame_names, "per-frame")
-    sums = {name: box(ch[name].table) for name in frame_names}
+    _require_channels(stack, _FRAME_CHANNELS[formulation], "per-frame")
+    sums = _gather(stack, corners)
     sums["n"] = n
     if formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
         if isinstance(full, np.ndarray):
@@ -484,24 +493,22 @@ def _assemble(
         if any_full:
             if constant is None:
                 raise ValueError(f"{formulation} requires the camera-constant channel stack")
-            if constant.count.table.shape != stack.count.table.shape:
+            if constant.tensor.shape[1:] != stack.tensor.shape[1:]:
                 raise ValueError("constant stack dimensions do not match the per-frame stack")
             _require_channels(constant, CONSTANT_CHANNELS, "constant")
+            const = _gather(constant, corners)
         for name in CONSTANT_CHANNELS:
             if all_full:
-                sums[name] = box(constant.channels[name].table)
+                sums[name] = const[name]
             elif not any_full:
-                sums[name] = box(ch["m_" + name].table)
+                sums[name] = sums["m_" + name]
             else:
-                sums[name] = np.where(
-                    full, box(constant.channels[name].table), box(ch["m_" + name].table)
-                )
+                sums[name] = np.where(full, const[name], sums["m_" + name])
     matrix = np.array([sums[k] for k in layout]).T[..., _SYMMETRIC_INDEX[len(layout)]]
     if not rhs_names:
         return matrix, None, None
     rhs = np.array([sums[k] for k in rhs_names]).T
-    target_sq = box(ch[residual].table) if residual in ch else None
-    return matrix, rhs, target_sq
+    return matrix, rhs, sums.get(residual)
 
 
 def scatter_from_integrals(
@@ -532,9 +539,8 @@ def scatter_from_integrals(
             f"window {rect} contains invalid pixels but the frame stack carries "
             "no masked tan channels (was it built from a different frame?)"
         )
-    matrix, rhs, target_sq = _assemble(
-        stack, constant, formulation, lambda table: _box(table, rect), float(n), full
-    )
+    corners = _box_corners(rect, stack.width)
+    matrix, rhs, target_sq = _assemble(stack, constant, formulation, corners, float(n), full)
     if rhs is None:
         return Scatter4(matrix=matrix, n=n)
     return Scatter3(matrix=matrix, rhs=rhs, n=n, target_sq=target_sq)
@@ -665,23 +671,23 @@ class ExplicitRgbdFitter:
     """
 
     def __init__(self, constant: ChannelStack):
-        _require_channels(constant, ("tx2", "txty", "ty2", "tx", "ty"), "constant")
+        _require_channels(constant, CONSTANT_CHANNELS, "constant")
         self.constant = constant
         self._factors: dict[Rect, CholeskyFactor | None] = {}
         self._matrices: dict[Rect, np.ndarray] = {}
 
     def matrix_for(self, rect: Rect) -> np.ndarray:
+        """The window's camera-constant normal-equation matrix, cached."""
         matrix = self._matrices.get(rect)
         if matrix is None:
-            cc = self.constant.channels
-            stx2 = _box(cc["tx2"].table, rect)
-            stxty = _box(cc["txty"].table, rect)
-            sty2 = _box(cc["ty2"].table, rect)
-            stx = _box(cc["tx"].table, rect)
-            sty = _box(cc["ty"].table, rect)
-            pixel_count = _box(self.constant.count.table, rect)
+            _check_rect(rect, self.constant.width, self.constant.height)
+            c = _gather(self.constant, _box_corners(rect, self.constant.width))
             matrix = np.array(
-                [[stx2, stxty, stx], [stxty, sty2, sty], [stx, sty, pixel_count]]
+                [
+                    [c["tx2"], c["txty"], c["tx"]],
+                    [c["txty"], c["ty2"], c["ty"]],
+                    [c["tx"], c["ty"], c[COUNT_CHANNEL]],
+                ]
             )
             self._matrices[rect] = matrix
         return matrix
@@ -689,7 +695,6 @@ class ExplicitRgbdFitter:
     def factor_for(self, rect: Rect) -> CholeskyFactor | None:
         """The cached factor, or None when the window's system is singular."""
         if rect not in self._factors:
-            _check_rect(rect, self.constant.width, self.constant.height)
             try:
                 self._factors[rect] = cholesky3(self.matrix_for(rect))
             except DegenerateFitError:
@@ -713,6 +718,7 @@ class ExplicitRgbdFitter:
             return fit_explicit_rgbd(
                 scatter_from_integrals(stack, self.constant, rect, EXPLICIT_RGBD)
             )
+        # scalar reads: one gather over every channel of the stack costs more
         ch = stack.channels
         rhs = np.array(
             [
@@ -822,8 +828,7 @@ def fit_rects(
             "(was it built from a different frame?)"
         )
     matrices, rhs, target_sq = _assemble(
-        stack, constant, formulation,
-        lambda table: _box_sums(table, corners), n.astype(np.float64), full,
+        stack, constant, formulation, corners, n.astype(np.float64), full
     )
 
     if rhs is None:

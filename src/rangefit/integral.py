@@ -15,17 +15,27 @@ formulation needs one table per unique scatter-matrix element:
   matrix camera-constant.
 
 That channel-count drop (9 -> 4 and 8 -> 3) is where the per-frame savings
-come from.  Invalid pixels contribute zero to every channel and to the
-validity count, so downstream fits always normalize by the true sample count
-of a window.  Because the camera-constant channels cannot know a frame's
-holes, the rgbd builders add masked tan channels whenever a frame has
-invalid pixels; only windows actually containing holes pay for them.
+come from.  ``FORMULATION_CHANNELS`` names each formulation's channels and
+``_MONOMIALS`` says how each is computed per pixel; one builder serves every
+formulation and the camera-constant stack.
+
+A stack is one float64 tensor of shape (C, H+1, W+1): one zero-padded table
+per channel, the validity count being the last of the C.  The builder writes
+every monomial straight into its table with the depth mask applied once, so
+invalid pixels contribute zero to every channel and to the count and fits
+always normalize by the true sample count of a window.  It then forms all C
+prefix sums in one pass, rows first and then columns, the same order of
+additions as a per-channel ``cumsum`` pair, so the tables are bit-identical
+to :func:`build_integral` on each masked monomial.  Because the
+camera-constant channels cannot know a frame's holes, rgbd stacks add masked
+tan channels whenever a frame has invalid pixels; only windows actually
+containing holes read them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +54,60 @@ RGBD_EXPLICIT_CHANNELS = ("tx_over_z", "ty_over_z", "inv_z")
 HOLE_CORRECTION_CHANNELS = ("m_tx2", "m_txty", "m_ty2", "m_tx", "m_ty")
 
 COUNT_CHANNEL = "count"
+
+IMPLICIT_STANDARD = "implicit-standard"
+IMPLICIT_RGBD = "implicit-rgbd"
+EXPLICIT_STANDARD = "explicit-standard"
+EXPLICIT_RGBD = "explicit-rgbd"
+FORMULATIONS = (IMPLICIT_STANDARD, IMPLICIT_RGBD, EXPLICIT_STANDARD, EXPLICIT_RGBD)
+
+
+class ChannelSet(NamedTuple):
+    """A formulation's per-frame channels.
+
+    ``scatter`` fills the scatter matrix in hole-free windows; ``residual``
+    is the optional rms diagnostic channel; ``needs_constant`` formulations
+    read their tan block from the camera-constant stack, so their frames
+    carry ``HOLE_CORRECTION_CHANNELS`` whenever they have holes.
+    """
+
+    scatter: tuple[str, ...]
+    residual: str | None
+    needs_constant: bool
+
+
+FORMULATION_CHANNELS = {
+    IMPLICIT_STANDARD: ChannelSet(STANDARD_IMPLICIT_CHANNELS, None, False),
+    IMPLICIT_RGBD: ChannelSet(RGBD_IMPLICIT_CHANNELS, None, True),
+    EXPLICIT_STANDARD: ChannelSet(STANDARD_EXPLICIT_CHANNELS, "z2", False),
+    EXPLICIT_RGBD: ChannelSet(RGBD_EXPLICIT_CHANNELS, "inv_z2", True),
+}
+
+# Per-pixel recipe of every channel, in an order that writes each operand
+# before it is read: a ufunc over operands naming a source lattice ("depth",
+# "tan_x", "tan_y"), a channel of the same stack, or a number.  X = Z*tan_x
+# and Y = Z*tan_y; np.positive copies.
+_MONOMIALS = {
+    "z": (np.positive, "depth"),
+    "x": (np.multiply, "z", "tan_x"),
+    "y": (np.multiply, "z", "tan_y"),
+    "x2": (np.multiply, "x", "x"),
+    "xy": (np.multiply, "x", "y"),
+    "xz": (np.multiply, "x", "z"),
+    "y2": (np.multiply, "y", "y"),
+    "yz": (np.multiply, "y", "z"),
+    "z2": (np.multiply, "z", "z"),
+    "inv_z": (np.divide, 1.0, "depth"),
+    "tx_over_z": (np.multiply, "tan_x", "inv_z"),
+    "ty_over_z": (np.multiply, "tan_y", "inv_z"),
+    "inv_z2": (np.multiply, "inv_z", "inv_z"),
+    "tx2": (np.multiply, "tan_x", "tan_x"),
+    "txty": (np.multiply, "tan_x", "tan_y"),
+    "ty2": (np.multiply, "tan_y", "tan_y"),
+    "tx": (np.positive, "tan_x"),
+    "ty": (np.positive, "tan_y"),
+}
+_MONOMIALS.update({"m_" + name: _MONOMIALS[name] for name in CONSTANT_CHANNELS})
 
 
 class Rect(NamedTuple):
@@ -87,32 +151,38 @@ class IntegralImage:
 
 @dataclass(frozen=True)
 class ChannelStack:
-    """A named set of integral images sharing one validity-count channel.
+    """A named set of summed-area tables held in one (C, H+1, W+1) tensor.
 
-    ``scatter_names`` lists the channels that fill scatter-matrix entries in
-    the hole-free setting (the audited per-frame cost of a formulation);
-    ``residual_name``, when present, is an extra diagnostic channel (the
-    squared regression target) used only to report fit residuals and
-    deliberately kept outside the scatter set.  ``hole_corrected`` marks rgbd
-    stacks that carry masked tan channels because their frame has invalid
-    pixels.  ``constant`` stacks depend only on the camera intrinsics and are
-    built once, then shared by reference across frames.
+    ``index`` maps every channel name, the validity count included, to its
+    slice of ``tensor``; ``channels`` (every depth-dependent channel) and
+    ``count`` are :class:`IntegralImage` views into it.  ``scatter_names``
+    lists the channels that fill scatter-matrix entries in the hole-free
+    setting (the audited per-frame cost of a formulation); ``residual_name``,
+    when present, is an extra diagnostic channel (the squared regression
+    target) used only to report fit residuals and deliberately kept outside
+    the scatter set.  ``hole_corrected`` marks rgbd stacks that carry masked
+    tan channels because their frame has invalid pixels.  ``constant``
+    stacks depend only on the camera intrinsics and are built once, then
+    shared by reference across frames.
     """
 
-    channels: dict[str, IntegralImage]
-    count: IntegralImage
+    tensor: np.ndarray
+    index: dict[str, int]
     scatter_names: tuple[str, ...]
     constant: bool = False
     residual_name: str | None = None
     hole_corrected: bool = False
+    channels: dict[str, IntegralImage] = field(init=False, repr=False, compare=False)
+    count: IntegralImage = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        shape = self.count.table.shape
-        for ch in self.channels.values():
-            if ch.table.shape != shape:
-                raise ValueError(
-                    f"channel {ch.name!r} shape {ch.table.shape} != count shape {shape}"
-                )
+        if self.tensor.ndim != 3 or sorted(self.index.values()) != list(range(len(self.tensor))):
+            raise ValueError(
+                f"index {self.index} does not name the {self.tensor.shape} tensor's channels"
+            )
+        views = {name: IntegralImage(name, self.tensor[i]) for name, i in self.index.items()}
+        object.__setattr__(self, "count", views.pop(COUNT_CHANNEL))
+        object.__setattr__(self, "channels", views)
 
     @property
     def height(self) -> int:
@@ -147,10 +217,13 @@ def _check_rects(rects: np.ndarray, width: int, height: int) -> np.ndarray:
 
 
 def _box_corners(rects: np.ndarray, width: int) -> np.ndarray:
-    """(4, N) flat table indices of each rect's corners, in ``_box_sums`` order."""
-    x0, y0, x1, y1 = rects.T
+    """(4, N) flat table indices of each rect's corners, in ``_box_sums`` order.
+
+    One (x0, y0, x1, y1) rect gives the (4,) indices of its corners.
+    """
+    x0, y0, x1, y1 = np.asarray(rects).T
     stride = width + 1
-    return np.stack((y1 * stride + x1, y0 * stride + x1, y1 * stride + x0, y0 * stride + x0))
+    return np.array((y1 * stride + x1, y0 * stride + x1, y1 * stride + x0, y0 * stride + x0))
 
 
 def _box_sums(table: np.ndarray, corners: np.ndarray) -> np.ndarray:
@@ -184,36 +257,40 @@ def box_sum(integral: IntegralImage, rect: Rect) -> float:
     )
 
 
-def _stack_from_lattices(
-    lattices: dict[str, np.ndarray],
-    mask: np.ndarray | None,
-    scatter_names: Iterable[str],
-    constant: bool,
+def _build_stack(
+    names: tuple[str, ...],
+    maps: TanAngleMaps,
+    depth: np.ndarray | None,
+    valid: np.ndarray | bool,
+    scatter_names: tuple[str, ...],
     residual_name: str | None = None,
     hole_corrected: bool = False,
 ) -> ChannelStack:
-    channels = {
-        name: build_integral(lat, mask, name=name) for name, lat in lattices.items()
-    }
-    if mask is None:
-        first = next(iter(lattices.values()))
-        count_src = np.ones(first.shape)
-    else:
-        count_src = mask.astype(np.float64)
-    count = build_integral(count_src, None, name=COUNT_CHANNEL)
+    """Write each channel's monomial into one tensor, then prefix-sum it in place.
+
+    ``valid`` masks every write, count included (True: no pixel is masked);
+    ``depth`` None builds the camera-constant stack.
+    """
+    h, w = maps.height, maps.width
+    out = np.zeros((len(names) + 1, h + 1, w + 1))
+    body = out[:, 1:, 1:]
+    sources = {"depth": depth, "tan_x": maps.tan_x, "tan_y": maps.tan_y, **dict(zip(names, body))}
+    np.copyto(body[-1], valid)
+    for name, (op, *operands) in _MONOMIALS.items():
+        if name in names:
+            op(*(sources.get(a, a) for a in operands), out=sources[name], where=valid)
+    # rows first, then columns: the additions of cumsum(cumsum(c, 0), 1)
+    for y in range(1, h):
+        np.add(body[:, y], body[:, y - 1], out=body[:, y])
+    np.cumsum(body, axis=2, out=body)
     return ChannelStack(
-        channels=channels,
-        count=count,
-        scatter_names=tuple(scatter_names),
-        constant=constant,
+        tensor=out,
+        index={name: i for i, name in enumerate((*names, COUNT_CHANNEL))},
+        scatter_names=scatter_names,
+        constant=depth is None,
         residual_name=residual_name,
         hole_corrected=hole_corrected,
     )
-
-
-def _tan_monomials(maps: TanAngleMaps) -> dict[str, np.ndarray]:
-    tx, ty = maps.tan_x, maps.tan_y
-    return {"tx2": tx * tx, "txty": tx * ty, "ty2": ty * ty, "tx": tx, "ty": ty}
 
 
 def build_constant_channels(maps: TanAngleMaps) -> ChannelStack:
@@ -222,130 +299,61 @@ def build_constant_channels(maps: TanAngleMaps) -> ChannelStack:
     Built once per intrinsics and reused for every frame; the count channel
     here counts pixels (all of them), matching the precomputed-sum semantics.
     """
-    return _stack_from_lattices(_tan_monomials(maps), None, CONSTANT_CHANNELS, constant=True)
+    return _build_stack(CONSTANT_CHANNELS, maps, None, True, CONSTANT_CHANNELS)
 
 
-def _masked_depth(depth: DepthImage, maps: TanAngleMaps) -> np.ndarray:
-    if (depth.height, depth.width) != (maps.height, maps.width):
+def build_channels(
+    depth: DepthImage, maps: TanAngleMaps, formulation: str, include_residual: bool = True
+) -> ChannelStack:
+    """Per-frame tables of ``formulation``'s channels (``FORMULATION_CHANNELS``).
+
+    ``include_residual`` adds the explicit formulations' rms diagnostic
+    channel.  rgbd stacks combine with :func:`build_constant_channels`; when
+    the frame has invalid pixels they also carry masked tan channels, so
+    windows containing holes still assemble exact masked sums while
+    hole-free frames keep the full precomputation advantage.
+    """
+    spec = FORMULATION_CHANNELS.get(formulation)
+    if spec is None:
+        raise ValueError(f"unknown formulation {formulation!r}")
+    if depth.values.shape != maps.tan_x.shape:
         raise ValueError(
             f"depth {depth.width}x{depth.height} does not match "
             f"maps {maps.width}x{maps.height}"
         )
-    return np.where(depth.valid, depth.values, 0.0)
-
-
-def _masked_inverse_depth(depth: DepthImage, maps: TanAngleMaps) -> np.ndarray:
-    _masked_depth(depth, maps)  # dimension check
-    safe = np.where(depth.valid, depth.values, 1.0)
-    return np.where(depth.valid, 1.0 / safe, 0.0)
+    names = spec.scatter
+    residual = spec.residual if include_residual else None
+    if residual is not None:
+        names += (residual,)
+    holes = not bool(depth.valid.all())
+    if holes and spec.needs_constant:
+        names += HOLE_CORRECTION_CHANNELS
+    # a hole-free frame needs no mask, and unmasked ufunc loops run faster
+    return _build_stack(
+        names, maps, depth.values, depth.valid if holes else True,
+        spec.scatter, residual, holes and spec.needs_constant,
+    )
 
 
 def build_standard_implicit_channels(depth: DepthImage, maps: TanAngleMaps) -> ChannelStack:
-    """Per-frame tables for the standard implicit scatter of [X, Y, Z, 1].
-
-    All 9 unique depth-dependent elements: X^2, XY, XZ, X, Y^2, YZ, Y, Z^2, Z,
-    with X = Z*tan_x and Y = Z*tan_y costing one multiply per pixel each.
-    """
-    z = _masked_depth(depth, maps)
-    x = z * maps.tan_x
-    y = z * maps.tan_y
-    lattices = {
-        "x2": x * x,
-        "xy": x * y,
-        "xz": x * z,
-        "x": x,
-        "y2": y * y,
-        "yz": y * z,
-        "y": y,
-        "z2": z * z,
-        "z": z,
-    }
-    return _stack_from_lattices(lattices, depth.valid, STANDARD_IMPLICIT_CHANNELS, constant=False)
+    """Per-frame tables for the standard implicit scatter of [X, Y, Z, 1]: 9 channels."""
+    return build_channels(depth, maps, IMPLICIT_STANDARD)
 
 
 def build_rgbd_implicit_channels(depth: DepthImage, maps: TanAngleMaps) -> ChannelStack:
-    """Per-frame tables for the inverse-depth implicit scatter of [tan_x, tan_y, 1, 1/Z].
-
-    Only the bottom row of the scatter matrix depends on the measured depth:
-    tan_x/Z, tan_y/Z, 1/Z, 1/Z^2.  Combine with :func:`build_constant_channels`
-    to populate the full matrix.  When the frame has invalid pixels, masked
-    tan channels are added so windows containing holes still assemble exact
-    masked sums; hole-free frames skip them and keep the full precomputation
-    advantage.
-    """
-    inv_z = _masked_inverse_depth(depth, maps)
-    lattices = {
-        "tx_over_z": maps.tan_x * inv_z,
-        "ty_over_z": maps.tan_y * inv_z,
-        "inv_z": inv_z,
-        "inv_z2": inv_z * inv_z,
-    }
-    hole_corrected = not bool(depth.valid.all())
-    if hole_corrected:
-        lattices.update({f"m_{k}": v for k, v in _tan_monomials(maps).items()})
-    return _stack_from_lattices(
-        lattices, depth.valid, RGBD_IMPLICIT_CHANNELS,
-        constant=False, hole_corrected=hole_corrected,
-    )
+    """Per-frame tables for the inverse-depth implicit scatter: 4 channels."""
+    return build_channels(depth, maps, IMPLICIT_RGBD)
 
 
 def build_standard_explicit_channels(
     depth: DepthImage, maps: TanAngleMaps, include_residual: bool = True
 ) -> ChannelStack:
-    """Per-frame tables for the standard explicit normal equations.
-
-    8 depth-dependent scatter/right-hand-side elements: X^2, XY, X, Y^2, Y,
-    XZ, YZ, Z.  ``include_residual`` adds a Z^2 diagnostic channel so fits
-    can report an rms residual; it is not part of the scatter set.
-    """
-    z = _masked_depth(depth, maps)
-    x = z * maps.tan_x
-    y = z * maps.tan_y
-    lattices = {
-        "x2": x * x,
-        "xy": x * y,
-        "x": x,
-        "y2": y * y,
-        "y": y,
-        "xz": x * z,
-        "yz": y * z,
-        "z": z,
-    }
-    residual_name = None
-    if include_residual:
-        lattices["z2"] = z * z
-        residual_name = "z2"
-    return _stack_from_lattices(
-        lattices, depth.valid, STANDARD_EXPLICIT_CHANNELS,
-        constant=False, residual_name=residual_name,
-    )
+    """Per-frame tables for the standard explicit normal equations: 8 channels (+ Z^2)."""
+    return build_channels(depth, maps, EXPLICIT_STANDARD, include_residual)
 
 
 def build_rgbd_explicit_channels(
     depth: DepthImage, maps: TanAngleMaps, include_residual: bool = True
 ) -> ChannelStack:
-    """Per-frame tables for the inverse-depth explicit fit.
-
-    The normal-equation matrix is entirely camera-constant; only the
-    right-hand side needs per-frame sums: tan_x/Z, tan_y/Z, 1/Z.
-    ``include_residual`` adds a 1/Z^2 diagnostic channel for rms reporting.
-    Frames with invalid pixels also carry masked tan channels so holey
-    windows get exact masked normal equations.
-    """
-    inv_z = _masked_inverse_depth(depth, maps)
-    lattices = {
-        "tx_over_z": maps.tan_x * inv_z,
-        "ty_over_z": maps.tan_y * inv_z,
-        "inv_z": inv_z,
-    }
-    residual_name = None
-    if include_residual:
-        lattices["inv_z2"] = inv_z * inv_z
-        residual_name = "inv_z2"
-    hole_corrected = not bool(depth.valid.all())
-    if hole_corrected:
-        lattices.update({f"m_{k}": v for k, v in _tan_monomials(maps).items()})
-    return _stack_from_lattices(
-        lattices, depth.valid, RGBD_EXPLICIT_CHANNELS,
-        constant=False, residual_name=residual_name, hole_corrected=hole_corrected,
-    )
+    """Per-frame tables for the inverse-depth explicit fit: 3 channels (+ 1/Z^2)."""
+    return build_channels(depth, maps, EXPLICIT_RGBD, include_residual)

@@ -25,12 +25,9 @@ from .integral import (
     Rect,
     _box_corners,
     _box_sums,
+    build_channels,
     build_constant_channels,
     build_integral,
-    build_rgbd_explicit_channels,
-    build_rgbd_implicit_channels,
-    build_standard_explicit_channels,
-    build_standard_implicit_channels,
 )
 from .synth import DepthImage
 
@@ -271,15 +268,7 @@ def build_frame_stack(
     depth: DepthImage, maps: TanAngleMaps, formulation: str
 ) -> ChannelStack:
     """Build the per-frame channel stack a formulation needs (with residuals)."""
-    if formulation == fitting.IMPLICIT_STANDARD:
-        return build_standard_implicit_channels(depth, maps)
-    if formulation == fitting.IMPLICIT_RGBD:
-        return build_rgbd_implicit_channels(depth, maps)
-    if formulation == fitting.EXPLICIT_STANDARD:
-        return build_standard_explicit_channels(depth, maps, include_residual=True)
-    if formulation == fitting.EXPLICIT_RGBD:
-        return build_rgbd_explicit_channels(depth, maps, include_residual=True)
-    raise ValueError(f"unknown formulation {formulation!r}")
+    return build_channels(depth, maps, formulation)
 
 
 def _initial_grid(width: int, height: int, tile: int) -> list[Rect]:

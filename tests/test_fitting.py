@@ -607,6 +607,21 @@ class TestExplicitRgbdFitter:
         with pytest.raises(ValueError, match="out of bounds"):
             fitter.fit(stack, rect)
 
+    @pytest.mark.parametrize(
+        "rect",
+        [Rect(-60, 0, 10, 10), Rect(10, 10, 5, 5), Rect(60, 0, 70, 10)],
+        ids=["negative-x0", "inverted", "past-right-edge"],
+    )
+    def test_matrix_for_rejects_out_of_bounds_and_inverted_rects(self, small_maps, rect):
+        # before the check these gave a pixel count of 50 for a 70-px-wide
+        # window, 25 for an inverted one and an IndexError
+        fitter = ExplicitRgbdFitter(build_constant_channels(small_maps))
+        with pytest.raises(ValueError, match="out of bounds"):
+            fitter.matrix_for(rect)
+        with pytest.raises(ValueError, match="out of bounds"):
+            fitter.factor_for(rect)
+        assert not fitter._matrices and not fitter._factors
+
     def test_rejects_stack_from_another_camera(self, small_maps):
         from rangefit import CameraIntrinsics, compute_tan_maps
 

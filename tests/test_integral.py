@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from rangefit import (
+    EXPLICIT_RGBD,
+    EXPLICIT_STANDARD,
+    FORMULATIONS,
+    IMPLICIT_RGBD,
+    IMPLICIT_STANDARD,
     DepthImage,
     NoiseModel,
     Rect,
     SyntheticScene,
     box_sum,
+    build_channels,
     build_constant_channels,
     build_integral,
     build_rgbd_explicit_channels,
@@ -283,5 +289,116 @@ class TestPerFrameBuilders:
         other = compute_tan_maps(
             CameraIntrinsics(fx=10.0, fy=10.0, cx=4.0, cy=4.0, width=9, height=9)
         )
-        with pytest.raises(ValueError):
-            build_standard_implicit_channels(noisy_frame, other)
+        for formulation in FORMULATIONS:
+            with pytest.raises(ValueError, match="does not match"):
+                _WRAPPERS[formulation](noisy_frame, other)
+            with pytest.raises(ValueError, match="does not match"):
+                build_channels(noisy_frame, other, formulation)
+
+
+# Channel names of every stack, count excluded, in tensor order.
+_SCATTER = {
+    IMPLICIT_STANDARD: ("x2", "xy", "xz", "x", "y2", "yz", "y", "z2", "z"),
+    IMPLICIT_RGBD: ("tx_over_z", "ty_over_z", "inv_z", "inv_z2"),
+    EXPLICIT_STANDARD: ("x2", "xy", "x", "y2", "y", "xz", "yz", "z"),
+    EXPLICIT_RGBD: ("tx_over_z", "ty_over_z", "inv_z"),
+}
+_RESIDUAL = {EXPLICIT_STANDARD: "z2", EXPLICIT_RGBD: "inv_z2"}
+_HOLE_NAMES = ("m_tx2", "m_txty", "m_ty2", "m_tx", "m_ty")
+_WRAPPERS = {
+    IMPLICIT_STANDARD: build_standard_implicit_channels,
+    IMPLICIT_RGBD: build_rgbd_implicit_channels,
+    EXPLICIT_STANDARD: build_standard_explicit_channels,
+    EXPLICIT_RGBD: build_rgbd_explicit_channels,
+}
+
+
+def _reference_lattices(depth: DepthImage, maps) -> dict[str, np.ndarray]:
+    """Every channel's per-pixel monomial, computed lattice by lattice."""
+    z = np.where(depth.valid, depth.values, 0.0)
+    x, y = z * maps.tan_x, z * maps.tan_y
+    inv = np.where(depth.valid, 1.0 / np.where(depth.valid, depth.values, 1.0), 0.0)
+    tx, ty = maps.tan_x, maps.tan_y
+    tan = {"tx2": tx * tx, "txty": tx * ty, "ty2": ty * ty, "tx": tx, "ty": ty}
+    return {
+        "x2": x * x, "xy": x * y, "xz": x * z, "x": x, "y2": y * y, "yz": y * z,
+        "y": y, "z2": z * z, "z": z,
+        "tx_over_z": tx * inv, "ty_over_z": ty * inv, "inv_z": inv, "inv_z2": inv * inv,
+        **tan, **{"m_" + k: v for k, v in tan.items()},
+    }
+
+
+def _assert_tables_match_reference(stack, lattices, mask, count_source):
+    for name, image in stack.channels.items():
+        assert np.array_equal(image.table, build_integral(lattices[name], mask).table), name
+        assert image.table.base is stack.tensor, name
+    assert np.array_equal(stack.count.table, build_integral(count_source).table)
+    assert stack.count.table.base is stack.tensor
+    assert stack.tensor.shape == (len(stack.channels) + 1, *stack.count.table.shape)
+
+
+def _camera_maps(width: int, height: int):
+    from rangefit import CameraIntrinsics, compute_tan_maps
+
+    return compute_tan_maps(CameraIntrinsics(
+        fx=60.0, fy=55.0, cx=(width - 1) / 2, cy=(height - 1) / 2, width=width, height=height
+    ))
+
+
+def _frame(maps, holes: bool) -> DepthImage:
+    rng = np.random.default_rng(9)
+    depth, _ = render_scene(
+        SyntheticScene((random_visible_plane(rng),)), maps, noise=NoiseModel(), seed=10
+    )
+    assert depth.valid.all()
+    if not holes:
+        return depth
+    valid = rng.random(depth.values.shape) < 0.8
+    valid.flat[0] = False  # at least one hole, even in a one-pixel-wide frame
+    return DepthImage(values=depth.values, valid=valid)
+
+
+class TestChannelTensor:
+    """One (C, H+1, W+1) tensor per stack, each table bit-equal to build_integral."""
+
+    @pytest.mark.parametrize("size", [(64, 48), (37, 1), (1, 29)], ids=["64x48", "1xW", "Hx1"])
+    @pytest.mark.parametrize("holes", [False, True], ids=["hole-free", "holes"])
+    @pytest.mark.parametrize("include_residual", [True, False], ids=["residual", "bare"])
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_tables_match_per_channel_reference(self, formulation, include_residual, holes, size):
+        maps = _camera_maps(*size)
+        depth = _frame(maps, holes)
+        rgbd = formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD)
+        names = _SCATTER[formulation]
+        if include_residual and formulation in _RESIDUAL:
+            names += (_RESIDUAL[formulation],)
+        if holes and rgbd:
+            names += _HOLE_NAMES
+        if formulation in (IMPLICIT_STANDARD, IMPLICIT_RGBD):
+            stack = _WRAPPERS[formulation](depth, maps)
+        else:
+            stack = _WRAPPERS[formulation](depth, maps, include_residual=include_residual)
+        assert tuple(stack.channels) == names
+        assert stack.scatter_names == _SCATTER[formulation]
+        assert stack.hole_corrected == (holes and rgbd)
+        assert not stack.constant
+        lattices = _reference_lattices(depth, maps)
+        _assert_tables_match_reference(stack, lattices, depth.valid, depth.valid.astype(float))
+        again = build_channels(depth, maps, formulation, include_residual)
+        assert again.index == stack.index
+        assert np.array_equal(again.tensor, stack.tensor)
+
+    @pytest.mark.parametrize("size", [(64, 48), (37, 1), (1, 29)], ids=["64x48", "1xW", "Hx1"])
+    def test_constant_stack_matches_per_channel_reference(self, size):
+        maps = _camera_maps(*size)
+        stack = build_constant_channels(maps)
+        assert tuple(stack.channels) == ("tx2", "txty", "ty2", "tx", "ty")
+        assert stack.constant and not stack.hole_corrected
+        depth = DepthImage(values=np.ones(maps.tan_x.shape))
+        _assert_tables_match_reference(
+            stack, _reference_lattices(depth, maps), None, np.ones(maps.tan_x.shape)
+        )
+
+    def test_unknown_formulation(self, small_maps):
+        with pytest.raises(ValueError, match="unknown formulation"):
+            build_channels(_frame(small_maps, holes=False), small_maps, "implicit-wat")
