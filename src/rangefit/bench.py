@@ -99,6 +99,8 @@ class BenchConfig:
             raise ValueError("warmup must be at least 1")
         if self.tile < 2 or self.tile > min(self.width, self.height):
             raise ValueError(f"tile {self.tile} does not fit a {self.width}x{self.height} image")
+        if not self.formulations or not self.backends:
+            raise ValueError("formulations and backends must each name at least one")
         for f in self.formulations:
             if f not in FORMULATIONS:
                 raise ValueError(f"unknown formulation {f!r}")

@@ -49,11 +49,14 @@ from .integral import (
     COUNT_CHANNEL,
     EXPLICIT_RGBD,
     EXPLICIT_STANDARD,
+    FORMULATION_CHANNELS,
     FORMULATIONS,
     IMPLICIT_RGBD,
     IMPLICIT_STANDARD,
+    ChannelSet,
     ChannelStack,
     Rect,
+    _box,
     _box_corners,
     _box_sums,
     _check_rect,
@@ -65,12 +68,7 @@ SPACE_STANDARD = "standard"
 SPACE_RGBD = "rgbd"
 
 # Below this count a scatter system is under-determined by construction.
-MIN_SAMPLES = {
-    IMPLICIT_STANDARD: 4,
-    IMPLICIT_RGBD: 4,
-    EXPLICIT_STANDARD: 3,
-    EXPLICIT_RGBD: 3,
-}
+MIN_SAMPLES = {f: spec.size for f, spec in FORMULATION_CHANNELS.items()}
 
 # Sign threshold for choosing the canonical representative of a unit
 # coefficient vector: components smaller than this are treated as zero so
@@ -397,48 +395,10 @@ def gather_window_samples(
     return np.column_stack((tx, ty, z))
 
 
-def _box(table: np.ndarray, rect: Rect) -> float:
-    return float(
-        table[rect.y1, rect.x1]
-        - table[rect.y0, rect.x1]
-        - table[rect.y1, rect.x0]
-        + table[rect.y0, rect.x0]
-    )
-
-
 def _require_channels(stack: ChannelStack, names: tuple[str, ...], what: str) -> None:
     missing = [name for name in names if name not in stack.channels]
     if missing:
         raise ValueError(f"{what} stack is missing channels: {', '.join(missing)}")
-
-
-# Each formulation's unique scatter entries in upper-triangle row-major order.
-# "n" is the window's valid-sample count; the camera-constant tan channels
-# (CONSTANT_CHANNELS) come from the shared constant stack in hole-free windows
-# and from the frame's masked copies ("m_" prefix) in windows with holes.
-_SCATTER_LAYOUT = {
-    IMPLICIT_STANDARD: ("x2", "xy", "xz", "x", "y2", "yz", "y", "z2", "z", "n"),
-    IMPLICIT_RGBD: (
-        "tx2", "txty", "tx", "tx_over_z", "ty2", "ty", "ty_over_z", "n", "inv_z", "inv_z2",
-    ),
-    EXPLICIT_STANDARD: ("x2", "xy", "x", "y2", "y", "n"),
-    EXPLICIT_RGBD: ("tx2", "txty", "tx", "ty2", "ty", "n"),
-}
-# Right-hand side and residual-diagnostic channels of the explicit normal equations.
-_EXPLICIT_RHS = {
-    EXPLICIT_STANDARD: (("xz", "yz", "z"), "z2"),
-    EXPLICIT_RGBD: (("tx_over_z", "ty_over_z", "inv_z"), "inv_z2"),
-}
-
-
-# Every per-frame channel a formulation reads in hole-free windows.
-_FRAME_CHANNELS = {
-    f: tuple(
-        k for k in layout + _EXPLICIT_RHS.get(f, ((), None))[0]
-        if k != "n" and k not in CONSTANT_CHANNELS
-    )
-    for f, layout in _SCATTER_LAYOUT.items()
-}
 
 
 def _symmetric_index(size: int) -> np.ndarray:
@@ -448,8 +408,8 @@ def _symmetric_index(size: int) -> np.ndarray:
     return index
 
 
-# Maps an upper-triangle entry list of length 10 or 6 onto a 4x4 or 3x3 matrix.
-_SYMMETRIC_INDEX = {10: _symmetric_index(4), 6: _symmetric_index(3)}
+# Maps an upper-triangle entry list onto the symmetric matrix of each system size.
+_SYMMETRIC_INDEX = {s.size: _symmetric_index(s.size) for s in FORMULATION_CHANNELS.values()}
 
 
 def _gather(stack: ChannelStack, corners: np.ndarray) -> dict[str, float | np.ndarray]:
@@ -462,6 +422,11 @@ def _gather(stack: ChannelStack, corners: np.ndarray) -> dict[str, float | np.nd
     t = stack.tensor.reshape(len(stack.index), -1).take(corners, axis=1)
     sums = t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3]
     return {name: sums[i] for name, i in stack.index.items()}
+
+
+def _scatter_matrix(sums: dict[str, float | np.ndarray], spec: ChannelSet) -> np.ndarray:
+    """The symmetric matrix of ``spec``'s layout entries, batched like ``sums``."""
+    return np.array([sums[k] for k in spec.layout]).T[..., _SYMMETRIC_INDEX[spec.size]]
 
 
 def _assemble(
@@ -477,19 +442,24 @@ def _assemble(
     ``corners`` are the windows' flat corner indices (see :func:`_gather`):
     for a batch every output gains a leading N axis.  ``full`` marks the
     hole-free windows.  ``rhs`` is None for implicit formulations,
-    ``target_sq`` when the residual channel is absent.  Windows with holes
-    must only reach here when the frame stack carries masked tan channels.
+    ``target_sq`` when the residual channel is absent.  Camera-constant
+    entries come from ``constant`` in hole-free windows and from the frame's
+    masked copies ("m_" prefix) otherwise.
     """
-    layout = _SCATTER_LAYOUT[formulation]
-    rhs_names, residual = _EXPLICIT_RHS.get(formulation, ((), None))
-    _require_channels(stack, _FRAME_CHANNELS[formulation], "per-frame")
+    spec = FORMULATION_CHANNELS[formulation]
+    _require_channels(stack, spec.scatter, "per-frame")
     sums = _gather(stack, corners)
     sums["n"] = n
-    if formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
+    if spec.needs_constant:
         if isinstance(full, np.ndarray):
             any_full, all_full = bool(full.any()), bool(full.all())
         else:
             any_full = all_full = full
+        if not (all_full or stack.hole_corrected):
+            raise ValueError(
+                "a window contains invalid pixels but the frame stack carries no masked "
+                "tan channels (was it built from a different frame?)"
+            )
         if any_full:
             if constant is None:
                 raise ValueError(f"{formulation} requires the camera-constant channel stack")
@@ -504,11 +474,11 @@ def _assemble(
                 sums[name] = sums["m_" + name]
             else:
                 sums[name] = np.where(full, const[name], sums["m_" + name])
-    matrix = np.array([sums[k] for k in layout]).T[..., _SYMMETRIC_INDEX[len(layout)]]
-    if not rhs_names:
+    matrix = _scatter_matrix(sums, spec)
+    if not spec.rhs:
         return matrix, None, None
-    rhs = np.array([sums[k] for k in rhs_names]).T
-    return matrix, rhs, sums.get(residual)
+    rhs = np.array([sums[k] for k in spec.rhs]).T
+    return matrix, rhs, sums.get(spec.residual)
 
 
 def scatter_from_integrals(
@@ -532,15 +502,10 @@ def scatter_from_integrals(
             f"window {rect} holds {n} valid samples; "
             f"{formulation} needs {MIN_SAMPLES[formulation]}"
         )
-    full = n == rect.area
-    if not (full or stack.hole_corrected) and formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
-        # the constant block of a holey window must come from masked tan channels
-        raise ValueError(
-            f"window {rect} contains invalid pixels but the frame stack carries "
-            "no masked tan channels (was it built from a different frame?)"
-        )
     corners = _box_corners(rect, stack.width)
-    matrix, rhs, target_sq = _assemble(stack, constant, formulation, corners, float(n), full)
+    matrix, rhs, target_sq = _assemble(
+        stack, constant, formulation, corners, float(n), n == rect.area
+    )
     if rhs is None:
         return Scatter4(matrix=matrix, n=n)
     return Scatter3(matrix=matrix, rhs=rhs, n=n, target_sq=target_sq)
@@ -670,6 +635,8 @@ class ExplicitRgbdFitter:
     two triangular solves.
     """
 
+    _spec = FORMULATION_CHANNELS[EXPLICIT_RGBD]
+
     def __init__(self, constant: ChannelStack):
         _require_channels(constant, CONSTANT_CHANNELS, "constant")
         self.constant = constant
@@ -681,15 +648,9 @@ class ExplicitRgbdFitter:
         matrix = self._matrices.get(rect)
         if matrix is None:
             _check_rect(rect, self.constant.width, self.constant.height)
-            c = _gather(self.constant, _box_corners(rect, self.constant.width))
-            matrix = np.array(
-                [
-                    [c["tx2"], c["txty"], c["tx"]],
-                    [c["txty"], c["ty2"], c["ty"]],
-                    [c["tx"], c["ty"], c[COUNT_CHANNEL]],
-                ]
-            )
-            self._matrices[rect] = matrix
+            sums = _gather(self.constant, _box_corners(rect, self.constant.width))
+            sums["n"] = sums[COUNT_CHANNEL]
+            matrix = self._matrices[rect] = _scatter_matrix(sums, self._spec)
         return matrix
 
     def factor_for(self, rect: Rect) -> CholeskyFactor | None:
@@ -713,26 +674,22 @@ class ExplicitRgbdFitter:
         _check_rect(rect, stack.width, stack.height)
         if stack.count.table.shape != self.constant.count.table.shape:
             raise ValueError("constant stack dimensions do not match the per-frame stack")
+        _require_channels(stack, self._spec.scatter, "per-frame")
         n = int(round(_box(stack.count.table, rect)))
-        if n != rect.area or n < MIN_SAMPLES[EXPLICIT_RGBD]:
+        if n != rect.area or n < self._spec.size:
             return fit_explicit_rgbd(
                 scatter_from_integrals(stack, self.constant, rect, EXPLICIT_RGBD)
             )
         # scalar reads: one gather over every channel of the stack costs more
         ch = stack.channels
-        rhs = np.array(
-            [
-                _box(ch["tx_over_z"].table, rect),
-                _box(ch["ty_over_z"].table, rect),
-                _box(ch["inv_z"].table, rect),
-            ]
-        )
+        rhs = np.array([_box(ch[name].table, rect) for name in self._spec.rhs])
         factor = self.factor_for(rect)
         if factor is None:
             alpha = _pinv_solve(self.matrix_for(rect), rhs)
         else:
             alpha = solve_cholesky3(factor, rhs)
-        target_sq = _box(ch["inv_z2"].table, rect) if "inv_z2" in ch else None
+        residual = self._spec.residual
+        target_sq = _box(ch[residual].table, rect) if residual in ch else None
         return _explicit_result(alpha, rhs, n, target_sq, SPACE_RGBD, factor is None)
 
 
@@ -820,15 +777,8 @@ def fit_rects(
         return results
     corners, n = corners[:, fitted], n[fitted]
     x0, y0, x1, y1 = rects[fitted].T
-    full = n == (x1 - x0) * (y1 - y0)
-    if not (full.all() or stack.hole_corrected) and formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
-        raise ValueError(
-            f"window {Rect(*(int(v) for v in rects[fitted[np.argmin(full)]]))} contains "
-            "invalid pixels but the frame stack carries no masked tan channels "
-            "(was it built from a different frame?)"
-        )
     matrices, rhs, target_sq = _assemble(
-        stack, constant, formulation, corners, n.astype(np.float64), full
+        stack, constant, formulation, corners, n.astype(np.float64), n == (x1 - x0) * (y1 - y0)
     )
 
     if rhs is None:

@@ -15,9 +15,10 @@ formulation needs one table per unique scatter-matrix element:
   matrix camera-constant.
 
 That channel-count drop (9 -> 4 and 8 -> 3) is where the per-frame savings
-come from.  ``FORMULATION_CHANNELS`` names each formulation's channels and
-``_MONOMIALS`` says how each is computed per pixel; one builder serves every
-formulation and the camera-constant stack.
+come from.  ``FORMULATION_CHANNELS`` states each formulation's system once,
+for the builder and the fits alike, and ``_MONOMIALS`` says how each channel
+is computed per pixel; one builder serves every formulation and the
+camera-constant stack.
 
 A stack is one float64 tensor of shape (C, H+1, W+1): one zero-padded table
 per channel, the validity count being the last of the C.  The builder writes
@@ -34,6 +35,7 @@ containing holes read them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -43,10 +45,6 @@ from .camera import TanAngleMaps
 from .synth import DepthImage
 
 CONSTANT_CHANNELS = ("tx2", "txty", "ty2", "tx", "ty")
-STANDARD_IMPLICIT_CHANNELS = ("x2", "xy", "xz", "x", "y2", "yz", "y", "z2", "z")
-RGBD_IMPLICIT_CHANNELS = ("tx_over_z", "ty_over_z", "inv_z", "inv_z2")
-STANDARD_EXPLICIT_CHANNELS = ("x2", "xy", "x", "y2", "y", "xz", "yz", "z")
-RGBD_EXPLICIT_CHANNELS = ("tx_over_z", "ty_over_z", "inv_z")
 
 # Masked tan monomials added to rgbd stacks only when the frame has holes;
 # windows containing invalid pixels read their camera-constant block from
@@ -62,25 +60,42 @@ EXPLICIT_RGBD = "explicit-rgbd"
 FORMULATIONS = (IMPLICIT_STANDARD, IMPLICIT_RGBD, EXPLICIT_STANDARD, EXPLICIT_RGBD)
 
 
-class ChannelSet(NamedTuple):
-    """A formulation's per-frame channels.
+@dataclass(frozen=True)
+class ChannelSet:
+    """A formulation's least-squares system as channel names.
 
-    ``scatter`` fills the scatter matrix in hole-free windows; ``residual``
-    is the optional rms diagnostic channel; ``needs_constant`` formulations
-    read their tan block from the camera-constant stack, so their frames
-    carry ``HOLE_CORRECTION_CHANNELS`` whenever they have holes.
+    ``layout`` holds the scatter matrix's upper triangle in row-major order,
+    ``"n"`` being the valid-sample count; ``rhs`` the explicit right-hand
+    side; ``residual`` the optional rms diagnostic channel.  Derived:
+    ``scatter``, the per-frame channels (the entries that are not camera
+    constants); ``needs_constant``, whether the rest come from the constant
+    stack (then frames with holes carry ``HOLE_CORRECTION_CHANNELS``); and
+    ``size``, the system's order and so its fewest samples.
     """
 
-    scatter: tuple[str, ...]
-    residual: str | None
-    needs_constant: bool
+    layout: tuple[str, ...]
+    rhs: tuple[str, ...] = ()
+    residual: str | None = None
+    scatter: tuple[str, ...] = field(init=False)
+    needs_constant: bool = field(init=False)
+    size: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        entries = [k for k in self.layout + self.rhs if k != "n"]
+        object.__setattr__(self, "scatter", tuple(k for k in entries if k not in CONSTANT_CHANNELS))
+        object.__setattr__(self, "needs_constant", any(k in CONSTANT_CHANNELS for k in entries))
+        object.__setattr__(self, "size", math.isqrt(2 * len(self.layout)))
 
 
 FORMULATION_CHANNELS = {
-    IMPLICIT_STANDARD: ChannelSet(STANDARD_IMPLICIT_CHANNELS, None, False),
-    IMPLICIT_RGBD: ChannelSet(RGBD_IMPLICIT_CHANNELS, None, True),
-    EXPLICIT_STANDARD: ChannelSet(STANDARD_EXPLICIT_CHANNELS, "z2", False),
-    EXPLICIT_RGBD: ChannelSet(RGBD_EXPLICIT_CHANNELS, "inv_z2", True),
+    IMPLICIT_STANDARD: ChannelSet(("x2", "xy", "xz", "x", "y2", "yz", "y", "z2", "z", "n")),
+    IMPLICIT_RGBD: ChannelSet(
+        ("tx2", "txty", "tx", "tx_over_z", "ty2", "ty", "ty_over_z", "n", "inv_z", "inv_z2")
+    ),
+    EXPLICIT_STANDARD: ChannelSet(("x2", "xy", "x", "y2", "y", "n"), ("xz", "yz", "z"), "z2"),
+    EXPLICIT_RGBD: ChannelSet(
+        ("tx2", "txty", "tx", "ty2", "ty", "n"), ("tx_over_z", "ty_over_z", "inv_z"), "inv_z2"
+    ),
 }
 
 # Per-pixel recipe of every channel, in an order that writes each operand
@@ -205,7 +220,7 @@ def _check_rect(rect: Rect, width: int, height: int) -> None:
 def _check_rects(rects: np.ndarray, width: int, height: int) -> np.ndarray:
     """Validate an (N, 4) integer array of (x0, y0, x1, y1) rows like ``_check_rect``."""
     rects = np.asarray(rects)
-    if rects.size == 0:
+    if rects.shape in ((0,), (0, 4)):  # (0,): an empty list of rects
         return np.zeros((0, 4), dtype=np.int64)
     if rects.ndim != 2 or rects.shape[1] != 4 or not np.issubdtype(rects.dtype, np.integer):
         raise ValueError(f"rects must be an (N, 4) integer array, got {rects.dtype} {rects.shape}")
@@ -248,13 +263,18 @@ def build_integral(channel: np.ndarray, mask: np.ndarray | None = None, name: st
     return IntegralImage(name=name, table=table)
 
 
+def _box(table: np.ndarray, rect: Rect) -> float:
+    """Unchecked sum over ``rect`` of the source of ``table`` (4-lookup identity)."""
+    return float(
+        table[rect.y1, rect.x1] - table[rect.y0, rect.x1]
+        - table[rect.y1, rect.x0] + table[rect.y0, rect.x0]
+    )
+
+
 def box_sum(integral: IntegralImage, rect: Rect) -> float:
     """Sum of the source channel over ``rect`` via the 4-lookup identity."""
     _check_rect(rect, integral.width, integral.height)
-    t = integral.table
-    return float(
-        t[rect.y1, rect.x1] - t[rect.y0, rect.x1] - t[rect.y1, rect.x0] + t[rect.y0, rect.x0]
-    )
+    return _box(integral.table, rect)
 
 
 def _build_stack(

@@ -21,6 +21,7 @@ from .errors import InsufficientSamplesError
 from .fitting import FORMULATIONS, ExplicitPlane, FitResult, explicit_to_implicit
 from .integral import (
     COUNT_CHANNEL,
+    FORMULATION_CHANNELS,
     ChannelStack,
     Rect,
     _box_corners,
@@ -54,6 +55,8 @@ CLUSTER_PALETTE = (
 )
 TOO_INVALID_COLOR = (128, 0, 0)
 HIGH_ERROR_COLOR = (0, 0, 128)
+
+D_SCALE = 5.0  # offset divisor of the cluster features (see tile_features)
 
 # Smallest tile edge worth fitting; a 2x2 tile still carries the 4 samples an
 # implicit fit needs.
@@ -92,7 +95,6 @@ class SegConfig:
     min_valid_fraction: float = 0.5
     k: int = 8
     seed: int = 0
-    d_scale: float = 5.0
     error_metric: str = "rms"
 
     def __post_init__(self) -> None:
@@ -107,14 +109,12 @@ class SegConfig:
                 f"initial_tile {self.initial_tile} cannot survive {self.max_depth} "
                 f"subdivisions (needs at least {(1 << self.max_depth) * MIN_TILE_EDGE})"
             )
-        if self.threshold <= 0:
+        if not self.threshold > 0:  # NaN too
             raise ValueError("rms_threshold must be positive")
         if not (0.0 <= self.min_valid_fraction <= 1.0):
             raise ValueError("min_valid_fraction must be in [0, 1]")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.d_scale <= 0:
-            raise ValueError("d_scale must be positive")
         if self.error_metric not in ("rms", "max"):
             raise ValueError(f"unknown error metric {self.error_metric!r}")
 
@@ -191,12 +191,12 @@ def _implicit_coefficients(result: FitResult) -> np.ndarray:
     return plane.coefficients
 
 
-def tile_features(result: FitResult, d_scale: float = 5.0) -> np.ndarray:
+def tile_features(result: FitResult) -> np.ndarray:
     """Cluster-ready feature vector for a fitted tile.
 
     The plane is rescaled so its normal has unit length with offset d >= 0
     (parallel planes then share their first three features exactly), and the
-    offset is divided by ``d_scale`` to balance normal-direction distances
+    offset is divided by ``D_SCALE`` to balance normal-direction distances
     against offset distances in the clustering metric.
     """
     coef = _implicit_coefficients(result).copy()
@@ -206,7 +206,7 @@ def tile_features(result: FitResult, d_scale: float = 5.0) -> np.ndarray:
     coef /= norm
     if coef[3] < 0 or (coef[3] == 0 and _first_nonzero_sign(coef[:3]) < 0):
         coef = -coef
-    return np.array([coef[0], coef[1], coef[2], coef[3] / d_scale])
+    return np.array([coef[0], coef[1], coef[2], coef[3] / D_SCALE])
 
 
 def _first_nonzero_sign(values: np.ndarray) -> float:
@@ -332,10 +332,9 @@ def segment(
             f"image {depth.width}x{depth.height} is smaller than one fittable tile"
         )
 
-    needs_constant = config.formulation in (fitting.IMPLICIT_RGBD, fitting.EXPLICIT_RGBD)
     stack: ChannelStack | None = None
     if config.backend == "integral":
-        if needs_constant and constant is None:
+        if FORMULATION_CHANNELS[config.formulation].needs_constant and constant is None:
             constant = build_constant_channels(maps)
         stack = build_frame_stack(depth, maps, config.formulation)
         count_table = stack.count.table
@@ -412,7 +411,7 @@ def segment(
     warnings: list[str] = []
     fitted = [t for t in tiles if t.status is TileStatus.FITTED]
     if fitted:
-        features = np.stack([tile_features(t.result, config.d_scale) for t in fitted])
+        features = np.stack([tile_features(t.result) for t in fitted])
         k = config.k
         if k > len(fitted):
             warnings.append(f"k={k} exceeds {len(fitted)} fitted tiles; clamped")

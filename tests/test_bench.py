@@ -119,3 +119,7 @@ class TestBenchConfig:
             BenchConfig(tile=1000, width=640, height=480)
         with pytest.raises(ValueError):
             BenchConfig(formulations=("implicit-nope",))
+        with pytest.raises(ValueError, match="at least one"):
+            BenchConfig(formulations=())
+        with pytest.raises(ValueError, match="at least one"):
+            BenchConfig(backends=())

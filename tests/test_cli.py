@@ -200,3 +200,31 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "intrinsics" in capsys.readouterr().err
+
+    def test_nan_threshold_is_data_error(self, tmp_path, camera_file, scene_file, capsys):
+        # NaN passed a `<= 0` check, split every tile and exited 0 with nothing fitted
+        depth_path = tmp_path / "depth.rf64"
+        main([
+            "synth", "--intrinsics", str(camera_file), "--scene", str(scene_file),
+            "--out", str(depth_path),
+        ])
+        ppm = tmp_path / "seg.ppm"
+        code = main([
+            "segment", "--intrinsics", str(camera_file), "--input", str(depth_path),
+            "--tile", "16", "--threshold", "nan", "--out", str(ppm),
+        ])
+        assert code == 2
+        assert "threshold must be positive" in capsys.readouterr().err
+        assert not ppm.exists()
+
+    @pytest.mark.parametrize("flag", ["--formulations", "--backends"])
+    def test_empty_bench_selection_is_data_error(self, tmp_path, flag, capsys):
+        # an empty selection used to exit 0 with a header-only CSV
+        out = tmp_path / "bench.csv"
+        code = main([
+            "bench", "--width", "32", "--height", "24", "--tile", "8", "--reps", "3",
+            "--warmup", "1", "--plane-counts", "0", flag, "", "--out", str(out),
+        ])
+        assert code == 2
+        assert "at least one" in capsys.readouterr().err
+        assert not out.exists()

@@ -38,7 +38,7 @@ from rangefit import (
     render_scene,
     scatter_from_integrals,
 )
-from rangefit.fitting import CSV_HEADER, fit_result_csv_row
+from rangefit.fitting import CSV_HEADER, MIN_SAMPLES, fit_result_csv_row
 
 from conftest import random_visible_plane
 
@@ -127,6 +127,11 @@ class TestCanonicalization:
 
 
 class TestNaiveAccumulation:
+    def test_min_samples_is_the_system_size(self):
+        assert MIN_SAMPLES == {
+            IMPLICIT_STANDARD: 4, IMPLICIT_RGBD: 4, EXPLICIT_STANDARD: 3, EXPLICIT_RGBD: 3,
+        }
+
     def test_hand_accumulated_scatter(self):
         # four points on Z = 1 at lateral corners (+-1, +-1)
         samples = np.array(
@@ -254,6 +259,22 @@ class TestBackendEquivalence:
                 a = implicit_from_result(FITTERS[formulation](naive))
                 b = implicit_from_result(FITTERS[formulation](tables))
                 assert np.abs(a - b).max() <= 1e-6
+
+    def test_holey_window_needs_masked_tan_channels(self, small_maps):
+        import dataclasses
+
+        depth, _ = render_scene(
+            SyntheticScene((random_visible_plane(np.random.default_rng(19)),)),
+            small_maps, noise=NoiseModel(), seed=6, dropout=0.1,
+        )
+        constant = build_constant_channels(small_maps)
+        for formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
+            stack = STACK_BUILDERS[formulation](depth, small_maps)
+            unmarked = dataclasses.replace(stack, hole_corrected=False)
+            with pytest.raises(ValueError, match="no masked tan channels"):
+                scatter_from_integrals(unmarked, constant, Rect(0, 0, 64, 48), formulation)
+            with pytest.raises(ValueError, match="no masked tan channels"):
+                fit_rects(unmarked, constant, np.array([[0, 0, 64, 48]]), formulation)
 
     def test_hole_free_frame_stacks_stay_lean(self, small_maps, noisy_scene):
         _, depth = noisy_scene
@@ -622,6 +643,31 @@ class TestExplicitRgbdFitter:
             fitter.factor_for(rect)
         assert not fitter._matrices and not fitter._factors
 
+    def test_matrix_for_equals_assembled_matrix(self, small_maps, noisy_scene):
+        _, depth = noisy_scene
+        assert depth.valid.all()
+        constant = build_constant_channels(small_maps)
+        fitter = ExplicitRgbdFitter(constant)
+        stack = build_rgbd_explicit_channels(depth, small_maps)
+        for rect in (Rect(5, 3, 45, 43), Rect(0, 0, 64, 48), Rect(61, 40, 64, 47)):
+            assembled = scatter_from_integrals(stack, constant, rect, EXPLICIT_RGBD)
+            assert np.array_equal(fitter.matrix_for(rect), assembled.matrix)
+
+    def test_rejects_stack_without_its_channels(self, small_maps, noisy_scene):
+        # these raised a bare KeyError: 'tx_over_z' from the cached-factor reads
+        _, depth = noisy_scene
+        constant = build_constant_channels(small_maps)
+        fitter = ExplicitRgbdFitter(constant)
+        stack = build_standard_explicit_channels(depth, small_maps)
+        rect = Rect(0, 0, 16, 16)
+        with pytest.raises(ValueError, match="missing channels: tx_over_z, ty_over_z, inv_z"):
+            fitter.fit(stack, rect)
+        with pytest.raises(ValueError, match="missing channels"):
+            fit_rect(
+                depth, small_maps, rect, EXPLICIT_RGBD, "integral",
+                stack=stack, constant=constant, rgbd_fitter=fitter,
+            )
+
     def test_rejects_stack_from_another_camera(self, small_maps):
         from rangefit import CameraIntrinsics, compute_tan_maps
 
@@ -698,6 +744,7 @@ class TestFitRects:
             stack = STACK_BUILDERS[formulation](depth, small_maps)
             assert fit_rects(stack, constant, np.zeros((0, 4), dtype=np.int64), formulation) == []
             assert fit_rects(stack, constant, [], formulation) == []
+            assert fit_rects(stack, constant, np.array([], dtype=np.int64), formulation) == []
 
     @pytest.mark.parametrize(
         "rect",
@@ -720,6 +767,10 @@ class TestFitRects:
             fit_rects(stack, constant, np.array([[0.0, 0.0, 8.0, 8.0]]), IMPLICIT_RGBD)
         with pytest.raises(ValueError, match=r"\(N, 4\)"):
             fit_rects(stack, constant, np.array([0, 0, 8, 8]), IMPLICIT_RGBD)
+        for shape in ((2, 0), (0, 3), (0, 0), (0, 4, 1)):
+            # empty but malformed: these returned [] when only non-empty input was checked
+            with pytest.raises(ValueError, match=r"\(N, 4\)"):
+                fit_rects(stack, constant, np.zeros(shape, dtype=np.int64), IMPLICIT_RGBD)
         with pytest.raises(ValueError, match="constant"):
             fit_rects(stack, None, np.array([[0, 0, 8, 8]]), IMPLICIT_RGBD)
         from rangefit import CameraIntrinsics, compute_tan_maps

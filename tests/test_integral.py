@@ -25,6 +25,7 @@ from rangefit import (
     build_standard_implicit_channels,
     render_scene,
 )
+from rangefit.integral import FORMULATION_CHANNELS
 
 from conftest import random_visible_plane
 
@@ -402,3 +403,17 @@ class TestChannelTensor:
     def test_unknown_formulation(self, small_maps):
         with pytest.raises(ValueError, match="unknown formulation"):
             build_channels(_frame(small_maps, holes=False), small_maps, "implicit-wat")
+
+
+class TestFormulationTable:
+    """The per-frame channels, constant-stack need and size derived from each system."""
+
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_derived_per_frame_channels(self, formulation):
+        spec = FORMULATION_CHANNELS[formulation]
+        assert spec.scatter == _SCATTER[formulation]
+        assert spec.residual == _RESIDUAL.get(formulation)
+        assert spec.needs_constant == (formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD))
+        assert spec.size == (4 if formulation in (IMPLICIT_STANDARD, IMPLICIT_RGBD) else 3)
+        assert len(spec.layout) == spec.size * (spec.size + 1) // 2
+        assert len(spec.rhs) == (0 if spec.size == 4 else 3)

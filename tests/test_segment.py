@@ -382,6 +382,8 @@ class TestSegment:
             SegConfig(formulation="nope")
         with pytest.raises(ValueError, match="threshold"):
             SegConfig(rms_threshold=-1.0)
+        with pytest.raises(ValueError, match="threshold"):
+            SegConfig(rms_threshold=float("nan"))
         with pytest.raises(ValueError, match="k"):
             SegConfig(k=0)
 
