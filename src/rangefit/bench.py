@@ -29,7 +29,7 @@ from .fitting import (
     ExplicitPlane,
     ExplicitRgbdFitter,
 )
-from .integral import Rect, build_channels, build_constant_channels
+from .integral import FORMULATION_CHANNELS, Rect, build_channels, build_constant_channels
 from .synth import DepthImage, GroundTruthPlane, SyntheticScene, render_scene
 
 BACKENDS = ("naive", "integral")
@@ -70,7 +70,7 @@ def op_count_audit(formulation: str) -> OpCountAudit:
     depth = DepthImage(values=np.full((8, 8), 2.0))
     stack = build_channels(depth, maps, formulation, include_residual=False)
     actual = len(stack.per_frame_channel_names())
-    if actual != channels or len(stack.scatter_names) != channels:
+    if actual != channels or len(FORMULATION_CHANNELS[formulation].scatter) != channels:
         raise RuntimeError(
             f"{formulation}: predicted {channels} per-frame channels but the "
             f"builder registered {actual}"

@@ -16,6 +16,7 @@ camera-constant terms from depth-dependent terms starts here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -25,9 +26,8 @@ import numpy as np
 # Empirical quadratic depth-noise law for Kinect-class sensors: the standard
 # deviation of a depth measurement grows as sigma_Z = 1.425e-3 * Z^2 (meters).
 # The coefficient is half the magnitude of the linearized normalized-disparity
-# slope below, which is kept for provenance.
+# slope, -2.85e-3 m/(f*b).
 DEPTH_NOISE_COEFFICIENT = 1.425e-3
-DISPARITY_SLOPE_M_OVER_FB = -2.85e-3
 
 MM_PER_METER = 1000.0
 
@@ -52,8 +52,10 @@ class CameraIntrinsics:
     delta_y: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
+        for name in ("fx", "fy"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"focal length {name} must be positive and finite, got {value}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
@@ -72,6 +74,8 @@ class CameraIntrinsics:
                         f"{name} shape {lattice.shape} does not match image "
                         f"({self.height}, {self.width})"
                     )
+                if not np.isfinite(lattice).all():
+                    raise ValueError(f"{name} holds non-finite offsets")
             object.__setattr__(self, name, lattice)
 
 
@@ -106,8 +110,10 @@ class NoiseModel:
     slope_coefficient: float = DEPTH_NOISE_COEFFICIENT
 
     def __post_init__(self) -> None:
-        if self.slope_coefficient <= 0:
-            raise ValueError(f"slope_coefficient must be positive, got {self.slope_coefficient}")
+        if not (math.isfinite(self.slope_coefficient) and self.slope_coefficient > 0):
+            raise ValueError(
+                f"slope_coefficient must be positive and finite, got {self.slope_coefficient}"
+            )
 
     def sigma_z(self, depth: float | np.ndarray) -> float | np.ndarray:
         return self.slope_coefficient * depth * depth

@@ -20,9 +20,10 @@ Backends: ``naive`` accumulates monomials directly over the window's samples;
 ``integral`` assembles every scatter entry from one box sum each, and the two
 agree to rounding.  Invalid pixels contribute nothing anywhere: the rgbd
 formulations read their camera-constant block from the shared precomputed
-stack only for hole-free windows, and fall back to the frame's masked tan
-channels (added by the builders whenever a frame has holes) otherwise, so a
-window's scatter is always the exact Gram matrix of its valid samples.
+stack on hole-free frames, while the stack of a frame with holes carries
+masked copies of those tan tables under the same names (the builders add
+them) and every window reads those, so a window's scatter is always the
+exact Gram matrix of its valid samples.
 
 Implicit fits take the smallest eigenvector from LAPACK's symmetric solver
 (``np.linalg.eigh``); explicit fits use a hand-unrolled 3x3 Cholesky
@@ -347,31 +348,34 @@ def accumulate_scatter_naive(
         raise InsufficientSamplesError(
             f"{formulation} needs at least {MIN_SAMPLES[formulation]} samples, got {n}"
         )
-    u, v, z = samples[:, 0], samples[:, 1], samples[:, 2]
-    if formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
-        if np.any(z <= 0):
-            raise ValueError("rgbd formulations require strictly positive depths")
-        inv_z = 1.0 / z
-
-    ones = np.ones(n)
-    if formulation == IMPLICIT_STANDARD:
-        m = np.column_stack((u, v, z, ones))
+    m, target = _monomial_rows(samples, formulation)
+    if target is None:
         return Scatter4(matrix=_symmetrize(m.T @ m), n=n)
-    if formulation == IMPLICIT_RGBD:
-        m = np.column_stack((u, v, ones, inv_z))
-        return Scatter4(matrix=_symmetrize(m.T @ m), n=n)
-    if formulation == EXPLICIT_STANDARD:
-        m = np.column_stack((u, v, ones))
-        target = z
-    else:
-        m = np.column_stack((u, v, ones))
-        target = inv_z
     return Scatter3(
         matrix=_symmetrize(m.T @ m),
         rhs=m.T @ target,
         n=n,
         target_sq=float(target @ target),
     )
+
+
+def _monomial_rows(samples: np.ndarray, formulation: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each sample's monomial row and, for explicit formulations, its regression target.
+
+    ``samples`` are :func:`gather_window_samples` rows.  A fit's residual is
+    ``rows @ coefficients``, less ``target`` for an explicit fit.
+    """
+    u, v, z = samples[:, 0], samples[:, 1], samples[:, 2]
+    if formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
+        if np.any(z <= 0):
+            raise ValueError("rgbd formulations require strictly positive depths")
+        inv_z = 1.0 / z
+    ones = np.ones(len(samples))
+    if formulation == IMPLICIT_STANDARD:
+        return np.column_stack((u, v, z, ones)), None
+    if formulation == IMPLICIT_RGBD:
+        return np.column_stack((u, v, ones, inv_z)), None
+    return np.column_stack((u, v, ones)), z if formulation == EXPLICIT_STANDARD else inv_z
 
 
 def gather_window_samples(
@@ -442,38 +446,28 @@ def _assemble(
     ``corners`` are the windows' flat corner indices (see :func:`_gather`):
     for a batch every output gains a leading N axis.  ``full`` marks the
     hole-free windows.  ``rhs`` is None for implicit formulations,
-    ``target_sq`` when the residual channel is absent.  Camera-constant
-    entries come from ``constant`` in hole-free windows and from the frame's
-    masked copies ("m_" prefix) otherwise.
+    ``target_sq`` when the residual channel is absent.  Every camera-constant
+    entry the frame stack lacks is read from ``constant``; a frame with holes
+    carries its own masked copies of them.
     """
     spec = FORMULATION_CHANNELS[formulation]
     _require_channels(stack, spec.scatter, "per-frame")
     sums = _gather(stack, corners)
     sums["n"] = n
-    if spec.needs_constant:
-        if isinstance(full, np.ndarray):
-            any_full, all_full = bool(full.any()), bool(full.all())
-        else:
-            any_full = all_full = full
-        if not (all_full or stack.hole_corrected):
+    lacking = [name for name in spec.layout + spec.rhs if name not in sums]
+    if lacking:
+        if not np.all(full):
             raise ValueError(
                 "a window contains invalid pixels but the frame stack carries no masked "
                 "tan channels (was it built from a different frame?)"
             )
-        if any_full:
-            if constant is None:
-                raise ValueError(f"{formulation} requires the camera-constant channel stack")
-            if constant.tensor.shape[1:] != stack.tensor.shape[1:]:
-                raise ValueError("constant stack dimensions do not match the per-frame stack")
-            _require_channels(constant, CONSTANT_CHANNELS, "constant")
-            const = _gather(constant, corners)
-        for name in CONSTANT_CHANNELS:
-            if all_full:
-                sums[name] = const[name]
-            elif not any_full:
-                sums[name] = sums["m_" + name]
-            else:
-                sums[name] = np.where(full, const[name], sums["m_" + name])
+        if constant is None:
+            raise ValueError(f"{formulation} requires the camera-constant channel stack")
+        if constant.tensor.shape[1:] != stack.tensor.shape[1:]:
+            raise ValueError("constant stack dimensions do not match the per-frame stack")
+        _require_channels(constant, lacking, "constant")
+        const = _gather(constant, corners)
+        sums.update((name, const[name]) for name in lacking)
     matrix = _scatter_matrix(sums, spec)
     if not spec.rhs:
         return matrix, None, None
@@ -491,8 +485,9 @@ def scatter_from_integrals(
 
     ``stack`` holds the frame's depth-dependent channels; ``constant`` holds
     the camera-constant tan channels and is required by the rgbd
-    formulations.  The sample count is always the window's valid-pixel count
-    from the per-frame count channel.
+    formulations on a hole-free frame (a frame with holes carries masked
+    copies of them).  The sample count is always the window's valid-pixel
+    count from the per-frame count channel.
     """
     _check_formulation(formulation)
     _check_rect(rect, stack.width, stack.height)
@@ -735,9 +730,9 @@ def fit_rect(
 
     ``naive`` gathers the window's samples and accumulates monomials
     directly; ``integral`` assembles the scatter from the prebuilt channel
-    stacks (``stack`` required; ``constant`` required for the rgbd
-    formulations).  Passing ``rgbd_fitter`` routes explicit-rgbd integral
-    fits through the factor cache.
+    stacks (``stack`` required; ``constant`` as for
+    :func:`scatter_from_integrals`).  Passing ``rgbd_fitter`` routes
+    explicit-rgbd integral fits through the factor cache.
     """
     if backend == "naive":
         samples = gather_window_samples(depth, maps, rect, formulation)

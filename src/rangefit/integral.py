@@ -28,9 +28,9 @@ always normalize by the true sample count of a window.  It then forms all C
 prefix sums in one pass, rows first and then columns, the same order of
 additions as a per-channel ``cumsum`` pair, so the tables are bit-identical
 to :func:`build_integral` on each masked monomial.  Because the
-camera-constant channels cannot know a frame's holes, rgbd stacks add masked
-tan channels whenever a frame has invalid pixels; only windows actually
-containing holes read them.
+camera-constant channels cannot know a frame's holes, the rgbd stack of a
+frame with invalid pixels carries masked copies of those tan tables under the
+same names, and fits read them in place of the constant stack.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ from .camera import TanAngleMaps
 from .synth import DepthImage
 
 CONSTANT_CHANNELS = ("tx2", "txty", "ty2", "tx", "ty")
-
-# Masked tan monomials added to rgbd stacks only when the frame has holes;
-# windows containing invalid pixels read their camera-constant block from
-# these instead of the shared constant stack, restoring exact masked sums.
-HOLE_CORRECTION_CHANNELS = ("m_tx2", "m_txty", "m_ty2", "m_tx", "m_ty")
 
 COUNT_CHANNEL = "count"
 
@@ -69,7 +64,7 @@ class ChannelSet:
     side; ``residual`` the optional rms diagnostic channel.  Derived:
     ``scatter``, the per-frame channels (the entries that are not camera
     constants); ``needs_constant``, whether the rest come from the constant
-    stack (then frames with holes carry ``HOLE_CORRECTION_CHANNELS``); and
+    stack (a frame with holes carries masked copies of them instead); and
     ``size``, the system's order and so its fewest samples.
     """
 
@@ -122,7 +117,6 @@ _MONOMIALS = {
     "tx": (np.positive, "tan_x"),
     "ty": (np.positive, "tan_y"),
 }
-_MONOMIALS.update({"m_" + name: _MONOMIALS[name] for name in CONSTANT_CHANNELS})
 
 
 class Rect(NamedTuple):
@@ -136,12 +130,6 @@ class Rect(NamedTuple):
     @property
     def area(self) -> int:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
-
-    def contains(self, other: "Rect") -> bool:
-        return (
-            self.x0 <= other.x0 <= other.x1 <= self.x1
-            and self.y0 <= other.y0 <= other.y1 <= self.y1
-        )
 
 
 @dataclass(frozen=True)
@@ -169,24 +157,17 @@ class ChannelStack:
     """A named set of summed-area tables held in one (C, H+1, W+1) tensor.
 
     ``index`` maps every channel name, the validity count included, to its
-    slice of ``tensor``; ``channels`` (every depth-dependent channel) and
-    ``count`` are :class:`IntegralImage` views into it.  ``scatter_names``
-    lists the channels that fill scatter-matrix entries in the hole-free
-    setting (the audited per-frame cost of a formulation); ``residual_name``,
-    when present, is an extra diagnostic channel (the squared regression
-    target) used only to report fit residuals and deliberately kept outside
-    the scatter set.  ``hole_corrected`` marks rgbd stacks that carry masked
-    tan channels because their frame has invalid pixels.  ``constant``
-    stacks depend only on the camera intrinsics and are built once, then
-    shared by reference across frames.
+    slice of ``tensor``; ``channels`` (every channel but the count) and
+    ``count`` are :class:`IntegralImage` views into it.  What a stack holds
+    is read from its names: a frame stack has its formulation's per-frame
+    channels (``FORMULATION_CHANNELS``), the residual channel when built with
+    it and, for an rgbd frame with holes, masked copies of the tan tables; the
+    camera-constant stack has the unmasked tan tables, built once per camera
+    and shared by reference across frames.
     """
 
     tensor: np.ndarray
     index: dict[str, int]
-    scatter_names: tuple[str, ...]
-    constant: bool = False
-    residual_name: str | None = None
-    hole_corrected: bool = False
     channels: dict[str, IntegralImage] = field(init=False, repr=False, compare=False)
     count: IntegralImage = field(init=False, repr=False, compare=False)
 
@@ -208,7 +189,7 @@ class ChannelStack:
         return self.count.width
 
     def per_frame_channel_names(self) -> tuple[str, ...]:
-        """Every depth-dependent channel in the stack (excludes the count)."""
+        """Every channel in the stack but the count, in tensor order."""
         return tuple(self.channels.keys())
 
 
@@ -282,9 +263,6 @@ def _build_stack(
     maps: TanAngleMaps,
     depth: np.ndarray | None,
     valid: np.ndarray | bool,
-    scatter_names: tuple[str, ...],
-    residual_name: str | None = None,
-    hole_corrected: bool = False,
 ) -> ChannelStack:
     """Write each channel's monomial into one tensor, then prefix-sum it in place.
 
@@ -303,14 +281,7 @@ def _build_stack(
     for y in range(1, h):
         np.add(body[:, y], body[:, y - 1], out=body[:, y])
     np.cumsum(body, axis=2, out=body)
-    return ChannelStack(
-        tensor=out,
-        index={name: i for i, name in enumerate((*names, COUNT_CHANNEL))},
-        scatter_names=scatter_names,
-        constant=depth is None,
-        residual_name=residual_name,
-        hole_corrected=hole_corrected,
-    )
+    return ChannelStack(out, {name: i for i, name in enumerate((*names, COUNT_CHANNEL))})
 
 
 def build_constant_channels(maps: TanAngleMaps) -> ChannelStack:
@@ -319,7 +290,7 @@ def build_constant_channels(maps: TanAngleMaps) -> ChannelStack:
     Built once per intrinsics and reused for every frame; the count channel
     here counts pixels (all of them), matching the precomputed-sum semantics.
     """
-    return _build_stack(CONSTANT_CHANNELS, maps, None, True, CONSTANT_CHANNELS)
+    return _build_stack(CONSTANT_CHANNELS, maps, None, True)
 
 
 def build_channels(
@@ -329,8 +300,8 @@ def build_channels(
 
     ``include_residual`` adds the explicit formulations' rms diagnostic
     channel.  rgbd stacks combine with :func:`build_constant_channels`; when
-    the frame has invalid pixels they also carry masked tan channels, so
-    windows containing holes still assemble exact masked sums while
+    the frame has invalid pixels they also carry masked tan tables under the
+    constant stack's names, so every window assembles exact masked sums while
     hole-free frames keep the full precomputation advantage.
     """
     spec = FORMULATION_CHANNELS.get(formulation)
@@ -342,17 +313,13 @@ def build_channels(
             f"maps {maps.width}x{maps.height}"
         )
     names = spec.scatter
-    residual = spec.residual if include_residual else None
-    if residual is not None:
-        names += (residual,)
+    if include_residual and spec.residual is not None:
+        names += (spec.residual,)
     holes = not bool(depth.valid.all())
     if holes and spec.needs_constant:
-        names += HOLE_CORRECTION_CHANNELS
+        names += CONSTANT_CHANNELS
     # a hole-free frame needs no mask, and unmasked ufunc loops run faster
-    return _build_stack(
-        names, maps, depth.values, depth.valid if holes else True,
-        spec.scatter, residual, holes and spec.needs_constant,
-    )
+    return _build_stack(names, maps, depth.values, depth.valid if holes else True)
 
 
 def build_standard_implicit_channels(depth: DepthImage, maps: TanAngleMaps) -> ChannelStack:

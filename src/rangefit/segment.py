@@ -294,20 +294,11 @@ def _max_residual(
     depth: DepthImage, maps: TanAngleMaps, rect: Rect, result: FitResult, formulation: str
 ) -> float:
     """Max absolute residual of the fitted objective over the tile's pixels."""
-    sl = (slice(rect.y0, rect.y1), slice(rect.x0, rect.x1))
-    valid = depth.valid[sl]
-    z = depth.values[sl][valid]
-    tx = maps.tan_x[sl][valid]
-    ty = maps.tan_y[sl][valid]
-    coef = result.plane.coefficients
-    if formulation == fitting.IMPLICIT_STANDARD:
-        res = coef[0] * z * tx + coef[1] * z * ty + coef[2] * z + coef[3]
-    elif formulation == fitting.IMPLICIT_RGBD:
-        res = coef[0] * tx + coef[1] * ty + coef[2] + coef[3] / z
-    elif formulation == fitting.EXPLICIT_STANDARD:
-        res = coef[0] * z * tx + coef[1] * z * ty + coef[2] - z
-    else:
-        res = coef[0] * tx + coef[1] * ty + coef[2] - 1.0 / z
+    samples = fitting.gather_window_samples(depth, maps, rect, formulation)
+    rows, target = fitting._monomial_rows(samples, formulation)
+    res = rows @ result.plane.coefficients
+    if target is not None:
+        res -= target
     return float(np.abs(res).max()) if res.size else 0.0
 
 

@@ -40,6 +40,8 @@ class GroundTruthPlane:
         coef = np.asarray(self.coefficients, dtype=np.float64)
         if coef.shape != (4,):
             raise ValueError(f"plane needs 4 coefficients, got shape {coef.shape}")
+        if not np.isfinite(coef).all():
+            raise ValueError(f"plane coefficients must be finite, got {coef}")
         norm = float(np.linalg.norm(coef[:3]))
         if norm == 0:
             raise ValueError("plane normal must be nonzero")

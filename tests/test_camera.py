@@ -129,11 +129,31 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(slope_coefficient=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_slope(self, value):
+        with pytest.raises(ValueError, match="slope_coefficient"):
+            NoiseModel(slope_coefficient=value)
+
 
 class TestIntrinsicsValidation:
     def test_bad_focal_length(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0, width=4, height=4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["fx", "fy"])
+    def test_non_finite_focal_length(self, name, value):
+        params = dict(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=4, height=4)
+        params[name] = value
+        with pytest.raises(ValueError, match=name):
+            CameraIntrinsics(**params)
+
+    @pytest.mark.parametrize("name", ["delta_x", "delta_y"])
+    def test_non_finite_distortion(self, name):
+        lattice = np.zeros((4, 4))
+        lattice[2, 1] = np.nan
+        with pytest.raises(ValueError, match=name):
+            CameraIntrinsics(fx=1.0, fy=1.0, cx=1.0, cy=1.0, width=4, height=4, **{name: lattice})
 
     def test_principal_point_out_of_bounds(self):
         with pytest.raises(ValueError):

@@ -217,6 +217,55 @@ class TestExitCodes:
         assert "threshold must be positive" in capsys.readouterr().err
         assert not ppm.exists()
 
+    @pytest.mark.parametrize(
+        "fx,plane,noise,named",
+        [
+            ("nan", "0 0 1 -2", "1.425e-3", "fx"),
+            ("inf", "0 0 1 -2", "1.425e-3", "fx"),
+            ("60", "0 0 1 -2", "nan", "slope_coefficient"),
+            ("60", "0 0 1 -2", "inf", "slope_coefficient"),
+            ("60", "nan 0 1 -2", "1.425e-3", "coefficients"),
+            ("60", "0 0 1 inf", "1.425e-3", "coefficients"),
+        ],
+        ids=["nan-fx", "inf-fx", "nan-noise", "inf-noise", "nan-plane", "inf-plane"],
+    )
+    def test_non_finite_synth_parameters_are_data_errors(
+        self, tmp_path, fx, plane, noise, named, capsys
+    ):
+        # each of these exited 0 with an all-invalid depth image
+        cam = tmp_path / "cam.txt"
+        cam.write_text(f"fx={fx}\nfy=60\ncx=31.5\ncy=23.5\nwidth=64\nheight=48\n")
+        scene = tmp_path / "scene.txt"
+        scene.write_text(plane + "\n")
+        out = tmp_path / "d.pgm"
+        code = main([
+            "synth", "--intrinsics", str(cam), "--scene", str(scene),
+            "--noise-coefficient", noise, "--out", str(out),
+        ])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "segment"])
+    def test_non_finite_focal_length_is_named(
+        self, tmp_path, camera_file, scene_file, command, capsys
+    ):
+        # used to fail later, blaming a matrix of non-finite entries
+        depth_path = tmp_path / "depth.rf64"
+        main([
+            "synth", "--intrinsics", str(camera_file), "--scene", str(scene_file),
+            "--out", str(depth_path),
+        ])
+        cam = tmp_path / "nan-cam.txt"
+        cam.write_text("fx=nan\nfy=60\ncx=31.5\ncy=23.5\nwidth=64\nheight=48\n")
+        args = [command, "--intrinsics", str(cam), "--input", str(depth_path)]
+        if command == "fit":
+            args += ["--formulation", "implicit-rgbd", "--rect", "0,0,8,8"]
+        else:
+            args += ["--tile", "16", "--out", str(tmp_path / "seg.ppm")]
+        assert main(args) == 2
+        assert "focal length fx" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--formulations", "--backends"])
     def test_empty_bench_selection_is_data_error(self, tmp_path, flag, capsys):
         # an empty selection used to exit 0 with a header-only CSV

@@ -11,6 +11,8 @@ from rangefit import (
     FORMULATIONS,
     IMPLICIT_RGBD,
     IMPLICIT_STANDARD,
+    ChannelStack,
+    DepthImage,
     ExplicitPlane,
     ExplicitRgbdFitter,
     GroundTruthPlane,
@@ -39,6 +41,7 @@ from rangefit import (
     scatter_from_integrals,
 )
 from rangefit.fitting import CSV_HEADER, MIN_SAMPLES, fit_result_csv_row
+from rangefit.integral import CONSTANT_CHANNELS
 
 from conftest import random_visible_plane
 
@@ -228,10 +231,15 @@ class TestBackendEquivalence:
             scatter_from_integrals(stack, None, Rect(40, 8, 60, 28), IMPLICIT_STANDARD)
 
     def test_rgbd_requires_constant_stack(self, small_maps, noisy_scene):
+        # a hole-free frame stack carries no tan tables of its own
         _, depth = noisy_scene
-        stack = build_rgbd_implicit_channels(depth, small_maps)
-        with pytest.raises(ValueError, match="constant"):
-            scatter_from_integrals(stack, None, Rect(0, 0, 20, 20), IMPLICIT_RGBD)
+        assert depth.valid.all()
+        for formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
+            stack = STACK_BUILDERS[formulation](depth, small_maps)
+            with pytest.raises(ValueError, match="constant"):
+                scatter_from_integrals(stack, None, Rect(0, 0, 20, 20), formulation)
+            with pytest.raises(ValueError, match="constant"):
+                fit_rects(stack, None, np.array([[0, 0, 20, 20]]), formulation)
 
     def test_holey_windows_match_naive_in_rgbd_formulations(self, small_maps):
         # scattered dropout: windows containing holes must still assemble the
@@ -245,7 +253,7 @@ class TestBackendEquivalence:
         constant = build_constant_channels(small_maps)
         for formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
             stack = STACK_BUILDERS[formulation](depth, small_maps)
-            assert stack.hole_corrected
+            assert set(CONSTANT_CHANNELS) <= set(stack.channels)  # masked tan tables
             for _ in range(20):
                 x0 = int(rng.integers(0, 48))
                 y0 = int(rng.integers(0, 32))
@@ -261,8 +269,6 @@ class TestBackendEquivalence:
                 assert np.abs(a - b).max() <= 1e-6
 
     def test_holey_window_needs_masked_tan_channels(self, small_maps):
-        import dataclasses
-
         depth, _ = render_scene(
             SyntheticScene((random_visible_plane(np.random.default_rng(19)),)),
             small_maps, noise=NoiseModel(), seed=6, dropout=0.1,
@@ -270,7 +276,11 @@ class TestBackendEquivalence:
         constant = build_constant_channels(small_maps)
         for formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
             stack = STACK_BUILDERS[formulation](depth, small_maps)
-            unmarked = dataclasses.replace(stack, hole_corrected=False)
+            kept = [name for name in stack.index if name not in CONSTANT_CHANNELS]
+            unmarked = ChannelStack(
+                stack.tensor[[stack.index[name] for name in kept]],
+                {name: i for i, name in enumerate(kept)},
+            )
             with pytest.raises(ValueError, match="no masked tan channels"):
                 scatter_from_integrals(unmarked, constant, Rect(0, 0, 64, 48), formulation)
             with pytest.raises(ValueError, match="no masked tan channels"):
@@ -280,8 +290,7 @@ class TestBackendEquivalence:
         _, depth = noisy_scene
         assert depth.valid.all()
         stack = build_rgbd_implicit_channels(depth, small_maps)
-        assert not stack.hole_corrected
-        assert len(stack.per_frame_channel_names()) == 4
+        assert stack.per_frame_channel_names() == ("tx_over_z", "ty_over_z", "inv_z", "inv_z2")
 
 
 class TestNoiselessRecovery:
@@ -682,6 +691,16 @@ class TestExplicitRgbdFitter:
             fitter.fit(build_rgbd_explicit_channels(depth, other), Rect(0, 0, 20, 20))
 
 
+def _disc_holes(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    """Four filled discs of invalid pixels, the shape of sensor shadows."""
+    yy, xx = np.mgrid[: shape[0], : shape[1]]
+    holes = np.zeros(shape, dtype=bool)
+    for _ in range(4):
+        cx, cy, r = rng.uniform(0, shape[1]), rng.uniform(0, shape[0]), rng.uniform(3, 6)
+        holes |= (xx - cx) ** 2 + (yy - cy) ** 2 < r * r
+    return holes
+
+
 def _batch_windows(rng: np.random.Generator) -> list[Rect]:
     """Random windows plus edge cases: full image, slivers, tiny and empty windows."""
     rects = [Rect(0, 0, 64, 48), Rect(10, 5, 11, 40), Rect(3, 20, 60, 21), Rect(7, 7, 9, 8),
@@ -725,6 +744,32 @@ class TestFitRects:
             # a one-pixel-wide sliver has constant tan_x: rank deficient, so
             # the minimum-norm fallback runs inside the batch
             assert any(r is not None and r.degenerate for r in batch)
+
+    @pytest.mark.parametrize("formulation", [IMPLICIT_RGBD, EXPLICIT_RGBD])
+    def test_mixed_batch_matches_naive_with_and_without_constant_stack(
+        self, small_maps, formulation
+    ):
+        # localized holes: one batch mixes hole-free and holey windows, and
+        # every window of the frame reads its masked tan tables
+        rng = np.random.default_rng(23)
+        depth, _ = render_scene(
+            SyntheticScene((random_visible_plane(rng),)), small_maps, noise=NoiseModel(), seed=7
+        )
+        depth = DepthImage(values=depth.values, valid=depth.valid & ~_disc_holes((48, 64), rng))
+        rects = [Rect(x, y, x + 16, y + 16) for y in range(0, 48, 16) for x in range(0, 64, 16)]
+        rects += [Rect(0, 0, 64, 48), Rect(5, 3, 45, 43), Rect(50, 30, 64, 48)]
+        full = [bool(depth.valid[r.y0 : r.y1, r.x0 : r.x1].all()) for r in rects]
+        assert any(full) and not all(full)
+        stack = STACK_BUILDERS[formulation](depth, small_maps)
+        constant = build_constant_channels(small_maps)
+        with_constant = fit_rects(stack, constant, np.array(rects), formulation)
+        without = fit_rects(stack, None, np.array(rects), formulation)
+        for rect, got, bare in zip(rects, with_constant, without):
+            naive = fit_rect(depth, small_maps, rect, formulation, "naive")
+            assert got.n_points == bare.n_points == naive.n_points
+            assert np.array_equal(got.plane.coefficients, bare.plane.coefficients)
+            a, b = implicit_from_result(naive), implicit_from_result(got)
+            assert np.abs(a - b).max() <= 1e-6, rect
 
     def test_too_small_windows_give_none(self, small_maps):
         masked = GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0]), mask_rect=(0, 0, 32, 48))

@@ -25,7 +25,7 @@ from rangefit import (
     build_standard_implicit_channels,
     render_scene,
 )
-from rangefit.integral import FORMULATION_CHANNELS
+from rangefit.integral import CONSTANT_CHANNELS, FORMULATION_CHANNELS
 
 from conftest import random_visible_plane
 
@@ -144,9 +144,7 @@ def noisy_frame(small_maps):
 class TestConstantChannels:
     def test_channel_registry(self, small_maps):
         stack = build_constant_channels(small_maps)
-        assert stack.constant
-        assert stack.scatter_names == ("tx2", "txty", "ty2", "tx", "ty")
-        assert len(stack.per_frame_channel_names()) == 5
+        assert stack.per_frame_channel_names() == ("tx2", "txty", "ty2", "tx", "ty")
 
     def test_odd_symmetry_of_tan_sum(self):
         # cx centered on an even width makes tan_x values pair up antisymmetrically
@@ -192,22 +190,22 @@ class TestPerFrameBuilders:
         ],
     )
     def test_scatter_channel_counts(self, noisy_frame, small_maps, builder, expected_channels):
-        stack = builder(noisy_frame, small_maps)
-        assert len(stack.scatter_names) == expected_channels
-        assert not stack.constant
+        # the scatter channels come first, then the residual and masked tan tables
+        names = builder(noisy_frame, small_maps).per_frame_channel_names()
+        scatter = [spec.scatter for spec in FORMULATION_CHANNELS.values()]
+        assert names[:expected_channels] in scatter
+        assert set(names[expected_channels:]) <= {"z2", "inv_z2", *CONSTANT_CHANNELS}
 
     def test_explicit_residual_channel_is_separate(self, noisy_frame, small_maps):
         with_res = build_standard_explicit_channels(noisy_frame, small_maps)
-        assert with_res.residual_name == "z2"
-        assert len(with_res.per_frame_channel_names()) == 9
-        assert len(with_res.scatter_names) == 8
+        assert with_res.per_frame_channel_names()[8:] == ("z2",)
         bare = build_standard_explicit_channels(noisy_frame, small_maps, include_residual=False)
-        assert bare.residual_name is None
+        assert "z2" not in bare.channels
         assert len(bare.per_frame_channel_names()) == 8
 
+        # the frame has holes: masked tan tables follow the residual
         rgbd = build_rgbd_explicit_channels(noisy_frame, small_maps)
-        assert rgbd.residual_name == "inv_z2"
-        assert len(rgbd.scatter_names) == 3
+        assert rgbd.per_frame_channel_names()[3:] == ("inv_z2", *CONSTANT_CHANNELS)
 
     def test_standard_implicit_sums_match_naive(self, noisy_frame, small_maps):
         stack = build_standard_implicit_channels(noisy_frame, small_maps)
@@ -280,7 +278,7 @@ class TestPerFrameBuilders:
         depth = DepthImage(values=np.ones((6, 8)))
         stack = build_standard_explicit_channels(depth, maps)
         full = Rect(0, 0, 8, 6)
-        for name in stack.scatter_names:
+        for name in stack.channels:
             assert box_sum(stack.channels[name], full) == 48.0
         assert box_sum(stack.count, full) == 48.0
 
@@ -305,7 +303,6 @@ _SCATTER = {
     EXPLICIT_RGBD: ("tx_over_z", "ty_over_z", "inv_z"),
 }
 _RESIDUAL = {EXPLICIT_STANDARD: "z2", EXPLICIT_RGBD: "inv_z2"}
-_HOLE_NAMES = ("m_tx2", "m_txty", "m_ty2", "m_tx", "m_ty")
 _WRAPPERS = {
     IMPLICIT_STANDARD: build_standard_implicit_channels,
     IMPLICIT_RGBD: build_rgbd_implicit_channels,
@@ -320,12 +317,11 @@ def _reference_lattices(depth: DepthImage, maps) -> dict[str, np.ndarray]:
     x, y = z * maps.tan_x, z * maps.tan_y
     inv = np.where(depth.valid, 1.0 / np.where(depth.valid, depth.values, 1.0), 0.0)
     tx, ty = maps.tan_x, maps.tan_y
-    tan = {"tx2": tx * tx, "txty": tx * ty, "ty2": ty * ty, "tx": tx, "ty": ty}
     return {
         "x2": x * x, "xy": x * y, "xz": x * z, "x": x, "y2": y * y, "yz": y * z,
         "y": y, "z2": z * z, "z": z,
         "tx_over_z": tx * inv, "ty_over_z": ty * inv, "inv_z": inv, "inv_z2": inv * inv,
-        **tan, **{"m_" + k: v for k, v in tan.items()},
+        "tx2": tx * tx, "txty": tx * ty, "ty2": ty * ty, "tx": tx, "ty": ty,
     }
 
 
@@ -374,15 +370,12 @@ class TestChannelTensor:
         if include_residual and formulation in _RESIDUAL:
             names += (_RESIDUAL[formulation],)
         if holes and rgbd:
-            names += _HOLE_NAMES
+            names += CONSTANT_CHANNELS  # masked, under the camera-constant names
         if formulation in (IMPLICIT_STANDARD, IMPLICIT_RGBD):
             stack = _WRAPPERS[formulation](depth, maps)
         else:
             stack = _WRAPPERS[formulation](depth, maps, include_residual=include_residual)
         assert tuple(stack.channels) == names
-        assert stack.scatter_names == _SCATTER[formulation]
-        assert stack.hole_corrected == (holes and rgbd)
-        assert not stack.constant
         lattices = _reference_lattices(depth, maps)
         _assert_tables_match_reference(stack, lattices, depth.valid, depth.valid.astype(float))
         again = build_channels(depth, maps, formulation, include_residual)
@@ -394,7 +387,6 @@ class TestChannelTensor:
         maps = _camera_maps(*size)
         stack = build_constant_channels(maps)
         assert tuple(stack.channels) == ("tx2", "txty", "ty2", "tx", "ty")
-        assert stack.constant and not stack.hole_corrected
         depth = DepthImage(values=np.ones(maps.tan_x.shape))
         _assert_tables_match_reference(
             stack, _reference_lattices(depth, maps), None, np.ones(maps.tan_x.shape)

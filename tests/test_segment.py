@@ -360,6 +360,39 @@ class TestSegment:
         result = segment(depth, small_maps, config)
         assert result.n_fitted > 0
 
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_max_metric_gates_on_the_max_residual(self, small_maps, formulation):
+        # the quadtree's max |residual| of each formulation's own objective,
+        # recomputed here pixel by pixel (rel: rounding-order slack only)
+        residual = {
+            IMPLICIT_STANDARD: lambda c, tx, ty, z: c[0] * z * tx + c[1] * z * ty + c[2] * z + c[3],
+            IMPLICIT_RGBD: lambda c, tx, ty, z: c[0] * tx + c[1] * ty + c[2] + c[3] / z,
+            EXPLICIT_STANDARD: lambda c, tx, ty, z: c[0] * z * tx + c[1] * z * ty + c[2] - z,
+            EXPLICIT_RGBD: lambda c, tx, ty, z: c[0] * tx + c[1] * ty + c[2] - 1.0 / z,
+        }[formulation]
+        rel = 1e-9
+        depth, _ = render_scene(
+            corner_scene(), small_maps, noise=NoiseModel(), seed=10, dropout=0.05
+        )
+        config = SegConfig(
+            formulation=formulation, initial_tile=16, max_depth=2, error_metric="max"
+        )
+        result = segment(depth, small_maps, config)
+        assert result.n_fitted > 0 and result.n_high_error > 0
+        for tile in result.tiles:
+            if tile.result is None:
+                continue
+            sl = (slice(tile.rect.y0, tile.rect.y1), slice(tile.rect.x0, tile.rect.x1))
+            valid = depth.valid[sl]
+            worst = np.abs(residual(
+                tile.result.plane.coefficients, small_maps.tan_x[sl][valid],
+                small_maps.tan_y[sl][valid], depth.values[sl][valid],
+            )).max()
+            if tile.status is TileStatus.FITTED:
+                assert worst <= config.threshold * (1 + rel), tile.rect
+            else:
+                assert tile.result.degenerate or worst > config.threshold * (1 - rel), tile.rect
+
     def test_color_output_and_csv(self, small_maps):
         scene = corner_scene()
         depth, _ = render_scene(scene, small_maps, noise=NoiseModel(), seed=11)

@@ -166,6 +166,15 @@ class TestRender:
             render_scene(SyntheticScene((frontal_plane(2.0),)), small_maps, dropout=1.0)
 
 
+class TestPlaneValidation:
+    @pytest.mark.parametrize(
+        "coefficients", [(np.nan, 0, 1, -2), (0, 0, 1, np.inf), (np.inf, 0, 1, -2)]
+    )
+    def test_non_finite_coefficients(self, coefficients):
+        with pytest.raises(ValueError, match="finite"):
+            GroundTruthPlane(np.array(coefficients, dtype=float))
+
+
 class TestSceneFiles:
     def test_parse_with_masks_and_comments(self):
         scene = parse_scene(
