@@ -15,6 +15,7 @@ from rangefit import (
     GroundTruthPlane,
     Rect,
     SyntheticScene,
+    build_channels,
     build_constant_channels,
     compute_tan_maps,
     explicit_to_implicit,
@@ -22,7 +23,6 @@ from rangefit import (
     op_count_audit,
     render_scene,
 )
-from rangefit.segment import build_frame_stack
 
 intrinsics = CameraIntrinsics(fx=525.0, fy=525.0, cx=319.5, cy=239.5, width=640, height=480)
 maps = compute_tan_maps(intrinsics)
@@ -35,7 +35,7 @@ constant = build_constant_channels(maps)
 window = Rect(200, 150, 400, 330)
 
 for formulation in FORMULATIONS:
-    stack = build_frame_stack(depth, maps, formulation)
+    stack = build_channels(depth, maps, formulation)
     for backend in ("naive", "integral"):
         result = fit_rect(
             depth, maps, window, formulation, backend, stack=stack, constant=constant

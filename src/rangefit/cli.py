@@ -14,8 +14,8 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import fitting, imageio, synth
 from .camera import DEPTH_NOISE_COEFFICIENT, NoiseModel, compute_tan_maps, load_intrinsics
-from .integral import Rect, build_constant_channels
-from .segment import SegConfig, build_frame_stack
+from .integral import Rect, build_channels, build_constant_channels
+from .segment import SegConfig
 from .segment import segment as run_segment
 
 
@@ -130,7 +130,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         )
     stack = constant = None
     if args.backend == "integral":
-        stack = build_frame_stack(depth, maps, args.formulation)
+        stack = build_channels(depth, maps, args.formulation)
         constant = build_constant_channels(maps)
     result = fitting.fit_rect(
         depth, maps, args.rect, args.formulation, args.backend, stack=stack, constant=constant

@@ -30,7 +30,8 @@ Implicit fits take the smallest eigenvector from LAPACK's symmetric solver
 factorization, which ``ExplicitRgbdFitter`` caches per window.
 :func:`fit_rect` fits one window with scalar box sums; :func:`fit_rects`
 fits many windows of one frame at once, gathering every box sum with one
-indexed read per channel and solving the whole batch with array operations.
+indexed read per channel and solving the whole batch with array operations
+in :func:`fit_sums`, which also fits windows whose sums come from elsewhere.
 A per-window solve in pure Python would cost more than the box sums the
 camera-constant channels save.
 """
@@ -62,6 +63,7 @@ from .integral import (
     _box_sums,
     _check_rect,
     _check_rects,
+    _require_channels,
 )
 from .synth import DepthImage
 
@@ -399,12 +401,6 @@ def gather_window_samples(
     return np.column_stack((tx, ty, z))
 
 
-def _require_channels(stack: ChannelStack, names: tuple[str, ...], what: str) -> None:
-    missing = [name for name in names if name not in stack.channels]
-    if missing:
-        raise ValueError(f"{what} stack is missing channels: {', '.join(missing)}")
-
-
 def _symmetric_index(size: int) -> np.ndarray:
     index = np.empty((size, size), dtype=np.intp)
     for k, (i, j) in enumerate(zip(*np.triu_indices(size))):
@@ -433,22 +429,20 @@ def _scatter_matrix(sums: dict[str, float | np.ndarray], spec: ChannelSet) -> np
     return np.array([sums[k] for k in spec.layout]).T[..., _SYMMETRIC_INDEX[spec.size]]
 
 
-def _assemble(
+def _window_sums(
     stack: ChannelStack,
     constant: ChannelStack | None,
     formulation: str,
     corners: np.ndarray,
     n: float | np.ndarray,
     full: bool | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray | None, float | np.ndarray | None]:
-    """A formulation's (matrix, rhs, target_sq) from box sums over its channels.
+) -> dict[str, float | np.ndarray]:
+    """Box sums of every channel a formulation's system reads, ``"n"`` the count.
 
     ``corners`` are the windows' flat corner indices (see :func:`_gather`):
-    for a batch every output gains a leading N axis.  ``full`` marks the
-    hole-free windows.  ``rhs`` is None for implicit formulations,
-    ``target_sq`` when the residual channel is absent.  Every camera-constant
-    entry the frame stack lacks is read from ``constant``; a frame with holes
-    carries its own masked copies of them.
+    for a batch every sum is an (N,) array.  ``full`` marks the hole-free
+    windows.  Every camera-constant entry the frame stack lacks is read from
+    ``constant``; a frame with holes carries its own masked copies of them.
     """
     spec = FORMULATION_CHANNELS[formulation]
     _require_channels(stack, spec.scatter, "per-frame")
@@ -468,11 +462,21 @@ def _assemble(
         _require_channels(constant, lacking, "constant")
         const = _gather(constant, corners)
         sums.update((name, const[name]) for name in lacking)
+    return sums
+
+
+def _system(
+    sums: dict[str, float | np.ndarray], spec: ChannelSet
+) -> tuple[np.ndarray, np.ndarray | None, float | np.ndarray | None]:
+    """``spec``'s (matrix, rhs, target_sq), batched like ``sums``.
+
+    ``rhs`` is None for implicit formulations, ``target_sq`` when ``sums``
+    lacks the residual channel.
+    """
     matrix = _scatter_matrix(sums, spec)
     if not spec.rhs:
         return matrix, None, None
-    rhs = np.array([sums[k] for k in spec.rhs]).T
-    return matrix, rhs, sums.get(spec.residual)
+    return matrix, np.array([sums[k] for k in spec.rhs]).T, sums.get(spec.residual)
 
 
 def scatter_from_integrals(
@@ -497,10 +501,10 @@ def scatter_from_integrals(
             f"window {rect} holds {n} valid samples; "
             f"{formulation} needs {MIN_SAMPLES[formulation]}"
         )
-    corners = _box_corners(rect, stack.width)
-    matrix, rhs, target_sq = _assemble(
-        stack, constant, formulation, corners, float(n), n == rect.area
+    sums = _window_sums(
+        stack, constant, formulation, _box_corners(rect, stack.width), float(n), n == rect.area
     )
+    matrix, rhs, target_sq = _system(sums, FORMULATION_CHANNELS[formulation])
     if rhs is None:
         return Scatter4(matrix=matrix, n=n)
     return Scatter3(matrix=matrix, rhs=rhs, n=n, target_sq=target_sq)
@@ -766,21 +770,35 @@ def fit_rects(
     rects = _check_rects(rects, stack.width, stack.height)
     results: list[FitResult | None] = [None] * len(rects)
     corners = _box_corners(rects, stack.width)
-    n = np.rint(_box_sums(stack.count.table, corners)).astype(np.int64)
+    n = np.rint(_box_sums(stack.count.table, corners))
     fitted = np.flatnonzero(n >= MIN_SAMPLES[formulation])
     if fitted.size == 0:
         return results
     corners, n = corners[:, fitted], n[fitted]
     x0, y0, x1, y1 = rects[fitted].T
-    matrices, rhs, target_sq = _assemble(
-        stack, constant, formulation, corners, n.astype(np.float64), n == (x1 - x0) * (y1 - y0)
-    )
+    sums = _window_sums(stack, constant, formulation, corners, n, n == (x1 - x0) * (y1 - y0))
+    for i, result in zip(fitted, fit_sums(sums, formulation)):
+        results[i] = result
+    return results
 
+
+def fit_sums(sums: dict[str, np.ndarray], formulation: str) -> list[FitResult]:
+    """Fit many windows at once from their channel sums, with one batched solve.
+
+    ``sums`` maps every entry of the formulation's system
+    (``FORMULATION_CHANNELS``), ``"n"`` being the sample count, to an (N,)
+    array; the residual channel is optional.  Every window must hold at
+    least ``MIN_SAMPLES`` samples.  Implicit systems go to one batched
+    ``eigh``; explicit ones to one batched Cholesky solve, with the
+    minimum-norm solution for the windows it rejects, flagged degenerate.
+    """
+    _check_formulation(formulation)
+    n = sums["n"]
+    if len(n) == 0:
+        return []
+    matrices, rhs, target_sq = _system(sums, FORMULATION_CHANNELS[formulation])
     if rhs is None:
-        for i, result in zip(fitted, _implicit_fits(matrices, n)):
-            results[i] = result
-        return results
-
+        return _implicit_fits(matrices, n)
     if target_sq is None:
         target_sq = [None] * len(n)
     factor, solvable = _cholesky3_batch(matrices)
@@ -789,11 +807,10 @@ def fit_rects(
     for i in np.flatnonzero(~solvable):
         alpha[i] = _pinv_solve(matrices[i], rhs[i])
     space = SPACE_STANDARD if formulation == EXPLICIT_STANDARD else SPACE_RGBD
-    for i, j in enumerate(fitted):
-        results[j] = _explicit_result(
-            alpha[i], rhs[i], int(n[i]), target_sq[i], space, not solvable[i]
-        )
-    return results
+    return [
+        _explicit_result(alpha[i], rhs[i], int(n[i]), target_sq[i], space, not solvable[i])
+        for i in range(len(n))
+    ]
 
 
 def fit_result_csv_row(

@@ -31,6 +31,11 @@ to :func:`build_integral` on each masked monomial.  Because the
 camera-constant channels cannot know a frame's holes, the rgbd stack of a
 frame with invalid pixels carries masked copies of those tan tables under the
 same names, and fits read them in place of the constant stack.
+
+Summed-area tables serve arbitrary windows.  The segmenter fits only the
+nodes of a quadtree fixed by the image size, so :func:`build_node_pyramid`
+instead sums a frame's monomials into the cells of the quadtree's lattice
+and each coarser level from the finer one, with no prefix sums.
 """
 
 from __future__ import annotations
@@ -193,6 +198,12 @@ class ChannelStack:
         return tuple(self.channels.keys())
 
 
+def _require_channels(stack: ChannelStack, names: tuple[str, ...], what: str) -> None:
+    missing = [name for name in names if name not in stack.channels]
+    if missing:
+        raise ValueError(f"{what} stack is missing channels: {', '.join(missing)}")
+
+
 def _check_rect(rect: Rect, width: int, height: int) -> None:
     if not (0 <= rect.x0 <= rect.x1 <= width and 0 <= rect.y0 <= rect.y1 <= height):
         raise ValueError(f"rect {rect} out of bounds for {width}x{height} image")
@@ -258,6 +269,25 @@ def box_sum(integral: IntegralImage, rect: Rect) -> float:
     return _box(integral.table, rect)
 
 
+def _write_monomials(
+    names: tuple[str, ...],
+    out: np.ndarray,
+    depth: np.ndarray | None,
+    tan_x: np.ndarray,
+    tan_y: np.ndarray,
+    valid: np.ndarray | bool,
+) -> None:
+    """Write each named channel's monomial into ``out[i]`` wherever ``valid`` holds.
+
+    ``depth``, ``tan_x`` and ``tan_y`` are same-shape lattices (or pixel
+    lists); ``depth`` None suits the camera-constant channels.
+    """
+    sources = {"depth": depth, "tan_x": tan_x, "tan_y": tan_y, **dict(zip(names, out))}
+    for name, (op, *operands) in _MONOMIALS.items():
+        if name in names:
+            op(*(sources.get(a, a) for a in operands), out=sources[name], where=valid)
+
+
 def _build_stack(
     names: tuple[str, ...],
     maps: TanAngleMaps,
@@ -272,11 +302,8 @@ def _build_stack(
     h, w = maps.height, maps.width
     out = np.zeros((len(names) + 1, h + 1, w + 1))
     body = out[:, 1:, 1:]
-    sources = {"depth": depth, "tan_x": maps.tan_x, "tan_y": maps.tan_y, **dict(zip(names, body))}
     np.copyto(body[-1], valid)
-    for name, (op, *operands) in _MONOMIALS.items():
-        if name in names:
-            op(*(sources.get(a, a) for a in operands), out=sources[name], where=valid)
+    _write_monomials(names, body, depth, maps.tan_x, maps.tan_y, valid)
     # rows first, then columns: the additions of cumsum(cumsum(c, 0), 1)
     for y in range(1, h):
         np.add(body[:, y], body[:, y - 1], out=body[:, y])
@@ -293,6 +320,14 @@ def build_constant_channels(maps: TanAngleMaps) -> ChannelStack:
     return _build_stack(CONSTANT_CHANNELS, maps, None, True)
 
 
+def _check_frame(depth: DepthImage, maps: TanAngleMaps) -> None:
+    if depth.values.shape != maps.tan_x.shape:
+        raise ValueError(
+            f"depth {depth.width}x{depth.height} does not match "
+            f"maps {maps.width}x{maps.height}"
+        )
+
+
 def build_channels(
     depth: DepthImage, maps: TanAngleMaps, formulation: str, include_residual: bool = True
 ) -> ChannelStack:
@@ -307,11 +342,7 @@ def build_channels(
     spec = FORMULATION_CHANNELS.get(formulation)
     if spec is None:
         raise ValueError(f"unknown formulation {formulation!r}")
-    if depth.values.shape != maps.tan_x.shape:
-        raise ValueError(
-            f"depth {depth.width}x{depth.height} does not match "
-            f"maps {maps.width}x{maps.height}"
-        )
+    _check_frame(depth, maps)
     names = spec.scatter
     if include_residual and spec.residual is not None:
         names += (spec.residual,)
@@ -344,3 +375,113 @@ def build_rgbd_explicit_channels(
 ) -> ChannelStack:
     """Per-frame tables for the inverse-depth explicit fit: 3 channels (+ 1/Z^2)."""
     return build_channels(depth, maps, EXPLICIT_RGBD, include_residual)
+
+
+@dataclass(frozen=True)
+class NodePyramid:
+    """Channel sums over the nodes of a quadtree fixed by the image size.
+
+    ``levels[l]`` is a (C, rows, cols) array: entry ``[:, r, q]`` holds the
+    sums over node (r, q) of level l, the square of ``tile >> l`` pixels at
+    row r and column q of the grid anchored at the image origin, clipped to
+    the image.  Nodes wholly outside the image sum to zero.  ``index`` maps
+    each channel name, the validity count included, to its position in C.
+    """
+
+    levels: tuple[np.ndarray, ...]
+    index: dict[str, int]
+
+    def sums(self, level: int, rows: np.ndarray, cols: np.ndarray) -> dict[str, np.ndarray]:
+        """Every channel's (N,) sums over the level's nodes at (rows, cols)."""
+        t = self.levels[level][:, rows, cols]
+        return {name: t[i] for name, i in self.index.items()}
+
+
+def _cell_sums(
+    names: tuple[str, ...],
+    maps: TanAngleMaps,
+    depth: np.ndarray,
+    valid: np.ndarray | bool,
+    cell: int,
+    shape: tuple[int, int],
+) -> np.ndarray:
+    """(len(names), *shape) sums of each channel's masked monomial over ``cell``-pixel cells.
+
+    Writes one band of ``cell`` pixel rows at a time into a reused buffer
+    whose columns are zero-padded to ``shape``'s whole cells, then sums the
+    band's rows and each cell's columns.
+    """
+    h, w = maps.height, maps.width
+    out = np.zeros((len(names), *shape))
+    band = np.zeros((len(names), cell, shape[1] * cell))
+    for r, y0 in enumerate(range(0, h, cell)):
+        y1 = min(y0 + cell, h)
+        if valid is not True or y1 - y0 < cell:  # masked or short writes leave stale values
+            band.fill(0.0)
+        _write_monomials(
+            names, band[:, : y1 - y0, :w], depth[y0:y1], maps.tan_x[y0:y1], maps.tan_y[y0:y1],
+            valid if valid is True else valid[y0:y1],
+        )
+        out[:, r] = band.sum(axis=1).reshape(len(names), shape[1], cell).sum(axis=2)
+    return out
+
+
+def build_node_pyramid(
+    depth: DepthImage,
+    maps: TanAngleMaps,
+    formulation: str | None,
+    tile: int,
+    max_depth: int,
+    constant: ChannelStack | None = None,
+) -> NodePyramid:
+    """Sums of a frame's channels over every node of a ``max_depth``-level quadtree.
+
+    The quadtree's roots are ``tile``-pixel squares (``tile`` a multiple of
+    ``2**max_depth``); its leaves are the cells of the ``tile >> max_depth``
+    lattice.  The per-frame monomials are written one band of cells at a
+    time and summed into cells, and each coarser level is the 2x2 sum of
+    the finer one, so no large sums are differenced.  The count is each
+    cell's area less its hole pixels.  An rgbd formulation's tan sums are
+    read from ``constant``'s tables at the lattice corners less their hole
+    pixels' monomials, or, without ``constant``, written like the per-frame
+    channels.  ``formulation`` None sums the count alone.
+    """
+    _check_frame(depth, maps)
+    h, w = maps.height, maps.width
+    cell = tile >> max_depth
+    shape = (-(-h // tile) << max_depth, -(-w // tile) << max_depth)
+    ys = np.minimum(np.arange(shape[0] + 1) * cell, h)
+    xs = np.minimum(np.arange(shape[1] + 1) * cell, w)
+    holes = np.flatnonzero(~depth.valid)
+    hole_cells = holes // w // cell * shape[1] + holes % w // cell
+    names: tuple[str, ...] = ()
+    tan: tuple[str, ...] = ()
+    if formulation is not None:
+        spec = FORMULATION_CHANNELS[formulation]
+        names = spec.scatter + ((spec.residual,) if spec.residual else ())
+        tan = CONSTANT_CHANNELS if spec.needs_constant else ()
+    if constant is None:
+        names, tan = names + tan, ()
+    elif tan:
+        if constant.tensor.shape[1:] != (h + 1, w + 1):
+            raise ValueError("constant stack dimensions do not match the frame")
+        _require_channels(constant, tan, "constant")
+        rows = np.array([constant.index[name] for name in tan])
+        corners = constant.tensor[rows[:, None, None], ys[:, None], xs]
+        tan_cells = np.diff(np.diff(corners, axis=1), axis=2)
+        at_holes = np.empty((len(tan), holes.size))
+        _write_monomials(tan, at_holes, None, maps.tan_x.flat[holes], maps.tan_y.flat[holes], True)
+        for channel, values in zip(tan_cells, at_holes):
+            channel -= np.bincount(hole_cells, values, channel.size).reshape(shape)
+    valid = depth.valid if holes.size else True
+    parts = [_cell_sums(names, maps, depth.values, valid, cell, shape)]
+    if tan:
+        parts.append(tan_cells)
+    area = np.diff(ys)[:, None] * np.diff(xs)
+    parts.append((area - np.bincount(hole_cells, minlength=area.size).reshape(shape))[None])
+    levels = [np.concatenate(parts)]
+    for _ in range(max_depth):
+        f = levels[-1]
+        levels.append(f[:, 0::2, 0::2] + f[:, 0::2, 1::2] + f[:, 1::2, 0::2] + f[:, 1::2, 1::2])
+    index = {name: i for i, name in enumerate((*names, *tan, COUNT_CHANNEL))}
+    return NodePyramid(tuple(reversed(levels)), index)

@@ -3,9 +3,13 @@
 The image is cut into an equal square grid; each tile gets a plane fit, and
 tiles whose residual exceeds the threshold split into four half-size children
 (up to a depth limit).  Tiles with too few valid pixels are rejected outright.
-The quadtree is fitted one level at a time, so the integral backend fits a
-whole level with one batched call.  K-means over the fitted tiles' plane
-coefficients then groups coplanar tiles into labeled segments.
+Every tile is a node of a quadtree fixed by the image size: a ragged edge
+tile is cut where a full tile would be, and its children are clipped to the
+image, so every tile edge lies on the ``initial_tile >> max_depth`` lattice
+or on the image border.  The integral backend sums each frame's channels
+over those nodes once and fits a whole level with one batched solve.
+K-means over the fitted tiles' plane coefficients then groups coplanar tiles
+into labeled segments.
 """
 
 from __future__ import annotations
@@ -17,19 +21,8 @@ import numpy as np
 
 from . import fitting
 from .camera import TanAngleMaps
-from .errors import InsufficientSamplesError
-from .fitting import FORMULATIONS, ExplicitPlane, FitResult, explicit_to_implicit
-from .integral import (
-    COUNT_CHANNEL,
-    FORMULATION_CHANNELS,
-    ChannelStack,
-    Rect,
-    _box_corners,
-    _box_sums,
-    build_channels,
-    build_constant_channels,
-    build_integral,
-)
+from .fitting import FORMULATIONS, MIN_SAMPLES, ExplicitPlane, FitResult, explicit_to_implicit
+from .integral import COUNT_CHANNEL, ChannelStack, Rect, build_node_pyramid
 from .synth import DepthImage
 
 UNLABELED = -1
@@ -104,6 +97,11 @@ class SegConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.max_depth < 0:
             raise ValueError("max_depth must be non-negative")
+        if self.initial_tile % (1 << self.max_depth):
+            raise ValueError(
+                f"initial_tile {self.initial_tile} is not a multiple of 2**max_depth "
+                f"= {1 << self.max_depth} (max_depth {self.max_depth})"
+            )
         if self.initial_tile < (1 << self.max_depth) * MIN_TILE_EDGE:
             raise ValueError(
                 f"initial_tile {self.initial_tile} cannot survive {self.max_depth} "
@@ -154,18 +152,14 @@ class Segmentation:
         Rejected tiles show their rejection reason (dark red for too many
         invalid pixels, dark blue for irreducible high fit error).
         """
-        h, w = self.labels.shape
-        rgb = np.zeros((h, w, 3), dtype=np.uint8)
-        for tile in self.tiles:
-            r = tile.rect
-            if tile.status is TileStatus.FITTED:
-                color = CLUSTER_PALETTE[tile.cluster % len(CLUSTER_PALETTE)]
-            elif tile.status is TileStatus.TOO_INVALID:
-                color = TOO_INVALID_COLOR
-            else:
-                color = HIGH_ERROR_COLOR
-            rgb[r.y0 : r.y1, r.x0 : r.x1] = color
-        return rgb
+        colors = [
+            CLUSTER_PALETTE[tile.cluster % len(CLUSTER_PALETTE)]
+            if tile.status is TileStatus.FITTED
+            else TOO_INVALID_COLOR if tile.status is TileStatus.TOO_INVALID
+            else HIGH_ERROR_COLOR
+            for tile in self.tiles
+        ]
+        return _paint(self.tiles, colors, self.labels.shape, np.zeros(3, dtype=np.uint8))
 
     def to_csv(self) -> str:
         lines = ["x0,y0,x1,y1,status,a,b,c,d,rms,cluster"]
@@ -264,29 +258,43 @@ def kmeans(
     return labels, centroids
 
 
-def build_frame_stack(
-    depth: DepthImage, maps: TanAngleMaps, formulation: str
-) -> ChannelStack:
-    """Build the per-frame channel stack a formulation needs (with residuals)."""
-    return build_channels(depth, maps, formulation)
+def _paint(
+    tiles: list[Tile], values: list, shape: tuple[int, int], fill: np.ndarray
+) -> np.ndarray:
+    """Each tile's value over its rect, ``fill`` elsewhere, as an (H, W, ...) image.
+
+    Paints on the grid that the tiles' distinct edges form, then repeats
+    each grid row and column over the pixels it spans.
+    """
+    h, w = shape
+    rects = np.array([tile.rect for tile in tiles], dtype=np.int64).reshape(-1, 4)
+    xs = np.unique(np.concatenate(([0, w], rects[:, 0], rects[:, 2])))
+    ys = np.unique(np.concatenate(([0, h], rects[:, 1], rects[:, 3])))
+    grid = np.empty((len(ys) - 1, len(xs) - 1, *fill.shape), dtype=fill.dtype)
+    grid[...] = fill
+    x0, x1 = np.searchsorted(xs, rects[:, 0]), np.searchsorted(xs, rects[:, 2])
+    y0, y1 = np.searchsorted(ys, rects[:, 1]), np.searchsorted(ys, rects[:, 3])
+    for i, value in enumerate(values):
+        grid[y0[i] : y1[i], x0[i] : x1[i]] = value
+    return np.repeat(np.repeat(grid, np.diff(ys), axis=0), np.diff(xs), axis=1)
 
 
-def _initial_grid(width: int, height: int, tile: int) -> list[Rect]:
-    rects = []
-    for y0 in range(0, height, tile):
-        for x0 in range(0, width, tile):
-            rects.append(Rect(x0, y0, min(x0 + tile, width), min(y0 + tile, height)))
-    return rects
+Node = tuple[int, int, int]  # (level, row, col) in the quadtree of a NodePyramid
 
 
-def _split(rect: Rect) -> list[Rect]:
-    xm = rect.x0 + (rect.x1 - rect.x0) // 2
-    ym = rect.y0 + (rect.y1 - rect.y0) // 2
+def _split(node: Node, width: int, height: int, tile: int) -> list[Node]:
+    """A node's children: its quarters, cut where a full tile is cut and clipped to the image.
+
+    Quarters wholly outside the image are dropped, so a ragged edge tile
+    has one, two or four children.
+    """
+    level, row, col = node
+    half = tile >> (level + 1)
     return [
-        Rect(rect.x0, rect.y0, xm, ym),
-        Rect(xm, rect.y0, rect.x1, ym),
-        Rect(rect.x0, ym, xm, rect.y1),
-        Rect(xm, ym, rect.x1, rect.y1),
+        (level + 1, 2 * row + dr, 2 * col + dc)
+        for dr in (0, 1)
+        for dc in (0, 1)
+        if (2 * row + dr) * half < height and (2 * col + dc) * half < width
     ]
 
 
@@ -310,11 +318,13 @@ def segment(
 ) -> Segmentation:
     """Segment a depth image into labeled planar tiles.
 
-    Builds the formulation's per-frame channel stack (integral backend),
-    runs the quadtree subdivision, then clusters fitted tiles' coefficients.
-    Pass the prebuilt camera-constant stack to amortize it across frames
-    (required by the rgbd formulations on the integral backend; built on the
-    fly if omitted).
+    Sums the formulation's channels over every node of the quadtree once
+    (:func:`~rangefit.integral.build_node_pyramid`), fits each level of
+    the tree with one batched solve over those sums (the naive backend
+    refits each tile from its pixels instead), then clusters the fitted
+    tiles' coefficients.  The rgbd formulations read their camera-constant
+    tan sums from ``constant`` when it is given, at the corners of the
+    quadtree's cell lattice, and write them from the tan maps otherwise.
     """
     if depth.width < 1 or depth.height < 1:
         raise ValueError("empty depth image")
@@ -323,81 +333,77 @@ def segment(
             f"image {depth.width}x{depth.height} is smaller than one fittable tile"
         )
 
-    stack: ChannelStack | None = None
-    if config.backend == "integral":
-        if FORMULATION_CHANNELS[config.formulation].needs_constant and constant is None:
-            constant = build_constant_channels(maps)
-        stack = build_frame_stack(depth, maps, config.formulation)
-        count_table = stack.count.table
-    else:
-        count_table = build_integral(depth.valid, name=COUNT_CHANNEL).table
+    integral = config.backend == "integral"
+    pyramid = build_node_pyramid(
+        depth, maps, config.formulation if integral else None,
+        config.initial_tile, config.max_depth, constant,
+    )
+    count = pyramid.index[COUNT_CHANNEL]
+    w, h, edge = depth.width, depth.height, config.initial_tile
 
-    def fit_level(rects: list[Rect]) -> list[FitResult | None]:
-        """Fits of one level's tiles; None where a tile has too few samples."""
-        if stack is not None:
-            boxes = np.array(rects, dtype=np.int64)
-            return fitting.fit_rects(stack, constant, boxes, config.formulation)
-        results: list[FitResult | None] = []
-        for rect in rects:
-            try:
-                results.append(
-                    fitting.fit_rect(depth, maps, rect, config.formulation, config.backend)
-                )
-            except InsufficientSamplesError:
-                results.append(None)
-        return results
+    def rect_of(level: int, row: int, col: int) -> Rect:
+        size = edge >> level
+        return Rect(col * size, row * size, min((col + 1) * size, w), min((row + 1) * size, h))
 
-    grid = _initial_grid(depth.width, depth.height, config.initial_tile)
-    # Each tile's outcome: a leaf Tile, or None when the tile splits.  Tiles
-    # of one level are disjoint and strictly smaller than their parents, so a
-    # rect names exactly one tile of the quadtree.
-    outcomes: dict[Rect, Tile | None] = {}
-    rects, level = grid, 0
-    while rects:
-        boxes = np.array(rects, dtype=np.int64)
-        n_valid = np.rint(_box_sums(count_table, _box_corners(boxes, depth.width)))
-        area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-        dense = (n_valid >= config.min_valid_fraction * area) & (n_valid > 0)
-        to_fit = [rect for rect, ok in zip(rects, dense) if ok]
-        fits = dict(zip(to_fit, fit_level(to_fit)))
-        children: list[Rect] = []
-        for rect in rects:
-            result = fits.get(rect)
-            if result is None:
-                outcomes[rect] = Tile(rect=rect, status=TileStatus.TOO_INVALID, level=level)
+    def fit_level(level: int, at: np.ndarray, rects: list[Rect]) -> list[FitResult]:
+        """Fits of one level's tiles at (level, row, col) rows ``at``, each dense enough to fit."""
+        if not integral:
+            return [
+                fitting.fit_rect(depth, maps, rect, config.formulation, "naive") for rect in rects
+            ]
+        sums = pyramid.sums(level, at[:, 1], at[:, 2])
+        sums["n"] = sums[COUNT_CHANNEL]
+        return fitting.fit_sums(sums, config.formulation)
+
+    rows, cols = pyramid.levels[0].shape[1:]
+    roots = [(0, row, col) for row in range(rows) for col in range(cols)]
+    # Each node's outcome: a leaf Tile, or None when the node splits.
+    outcomes: dict[Node, Tile | None] = {}
+    nodes, level = roots, 0
+    while nodes:
+        at = np.array(nodes, dtype=np.intp)
+        rects = [rect_of(*node) for node in nodes]
+        n_valid = pyramid.levels[level][count, at[:, 1], at[:, 2]]
+        area = np.array([rect.area for rect in rects])
+        dense = (n_valid >= config.min_valid_fraction * area) & (
+            n_valid >= MIN_SAMPLES[config.formulation]
+        )
+        fits = iter(fit_level(level, at[dense], [r for r, ok in zip(rects, dense) if ok]))
+        children: list[Node] = []
+        for node, rect, ok in zip(nodes, rects, dense):
+            if not ok:
+                outcomes[node] = Tile(rect=rect, status=TileStatus.TOO_INVALID, level=level)
                 continue
+            result = next(fits)
             if config.error_metric == "max":
                 error = _max_residual(depth, maps, rect, result, config.formulation)
             else:
                 error = np.inf if result.rms_residual is None else result.rms_residual
+            quarters = _split(node, w, h, edge) if level < config.max_depth else []
             if not result.degenerate and error <= config.threshold:
-                outcomes[rect] = Tile(
+                outcomes[node] = Tile(
                     rect=rect, status=TileStatus.FITTED, level=level, result=result
                 )
-            elif (
-                level < config.max_depth
-                and rect.x1 - rect.x0 >= 2 * MIN_TILE_EDGE
-                and rect.y1 - rect.y0 >= 2 * MIN_TILE_EDGE
-            ):
-                outcomes[rect] = None
-                children.extend(_split(rect))
+            elif len(quarters) > 1:
+                outcomes[node] = None
+                children.extend(quarters)
             else:
-                outcomes[rect] = Tile(
+                outcomes[node] = Tile(
                     rect=rect, status=TileStatus.HIGH_ERROR, level=level, result=result
                 )
-        rects, level = children, level + 1
+        nodes, level = children, level + 1
 
     # Replay the tree in the depth-first order of a stack-driven walk, which
     # fixes the tile order k-means seeding sees.
     tiles: list[Tile] = []
-    pending = list(grid)
+    pending = list(roots)
     while pending:
-        rect = pending.pop()
-        tile = outcomes[rect]
-        if tile is None:
-            pending.extend(_split(rect))
+        node = pending.pop()
+        leaf = outcomes[node]
+        if leaf is None:
+            pending.extend(_split(node, w, h, edge))
         else:
-            tiles.append(tile)
+            tiles.append(leaf)
 
     warnings: list[str] = []
     fitted = [t for t in tiles if t.status is TileStatus.FITTED]
@@ -414,11 +420,9 @@ def segment(
         centroids = np.zeros((0, 4))
         warnings.append("no tiles were fitted")
 
-    labels = np.full((depth.height, depth.width), UNLABELED, dtype=np.int16)
-    for tile in tiles:
-        if tile.status is TileStatus.FITTED:
-            labels[tile.rect.y0 : tile.rect.y1, tile.rect.x0 : tile.rect.x1] = tile.cluster
-
+    labels = _paint(
+        tiles, [t.cluster for t in tiles], (h, w), np.array(UNLABELED, dtype=np.int16)
+    )
     return Segmentation(
         tiles=tiles,
         labels=labels,

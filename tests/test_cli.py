@@ -217,6 +217,23 @@ class TestExitCodes:
         assert "threshold must be positive" in capsys.readouterr().err
         assert not ppm.exists()
 
+    def test_tile_off_the_lattice_is_data_error(self, tmp_path, camera_file, scene_file, capsys):
+        # 50 px at depth 2 would split into 12- and 13-px tiles
+        depth_path = tmp_path / "depth.rf64"
+        main([
+            "synth", "--intrinsics", str(camera_file), "--scene", str(scene_file),
+            "--out", str(depth_path),
+        ])
+        ppm = tmp_path / "seg.ppm"
+        code = main([
+            "segment", "--intrinsics", str(camera_file), "--input", str(depth_path),
+            "--tile", "50", "--max-depth", "2", "--out", str(ppm),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "initial_tile 50" in err and "max_depth 2" in err
+        assert not ppm.exists()
+
     @pytest.mark.parametrize(
         "fx,plane,noise,named",
         [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,12 @@ from rangefit import (
     build_standard_implicit_channels,
     render_scene,
 )
-from rangefit.integral import CONSTANT_CHANNELS, FORMULATION_CHANNELS
+from rangefit.integral import (
+    CONSTANT_CHANNELS,
+    COUNT_CHANNEL,
+    FORMULATION_CHANNELS,
+    build_node_pyramid,
+)
 
 from conftest import random_visible_plane
 
@@ -409,3 +416,83 @@ class TestFormulationTable:
         assert spec.size == (4 if formulation in (IMPLICIT_STANDARD, IMPLICIT_RGBD) else 3)
         assert len(spec.layout) == spec.size * (spec.size + 1) // 2
         assert len(spec.rhs) == (0 if spec.size == 4 else 3)
+
+
+def _masked_lattices(depth: DepthImage, maps) -> dict[str, np.ndarray]:
+    """Every channel's masked per-pixel monomial, the count included."""
+    lattices = {
+        name: np.where(depth.valid, lattice, 0.0)
+        for name, lattice in _reference_lattices(depth, maps).items()
+    }
+    lattices[COUNT_CHANNEL] = depth.valid.astype(float)
+    return lattices
+
+
+class TestNodePyramid:
+    """Per-frame sums over the nodes of a fixed quadtree, against per-pixel sums."""
+
+    @pytest.mark.parametrize("size", [(64, 48), (97, 53)], ids=["64x48", "97x53"])
+    @pytest.mark.parametrize("holes", [False, True], ids=["hole-free", "holes"])
+    @pytest.mark.parametrize("with_constant", [False, True], ids=["maps", "constant"])
+    @pytest.mark.parametrize("formulation", [*FORMULATIONS, None])
+    def test_node_sums_match_masked_sums(self, formulation, with_constant, holes, size):
+        width, height = size
+        tile, max_depth = 16, 2
+        maps = _camera_maps(width, height)
+        depth = _frame(maps, holes)
+        constant = build_constant_channels(maps) if with_constant else None
+        pyramid = build_node_pyramid(depth, maps, formulation, tile, max_depth, constant)
+        names = {COUNT_CHANNEL}
+        if formulation is not None:
+            names |= set(_SCATTER[formulation]) | {_RESIDUAL.get(formulation, COUNT_CHANNEL)}
+            if formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
+                names |= set(CONSTANT_CHANNELS)
+        assert set(pyramid.index) == names
+        assert len(pyramid.levels) == max_depth + 1
+        lattices = _masked_lattices(depth, maps)
+        for level, sums in enumerate(pyramid.levels):
+            edge = tile >> level
+            rows, cols = -(-height // tile) << level, -(-width // tile) << level
+            assert sums.shape == (len(names), rows, cols)
+            for name, i in pyramid.index.items():
+                padded = np.zeros((rows * edge, cols * edge))
+                padded[:height, :width] = lattices[name]
+                expected = padded.reshape(rows, edge, cols, edge).sum(axis=(1, 3))
+                np.testing.assert_allclose(sums[i], expected, rtol=1e-12, atol=1e-12, err_msg=name)
+        count = pyramid.levels[-1][pyramid.index[COUNT_CHANNEL]]
+        assert count.sum() == depth.valid.sum()
+
+    @pytest.mark.parametrize("formulation", [IMPLICIT_STANDARD, EXPLICIT_RGBD])
+    def test_node_sums_at_1080p_are_exact_to_rounding(self, formulation):
+        # far corner and centre nodes of every level, against math.fsum; the
+        # tan sums come from the maps, written like the per-frame channels
+        from rangefit import CameraIntrinsics, compute_tan_maps
+
+        width, height, tile, max_depth = 1920, 1080, 64, 3
+        maps = compute_tan_maps(CameraIntrinsics(
+            fx=1920.0, fy=1920.0, cx=959.5, cy=539.5, width=width, height=height
+        ))
+        depth = _frame(maps, holes=True)
+        pyramid = build_node_pyramid(depth, maps, formulation, tile, max_depth)
+        lattices = _masked_lattices(depth, maps)
+        for level, sums in enumerate(pyramid.levels):
+            edge = tile >> level
+            for row, col in (((height - 1) // edge, (width - 1) // edge),
+                             (height // 2 // edge, width // 2 // edge)):
+                window = (slice(row * edge, (row + 1) * edge), slice(col * edge, (col + 1) * edge))
+                for name, i in pyramid.index.items():
+                    values = lattices[name][window].ravel()
+                    exact = math.fsum(values)
+                    bound = 1e-13 * math.fsum(np.abs(values))
+                    assert abs(sums[i, row, col] - exact) <= bound, (name, level, row, col)
+
+    def test_constant_stack_must_match_the_frame(self, small_maps):
+        depth = _frame(small_maps, holes=False)
+        other = build_constant_channels(_camera_maps(32, 24))
+        with pytest.raises(ValueError, match="dimensions"):
+            build_node_pyramid(depth, small_maps, IMPLICIT_RGBD, 16, 2, other)
+        frame_stack = build_channels(depth, small_maps, EXPLICIT_RGBD)
+        with pytest.raises(ValueError, match="missing channels: tx2"):
+            build_node_pyramid(depth, small_maps, IMPLICIT_RGBD, 16, 2, frame_stack)
+        with pytest.raises(ValueError, match="does not match"):
+            build_node_pyramid(depth, _camera_maps(32, 24), IMPLICIT_RGBD, 16, 2)

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import numpy as np
 import pytest
 
 import rangefit.fitting
+import rangefit.integral
 from rangefit import (
     EXPLICIT_RGBD,
     EXPLICIT_STANDARD,
     FORMULATIONS,
     IMPLICIT_RGBD,
     IMPLICIT_STANDARD,
+    CameraIntrinsics,
+    DepthImage,
     InsufficientSamplesError,
     GroundTruthPlane,
     NoiseModel,
@@ -22,7 +26,9 @@ from rangefit import (
     SyntheticScene,
     TileStatus,
     accumulate_scatter_naive,
+    build_channels,
     build_constant_channels,
+    compute_tan_maps,
     fit_explicit_rgbd,
     fit_implicit_standard,
     fit_rect,
@@ -32,7 +38,12 @@ from rangefit import (
     segment,
     tile_features,
 )
-from rangefit.segment import CLUSTER_PALETTE, build_frame_stack
+from rangefit.segment import (
+    CLUSTER_PALETTE,
+    HIGH_ERROR_COLOR,
+    TOO_INVALID_COLOR,
+    UNLABELED,
+)
 
 from conftest import random_visible_plane
 
@@ -183,7 +194,7 @@ def reference_leaves(depth, maps, config: SegConfig, constant) -> list[tuple]:
     by a one-window ``fit_rect``; returns (rect, level, status, result) in
     the walk's order.
     """
-    stack = build_frame_stack(depth, maps, config.formulation)
+    stack = build_channels(depth, maps, config.formulation)
     tile = config.initial_tile
     pending = [
         (Rect(x0, y0, min(x0 + tile, depth.width), min(y0 + tile, depth.height)), 0)
@@ -233,13 +244,13 @@ class TestSegment:
             min_valid_fraction=0.9, k=3, seed=0,
         )
         batch_calls = []
-        original = rangefit.fitting.fit_rects
+        original = rangefit.fitting.fit_sums
 
         def counting(*args, **kwargs):
-            batch_calls.append(len(args[2]))
+            batch_calls.append(len(args[0]["n"]))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(rangefit.fitting, "fit_rects", counting)
+        monkeypatch.setattr(rangefit.fitting, "fit_sums", counting)
         tiles = segment(depth, small_maps, config, constant=constant).tiles
         expected = reference_leaves(depth, small_maps, config, constant)
 
@@ -249,8 +260,13 @@ class TestSegment:
             if result is None:
                 assert tile.result is None
                 continue
+            # Node sums carry no summed-area cancellation, so the naive oracle
+            # is the exact side: on this frame the tiles' largest coefficient
+            # gap to it is 1.8e-10 (explicit-rgbd), against 5.1e-10 for the
+            # summed-area refits of the same rects.
+            naive = fit_rect(depth, small_maps, tile.rect, formulation, "naive")
             np.testing.assert_allclose(
-                tile.result.plane.coefficients, result.plane.coefficients, rtol=1e-12, atol=1e-12
+                tile.result.plane.coefficients, naive.plane.coefficients, rtol=0, atol=1e-9
             )
             assert tile.result.degenerate == result.degenerate
             assert tile.result.n_points == result.n_points
@@ -411,6 +427,9 @@ class TestSegment:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="subdivisions"):
             SegConfig(initial_tile=8, max_depth=3)
+        # off the lattice: 50 px would split into 12- and 13-px tiles
+        with pytest.raises(ValueError, match=r"initial_tile 50 .*max_depth 2"):
+            SegConfig(initial_tile=50, max_depth=2)
         with pytest.raises(ValueError, match="formulation"):
             SegConfig(formulation="nope")
         with pytest.raises(ValueError, match="threshold"):
@@ -421,11 +440,131 @@ class TestSegment:
             SegConfig(k=0)
 
     def test_image_smaller_than_min_tile_rejected(self, small_maps):
-        from rangefit import DepthImage
-
         with pytest.raises(ValueError, match="smaller"):
             segment(
                 DepthImage(values=np.ones((1, 10))),
                 small_maps,
                 SegConfig(),
             )
+
+
+def _maps(width: int, height: int):
+    return compute_tan_maps(CameraIntrinsics(
+        fx=60.0, fy=60.0, cx=(width - 1) / 2, cy=(height - 1) / 2, width=width, height=height
+    ))
+
+
+def reference_paint(result) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and colour image painted tile by tile at full resolution."""
+    labels = np.full(result.labels.shape, UNLABELED, dtype=np.int16)
+    rgb = np.zeros((*result.labels.shape, 3), dtype=np.uint8)
+    for tile in result.tiles:
+        r = tile.rect
+        if tile.status is TileStatus.FITTED:
+            labels[r.y0 : r.y1, r.x0 : r.x1] = tile.cluster
+            color = CLUSTER_PALETTE[tile.cluster % len(CLUSTER_PALETTE)]
+        elif tile.status is TileStatus.TOO_INVALID:
+            color = TOO_INVALID_COLOR
+        else:
+            color = HIGH_ERROR_COLOR
+        rgb[r.y0 : r.y1, r.x0 : r.x1] = color
+    return labels, rgb
+
+
+class TestNodePyramidSegment:
+    """The quadtree on the node lattice: ragged frames, the constant stack, painting."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1], ids=["hole-free", "holes"])
+    @pytest.mark.parametrize("size", [(100, 70), (97, 53)], ids=["100x70", "97x53"])
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_ragged_frames_tile_on_the_lattice(self, formulation, size, dropout):
+        width, height = size
+        maps = _maps(width, height)
+        depth, _ = render_scene(corner_scene(), maps, noise=NoiseModel(), seed=4, dropout=dropout)
+        threshold = SegConfig(formulation=formulation).threshold / 8
+        results = {
+            backend: segment(depth, maps, SegConfig(
+                formulation=formulation, backend=backend, initial_tile=16, max_depth=2,
+                rms_threshold=threshold, k=3, seed=0,
+            ))
+            for backend in ("naive", "integral")
+        }
+        for result in results.values():
+            coverage = np.zeros((height, width), dtype=np.int32)
+            for tile in result.tiles:
+                r = tile.rect
+                coverage[r.y0 : r.y1, r.x0 : r.x1] += 1
+                # every edge on the 4-px lattice or on the image border
+                assert r.x0 % 4 == 0 and r.y0 % 4 == 0, r
+                assert r.x1 % 4 == 0 or r.x1 == width, r
+                assert r.y1 % 4 == 0 or r.y1 == height, r
+                assert max(r.x1 - r.x0, r.y1 - r.y0) <= 16 >> tile.level, (r, tile.level)
+            assert (coverage == 1).all()
+            # ragged edge tiles were split, so the rule above was exercised
+            assert any(
+                t.level > 0 and (t.rect.x1 == width or t.rect.y1 == height) for t in result.tiles
+            )
+            if dropout == 0.0:
+                # min_valid_fraction is taken over the clipped area
+                assert result.n_too_invalid == 0
+        naive, integral = results["naive"], results["integral"]
+        assert [(t.rect, t.level, t.status) for t in naive.tiles] == [
+            (t.rect, t.level, t.status) for t in integral.tiles
+        ]
+        for a, b in zip(naive.tiles, integral.tiles):
+            if a.result is not None:
+                # 1e-6: a ragged 4x1 sliver holding 3 collinear samples is
+                # ill-conditioned; its two fits differ by 7e-7 (97x53, holes)
+                np.testing.assert_allclose(
+                    a.result.plane.coefficients, b.result.plane.coefficients, rtol=0, atol=1e-6
+                )
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1], ids=["hole-free", "holes"])
+    @pytest.mark.parametrize("formulation", [IMPLICIT_RGBD, EXPLICIT_RGBD])
+    def test_segment_builds_no_constant_stack(self, small_maps, formulation, dropout, monkeypatch):
+        depth, _ = render_scene(
+            corner_scene(), small_maps, noise=NoiseModel(), seed=5, dropout=dropout
+        )
+        config = SegConfig(formulation=formulation, initial_tile=16, max_depth=3, k=3, seed=0)
+        given = segment(depth, small_maps, config, constant=build_constant_channels(small_maps))
+        calls = []
+        original = rangefit.integral.build_constant_channels
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rangefit.integral, "build_constant_channels", counting)
+        # rangefit.segment names the function; the module is fetched by name
+        segment_module = importlib.import_module("rangefit.segment")
+        monkeypatch.setattr(segment_module, "build_constant_channels", counting, raising=False)
+        alone = segment(depth, small_maps, config)
+        assert calls == []
+        assert [(t.rect, t.level, t.status) for t in alone.tiles] == [
+            (t.rect, t.level, t.status) for t in given.tiles
+        ]
+        np.testing.assert_array_equal(alone.labels, given.labels)
+
+    @pytest.mark.parametrize("size", [(64, 48), (97, 53)], ids=["64x48", "97x53"])
+    def test_painting_matches_per_tile_reference(self, size):
+        width, height = size
+        maps = _maps(width, height)
+        planes = corner_scene().planes + (
+            GroundTruthPlane(np.array([0.0, 0.0, 1.0, -1.0]), mask_rect=(0, 0, 24, 20)),
+        )
+        depth, _ = render_scene(
+            SyntheticScene(planes), maps, noise=NoiseModel(), seed=6, dropout=0.1
+        )
+        valid = depth.valid.copy()
+        valid[height // 2 :, : width // 3] = False  # a rejected region
+        depth = DepthImage(values=depth.values, valid=valid)
+        result = segment(depth, maps, SegConfig(
+            formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=2,
+            rms_threshold=SegConfig().threshold / 8, k=3, seed=0,
+        ))
+        assert {t.status for t in result.tiles} == set(TileStatus)
+        labels, rgb = reference_paint(result)
+        assert result.labels.dtype == labels.dtype and result.labels.tobytes() == labels.tobytes()
+        color = result.to_color()
+        assert color.dtype == rgb.dtype and color.shape == rgb.shape
+        assert color.tobytes() == rgb.tobytes()
