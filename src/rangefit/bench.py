@@ -121,6 +121,13 @@ class BenchRow:
     seconds: float
 
 
+# Each ratio kind's (inverse-depth, standard) formulations.
+_RATIO_PAIRS = {
+    "implicit": (IMPLICIT_RGBD, IMPLICIT_STANDARD),
+    "explicit": (EXPLICIT_RGBD, EXPLICIT_STANDARD),
+}
+
+
 @dataclass
 class BenchReport:
     """Raw timing rows plus a digest of the (deterministic) fit outputs."""
@@ -137,24 +144,9 @@ class BenchReport:
             )
         return "\n".join(lines) + "\n"
 
-    def median_seconds(
-        self, method: str, backend: str, phase: str, plane_count: int | None = None
-    ) -> float:
-        values = [
-            r.seconds
-            for r in self.rows
-            if r.method == method
-            and r.backend == backend
-            and r.phase == phase
-            and (plane_count is None or r.plane_count == plane_count)
-        ]
-        if not values:
-            raise ValueError(f"no rows for {method}/{backend}/{phase}/{plane_count}")
-        return statistics.median(values)
-
-    def spread_seconds(
-        self, method: str, backend: str, phase: str, plane_count: int | None = None
-    ) -> tuple[float, float, float]:
+    def _seconds(
+        self, method: str, backend: str, phase: str, plane_count: int | None
+    ) -> list[float]:
         values = sorted(
             r.seconds
             for r in self.rows
@@ -165,32 +157,35 @@ class BenchReport:
         )
         if not values:
             raise ValueError(f"no rows for {method}/{backend}/{phase}/{plane_count}")
+        return values
+
+    def median_seconds(
+        self, method: str, backend: str, phase: str, plane_count: int | None = None
+    ) -> float:
+        return statistics.median(self._seconds(method, backend, phase, plane_count))
+
+    def spread_seconds(
+        self, method: str, backend: str, phase: str, plane_count: int | None = None
+    ) -> tuple[float, float, float]:
+        values = self._seconds(method, backend, phase, plane_count)
         return values[0], statistics.median(values), values[-1]
+
+    def _ratio(self, kind: str, phase: str, plane_count: int | None = None) -> float:
+        """Median ``phase`` time on the integral backend, inverse-depth over standard."""
+        if kind not in _RATIO_PAIRS:
+            raise ValueError(f"kind must be 'implicit' or 'explicit', got {kind!r}")
+        rgbd, standard = _RATIO_PAIRS[kind]
+        return self.median_seconds(rgbd, "integral", phase, plane_count) / self.median_seconds(
+            standard, "integral", phase, plane_count
+        )
 
     def build_ratio(self, kind: str) -> float:
         """Median per-frame channel-build time, inverse-depth over standard."""
-        if kind == "implicit":
-            num, den = IMPLICIT_RGBD, IMPLICIT_STANDARD
-        elif kind == "explicit":
-            num, den = EXPLICIT_RGBD, EXPLICIT_STANDARD
-        else:
-            raise ValueError(f"kind must be 'implicit' or 'explicit', got {kind!r}")
-        return self.median_seconds(num, "integral", "build") / self.median_seconds(
-            den, "integral", "build"
-        )
+        return self._ratio(kind, "build")
 
     def per_fit_ratio(self, kind: str) -> float:
         """Median per-fit time ratio (integral backend) at the largest sweep."""
-        if kind == "implicit":
-            num, den = IMPLICIT_RGBD, IMPLICIT_STANDARD
-        elif kind == "explicit":
-            num, den = EXPLICIT_RGBD, EXPLICIT_STANDARD
-        else:
-            raise ValueError(f"kind must be 'implicit' or 'explicit', got {kind!r}")
-        count = max(n for n in self.config.plane_counts if n > 0)
-        return self.median_seconds(num, "integral", "fit", count) / self.median_seconds(
-            den, "integral", "fit", count
-        )
+        return self._ratio(kind, "fit", max(n for n in self.config.plane_counts if n > 0))
 
     def summary(self) -> str:
         lines = []

@@ -48,7 +48,6 @@ from .camera import TanAngleMaps
 from .errors import DegenerateFitError, InsufficientSamplesError
 from .integral import (
     CONSTANT_CHANNELS,
-    COUNT_CHANNEL,
     EXPLICIT_RGBD,
     EXPLICIT_STANDARD,
     FORMULATION_CHANNELS,
@@ -83,6 +82,13 @@ _CANONICAL_EPS = 1e-9
 _EIGEN_TIE_REL = 1e-9
 
 _PIVOT_REL = 1e-12
+
+# A plane nearer the camera centre than this fraction of its window's depth
+# is flagged degenerate: it fits the samples of one image row or column (a
+# 1-px window) exactly, and is no surface.  Rounding leaves such fits up to
+# 1.5e-5 off (summed-area sums at 1920x1080); steep box faces in cluttered
+# scenes sit 2e-3 away.
+_CENTRE_REL = 1e-4
 
 CSV_HEADER = "formulation,backend,x0,y0,x1,y1,a,b,c,d,lambda,rms,n_points"
 
@@ -177,8 +183,8 @@ class FitResult:
     residual (algebraic, formulation-specific); None when the inputs did not
     carry enough information to compute it.  ``eigenvalue`` is the smallest
     scatter eigenvalue for implicit fits.  ``degenerate`` marks ambiguous or
-    rank-deficient systems; the coefficients are then a minimum-norm choice
-    and should not be trusted.
+    rank-deficient systems and planes through the camera centre; the
+    coefficients should then not be trusted.
     """
 
     plane: ImplicitPlane | ExplicitPlane
@@ -520,16 +526,35 @@ def _require_n(n: int, minimum: int) -> None:
         raise InsufficientSamplesError(f"fit needs at least {minimum} samples, got {n}")
 
 
-def _implicit_fits(matrices: np.ndarray, counts: np.ndarray) -> list[FitResult]:
+def _near_centre(offset, normal, mean, space: str):
+    """Whether planes ``normal . P + offset = 0`` lie within ``_CENTRE_REL`` of
+    their windows' depth of the camera centre.
+
+    ``mean`` is the mean depth in standard space and the mean inverse depth
+    in rgbd space.  Works on floats and on arrays alike.
+    """
+    if space == SPACE_RGBD:
+        return abs(offset) * mean <= _CENTRE_REL * normal
+    return abs(offset) <= _CENTRE_REL * mean * normal
+
+
+def _implicit_fits(matrices: np.ndarray, counts: np.ndarray, space: str) -> list[FitResult]:
     """Implicit fits of an (N, 4, 4) scatter stack with N sample counts."""
     values, vectors = _eigh(matrices)
     lam = values[:, 0]
     fro = np.linalg.norm(values, axis=1)  # Frobenius norm of a symmetric matrix
-    degenerate = (fro == 0.0) | (values[:, 1] - lam <= _EIGEN_TIE_REL * fro)
+    v = vectors[:, :, 0]
+    # scatter entry (2, 3) sums the depths (standard) or inverse depths (rgbd)
+    mean = matrices[:, 2, 3] / counts
+    degenerate = (
+        (fro == 0.0)
+        | (values[:, 1] - lam <= _EIGEN_TIE_REL * fro)
+        | _near_centre(v[:, 3], np.linalg.norm(v[:, :3], axis=1), mean, space)
+    )
     rms = np.sqrt(np.maximum(lam, 0.0) / counts)
     return [
         FitResult(
-            plane=ImplicitPlane(vectors[i, :, 0]),
+            plane=ImplicitPlane(v[i]),
             n_points=int(counts[i]),
             rms_residual=float(rms[i]),
             eigenvalue=float(lam[i]),
@@ -539,9 +564,9 @@ def _implicit_fits(matrices: np.ndarray, counts: np.ndarray) -> list[FitResult]:
     ]
 
 
-def _fit_implicit(scatter: Scatter4) -> FitResult:
+def _fit_implicit(scatter: Scatter4, space: str) -> FitResult:
     _require_n(scatter.n, 4)
-    return _implicit_fits(scatter.matrix[None], np.array([scatter.n]))[0]
+    return _implicit_fits(scatter.matrix[None], np.array([scatter.n]), space)[0]
 
 
 def fit_implicit_standard(scatter: Scatter4) -> FitResult:
@@ -550,7 +575,7 @@ def fit_implicit_standard(scatter: Scatter4) -> FitResult:
     The rms residual is the algebraic residual sqrt(lambda / N) under the
     unit-coefficient constraint.
     """
-    return _fit_implicit(scatter)
+    return _fit_implicit(scatter, SPACE_STANDARD)
 
 
 def fit_implicit_rgbd(scatter: Scatter4) -> FitResult:
@@ -561,7 +586,7 @@ def fit_implicit_rgbd(scatter: Scatter4) -> FitResult:
     a*X + b*Y + c*Z + d = 0.  The rms residual lives in the inverse-depth
     algebraic metric, not in meters.
     """
-    return _fit_implicit(scatter)
+    return _fit_implicit(scatter, SPACE_RGBD)
 
 
 def _explicit_result(
@@ -580,6 +605,11 @@ def _explicit_result(
         # tiny negatives the same rounding can produce.
         sq = max(float(target_sq) - float(alpha @ rhs), 0.0)
         rms = math.sqrt(sq / n)
+    # rhs[2] sums the depths (standard) or inverse depths (rgbd); the
+    # implicit forms are (a, b, -1, c) and (a, b, c, -1)
+    a, b, c = (float(v) for v in alpha)
+    offset, normal = (1.0, math.hypot(a, b, c)) if space == SPACE_RGBD else (c, math.hypot(a, b, 1))
+    degenerate = bool(degenerate or _near_centre(offset, normal, float(rhs[2]) / n, space))
     plane = ExplicitPlane(coefficients=alpha, space=space)
     return FitResult(plane=plane, n_points=n, rms_residual=rms, degenerate=degenerate)
 
@@ -648,7 +678,6 @@ class ExplicitRgbdFitter:
         if matrix is None:
             _check_rect(rect, self.constant.width, self.constant.height)
             sums = _gather(self.constant, _box_corners(rect, self.constant.width))
-            sums["n"] = sums[COUNT_CHANNEL]
             matrix = self._matrices[rect] = _scatter_matrix(sums, self._spec)
         return matrix
 
@@ -797,8 +826,9 @@ def fit_sums(sums: dict[str, np.ndarray], formulation: str) -> list[FitResult]:
     if len(n) == 0:
         return []
     matrices, rhs, target_sq = _system(sums, FORMULATION_CHANNELS[formulation])
+    space = SPACE_STANDARD if formulation in (IMPLICIT_STANDARD, EXPLICIT_STANDARD) else SPACE_RGBD
     if rhs is None:
-        return _implicit_fits(matrices, n)
+        return _implicit_fits(matrices, n, space)
     if target_sq is None:
         target_sq = [None] * len(n)
     factor, solvable = _cholesky3_batch(matrices)
@@ -806,7 +836,6 @@ def fit_sums(sums: dict[str, np.ndarray], formulation: str) -> list[FitResult]:
         alpha = np.stack(_cholesky_substitute(factor, rhs[:, 0], rhs[:, 1], rhs[:, 2]), axis=1)
     for i in np.flatnonzero(~solvable):
         alpha[i] = _pinv_solve(matrices[i], rhs[i])
-    space = SPACE_STANDARD if formulation == EXPLICIT_STANDARD else SPACE_RGBD
     return [
         _explicit_result(alpha[i], rhs[i], int(n[i]), target_sq[i], space, not solvable[i])
         for i in range(len(n))

@@ -51,7 +51,7 @@ from .synth import DepthImage
 
 CONSTANT_CHANNELS = ("tx2", "txty", "ty2", "tx", "ty")
 
-COUNT_CHANNEL = "count"
+COUNT_CHANNEL = "n"  # the name ``FORMULATION_CHANNELS`` layouts give the count
 
 IMPLICIT_STANDARD = "implicit-standard"
 IMPLICIT_RGBD = "implicit-rgbd"

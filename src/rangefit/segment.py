@@ -8,8 +8,11 @@ tile is cut where a full tile would be, and its children are clipped to the
 image, so every tile edge lies on the ``initial_tile >> max_depth`` lattice
 or on the image border.  The integral backend sums each frame's channels
 over those nodes once and fits a whole level with one batched solve.
-K-means over the fitted tiles' plane coefficients then groups coplanar tiles
-into labeled segments.
+The walk visits each level once, its nodes held as arrays and its decisions
+as masks; leaves are sorted by key into the depth-first order that k-means
+seeding sees.  A 1-px sliver's fit is the viewing plane through the camera
+centre, so it comes back degenerate.  K-means over the fitted tiles' plane
+coefficients then groups coplanar tiles into labeled segments.
 """
 
 from __future__ import annotations
@@ -279,31 +282,18 @@ def _paint(
     return np.repeat(np.repeat(grid, np.diff(ys), axis=0), np.diff(xs), axis=1)
 
 
-Node = tuple[int, int, int]  # (level, row, col) in the quadtree of a NodePyramid
-
-
-def _split(node: Node, width: int, height: int, tile: int) -> list[Node]:
-    """A node's children: its quarters, cut where a full tile is cut and clipped to the image.
-
-    Quarters wholly outside the image are dropped, so a ragged edge tile
-    has one, two or four children.
-    """
-    level, row, col = node
-    half = tile >> (level + 1)
-    return [
-        (level + 1, 2 * row + dr, 2 * col + dc)
-        for dr in (0, 1)
-        for dc in (0, 1)
-        if (2 * row + dr) * half < height and (2 * col + dc) * half < width
-    ]
-
-
-def _max_residual(
-    depth: DepthImage, maps: TanAngleMaps, rect: Rect, result: FitResult, formulation: str
+def _error(
+    depth: DepthImage, maps: TanAngleMaps, rect: Rect, result: FitResult, config: SegConfig
 ) -> float:
-    """Max absolute residual of the fitted objective over the tile's pixels."""
-    samples = fitting.gather_window_samples(depth, maps, rect, formulation)
-    rows, target = fitting._monomial_rows(samples, formulation)
+    """A fitted tile's error under ``config.error_metric``.
+
+    ``"max"`` is the max absolute residual of the fitted objective over the
+    tile's pixels.
+    """
+    if config.error_metric == "rms":
+        return np.inf if result.rms_residual is None else result.rms_residual
+    samples = fitting.gather_window_samples(depth, maps, rect, config.formulation)
+    rows, target = fitting._monomial_rows(samples, config.formulation)
     res = rows @ result.plane.coefficients
     if target is not None:
         res -= target
@@ -338,72 +328,55 @@ def segment(
         depth, maps, config.formulation if integral else None,
         config.initial_tile, config.max_depth, constant,
     )
-    count = pyramid.index[COUNT_CHANNEL]
-    w, h, edge = depth.width, depth.height, config.initial_tile
-
-    def rect_of(level: int, row: int, col: int) -> Rect:
-        size = edge >> level
-        return Rect(col * size, row * size, min((col + 1) * size, w), min((row + 1) * size, h))
-
-    def fit_level(level: int, at: np.ndarray, rects: list[Rect]) -> list[FitResult]:
-        """Fits of one level's tiles at (level, row, col) rows ``at``, each dense enough to fit."""
-        if not integral:
-            return [
-                fitting.fit_rect(depth, maps, rect, config.formulation, "naive") for rect in rects
-            ]
-        sums = pyramid.sums(level, at[:, 1], at[:, 2])
-        sums["n"] = sums[COUNT_CHANNEL]
-        return fitting.fit_sums(sums, config.formulation)
-
-    rows, cols = pyramid.levels[0].shape[1:]
-    roots = [(0, row, col) for row in range(rows) for col in range(cols)]
-    # Each node's outcome: a leaf Tile, or None when the node splits.
-    outcomes: dict[Node, Tile | None] = {}
-    nodes, level = roots, 0
-    while nodes:
-        at = np.array(nodes, dtype=np.intp)
-        rects = [rect_of(*node) for node in nodes]
-        n_valid = pyramid.levels[level][count, at[:, 1], at[:, 2]]
-        area = np.array([rect.area for rect in rects])
-        dense = (n_valid >= config.min_valid_fraction * area) & (
+    w, h, threshold = depth.width, depth.height, config.threshold
+    # A level's nodes: (row, col) on the level's grid, and a key, the root's
+    # row-major index followed by two bits per level for the quarter taken.
+    rows, cols = (a.ravel() for a in np.indices(pyramid.levels[0].shape[1:]))
+    keys, quarter = np.arange(rows.size), np.arange(4)
+    leaves: dict[int, Tile] = {}  # by key, shifted to the finest level
+    level = 0
+    while rows.size:
+        size = config.initial_tile >> level
+        half = size >> 1
+        x0, y0 = cols * size, rows * size
+        x1, y1 = np.minimum(x0 + size, w), np.minimum(y0 + size, h)
+        n_valid = pyramid.levels[level][pyramid.index[COUNT_CHANNEL], rows, cols]
+        dense = (n_valid >= config.min_valid_fraction * (x1 - x0) * (y1 - y0)) & (
             n_valid >= MIN_SAMPLES[config.formulation]
         )
-        fits = iter(fit_level(level, at[dense], [r for r, ok in zip(rects, dense) if ok]))
-        children: list[Node] = []
-        for node, rect, ok in zip(nodes, rects, dense):
-            if not ok:
-                outcomes[node] = Tile(rect=rect, status=TileStatus.TOO_INVALID, level=level)
-                continue
-            result = next(fits)
-            if config.error_metric == "max":
-                error = _max_residual(depth, maps, rect, result, config.formulation)
-            else:
-                error = np.inf if result.rms_residual is None else result.rms_residual
-            quarters = _split(node, w, h, edge) if level < config.max_depth else []
-            if not result.degenerate and error <= config.threshold:
-                outcomes[node] = Tile(
-                    rect=rect, status=TileStatus.FITTED, level=level, result=result
-                )
-            elif len(quarters) > 1:
-                outcomes[node] = None
-                children.extend(quarters)
-            else:
-                outcomes[node] = Tile(
-                    rect=rect, status=TileStatus.HIGH_ERROR, level=level, result=result
-                )
-        nodes, level = children, level + 1
-
-    # Replay the tree in the depth-first order of a stack-driven walk, which
-    # fixes the tile order k-means seeding sees.
-    tiles: list[Tile] = []
-    pending = list(roots)
-    while pending:
-        node = pending.pop()
-        leaf = outcomes[node]
-        if leaf is None:
-            pending.extend(_split(node, w, h, edge))
+        # a node splits only into more than one child inside the image
+        splittable = (level < config.max_depth) & ((x0 + half < w) | (y0 + half < h))
+        rects = [Rect(*r) for r in np.stack((x0, y0, x1, y1), axis=1).tolist()]
+        if integral:
+            sums = pyramid.sums(level, rows[dense], cols[dense])
+            fits = iter(fitting.fit_sums(sums, config.formulation))
         else:
-            tiles.append(leaf)
+            fits = (
+                fitting.fit_rect(depth, maps, rects[i], config.formulation, "naive")
+                for i in np.flatnonzero(dense)
+            )
+        split = np.zeros(rows.size, dtype=bool)
+        for i, (rect, key) in enumerate(zip(rects, keys.tolist())):
+            result = next(fits) if dense[i] else None
+            if result is None:
+                status = TileStatus.TOO_INVALID
+            elif not result.degenerate and _error(depth, maps, rect, result, config) <= threshold:
+                status = TileStatus.FITTED
+            elif splittable[i]:
+                split[i] = True
+                continue
+            else:
+                status = TileStatus.HIGH_ERROR
+            leaves[key << 2 * (config.max_depth - level)] = Tile(rect, status, level, result)
+        rows = (2 * rows[split, None] + quarter // 2).ravel()
+        cols = (2 * cols[split, None] + quarter % 2).ravel()
+        keys = (4 * keys[split, None] + quarter).ravel()
+        inside = (rows * half < h) & (cols * half < w)
+        rows, cols, keys, level = rows[inside], cols[inside], keys[inside], level + 1
+    # Descending keys give the depth-first order of a walk that pops the last
+    # root first and pushes a split node's quarters in order: the order in
+    # which k-means seeding sees the fitted tiles.
+    tiles = [leaves[key] for key in sorted(leaves, reverse=True)]
 
     warnings: list[str] = []
     fitted = [t for t in tiles if t.status is TileStatus.FITTED]

@@ -192,12 +192,18 @@ def reference_leaves(depth, maps, config: SegConfig, constant) -> list[tuple]:
 
     A stack of pending tiles, each counted by ``np.count_nonzero`` and fitted
     by a one-window ``fit_rect``; returns (rect, level, status, result) in
-    the walk's order.
+    the walk's order.  A tile's quarters are cut where a full tile's would
+    be and clipped to the image; empty quarters are dropped, and a tile
+    with fewer than two quarters left does not split.
     """
     stack = build_channels(depth, maps, config.formulation)
     tile = config.initial_tile
+
+    def clip(x0, y0, size):
+        return Rect(x0, y0, min(x0 + size, depth.width), min(y0 + size, depth.height))
+
     pending = [
-        (Rect(x0, y0, min(x0 + tile, depth.width), min(y0 + tile, depth.height)), 0)
+        (clip(x0, y0, tile), 0)
         for y0 in range(0, depth.height, tile)
         for x0 in range(0, depth.width, tile)
     ]
@@ -215,29 +221,30 @@ def reference_leaves(depth, maps, config: SegConfig, constant) -> list[tuple]:
         except InsufficientSamplesError:
             leaves.append((rect, level, TileStatus.TOO_INVALID, None))
             continue
+        half = tile >> (level + 1)
+        quarters = [
+            clip(x0, y0, half)
+            for y0 in (rect.y0, rect.y0 + half)
+            for x0 in (rect.x0, rect.x0 + half)
+            if x0 < depth.width and y0 < depth.height
+        ]
         rms = np.inf if result.rms_residual is None else result.rms_residual
         if not result.degenerate and rms <= config.threshold:
             leaves.append((rect, level, TileStatus.FITTED, result))
-        elif level < config.max_depth and min(rect.x1 - rect.x0, rect.y1 - rect.y0) >= 4:
-            xm = rect.x0 + (rect.x1 - rect.x0) // 2
-            ym = rect.y0 + (rect.y1 - rect.y0) // 2
-            pending.extend(
-                (child, level + 1)
-                for child in (
-                    Rect(rect.x0, rect.y0, xm, ym), Rect(xm, rect.y0, rect.x1, ym),
-                    Rect(rect.x0, ym, xm, rect.y1), Rect(xm, ym, rect.x1, rect.y1),
-                )
-            )
+        elif level < config.max_depth and len(quarters) > 1:
+            pending.extend((quarter, level + 1) for quarter in quarters)
         else:
             leaves.append((rect, level, TileStatus.HIGH_ERROR, result))
     return leaves
 
 
 class TestSegment:
+    @pytest.mark.parametrize("size", [(64, 48), (97, 53)], ids=["64x48", "97x53"])
     @pytest.mark.parametrize("formulation", FORMULATIONS)
-    def test_leaves_match_one_window_refits(self, small_maps, formulation, monkeypatch):
-        depth, _ = render_scene(corner_scene(), small_maps, noise=NoiseModel(), seed=12, dropout=0.1)
-        constant = build_constant_channels(small_maps)
+    def test_leaves_match_one_window_refits(self, small_maps, formulation, size, monkeypatch):
+        maps = small_maps if size == (64, 48) else _maps(*size)
+        depth, _ = render_scene(corner_scene(), maps, noise=NoiseModel(), seed=12, dropout=0.1)
+        constant = build_constant_channels(maps)
         config = SegConfig(
             formulation=formulation, initial_tile=16, max_depth=3,
             rms_threshold=SegConfig(formulation=formulation).threshold / 8,
@@ -251,8 +258,8 @@ class TestSegment:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(rangefit.fitting, "fit_sums", counting)
-        tiles = segment(depth, small_maps, config, constant=constant).tiles
-        expected = reference_leaves(depth, small_maps, config, constant)
+        tiles = segment(depth, maps, config, constant=constant).tiles
+        expected = reference_leaves(depth, maps, config, constant)
 
         assert len(tiles) == len(expected)
         for tile, (rect, level, status, result) in zip(tiles, expected):
@@ -261,10 +268,10 @@ class TestSegment:
                 assert tile.result is None
                 continue
             # Node sums carry no summed-area cancellation, so the naive oracle
-            # is the exact side: on this frame the tiles' largest coefficient
+            # is the exact side: on the 64x48 frame the largest coefficient
             # gap to it is 1.8e-10 (explicit-rgbd), against 5.1e-10 for the
             # summed-area refits of the same rects.
-            naive = fit_rect(depth, small_maps, tile.rect, formulation, "naive")
+            naive = fit_rect(depth, maps, tile.rect, formulation, "naive")
             np.testing.assert_allclose(
                 tile.result.plane.coefficients, naive.plane.coefficients, rtol=0, atol=1e-9
             )
@@ -507,6 +514,15 @@ class TestNodePyramidSegment:
             if dropout == 0.0:
                 # min_valid_fraction is taken over the clipped area
                 assert result.n_too_invalid == 0
+            # A 1-px sliver's samples lie on one image column or row; their
+            # viewing plane, through the camera centre, fits them exactly.
+            slivers = [
+                t for t in result.tiles
+                if t.result is not None and 1 in (t.rect.x1 - t.rect.x0, t.rect.y1 - t.rect.y0)
+            ]
+            assert bool(slivers) == (width == 97)
+            for t in slivers:
+                assert t.result.degenerate and t.status is TileStatus.HIGH_ERROR, t.rect
         naive, integral = results["naive"], results["integral"]
         assert [(t.rect, t.level, t.status) for t in naive.tiles] == [
             (t.rect, t.level, t.status) for t in integral.tiles
