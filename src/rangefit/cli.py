@@ -8,6 +8,7 @@ go to standard error; data goes to standard output or ``--out``.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -91,6 +92,7 @@ def _build_parser() -> _Parser:
     p_seg.add_argument("--metric", choices=("rms", "max"), default="rms")
     p_seg.add_argument("--out", required=True, help="color PPM label image")
     p_seg.add_argument("--csv", help="optional per-tile CSV")
+    p_seg.add_argument("--stats", help="optional JSON of per-level quadtree counts")
 
     p_bench = sub.add_parser("bench", help="run the timing comparison and emit CSV")
     p_bench.add_argument("--width", type=int, default=640)
@@ -169,6 +171,8 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     imageio.write_ppm(args.out, result.to_color())
     if args.csv:
         Path(args.csv).write_text(result.to_csv())
+    if args.stats:
+        Path(args.stats).write_text(json.dumps(result.stats(), indent=2) + "\n")
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return 0

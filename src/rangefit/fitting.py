@@ -32,15 +32,19 @@ factorization, which ``ExplicitRgbdFitter`` caches per window.
 fits many windows of one frame at once, gathering every box sum with one
 indexed read per channel and solving the whole batch with array operations
 in :func:`fit_sums`, which also fits windows whose sums come from elsewhere.
-A per-window solve in pure Python would cost more than the box sums the
-camera-constant channels save.
+A batch comes back as a :class:`FitBatch` of arrays, its canonical implicit
+coefficients formed in one vectorised pass; a :class:`FitResult` is built
+only for the rows a caller asks for.  A per-window solve or result object in
+pure Python would cost more than the box sums the camera-constant channels
+save.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -112,6 +116,41 @@ def canonicalize_implicit(coefficients: np.ndarray) -> np.ndarray:
         if abs(unit[idx]) > _CANONICAL_EPS:
             return unit if unit[idx] > 0 else -unit
     return unit
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of two (N, k) arrays.
+
+    On contiguous rows ``matmul`` forms each one with the dot kernel that
+    ``a[i] @ b[i]`` and ``np.linalg.norm`` use on one vector, so the rows
+    round like them.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _first_sign(values: np.ndarray, order: tuple[int, ...], eps: float) -> np.ndarray:
+    """Per row, -1.0 when the first entry in ``order`` of magnitude over ``eps`` is
+    negative, else 1.0 (no such entry included)."""
+    cols = values[:, order]
+    big = np.abs(cols) > eps
+    first = cols[np.arange(len(cols)), big.argmax(axis=1)]
+    return np.where(big.any(axis=1) & (first < 0), -1.0, 1.0)
+
+
+def canonicalize_implicit_rows(coefficients: np.ndarray) -> np.ndarray:
+    """:func:`canonicalize_implicit` of every row of an (N, 4) array in one pass.
+
+    Rows of zero or non-finite norm come back NaN instead of raising.
+    """
+    coef = np.asarray(coefficients, dtype=np.float64)
+    if coef.ndim != 2 or coef.shape[1] != 4:
+        raise ValueError(f"expected (N, 4) coefficients, got shape {coef.shape}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm = np.sqrt(_row_dot(coef, coef))
+        unit = coef / norm[:, None]
+    unit[(norm == 0) | ~np.isfinite(norm)] = np.nan
+    return unit * _first_sign(unit, (2, 1, 0, 3), _CANONICAL_EPS)[:, None]
 
 
 @dataclass(frozen=True)
@@ -192,6 +231,104 @@ class FitResult:
     rms_residual: float | None
     eigenvalue: float | None = None
     degenerate: bool = False
+
+
+@dataclass(frozen=True)
+class FitBatch:
+    """Fits of N windows as arrays, one row per window.
+
+    ``coefficients`` holds each fit's native coefficients: (N, 4) implicit
+    or (N, 3) explicit, read in ``space``.  ``rms`` is NaN where there is
+    none, ``eigenvalue`` NaN for explicit fits; ``n_points`` and
+    ``degenerate`` are as in :class:`FitResult`.  ``fitted`` is False for a
+    window that held too few samples; its other entries are NaN, 0 or False.
+    ``batch[i]`` builds row i's :class:`FitResult`, or None where it is not
+    fitted; slices, ``len`` and iteration make the batch read like a list of
+    them.
+    """
+
+    coefficients: np.ndarray
+    rms: np.ndarray
+    eigenvalue: np.ndarray
+    n_points: np.ndarray
+    degenerate: np.ndarray
+    fitted: np.ndarray
+    space: str
+
+    @cached_property
+    def canonical(self) -> np.ndarray:
+        """(N, 4) canonical implicit coefficients; NaN rows where not fitted."""
+        if self.coefficients.shape[1] == 4:
+            return canonicalize_implicit_rows(self.coefficients)
+        return explicit_to_implicit_rows(self.coefficients, self.space)
+
+    def __len__(self) -> int:
+        return len(self.fitted)
+
+    def __iter__(self) -> Iterator[FitResult | None]:
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, i: int | slice) -> FitResult | None | list[FitResult | None]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        if not self.fitted[i]:
+            return None
+        rms = float(self.rms[i])
+        if self.coefficients.shape[1] == 4:
+            plane: ImplicitPlane | ExplicitPlane = ImplicitPlane(self.coefficients[i])
+            eigenvalue: float | None = float(self.eigenvalue[i])
+        else:
+            plane, eigenvalue = ExplicitPlane(self.coefficients[i], self.space), None
+        return FitResult(
+            plane=plane,
+            n_points=int(self.n_points[i]),
+            rms_residual=None if math.isnan(rms) else rms,
+            eigenvalue=eigenvalue,
+            degenerate=bool(self.degenerate[i]),
+        )
+
+    def _arrays(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in _UNFITTED}
+
+    def take(self, rows: np.ndarray) -> FitBatch:
+        """The batch of the given rows, in their order."""
+        return FitBatch(**{k: a[rows] for k, a in self._arrays().items()}, space=self.space)
+
+    def expand(self, rows: np.ndarray, size: int) -> FitBatch:
+        """A batch of ``size`` rows holding this one's at ``rows``, unfitted elsewhere."""
+        out = _unfitted(size, self.coefficients.shape[1], self.space)
+        for name, a in self._arrays().items():
+            getattr(out, name)[rows] = a
+        return out
+
+    @staticmethod
+    def concatenate(batches: list[FitBatch]) -> FitBatch:
+        """One batch of the given batches' rows, in order; they share a space."""
+        arrays = [b._arrays() for b in batches]
+        return FitBatch(
+            **{k: np.concatenate([a[k] for a in arrays]) for k in _UNFITTED},
+            space=batches[0].space,
+        )
+
+
+# What each row array of a FitBatch holds where a window is not fitted.
+_UNFITTED = {
+    "coefficients": np.nan,
+    "rms": np.nan,
+    "eigenvalue": np.nan,
+    "n_points": 0,
+    "degenerate": False,
+    "fitted": False,
+}
+
+
+def _unfitted(size: int, width: int, space: str) -> FitBatch:
+    """A batch of ``size`` unfitted rows of ``width`` coefficients."""
+    shape = {"coefficients": (size, width)}
+    return FitBatch(
+        **{k: np.full(shape.get(k, size), fill) for k, fill in _UNFITTED.items()}, space=space
+    )
 
 
 class CholeskyFactor(NamedTuple):
@@ -332,6 +469,11 @@ def _pinv_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _check_formulation(formulation: str) -> None:
     if formulation not in FORMULATIONS:
         raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
+
+
+def _space(formulation: str) -> str:
+    """The space a formulation's coefficients are read in."""
+    return SPACE_STANDARD if formulation in (IMPLICIT_STANDARD, EXPLICIT_STANDARD) else SPACE_RGBD
 
 
 def _symmetrize(matrix: np.ndarray) -> np.ndarray:
@@ -538,8 +680,14 @@ def _near_centre(offset, normal, mean, space: str):
     return abs(offset) <= _CENTRE_REL * mean * normal
 
 
-def _implicit_fits(matrices: np.ndarray, counts: np.ndarray, space: str) -> list[FitResult]:
-    """Implicit fits of an (N, 4, 4) scatter stack with N sample counts."""
+def _implicit_fits(
+    matrices: np.ndarray, counts: np.ndarray, space: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Implicit fits of an (N, 4, 4) scatter stack with N sample counts.
+
+    Returns the (N, 4) eigenvectors and the (N,) rms, smallest eigenvalues
+    and degenerate flags.
+    """
     values, vectors = _eigh(matrices)
     lam = values[:, 0]
     fro = np.linalg.norm(values, axis=1)  # Frobenius norm of a symmetric matrix
@@ -552,21 +700,20 @@ def _implicit_fits(matrices: np.ndarray, counts: np.ndarray, space: str) -> list
         | _near_centre(v[:, 3], np.linalg.norm(v[:, :3], axis=1), mean, space)
     )
     rms = np.sqrt(np.maximum(lam, 0.0) / counts)
-    return [
-        FitResult(
-            plane=ImplicitPlane(v[i]),
-            n_points=int(counts[i]),
-            rms_residual=float(rms[i]),
-            eigenvalue=float(lam[i]),
-            degenerate=bool(degenerate[i]),
-        )
-        for i in range(len(counts))
-    ]
+    return v, rms, lam, degenerate
 
 
 def _fit_implicit(scatter: Scatter4, space: str) -> FitResult:
+    # builds its one result directly: a FitBatch costs more than it saves here
     _require_n(scatter.n, 4)
-    return _implicit_fits(scatter.matrix[None], np.array([scatter.n]), space)[0]
+    v, rms, lam, degenerate = _implicit_fits(scatter.matrix[None], np.array([scatter.n]), space)
+    return FitResult(
+        plane=ImplicitPlane(v[0]),
+        n_points=scatter.n,
+        rms_residual=float(rms[0]),
+        eigenvalue=float(lam[0]),
+        degenerate=bool(degenerate[0]),
+    )
 
 
 def fit_implicit_standard(scatter: Scatter4) -> FitResult:
@@ -734,6 +881,21 @@ def explicit_to_implicit(plane: ExplicitPlane) -> ImplicitPlane:
     return ImplicitPlane(np.array([a, b, c, -1.0]))
 
 
+def explicit_to_implicit_rows(coefficients: np.ndarray, space: str) -> np.ndarray:
+    """:func:`explicit_to_implicit` of every row of an (N, 3) array, as (N, 4)
+    canonical coefficients (see :func:`canonicalize_implicit_rows`)."""
+    coef = np.asarray(coefficients, dtype=np.float64)
+    if coef.ndim != 2 or coef.shape[1] != 3:
+        raise ValueError(f"expected (N, 3) coefficients, got shape {coef.shape}")
+    if space not in (SPACE_STANDARD, SPACE_RGBD):
+        raise ValueError(f"unknown plane space {space!r}")
+    a, b, c = coef.T
+    minus = np.full(len(coef), -1.0)
+    return canonicalize_implicit_rows(
+        np.stack((a, b, minus, c) if space == SPACE_STANDARD else (a, b, c, minus), axis=1)
+    )
+
+
 def normal_angle(p: ImplicitPlane, q: ImplicitPlane) -> float:
     """Angle in radians between two planes' normals (orientation-blind).
 
@@ -786,32 +948,30 @@ def fit_rects(
     constant: ChannelStack | None,
     rects: np.ndarray,
     formulation: str,
-) -> list[FitResult | None]:
+) -> FitBatch:
     """Fit many windows of one frame on the integral backend at once.
 
     ``rects`` is an (N, 4) integer array of (x0, y0, x1, y1) rows.  Returns
-    one result per row, equal to what :func:`fit_rect` gives for that window
-    up to rounding in the eigensolver, or None where the window holds too few
-    valid samples.  Raises ``ValueError`` for an out-of-bounds or inverted
-    rect, and under the same conditions as :func:`scatter_from_integrals`.
+    one row per rect; ``batch[i]`` equals what :func:`fit_rect` gives for
+    that window up to rounding in the eigensolver, or is None (``fitted``
+    False) where the window holds too few valid samples.  Raises
+    ``ValueError`` for an out-of-bounds or inverted rect, and under the same
+    conditions as :func:`scatter_from_integrals`.
     """
     _check_formulation(formulation)
     rects = _check_rects(rects, stack.width, stack.height)
-    results: list[FitResult | None] = [None] * len(rects)
     corners = _box_corners(rects, stack.width)
     n = np.rint(_box_sums(stack.count.table, corners))
     fitted = np.flatnonzero(n >= MIN_SAMPLES[formulation])
     if fitted.size == 0:
-        return results
+        return _unfitted(len(rects), MIN_SAMPLES[formulation], _space(formulation))
     corners, n = corners[:, fitted], n[fitted]
     x0, y0, x1, y1 = rects[fitted].T
     sums = _window_sums(stack, constant, formulation, corners, n, n == (x1 - x0) * (y1 - y0))
-    for i, result in zip(fitted, fit_sums(sums, formulation)):
-        results[i] = result
-    return results
+    return fit_sums(sums, formulation).expand(fitted, len(rects))
 
 
-def fit_sums(sums: dict[str, np.ndarray], formulation: str) -> list[FitResult]:
+def fit_sums(sums: dict[str, np.ndarray], formulation: str) -> FitBatch:
     """Fit many windows at once from their channel sums, with one batched solve.
 
     ``sums`` maps every entry of the formulation's system
@@ -822,24 +982,56 @@ def fit_sums(sums: dict[str, np.ndarray], formulation: str) -> list[FitResult]:
     minimum-norm solution for the windows it rejects, flagged degenerate.
     """
     _check_formulation(formulation)
-    n = sums["n"]
-    if len(n) == 0:
-        return []
     matrices, rhs, target_sq = _system(sums, FORMULATION_CHANNELS[formulation])
-    space = SPACE_STANDARD if formulation in (IMPLICIT_STANDARD, EXPLICIT_STANDARD) else SPACE_RGBD
+    n = np.asarray(sums["n"], dtype=np.float64)
+    return _fit_systems(matrices, rhs, target_sq, n, formulation)
+
+
+def fit_scatters(scatters: list[Scatter4 | Scatter3], formulation: str) -> FitBatch:
+    """Fit many accumulated scatter systems at once, as :func:`fit_sums` does."""
+    _check_formulation(formulation)
+    size = FORMULATION_CHANNELS[formulation].size
+    matrices = np.array([s.matrix for s in scatters]).reshape(-1, size, size)
+    n = np.array([s.n for s in scatters], dtype=np.float64)
+    if size == 4:
+        return _fit_systems(matrices, None, None, n, formulation)
+    rhs = np.array([s.rhs for s in scatters]).reshape(-1, 3)
+    target_sq = np.array([s.target_sq for s in scatters], dtype=np.float64)  # None: NaN
+    return _fit_systems(matrices, rhs, target_sq, n, formulation)
+
+
+def _fit_systems(
+    matrices: np.ndarray,
+    rhs: np.ndarray | None,
+    target_sq: np.ndarray | None,
+    n: np.ndarray,
+    formulation: str,
+) -> FitBatch:
+    """Batched fits of N systems as ``_system`` gives them; ``n`` the (N,) counts."""
+    space = _space(formulation)
+    if len(n) == 0:
+        return _unfitted(0, FORMULATION_CHANNELS[formulation].size, space)
+    fitted = np.ones(len(n), dtype=bool)
     if rhs is None:
-        return _implicit_fits(matrices, n, space)
-    if target_sq is None:
-        target_sq = [None] * len(n)
+        v, rms, lam, degenerate = _implicit_fits(matrices, n, space)
+        return FitBatch(v, rms, lam, n.astype(np.int64), degenerate, fitted, space)
     factor, solvable = _cholesky3_batch(matrices)
     with np.errstate(invalid="ignore", divide="ignore"):
         alpha = np.stack(_cholesky_substitute(factor, rhs[:, 0], rhs[:, 1], rhs[:, 2]), axis=1)
     for i in np.flatnonzero(~solvable):
         alpha[i] = _pinv_solve(matrices[i], rhs[i])
-    return [
-        _explicit_result(alpha[i], rhs[i], int(n[i]), target_sq[i], space, not solvable[i])
-        for i in range(len(n))
-    ]
+    # as in _explicit_result, row by row
+    rms = np.full(len(n), np.nan)
+    if target_sq is not None:
+        rms = np.sqrt(np.maximum(target_sq - _row_dot(alpha, rhs), 0.0) / n)
+    a, b, c = alpha.T
+    if space == SPACE_RGBD:
+        offset, normal = 1.0, np.hypot(np.hypot(a, b), c)
+    else:
+        offset, normal = c, np.hypot(np.hypot(a, b), 1.0)
+    degenerate = ~solvable | _near_centre(offset, normal, rhs[:, 2] / n, space)
+    eigenvalue = np.full(len(n), np.nan)
+    return FitBatch(alpha, rms, eigenvalue, n.astype(np.int64), degenerate, fitted, space)
 
 
 def fit_result_csv_row(

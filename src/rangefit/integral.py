@@ -384,8 +384,10 @@ class NodePyramid:
     ``levels[l]`` is a (C, rows, cols) array: entry ``[:, r, q]`` holds the
     sums over node (r, q) of level l, the square of ``tile >> l`` pixels at
     row r and column q of the grid anchored at the image origin, clipped to
-    the image.  Nodes wholly outside the image sum to zero.  ``index`` maps
-    each channel name, the validity count included, to its position in C.
+    the image.  Each level holds exactly the nodes that overlap the image,
+    ``ceil(h / (tile >> l))`` rows by ``ceil(w / (tile >> l))`` columns.
+    ``index`` maps each channel name, the validity count included, to its
+    position in C.
     """
 
     levels: tuple[np.ndarray, ...]
@@ -407,22 +409,27 @@ def _cell_sums(
 ) -> np.ndarray:
     """(len(names), *shape) sums of each channel's masked monomial over ``cell``-pixel cells.
 
-    Writes one band of ``cell`` pixel rows at a time into a reused buffer
-    whose columns are zero-padded to ``shape``'s whole cells, then sums the
-    band's rows and each cell's columns.
+    Writes one band of at most ``cell`` pixel rows at a time into a reused
+    buffer as wide as the image, then sums the band's rows, each whole
+    cell's columns and the ragged last cell's remaining columns.
     """
     h, w = maps.height, maps.width
-    out = np.zeros((len(names), *shape))
-    band = np.zeros((len(names), cell, shape[1] * cell))
+    whole = w // cell  # cells of full width
+    out = np.empty((len(names), *shape))
+    band = np.zeros((len(names), min(cell, h), w))
     for r, y0 in enumerate(range(0, h, cell)):
         y1 = min(y0 + cell, h)
-        if valid is not True or y1 - y0 < cell:  # masked or short writes leave stale values
-            band.fill(0.0)
+        rows = band[:, : y1 - y0]
+        if valid is not True:  # masked writes leave stale values
+            rows.fill(0.0)
         _write_monomials(
-            names, band[:, : y1 - y0, :w], depth[y0:y1], maps.tan_x[y0:y1], maps.tan_y[y0:y1],
+            names, rows, depth[y0:y1], maps.tan_x[y0:y1], maps.tan_y[y0:y1],
             valid if valid is True else valid[y0:y1],
         )
-        out[:, r] = band.sum(axis=1).reshape(len(names), shape[1], cell).sum(axis=2)
+        summed = rows.sum(axis=1)
+        out[:, r, :whole] = summed[:, : whole * cell].reshape(len(names), whole, cell).sum(axis=2)
+        if whole < shape[1]:
+            out[:, r, whole] = summed[:, whole * cell :].sum(axis=1)
     return out
 
 
@@ -440,16 +447,18 @@ def build_node_pyramid(
     ``2**max_depth``); its leaves are the cells of the ``tile >> max_depth``
     lattice.  The per-frame monomials are written one band of cells at a
     time and summed into cells, and each coarser level is the 2x2 sum of
-    the finer one, so no large sums are differenced.  The count is each
-    cell's area less its hole pixels.  An rgbd formulation's tan sums are
-    read from ``constant``'s tables at the lattice corners less their hole
-    pixels' monomials, or, without ``constant``, written like the per-frame
+    the finer one (a finer level of odd size has no partner for its last
+    row or column), so no large sums are differenced and each level holds
+    only the nodes that overlap the image.  The count is each cell's area
+    less its hole pixels.  An rgbd formulation's tan sums are read from
+    ``constant``'s tables at the lattice corners less their hole pixels'
+    monomials, or, without ``constant``, written like the per-frame
     channels.  ``formulation`` None sums the count alone.
     """
     _check_frame(depth, maps)
     h, w = maps.height, maps.width
     cell = tile >> max_depth
-    shape = (-(-h // tile) << max_depth, -(-w // tile) << max_depth)
+    shape = (-(-h // cell), -(-w // cell))
     ys = np.minimum(np.arange(shape[0] + 1) * cell, h)
     xs = np.minimum(np.arange(shape[1] + 1) * cell, w)
     holes = np.flatnonzero(~depth.valid)
@@ -481,7 +490,14 @@ def build_node_pyramid(
     parts.append((area - np.bincount(hole_cells, minlength=area.size).reshape(shape))[None])
     levels = [np.concatenate(parts)]
     for _ in range(max_depth):
+        # the 2x2 sums ((f00 + f01) + f10) + f11, a missing odd row or column
+        # adding nothing
         f = levels[-1]
-        levels.append(f[:, 0::2, 0::2] + f[:, 0::2, 1::2] + f[:, 1::2, 0::2] + f[:, 1::2, 1::2])
+        pair_rows, pair_cols = f.shape[1] // 2, f.shape[2] // 2
+        coarse = f[:, 0::2, 0::2].copy()
+        coarse[:, :, :pair_cols] += f[:, 0::2, 1::2]
+        coarse[:, :pair_rows] += f[:, 1::2, 0::2]
+        coarse[:, :pair_rows, :pair_cols] += f[:, 1::2, 1::2]
+        levels.append(coarse)
     index = {name: i for i, name in enumerate((*names, *tan, COUNT_CHANNEL))}
     return NodePyramid(tuple(reversed(levels)), index)

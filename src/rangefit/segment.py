@@ -8,23 +8,26 @@ tile is cut where a full tile would be, and its children are clipped to the
 image, so every tile edge lies on the ``initial_tile >> max_depth`` lattice
 or on the image border.  The integral backend sums each frame's channels
 over those nodes once and fits a whole level with one batched solve.
-The walk visits each level once, its nodes held as arrays and its decisions
-as masks; leaves are sorted by key into the depth-first order that k-means
-seeding sees.  A 1-px sliver's fit is the viewing plane through the camera
-centre, so it comes back degenerate.  K-means over the fitted tiles' plane
-coefficients then groups coplanar tiles into labeled segments.
+The walk visits each level once, its nodes held as arrays, its fits as one
+:class:`~rangefit.fitting.FitBatch` and its decisions as masks; leaves are
+sorted by key into the depth-first order that k-means seeding sees.  A 1-px
+sliver's fit is the viewing plane through the camera centre, so it comes
+back degenerate.  K-means over the fitted leaves' plane coefficients, taken
+in one array pass, then groups coplanar tiles into labeled segments, and
+labels and colours are painted on the cell lattice one level at a time.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import fitting
 from .camera import TanAngleMaps
-from .fitting import FORMULATIONS, MIN_SAMPLES, ExplicitPlane, FitResult, explicit_to_implicit
+from .fitting import FORMULATIONS, MIN_SAMPLES, FitBatch, FitResult
 from .integral import COUNT_CHANNEL, ChannelStack, Rect, build_node_pyramid
 from .synth import DepthImage
 
@@ -51,6 +54,11 @@ CLUSTER_PALETTE = (
 )
 TOO_INVALID_COLOR = (128, 0, 0)
 HIGH_ERROR_COLOR = (0, 0, 128)
+# to_color's rows: the palette, then the rejection colours in status-code
+# order, then black for a cell no leaf covers (index -1)
+_COLORS = np.array(
+    (*CLUSTER_PALETTE, TOO_INVALID_COLOR, HIGH_ERROR_COLOR, (0, 0, 0)), dtype=np.uint8
+)
 
 D_SCALE = 5.0  # offset divisor of the cluster features (see tile_features)
 
@@ -70,6 +78,11 @@ class TileStatus(enum.Enum):
     FITTED = "fitted"
     TOO_INVALID = "too_invalid"
     HIGH_ERROR = "high_error_leaf"
+
+
+# A leaf's status code is its status's index here.
+STATUSES = (TileStatus.FITTED, TileStatus.TOO_INVALID, TileStatus.HIGH_ERROR)
+_FITTED, _TOO_INVALID, _HIGH_ERROR = range(len(STATUSES))
 
 
 @dataclass(frozen=True)
@@ -125,6 +138,11 @@ class SegConfig:
             return self.rms_threshold
         return _DEFAULT_THRESHOLDS[self.formulation]
 
+    @property
+    def cell(self) -> int:
+        """Edge in pixels of the cells of the quadtree's finest level."""
+        return self.initial_tile >> self.max_depth
+
 
 @dataclass
 class Tile:
@@ -139,15 +157,50 @@ class Tile:
 
 @dataclass
 class Segmentation:
-    """Leaf tiles, their cluster labels, and the per-pixel label lattice."""
+    """Leaves as arrays, their cluster labels, and the per-pixel label lattice.
 
-    tiles: list[Tile]
+    Leaf i covers ``rects[i]`` (x0, y0, x1, y1) at quadtree ``level[i]``;
+    ``status[i]`` indexes ``STATUSES``; row i of ``fits`` is its fit,
+    unfitted for a too-invalid leaf; ``cluster[i]`` is its k-means label,
+    ``UNLABELED`` unless it is fitted.  Leaves come in the depth-first order
+    that k-means seeding sees.  ``cells`` holds the leaf covering each cell
+    of the quadtree's finest lattice (``initial_tile >> max_depth`` pixels),
+    from which ``labels`` and :meth:`to_color` are painted.
+    """
+
+    config: SegConfig
+    rects: np.ndarray
+    level: np.ndarray
+    status: np.ndarray
+    fits: FitBatch
+    cluster: np.ndarray
+    cells: np.ndarray
     labels: np.ndarray
     centroids: np.ndarray
-    n_fitted: int
-    n_too_invalid: int
-    n_high_error: int
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def n_fitted(self) -> int:
+        return int(np.count_nonzero(self.status == _FITTED))
+
+    @property
+    def n_too_invalid(self) -> int:
+        return int(np.count_nonzero(self.status == _TOO_INVALID))
+
+    @property
+    def n_high_error(self) -> int:
+        return int(np.count_nonzero(self.status == _HIGH_ERROR))
+
+    @cached_property
+    def tiles(self) -> list[Tile]:
+        """The leaves as :class:`Tile` objects, built on first use."""
+        return [
+            Tile(Rect(*rect), STATUSES[status], level, self.fits[i], cluster)
+            for i, (rect, status, level, cluster) in enumerate(zip(
+                self.rects.tolist(), self.status.tolist(), self.level.tolist(),
+                self.cluster.tolist(),
+            ))
+        ]
 
     def to_color(self) -> np.ndarray:
         """Render the per-pixel labels with the fixed palette.
@@ -155,62 +208,76 @@ class Segmentation:
         Rejected tiles show their rejection reason (dark red for too many
         invalid pixels, dark blue for irreducible high fit error).
         """
-        colors = [
-            CLUSTER_PALETTE[tile.cluster % len(CLUSTER_PALETTE)]
-            if tile.status is TileStatus.FITTED
-            else TOO_INVALID_COLOR if tile.status is TileStatus.TOO_INVALID
-            else HIGH_ERROR_COLOR
-            for tile in self.tiles
-        ]
-        return _paint(self.tiles, colors, self.labels.shape, np.zeros(3, dtype=np.uint8))
+        palette = len(CLUSTER_PALETTE)
+        rows = np.where(self.status == _FITTED, self.cluster % palette, palette - 1 + self.status)
+        colors = _COLORS[np.append(rows, -1)]  # a cell no leaf covers takes the last row
+        return _upsample(colors[self.cells], self.config.cell, self.labels.shape)
 
     def to_csv(self) -> str:
         lines = ["x0,y0,x1,y1,status,a,b,c,d,rms,cluster"]
-        for tile in self.tiles:
-            r = tile.rect
-            if tile.result is not None:
-                coef = _implicit_coefficients(tile.result)
-                abcd = ",".join(repr(float(v)) for v in coef)
-                rms = "" if tile.result.rms_residual is None else repr(tile.result.rms_residual)
-            else:
-                abcd = ",,,"
-                rms = ""
-            lines.append(
-                f"{r.x0},{r.y0},{r.x1},{r.y1},{tile.status.value},{abcd},{rms},{tile.cluster}"
-            )
+        fits = self.fits
+        for i, ((x0, y0, x1, y1), status, cluster) in enumerate(
+            zip(self.rects.tolist(), self.status.tolist(), self.cluster.tolist())
+        ):
+            abcd, rms = ",,,", ""
+            if fits.fitted[i]:
+                abcd = ",".join(repr(v) for v in fits.canonical[i].tolist())
+                rms = "" if np.isnan(fits.rms[i]) else repr(float(fits.rms[i]))
+            lines.append(f"{x0},{y0},{x1},{y1},{STATUSES[status].value},{abcd},{rms},{cluster}")
         return "\n".join(lines) + "\n"
 
+    def stats(self) -> dict:
+        """Per-level counts of the quadtree walk, as JSON-ready data.
 
-def _implicit_coefficients(result: FitResult) -> np.ndarray:
-    plane = result.plane
-    if isinstance(plane, ExplicitPlane):
-        return explicit_to_implicit(plane).coefficients
-    return plane.coefficients
+        For each level that has nodes: its node edge ``tile``; the leaves it
+        left ``fitted``, ``too_invalid`` and ``high_error``; the nodes it
+        ``split``; and ``degenerate``, its leaves whose fit was flagged
+        degenerate.  Computed from the leaf arrays on each call.
+        """
+        width = self.labels.shape[1]
+        x0, y0 = self.rects[:, 0], self.rects[:, 1]
+        levels = []
+        for level in range(int(self.level.max()) + 1):
+            size = self.config.initial_tile >> level
+            at, deeper = self.level == level, self.level > level
+            # a split node is an ancestor of a deeper leaf
+            ancestors = (y0[deeper] // size) * width + x0[deeper] // size
+            status = self.status[at]
+            levels.append({
+                "level": level,
+                "tile": size,
+                "fitted": int(np.count_nonzero(status == _FITTED)),
+                "split": int(np.unique(ancestors).size),
+                "too_invalid": int(np.count_nonzero(status == _TOO_INVALID)),
+                "high_error": int(np.count_nonzero(status == _HIGH_ERROR)),
+                "degenerate": int(np.count_nonzero(self.fits.degenerate[at])),
+            })
+        return {"leaves": len(self.status), "levels": levels}
 
 
-def tile_features(result: FitResult) -> np.ndarray:
-    """Cluster-ready feature vector for a fitted tile.
+def tile_features(coefficients: np.ndarray) -> np.ndarray:
+    """Cluster-ready feature rows for fitted tiles' canonical implicit coefficients.
 
-    The plane is rescaled so its normal has unit length with offset d >= 0
-    (parallel planes then share their first three features exactly), and the
-    offset is divided by ``D_SCALE`` to balance normal-direction distances
-    against offset distances in the clustering metric.
+    ``coefficients`` is (N, 4), as :attr:`FitBatch.canonical` gives them.
+    Each plane is rescaled so its normal has unit length with offset d >= 0
+    (parallel planes then share their first three features exactly; at d ==
+    0 the first normal component over 1e-12, in the order (c, b, a), is made
+    positive), and the offset is divided by ``D_SCALE`` to balance
+    normal-direction distances against offset distances in the clustering
+    metric.
     """
-    coef = _implicit_coefficients(result).copy()
-    norm = float(np.linalg.norm(coef[:3]))
-    if norm == 0:
+    coef = np.asarray(coefficients, dtype=np.float64)
+    if coef.ndim != 2 or coef.shape[1] != 4:
+        raise ValueError(f"expected (N, 4) coefficients, got shape {coef.shape}")
+    norm = np.sqrt(fitting._row_dot(coef[:, :3], coef[:, :3]))
+    if np.any(norm == 0):
         raise ValueError("fit has a degenerate normal")
-    coef /= norm
-    if coef[3] < 0 or (coef[3] == 0 and _first_nonzero_sign(coef[:3]) < 0):
-        coef = -coef
-    return np.array([coef[0], coef[1], coef[2], coef[3] / D_SCALE])
-
-
-def _first_nonzero_sign(values: np.ndarray) -> float:
-    for v in (values[2], values[1], values[0]):
-        if abs(v) > 1e-12:
-            return 1.0 if v > 0 else -1.0
-    return 1.0
+    coef = coef / norm[:, None]
+    tie = (coef[:, 3] == 0) & (fitting._first_sign(coef, (2, 1, 0), 1e-12) < 0)
+    flip = (coef[:, 3] < 0) | tie
+    coef[flip] = -coef[flip]
+    coef[:, 3] /= D_SCALE
+    return coef
 
 
 def kmeans(
@@ -261,43 +328,43 @@ def kmeans(
     return labels, centroids
 
 
-def _paint(
-    tiles: list[Tile], values: list, shape: tuple[int, int], fill: np.ndarray
-) -> np.ndarray:
-    """Each tile's value over its rect, ``fill`` elsewhere, as an (H, W, ...) image.
 
-    Paints on the grid that the tiles' distinct edges form, then repeats
-    each grid row and column over the pixels it spans.
+def _upsample(grid: np.ndarray, cell: int, shape: tuple[int, int]) -> np.ndarray:
+    """Each entry of an (R, C, ...) lattice of ``cell``-pixel cells over the
+    pixels it covers in an (h, w) image; the last row and column may be ragged.
+
+    Writes one lattice row at a time, each repeated along its columns and
+    broadcast over its pixel rows, so nothing larger than one row is made
+    beside the image.
     """
     h, w = shape
-    rects = np.array([tile.rect for tile in tiles], dtype=np.int64).reshape(-1, 4)
-    xs = np.unique(np.concatenate(([0, w], rects[:, 0], rects[:, 2])))
-    ys = np.unique(np.concatenate(([0, h], rects[:, 1], rects[:, 3])))
-    grid = np.empty((len(ys) - 1, len(xs) - 1, *fill.shape), dtype=fill.dtype)
-    grid[...] = fill
-    x0, x1 = np.searchsorted(xs, rects[:, 0]), np.searchsorted(xs, rects[:, 2])
-    y0, y1 = np.searchsorted(ys, rects[:, 1]), np.searchsorted(ys, rects[:, 3])
-    for i, value in enumerate(values):
-        grid[y0[i] : y1[i], x0[i] : x1[i]] = value
-    return np.repeat(np.repeat(grid, np.diff(ys), axis=0), np.diff(xs), axis=1)
+    xs = np.diff(np.minimum(np.arange(grid.shape[1] + 1) * cell, w))
+    out = np.empty((h, w, *grid.shape[2:]), dtype=grid.dtype)
+    for row, y0 in zip(grid, range(0, h, cell)):
+        out[y0 : y0 + cell] = np.repeat(row, xs, axis=0)
+    return out
 
 
-def _error(
-    depth: DepthImage, maps: TanAngleMaps, rect: Rect, result: FitResult, config: SegConfig
-) -> float:
-    """A fitted tile's error under ``config.error_metric``.
+def _errors(
+    depth: DepthImage, maps: TanAngleMaps, rects: np.ndarray, fits: FitBatch, config: SegConfig
+) -> np.ndarray:
+    """Each node's fit error under ``config.error_metric``; NaN where not fitted.
 
     ``"max"`` is the max absolute residual of the fitted objective over the
-    tile's pixels.
+    tile's pixels, taken only where the fit is not degenerate.
     """
     if config.error_metric == "rms":
-        return np.inf if result.rms_residual is None else result.rms_residual
-    samples = fitting.gather_window_samples(depth, maps, rect, config.formulation)
-    rows, target = fitting._monomial_rows(samples, config.formulation)
-    res = rows @ result.plane.coefficients
-    if target is not None:
-        res -= target
-    return float(np.abs(res).max()) if res.size else 0.0
+        return fits.rms
+    error = np.full(len(fits), np.nan)
+    for i in np.flatnonzero(fits.fitted & ~fits.degenerate):
+        rect = Rect(*rects[i].tolist())
+        samples = fitting.gather_window_samples(depth, maps, rect, config.formulation)
+        rows, target = fitting._monomial_rows(samples, config.formulation)
+        res = rows @ fits[i].plane.coefficients
+        if target is not None:
+            res -= target
+        error[i] = np.abs(res).max() if res.size else 0.0
+    return error
 
 
 def segment(
@@ -323,9 +390,10 @@ def segment(
             f"image {depth.width}x{depth.height} is smaller than one fittable tile"
         )
 
+    formulation = config.formulation
     integral = config.backend == "integral"
     pyramid = build_node_pyramid(
-        depth, maps, config.formulation if integral else None,
+        depth, maps, formulation if integral else None,
         config.initial_tile, config.max_depth, constant,
     )
     w, h, threshold = depth.width, depth.height, config.threshold
@@ -333,75 +401,86 @@ def segment(
     # row-major index followed by two bits per level for the quarter taken.
     rows, cols = (a.ravel() for a in np.indices(pyramid.levels[0].shape[1:]))
     keys, quarter = np.arange(rows.size), np.arange(4)
-    leaves: dict[int, Tile] = {}  # by key, shifted to the finest level
+    leaves = []  # per level: its leaves' keys, levels, rows, cols, rects and statuses
+    leaf_fits = []  # per level: its leaves' fits
     level = 0
     while rows.size:
         size = config.initial_tile >> level
         half = size >> 1
         x0, y0 = cols * size, rows * size
-        x1, y1 = np.minimum(x0 + size, w), np.minimum(y0 + size, h)
+        rects = np.stack((x0, y0, np.minimum(x0 + size, w), np.minimum(y0 + size, h)), axis=1)
+        area = (rects[:, 2] - x0) * (rects[:, 3] - y0)
         n_valid = pyramid.levels[level][pyramid.index[COUNT_CHANNEL], rows, cols]
-        dense = (n_valid >= config.min_valid_fraction * (x1 - x0) * (y1 - y0)) & (
-            n_valid >= MIN_SAMPLES[config.formulation]
+        dense = np.flatnonzero(
+            (n_valid >= config.min_valid_fraction * area) & (n_valid >= MIN_SAMPLES[formulation])
         )
+        if integral:
+            batch = fitting.fit_sums(pyramid.sums(level, rows[dense], cols[dense]), formulation)
+        else:
+            batch = fitting.fit_scatters([
+                fitting.accumulate_scatter_naive(
+                    fitting.gather_window_samples(depth, maps, Rect(*r), formulation), formulation
+                )
+                for r in rects[dense].tolist()
+            ], formulation)
+        fits = batch.expand(dense, rows.size)
+        good = ~fits.degenerate & (_errors(depth, maps, rects, fits, config) <= threshold)
         # a node splits only into more than one child inside the image
         splittable = (level < config.max_depth) & ((x0 + half < w) | (y0 + half < h))
-        rects = [Rect(*r) for r in np.stack((x0, y0, x1, y1), axis=1).tolist()]
-        if integral:
-            sums = pyramid.sums(level, rows[dense], cols[dense])
-            fits = iter(fitting.fit_sums(sums, config.formulation))
-        else:
-            fits = (
-                fitting.fit_rect(depth, maps, rects[i], config.formulation, "naive")
-                for i in np.flatnonzero(dense)
-            )
-        split = np.zeros(rows.size, dtype=bool)
-        for i, (rect, key) in enumerate(zip(rects, keys.tolist())):
-            result = next(fits) if dense[i] else None
-            if result is None:
-                status = TileStatus.TOO_INVALID
-            elif not result.degenerate and _error(depth, maps, rect, result, config) <= threshold:
-                status = TileStatus.FITTED
-            elif splittable[i]:
-                split[i] = True
-                continue
-            else:
-                status = TileStatus.HIGH_ERROR
-            leaves[key << 2 * (config.max_depth - level)] = Tile(rect, status, level, result)
+        split = fits.fitted & ~good & splittable
+        leaf = np.flatnonzero(~split)
+        status = np.where(good, _FITTED, np.where(fits.fitted, _HIGH_ERROR, _TOO_INVALID))
+        leaves.append((
+            keys[leaf], np.full(leaf.size, level), rows[leaf], cols[leaf], rects[leaf], status[leaf]
+        ))
+        leaf_fits.append(fits.take(leaf))
         rows = (2 * rows[split, None] + quarter // 2).ravel()
         cols = (2 * cols[split, None] + quarter % 2).ravel()
         keys = (4 * keys[split, None] + quarter).ravel()
         inside = (rows * half < h) & (cols * half < w)
         rows, cols, keys, level = rows[inside], cols[inside], keys[inside], level + 1
-    # Descending keys give the depth-first order of a walk that pops the last
-    # root first and pushes a split node's quarters in order: the order in
-    # which k-means seeding sees the fitted tiles.
-    tiles = [leaves[key] for key in sorted(leaves, reverse=True)]
+    keys, leaf_level, rows, cols, rects, status = (np.concatenate(a) for a in zip(*leaves))
+    # Descending keys, each shifted to the deepest level reached, give the
+    # depth-first order of a walk that pops the last root first and pushes a
+    # split node's quarters in order: the order in which k-means seeding sees
+    # the fitted tiles.
+    order = np.argsort(keys << 2 * (level - 1 - leaf_level))[::-1]
+    leaf_level, rows, cols = leaf_level[order], rows[order], cols[order]
+    rects, status = rects[order], status[order]
+    fits = FitBatch.concatenate(leaf_fits).take(order)
 
     warnings: list[str] = []
-    fitted = [t for t in tiles if t.status is TileStatus.FITTED]
-    if fitted:
-        features = np.stack([tile_features(t.result) for t in fitted])
+    cluster = np.full(len(order), UNLABELED)
+    fitted = np.flatnonzero(status == _FITTED)
+    if fitted.size:
+        features = tile_features(fits.canonical[fitted])
         k = config.k
-        if k > len(fitted):
-            warnings.append(f"k={k} exceeds {len(fitted)} fitted tiles; clamped")
-            k = len(fitted)
-        cluster_labels, centroids = kmeans(features, k, seed=config.seed)
-        for tile, label in zip(fitted, cluster_labels):
-            tile.cluster = int(label)
+        if k > fitted.size:
+            warnings.append(f"k={k} exceeds {fitted.size} fitted tiles; clamped")
+            k = fitted.size
+        cluster[fitted], centroids = kmeans(features, k, seed=config.seed)
     else:
         centroids = np.zeros((0, 4))
         warnings.append("no tiles were fitted")
 
-    labels = _paint(
-        tiles, [t.cluster for t in tiles], (h, w), np.array(UNLABELED, dtype=np.int16)
-    )
+    # the leaf covering each lattice cell, painted one level at a time
+    cells = np.full(pyramid.levels[0].shape[1:], -1, dtype=np.int32)
+    for i, sums in enumerate(pyramid.levels):
+        if i:
+            cells = np.repeat(np.repeat(cells, 2, axis=0)[: sums.shape[1]], 2, axis=1)
+            cells = cells[:, : sums.shape[2]]
+        at = np.flatnonzero(leaf_level == i)
+        cells[rows[at], cols[at]] = at
+    labels = np.append(cluster, UNLABELED).astype(np.int16)[cells]  # likewise
     return Segmentation(
-        tiles=tiles,
-        labels=labels,
+        config=config,
+        rects=rects,
+        level=leaf_level,
+        status=status,
+        fits=fits,
+        cluster=cluster,
+        cells=cells,
+        labels=_upsample(labels, config.cell, (h, w)),
         centroids=centroids,
-        n_fitted=len(fitted),
-        n_too_invalid=sum(1 for t in tiles if t.status is TileStatus.TOO_INVALID),
-        n_high_error=sum(1 for t in tiles if t.status is TileStatus.HIGH_ERROR),
         warnings=warnings,
     )

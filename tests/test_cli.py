@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,64 @@ class TestSegment:
         lines = csv.read_text().strip().split("\n")
         assert lines[0].startswith("x0,y0,x1,y1,status")
         assert len(lines) > 4
+
+    @pytest.mark.parametrize("max_depth", ["18", "0"])
+    def test_huge_tile_fits_the_image_as_one_root(self, tmp_path, corner_scene_file, max_depth):
+        # The node pyramid is sized to the image, not to whole 2**20-px root
+        # tiles; both commands died with a MemoryError traceback before.
+        camera = tmp_path / "cam.txt"
+        camera.write_text("fx=60\nfy=60\ncx=48\ncy=26\nwidth=97\nheight=53\n")
+        depth_path = tmp_path / "depth.rf64"
+        assert main([
+            "synth", "--intrinsics", str(camera), "--scene", str(corner_scene_file),
+            "--out", str(depth_path), "--seed", "3", "--dropout", "0.05",
+        ]) == 0
+        runs = {}
+        for name, tile, depth in (("huge", "1048576", max_depth), ("one", "128", "0")):
+            ppm, csv = tmp_path / f"{name}.ppm", tmp_path / f"{name}.csv"
+            assert main([
+                "segment", "--intrinsics", str(camera), "--input", str(depth_path),
+                "--tile", tile, "--max-depth", depth, "--k", "1",
+                "--out", str(ppm), "--csv", str(csv),
+            ]) == 0
+            header, *rows = csv.read_text().strip().split("\n")
+            runs[name] = read_ppm(ppm), [row.split(",") for row in rows]
+        (huge_rgb, huge_rows), (one_rgb, one_rows) = runs["huge"], runs["one"]
+        assert len(huge_rows) == len(one_rows) == 1
+        huge, one = huge_rows[0], one_rows[0]
+        assert huge[:5] == one[:5] == ["0", "0", "97", "53", one[4]]
+        assert huge[-1] == one[-1]  # cluster, so the labels too
+        np.testing.assert_allclose(
+            [float(v) for v in huge[5:9]], [float(v) for v in one[5:9]], rtol=0, atol=1e-9
+        )
+        assert huge_rgb.tobytes() == one_rgb.tobytes()
+
+    def test_stats_json(self, tmp_path, camera_file, corner_scene_file):
+        depth_path = tmp_path / "depth.rf64"
+        main([
+            "synth", "--intrinsics", str(camera_file), "--scene", str(corner_scene_file),
+            "--out", str(depth_path), "--seed", "3", "--dropout", "0.05",
+        ])
+        csv, stats = tmp_path / "tiles.csv", tmp_path / "stats.json"
+        code = main([
+            "segment", "--intrinsics", str(camera_file), "--input", str(depth_path),
+            "--tile", "16", "--max-depth", "2", "--threshold", "1e-4", "--k", "3",
+            "--out", str(tmp_path / "seg.ppm"), "--csv", str(csv), "--stats", str(stats),
+        ])
+        assert code == 0
+        data = json.loads(stats.read_text())
+        tiles = len(csv.read_text().strip().split("\n")) - 1
+        assert data["leaves"] == tiles
+        assert [level["level"] for level in data["levels"]] == list(range(len(data["levels"])))
+        leaves = 0
+        for level in data["levels"]:
+            assert set(level) == {
+                "level", "tile", "fitted", "split", "too_invalid", "high_error", "degenerate"
+            }
+            assert all(isinstance(v, int) for v in level.values())
+            leaves += level["fitted"] + level["too_invalid"] + level["high_error"]
+        assert leaves == tiles
+        assert data["levels"][0]["split"] > 0
 
 
 class TestBench:

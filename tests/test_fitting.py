@@ -787,9 +787,8 @@ class TestFitRects:
         constant = build_constant_channels(small_maps)
         for formulation in FORMULATIONS:
             stack = STACK_BUILDERS[formulation](depth, small_maps)
-            assert fit_rects(stack, constant, np.zeros((0, 4), dtype=np.int64), formulation) == []
-            assert fit_rects(stack, constant, [], formulation) == []
-            assert fit_rects(stack, constant, np.array([], dtype=np.int64), formulation) == []
+            for empty in (np.zeros((0, 4), dtype=np.int64), [], np.array([], dtype=np.int64)):
+                assert len(fit_rects(stack, constant, empty, formulation)) == 0
 
     @pytest.mark.parametrize(
         "rect",

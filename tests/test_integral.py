@@ -452,7 +452,8 @@ class TestNodePyramid:
         lattices = _masked_lattices(depth, maps)
         for level, sums in enumerate(pyramid.levels):
             edge = tile >> level
-            rows, cols = -(-height // tile) << level, -(-width // tile) << level
+            # exactly the nodes that overlap the image
+            rows, cols = -(-height // edge), -(-width // edge)
             assert sums.shape == (len(names), rows, cols)
             for name, i in pyramid.index.items():
                 padded = np.zeros((rows * edge, cols * edge))

@@ -18,6 +18,7 @@ from rangefit import (
     IMPLICIT_STANDARD,
     CameraIntrinsics,
     DepthImage,
+    ExplicitPlane,
     InsufficientSamplesError,
     GroundTruthPlane,
     NoiseModel,
@@ -29,6 +30,7 @@ from rangefit import (
     build_channels,
     build_constant_channels,
     compute_tan_maps,
+    explicit_to_implicit,
     fit_explicit_rgbd,
     fit_implicit_standard,
     fit_rect,
@@ -64,6 +66,14 @@ def best_label_accuracy(predicted: np.ndarray, truth: np.ndarray, k: int) -> flo
             hits += int(np.count_nonzero(mask & (predicted == cluster) & (truth == t)))
         best = max(best, hits)
     return best / max(total, 1)
+
+
+def features_of(result) -> np.ndarray:
+    """``tile_features`` of one fit's canonical implicit coefficients."""
+    plane = result.plane
+    if isinstance(plane, ExplicitPlane):
+        plane = explicit_to_implicit(plane)
+    return tile_features(plane.coefficients[None])[0]
 
 
 class TestKmeans:
@@ -133,7 +143,7 @@ class TestTileFeatures:
         )
         samples = gather_window_samples(depth, small_maps, Rect(0, 0, 64, 48), IMPLICIT_STANDARD)
         result = fit_implicit_standard(accumulate_scatter_naive(samples, IMPLICIT_STANDARD))
-        np.testing.assert_allclose(tile_features(result), [0.0, 0.0, -1.0, 0.4], atol=1e-9)
+        np.testing.assert_allclose(features_of(result), [0.0, 0.0, -1.0, 0.4], atol=1e-9)
 
     def test_parallel_planes_share_normal_features(self, small_maps):
         features = []
@@ -145,7 +155,7 @@ class TestTileFeatures:
                 depth, small_maps, Rect(0, 0, 64, 48), IMPLICIT_STANDARD
             )
             result = fit_implicit_standard(accumulate_scatter_naive(samples, IMPLICIT_STANDARD))
-            features.append(tile_features(result))
+            features.append(features_of(result))
         np.testing.assert_allclose(features[0][:3], features[1][:3], atol=1e-12)
         assert features[0][3] != pytest.approx(features[1][3])
 
@@ -165,9 +175,7 @@ class TestTileFeatures:
                 gather_window_samples(depth, small_maps, rect, EXPLICIT_RGBD), EXPLICIT_RGBD
             )
         )
-        np.testing.assert_allclose(
-            tile_features(implicit), tile_features(explicit), atol=1e-8
-        )
+        np.testing.assert_allclose(features_of(implicit), features_of(explicit), atol=1e-8)
 
 
 def corner_scene() -> SyntheticScene:
@@ -309,6 +317,41 @@ class TestSegment:
             r = tile.rect
             coverage[r.y0 : r.y1, r.x0 : r.x1] += 1
         assert (coverage == 1).all()
+
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_stats_count_every_node_once(self, small_maps, formulation):
+        depth, _ = render_scene(corner_scene(), small_maps, noise=NoiseModel(), seed=3, dropout=0.3)
+        config = SegConfig(
+            formulation=formulation, initial_tile=16, max_depth=2,
+            rms_threshold=SegConfig(formulation=formulation).threshold / 8, k=3, seed=1,
+        )
+        result = segment(depth, small_maps, config)
+        stats = result.stats()
+        assert stats["leaves"] == len(result.tiles)
+        levels = stats["levels"]
+        assert [level["level"] for level in levels] == list(range(len(levels)))
+        assert [level["tile"] for level in levels] == [16 >> i for i in range(len(levels))]
+        nodes = [
+            level["fitted"] + level["split"] + level["too_invalid"] + level["high_error"]
+            for level in levels
+        ]
+        # 4x3 roots; no tile is ragged, so every split node has four children
+        assert nodes == [12] + [4 * level["split"] for level in levels[:-1]]
+        assert levels[-1]["split"] == 0
+        for name, status in (("fitted", TileStatus.FITTED), ("too_invalid", TileStatus.TOO_INVALID),
+                             ("high_error", TileStatus.HIGH_ERROR)):
+            per_level = [level[name] for level in levels]
+            assert per_level == [
+                sum(1 for t in result.tiles if t.status is status and t.level == i)
+                for i in range(len(levels))
+            ]
+        assert sum(level["degenerate"] for level in levels) == sum(
+            1 for t in result.tiles if t.result is not None and t.result.degenerate
+        )
+        assert (result.n_fitted, result.n_too_invalid, result.n_high_error) == tuple(
+            sum(level[name] for level in levels) for name in ("fitted", "too_invalid", "high_error")
+        )
+        assert sum(nodes[1:]) > 0 and sum(level["too_invalid"] for level in levels) > 0
 
     def test_fully_invalid_quadrant_rejected(self, small_maps):
         planes = (
