@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import fitting, imageio, synth
-from .camera import DEPTH_NOISE_COEFFICIENT, NoiseModel, compute_tan_maps, load_intrinsics
+from .camera import DEPTH_NOISE_COEFFICIENT, NoiseModel, TanAngleMaps, compute_tan_maps, load_intrinsics
 from .integral import Rect, build_channels, build_constant_channels
 from .segment import SegConfig
 from .segment import segment as run_segment
@@ -88,7 +88,6 @@ def _build_parser() -> _Parser:
     p_seg.add_argument("--threshold", type=float, default=None, help="residual threshold in the formulation's metric")
     p_seg.add_argument("--min-valid-fraction", type=float, default=0.5)
     p_seg.add_argument("--k", type=int, default=8)
-    p_seg.add_argument("--seed", type=int, default=0)
     p_seg.add_argument("--metric", choices=("rms", "max"), default="rms")
     p_seg.add_argument("--out", required=True, help="color PPM label image")
     p_seg.add_argument("--csv", help="optional per-tile CSV")
@@ -121,7 +120,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _load_frame(args: argparse.Namespace) -> tuple[synth.DepthImage, TanAngleMaps]:
+    """The depth image ``--input`` and the tan maps of ``--intrinsics``, of equal size."""
     intrinsics = load_intrinsics(args.intrinsics)
     maps = compute_tan_maps(intrinsics)
     depth = synth.read_depth(args.input)
@@ -130,6 +130,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             f"{args.input}: depth is {depth.width}x{depth.height} but intrinsics "
             f"describe {intrinsics.width}x{intrinsics.height}"
         )
+    return depth, maps
+
+
+def _cmd_fit(args: argparse.Namespace) -> int:
+    depth, maps = _load_frame(args)
     stack = constant = None
     if args.backend == "integral":
         stack = build_channels(depth, maps, args.formulation)
@@ -148,14 +153,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_segment(args: argparse.Namespace) -> int:
-    intrinsics = load_intrinsics(args.intrinsics)
-    maps = compute_tan_maps(intrinsics)
-    depth = synth.read_depth(args.input)
-    if (depth.height, depth.width) != (intrinsics.height, intrinsics.width):
-        raise ValueError(
-            f"{args.input}: depth is {depth.width}x{depth.height} but intrinsics "
-            f"describe {intrinsics.width}x{intrinsics.height}"
-        )
+    depth, maps = _load_frame(args)
     config = SegConfig(
         formulation=args.formulation,
         backend=args.backend,
@@ -164,7 +162,6 @@ def _cmd_segment(args: argparse.Namespace) -> int:
         rms_threshold=args.threshold,
         min_valid_fraction=args.min_valid_fraction,
         k=args.k,
-        seed=args.seed,
         error_metric=args.metric,
     )
     result = run_segment(depth, maps, config)

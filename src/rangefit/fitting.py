@@ -108,6 +108,9 @@ def canonicalize_implicit(coefficients: np.ndarray) -> np.ndarray:
     coef = np.asarray(coefficients, dtype=np.float64)
     if coef.shape != (4,):
         raise ValueError(f"expected 4 coefficients, got shape {coef.shape}")
+    # Scaled by a power of two, so the squares neither overflow nor underflow;
+    # the unit vector is unchanged bit for bit.
+    coef = np.ldexp(coef, -math.frexp(max(map(abs, coef.tolist())))[1])
     norm = float(np.linalg.norm(coef))
     if norm == 0 or not np.isfinite(norm):
         raise ValueError("cannot canonicalize a zero or non-finite coefficient vector")
@@ -147,6 +150,7 @@ def canonicalize_implicit_rows(coefficients: np.ndarray) -> np.ndarray:
     if coef.ndim != 2 or coef.shape[1] != 4:
         raise ValueError(f"expected (N, 4) coefficients, got shape {coef.shape}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coef = np.ldexp(coef, -np.frexp(np.abs(coef).max(axis=1))[1][:, None])  # as above
         norm = np.sqrt(_row_dot(coef, coef))
         unit = coef / norm[:, None]
     unit[(norm == 0) | ~np.isfinite(norm)] = np.nan

@@ -44,49 +44,56 @@ def _read_pnm_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
     return width, height, maxval, pos
 
 
+def _write_pnm(path: str | Path, values: np.ndarray, magic: str, sample: str) -> None:
+    """Write a checked lattice as binary netpbm: ``magic`` ``"P5"`` for (H, W)
+    grey, ``"P6"`` for (H, W, 3) colour, each sample stored as ``sample``,
+    ``">u2"`` (maxval 65535) or ``"u1"`` (maxval 255)."""
+    h, w = values.shape if magic == "P5" else values.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n{np.iinfo(sample).max}\n".encode())
+        fh.write(values.astype(sample).tobytes())
+
+
+def _read_pnm(path: str | Path, magic: str, sample: str) -> np.ndarray:
+    """Read a binary netpbm file written as by :func:`_write_pnm`."""
+    data = Path(path).read_bytes()
+    width, height, maxval, offset = _read_pnm_header(data, magic.encode())
+    sample = np.dtype(sample)
+    expected_max = np.iinfo(sample).max
+    if maxval != expected_max:
+        kind = "PGM" if magic == "P5" else "PPM"
+        raise ValueError(
+            f"{path}: expected {8 * sample.itemsize}-bit {kind} (maxval {expected_max}), got {maxval}"
+        )
+    shape = (height, width) if magic == "P5" else (height, width, 3)
+    expected = int(np.prod(shape)) * sample.itemsize
+    raw = data[offset : offset + expected]
+    if len(raw) != expected:
+        raise ValueError(f"{path}: truncated pixel data")
+    return np.frombuffer(raw, dtype=sample).reshape(shape).astype(sample.type)
+
+
 def write_pgm16(path: str | Path, values: np.ndarray) -> None:
     """Write a uint16 lattice as big-endian binary PGM (maxval 65535)."""
     values = np.asarray(values)
     if values.dtype != np.uint16:
         raise ValueError(f"expected uint16 data, got {values.dtype}")
-    h, w = values.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n65535\n".encode())
-        fh.write(values.astype(">u2").tobytes())
+    _write_pnm(path, values, "P5", ">u2")
 
 
 def read_pgm16(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    width, height, maxval, offset = _read_pnm_header(data, b"P5")
-    if maxval != 65535:
-        raise ValueError(f"{path}: expected 16-bit PGM (maxval 65535), got {maxval}")
-    expected = width * height * 2
-    raw = data[offset : offset + expected]
-    if len(raw) != expected:
-        raise ValueError(f"{path}: truncated pixel data")
-    return np.frombuffer(raw, dtype=">u2").reshape(height, width).astype(np.uint16)
+    return _read_pnm(path, "P5", ">u2")
 
 
 def write_pgm8(path: str | Path, values: np.ndarray) -> None:
     values = np.asarray(values)
     if values.dtype != np.uint8:
         raise ValueError(f"expected uint8 data, got {values.dtype}")
-    h, w = values.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(values.tobytes())
+    _write_pnm(path, values, "P5", "u1")
 
 
 def read_pgm8(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    width, height, maxval, offset = _read_pnm_header(data, b"P5")
-    if maxval != 255:
-        raise ValueError(f"{path}: expected 8-bit PGM (maxval 255), got {maxval}")
-    expected = width * height
-    raw = data[offset : offset + expected]
-    if len(raw) != expected:
-        raise ValueError(f"{path}: truncated pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(height, width).copy()
+    return _read_pnm(path, "P5", "u1")
 
 
 def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
@@ -94,22 +101,11 @@ def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
     rgb = np.asarray(rgb)
     if rgb.dtype != np.uint8 or rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) uint8 data, got {rgb.dtype} {rgb.shape}")
-    h, w = rgb.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(rgb.tobytes())
+    _write_pnm(path, rgb, "P6", "u1")
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    width, height, maxval, offset = _read_pnm_header(data, b"P6")
-    if maxval != 255:
-        raise ValueError(f"{path}: expected 8-bit PPM (maxval 255), got {maxval}")
-    expected = width * height * 3
-    raw = data[offset : offset + expected]
-    if len(raw) != expected:
-        raise ValueError(f"{path}: truncated pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3).copy()
+    return _read_pnm(path, "P6", "u1")
 
 
 def write_raw_float(path: str | Path, values: np.ndarray) -> None:

@@ -9,11 +9,11 @@ image, so every tile edge lies on the ``initial_tile >> max_depth`` lattice
 or on the image border.  The integral backend sums each frame's channels
 over those nodes once and fits a whole level with one batched solve.
 The walk visits each level once, its nodes held as arrays, its fits as one
-:class:`~rangefit.fitting.FitBatch` and its decisions as masks; leaves are
-sorted by key into the depth-first order that k-means seeding sees.  A 1-px
-sliver's fit is the viewing plane through the camera centre, so it comes
-back degenerate.  K-means over the fitted leaves' plane coefficients, taken
-in one array pass, then groups coplanar tiles into labeled segments, and
+:class:`~rangefit.fitting.FitBatch` and its decisions as masks; leaves come
+out in level order.  A 1-px sliver's fit is the viewing plane through the
+camera centre, so it comes back degenerate.  K-means from count-weighted
+farthest-point seeds, over the fitted leaves' plane coefficients taken in
+one array pass, then groups coplanar tiles into labeled segments, and
 labels and colours are painted on the cell lattice one level at a time.
 """
 
@@ -103,7 +103,6 @@ class SegConfig:
     rms_threshold: float | None = None
     min_valid_fraction: float = 0.5
     k: int = 8
-    seed: int = 0
     error_metric: str = "rms"
 
     def __post_init__(self) -> None:
@@ -162,10 +161,11 @@ class Segmentation:
     Leaf i covers ``rects[i]`` (x0, y0, x1, y1) at quadtree ``level[i]``;
     ``status[i]`` indexes ``STATUSES``; row i of ``fits`` is its fit,
     unfitted for a too-invalid leaf; ``cluster[i]`` is its k-means label,
-    ``UNLABELED`` unless it is fitted.  Leaves come in the depth-first order
-    that k-means seeding sees.  ``cells`` holds the leaf covering each cell
-    of the quadtree's finest lattice (``initial_tile >> max_depth`` pixels),
-    from which ``labels`` and :meth:`to_color` are painted.
+    ``UNLABELED`` unless it is fitted.  Leaves come in level order: level 0
+    row-major, then each level's children in their parents' order.
+    ``cells`` holds the leaf covering each cell of the quadtree's finest
+    lattice (``initial_tile >> max_depth`` pixels), from which ``labels``
+    and :meth:`to_color` are painted.
     """
 
     config: SegConfig
@@ -281,34 +281,34 @@ def tile_features(coefficients: np.ndarray) -> np.ndarray:
 
 
 def kmeans(
-    features: np.ndarray, k: int, seed: int = 0, max_iter: int = 100
+    features: np.ndarray, weights: np.ndarray, k: int, max_iter: int = 100
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's k-means with distance-weighted (k-means++ style) seeding.
+    """Lloyd's k-means from weighted farthest-point seeds.
 
-    Deterministic for a fixed seed; converges when no label changes or after
-    ``max_iter`` rounds.  ``k`` larger than the sample count is clamped.
-    Returns (labels, centroids).
+    The first centroid is the row of largest weight; each next one is the
+    row of largest weight times squared distance to its nearest chosen
+    centroid, ties to the lowest index (Gonzalez's farthest-point seeding,
+    weighted).  No randomness: equal inputs give equal results.  Converges
+    when no label changes or after ``max_iter`` rounds.  ``k`` larger than
+    the sample count is clamped.  Returns (labels, centroids).
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError(f"features must be a non-empty (n, d) array, got {features.shape}")
     n = features.shape[0]
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ValueError(f"expected {n} weights, got shape {weights.shape}")
     if k < 1:
         raise ValueError("k must be at least 1")
     k = min(k, n)
 
-    rng = np.random.default_rng(seed)
     centroids = np.empty((k, features.shape[1]))
-    centroids[0] = features[rng.integers(n)]
+    centroids[0] = features[np.argmax(weights)]
+    dist_sq = np.full(n, np.inf)  # to the nearest centroid chosen so far
     for i in range(1, k):
-        dist_sq = np.min(
-            np.sum((features[:, None, :] - centroids[None, :i, :]) ** 2, axis=2), axis=1
-        )
-        total = float(dist_sq.sum())
-        if total == 0.0:
-            centroids[i:] = features[rng.integers(n, size=k - i)]
-            break
-        centroids[i] = features[rng.choice(n, p=dist_sq / total)]
+        np.minimum(dist_sq, np.sum((features - centroids[i - 1]) ** 2, axis=1), out=dist_sq)
+        centroids[i] = features[np.argmax(weights * dist_sq)]
 
     labels = np.full(n, -1)
     for _ in range(max_iter):
@@ -326,7 +326,6 @@ def kmeans(
                 worst = int(np.argmax(np.min(distances, axis=1)))
                 centroids[j] = features[worst]
     return labels, centroids
-
 
 
 def _upsample(grid: np.ndarray, cell: int, shape: tuple[int, int]) -> np.ndarray:
@@ -397,11 +396,10 @@ def segment(
         config.initial_tile, config.max_depth, constant,
     )
     w, h, threshold = depth.width, depth.height, config.threshold
-    # A level's nodes: (row, col) on the level's grid, and a key, the root's
-    # row-major index followed by two bits per level for the quarter taken.
+    # A level's nodes as (row, col) on the level's grid, level 0 row-major.
     rows, cols = (a.ravel() for a in np.indices(pyramid.levels[0].shape[1:]))
-    keys, quarter = np.arange(rows.size), np.arange(4)
-    leaves = []  # per level: its leaves' keys, levels, rows, cols, rects and statuses
+    quarter = np.arange(4)
+    leaves = []  # per level: its leaves' levels, rows, cols, rects and statuses
     leaf_fits = []  # per level: its leaves' fits
     level = 0
     while rows.size:
@@ -430,27 +428,17 @@ def segment(
         split = fits.fitted & ~good & splittable
         leaf = np.flatnonzero(~split)
         status = np.where(good, _FITTED, np.where(fits.fitted, _HIGH_ERROR, _TOO_INVALID))
-        leaves.append((
-            keys[leaf], np.full(leaf.size, level), rows[leaf], cols[leaf], rects[leaf], status[leaf]
-        ))
+        leaves.append((np.full(leaf.size, level), rows[leaf], cols[leaf], rects[leaf], status[leaf]))
         leaf_fits.append(fits.take(leaf))
         rows = (2 * rows[split, None] + quarter // 2).ravel()
         cols = (2 * cols[split, None] + quarter % 2).ravel()
-        keys = (4 * keys[split, None] + quarter).ravel()
         inside = (rows * half < h) & (cols * half < w)
-        rows, cols, keys, level = rows[inside], cols[inside], keys[inside], level + 1
-    keys, leaf_level, rows, cols, rects, status = (np.concatenate(a) for a in zip(*leaves))
-    # Descending keys, each shifted to the deepest level reached, give the
-    # depth-first order of a walk that pops the last root first and pushes a
-    # split node's quarters in order: the order in which k-means seeding sees
-    # the fitted tiles.
-    order = np.argsort(keys << 2 * (level - 1 - leaf_level))[::-1]
-    leaf_level, rows, cols = leaf_level[order], rows[order], cols[order]
-    rects, status = rects[order], status[order]
-    fits = FitBatch.concatenate(leaf_fits).take(order)
+        rows, cols, level = rows[inside], cols[inside], level + 1
+    leaf_level, rows, cols, rects, status = (np.concatenate(a) for a in zip(*leaves))
+    fits = FitBatch.concatenate(leaf_fits)
 
     warnings: list[str] = []
-    cluster = np.full(len(order), UNLABELED)
+    cluster = np.full(len(status), UNLABELED)
     fitted = np.flatnonzero(status == _FITTED)
     if fitted.size:
         features = tile_features(fits.canonical[fitted])
@@ -458,7 +446,7 @@ def segment(
         if k > fitted.size:
             warnings.append(f"k={k} exceeds {fitted.size} fitted tiles; clamped")
             k = fitted.size
-        cluster[fitted], centroids = kmeans(features, k, seed=config.seed)
+        cluster[fitted], centroids = kmeans(features, fits.n_points[fitted], k)
     else:
         centroids = np.zeros((0, 4))
         warnings.append("no tiles were fitted")

@@ -352,7 +352,7 @@ def test_a9_segmentation_desk_scale():
                 config = rf.SegConfig(
                     formulation=formulation, backend="integral",
                     initial_tile=64, max_depth=3,
-                    rms_threshold=_SEG_THRESHOLDS[formulation], k=3, seed=7,
+                    rms_threshold=_SEG_THRESHOLDS[formulation], k=3,
                 )
                 start = time.perf_counter()
                 result = rf.segment(depth, maps, config, constant=constant)
@@ -400,7 +400,7 @@ def test_a10_additivity_and_tiling_properties():
         depth, _ = rf.render_scene(scene, maps, noise=rf.NoiseModel(), seed=53)
         config = rf.SegConfig(
             formulation=rf.IMPLICIT_RGBD, initial_tile=16, max_depth=3,
-            rms_threshold=_SEG_THRESHOLDS[rf.IMPLICIT_RGBD], k=3, seed=3,
+            rms_threshold=_SEG_THRESHOLDS[rf.IMPLICIT_RGBD], k=3,
         )
         result = rf.segment(depth, maps, config)
         coverage = np.zeros((72, 96), dtype=np.int32)

@@ -129,7 +129,7 @@ class TestSegment:
         code = main([
             "segment", "--intrinsics", str(camera_file), "--input", str(depth_path),
             "--formulation", "implicit-rgbd", "--tile", "16", "--k", "3",
-            "--seed", "1", "--out", str(ppm), "--csv", str(csv),
+            "--out", str(ppm), "--csv", str(csv),
         ])
         assert code == 0
         rgb = read_ppm(ppm)
@@ -217,6 +217,14 @@ class TestBench:
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["fit", "--wat"]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_segment_has_no_seed_flag(self, tmp_path, camera_file, capsys):
+        code = main([
+            "segment", "--intrinsics", str(camera_file), "--input", str(tmp_path / "d.rf64"),
+            "--out", str(tmp_path / "s.ppm"), "--seed", "1",
+        ])
+        assert code == 1
         assert "usage error" in capsys.readouterr().err
 
     def test_malformed_rect_is_usage_error(self, tmp_path, camera_file, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,18 @@ class TestVectorisedRowsMatchScalar:
                 assert np.isnan(out).all()
                 continue
             assert_row_matches(out, want)
+
+    @pytest.mark.parametrize("vector, unit", [
+        ([1e-170, -1e-170, 1e-170, 0.0], [1.0, -1.0, 1.0, 0.0]),  # squares underflow
+        ([1e200, 1e200, 0.0, 1.0], [1.0, 1.0, 0.0, 1e-200]),  # squares overflow
+    ])
+    def test_extreme_magnitudes_canonicalize(self, vector, unit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = canonicalize_implicit(np.array(vector))
+            rows = canonicalize_implicit_rows(np.array([vector]))
+        np.testing.assert_allclose(got, np.array(unit) / np.linalg.norm(unit), rtol=1e-15)
+        assert_row_matches(rows[0], got)
 
     @PROPERTY
     @given(rows_of(3), st.sampled_from([SPACE_STANDARD, SPACE_RGBD]))

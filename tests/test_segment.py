@@ -80,14 +80,14 @@ class TestKmeans:
     def test_single_cluster_is_mean(self):
         rng = np.random.default_rng(0)
         features = rng.standard_normal((30, 4))
-        labels, centroids = kmeans(features, 1, seed=1)
+        labels, centroids = kmeans(features, np.ones(30), 1)
         assert (labels == 0).all()
         np.testing.assert_allclose(centroids[0], features.mean(axis=0), rtol=1e-12)
 
     def test_k_equals_n(self):
         rng = np.random.default_rng(1)
         features = rng.standard_normal((6, 3)) * 10
-        labels, centroids = kmeans(features, 6, seed=2)
+        labels, centroids = kmeans(features, np.ones(6), 6)
         assert sorted(labels) == list(range(6))
         assert kmeans_objective(features, labels, centroids) == pytest.approx(0.0, abs=1e-20)
 
@@ -96,7 +96,7 @@ class TestKmeans:
         blob_a = rng.standard_normal((20, 2)) * 0.05 + np.array([0.0, 0.0])
         blob_b = rng.standard_normal((25, 2)) * 0.05 + np.array([10.0, 0.0])
         features = np.vstack((blob_a, blob_b))
-        labels, centroids = kmeans(features, 2, seed=3)
+        labels, centroids = kmeans(features, np.ones(45), 2)
         # brute-force oracle: best of the two possible blob assignments
         assert len(set(labels[:20])) == 1
         assert len(set(labels[20:])) == 1
@@ -112,7 +112,7 @@ class TestKmeans:
         features = rng.standard_normal((60, 4))
         previous = np.inf
         for iters in range(1, 8):
-            labels, centroids = kmeans(features, 5, seed=4, max_iter=iters)
+            labels, centroids = kmeans(features, np.ones(60), 5, max_iter=iters)
             objective = kmeans_objective(features, labels, centroids)
             assert objective <= previous + 1e-12
             previous = objective
@@ -120,20 +120,46 @@ class TestKmeans:
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(4)
         features = rng.standard_normal((40, 4))
-        la, ca = kmeans(features, 4, seed=9)
-        lb, cb = kmeans(features, 4, seed=9)
+        la, ca = kmeans(features, np.ones(40), 4)
+        lb, cb = kmeans(features, np.ones(40), 4)
         np.testing.assert_array_equal(la, lb)
         np.testing.assert_array_equal(ca, cb)
 
     def test_k_clamped_to_n(self):
         features = np.array([[0.0, 0.0], [1.0, 1.0]])
-        labels, centroids = kmeans(features, 5, seed=0)
+        labels, centroids = kmeans(features, np.ones(2), 5)
         assert centroids.shape[0] == 2
         assert set(labels) == {0, 1}
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            kmeans(np.empty((0, 3)), 2)
+            kmeans(np.empty((0, 3)), np.ones(0), 2)
+
+    def test_seeds_are_heaviest_then_weighted_farthest(self):
+        rng = np.random.default_rng(6)
+        features = rng.standard_normal((25, 3))
+        weights = rng.uniform(1.0, 2.0, 25)
+        weights[17] = 5.0
+        _, centroids = kmeans(features, weights, 3, max_iter=0)
+        np.testing.assert_array_equal(centroids[0], features[17])
+        farthest = np.argmax(weights * np.sum((features - features[17]) ** 2, axis=1))
+        np.testing.assert_array_equal(centroids[1], features[farthest])
+
+    def test_permuting_rows_permutes_labels(self):
+        rng = np.random.default_rng(7)
+        # dyadic features sum exactly in any order, so centroids match bit for bit
+        features = rng.integers(-512, 512, size=(50, 4)) / 64.0
+        weights = rng.uniform(1.0, 100.0, 50)
+        perm = rng.permutation(50)
+        labels, centroids = kmeans(features, weights, 5)
+        p_labels, p_centroids = kmeans(features[perm], weights[perm], 5)
+        np.testing.assert_array_equal(p_centroids, centroids)
+        np.testing.assert_array_equal(p_labels, labels[perm])
+
+    @pytest.mark.parametrize("shape", [(39,), (40, 1), ()])
+    def test_rejects_weights_of_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="weights"):
+            kmeans(np.zeros((40, 4)), np.ones(shape), 3)
 
 
 class TestTileFeatures:
@@ -256,7 +282,7 @@ class TestSegment:
         config = SegConfig(
             formulation=formulation, initial_tile=16, max_depth=3,
             rms_threshold=SegConfig(formulation=formulation).threshold / 8,
-            min_valid_fraction=0.9, k=3, seed=0,
+            min_valid_fraction=0.9, k=3,
         )
         batch_calls = []
         original = rangefit.fitting.fit_sums
@@ -266,8 +292,14 @@ class TestSegment:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(rangefit.fitting, "fit_sums", counting)
-        tiles = segment(depth, maps, config, constant=constant).tiles
-        expected = reference_leaves(depth, maps, config, constant)
+        tiles = sorted(
+            segment(depth, maps, config, constant=constant).tiles,
+            key=lambda t: (t.level, t.rect.y0, t.rect.x0),
+        )
+        expected = sorted(
+            reference_leaves(depth, maps, config, constant),
+            key=lambda leaf: (leaf[1], leaf[0].y0, leaf[0].x0),
+        )
 
         assert len(tiles) == len(expected)
         for tile, (rect, level, status, result) in zip(tiles, expected):
@@ -295,7 +327,7 @@ class TestSegment:
             SyntheticScene((GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0])),)), small_maps
         )
         config = SegConfig(
-            formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=2, k=3, seed=0
+            formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=2, k=3
         )
         result = segment(depth, small_maps, config)
         assert result.n_fitted == len(result.tiles) == (64 // 16) * (48 // 16)
@@ -309,7 +341,7 @@ class TestSegment:
         scene = corner_scene()
         depth, _ = render_scene(scene, small_maps, noise=NoiseModel(), seed=3)
         config = SegConfig(
-            formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3, k=3, seed=1
+            formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3, k=3
         )
         result = segment(depth, small_maps, config)
         coverage = np.zeros((48, 64), dtype=np.int32)
@@ -323,7 +355,7 @@ class TestSegment:
         depth, _ = render_scene(corner_scene(), small_maps, noise=NoiseModel(), seed=3, dropout=0.3)
         config = SegConfig(
             formulation=formulation, initial_tile=16, max_depth=2,
-            rms_threshold=SegConfig(formulation=formulation).threshold / 8, k=3, seed=1,
+            rms_threshold=SegConfig(formulation=formulation).threshold / 8, k=3,
         )
         result = segment(depth, small_maps, config)
         stats = result.stats()
@@ -359,7 +391,7 @@ class TestSegment:
             GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.5]), mask_rect=(0, 24, 32, 48)),
         )
         depth, _ = render_scene(SyntheticScene(planes), small_maps)
-        config = SegConfig(formulation=IMPLICIT_STANDARD, initial_tile=16, k=2, seed=0)
+        config = SegConfig(formulation=IMPLICIT_STANDARD, initial_tile=16, k=2)
         result = segment(depth, small_maps, config)
         rejected = [t for t in result.tiles if t.status is TileStatus.TOO_INVALID]
         # tiles fully inside the empty region (y boundary 24 halves the y0=16
@@ -372,10 +404,23 @@ class TestSegment:
     def test_corner_scene_accuracy(self, small_maps):
         scene = corner_scene()
         depth, truth = render_scene(scene, small_maps, noise=NoiseModel(), seed=7)
-        config = SegConfig(formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3, k=3, seed=2)
+        config = SegConfig(formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3, k=3)
         result = segment(depth, small_maps, config)
         accuracy = best_label_accuracy(result.labels, truth, k=3)
         assert accuracy >= 0.95
+
+    def test_draws_no_random_numbers(self, small_maps, monkeypatch):
+        depth, truth = render_scene(
+            corner_scene(), small_maps, noise=NoiseModel(), seed=13, dropout=0.1
+        )
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("segment drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        config = SegConfig(formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3, k=3)
+        result = segment(depth, small_maps, config)
+        assert best_label_accuracy(result.labels, truth, k=3) >= 0.95
 
     def test_threshold_monotonicity(self, small_maps):
         scene = corner_scene()
@@ -384,7 +429,7 @@ class TestSegment:
         for threshold in (3e-2, 8e-3, 2e-3, 5e-4):
             config = SegConfig(
                 formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3,
-                rms_threshold=threshold, k=3, seed=0,
+                rms_threshold=threshold, k=3,
             )
             leaf_counts.append(len(segment(depth, small_maps, config).tiles))
         assert leaf_counts == sorted(leaf_counts)
@@ -396,7 +441,7 @@ class TestSegment:
         for backend in ("naive", "integral"):
             config = SegConfig(
                 formulation=IMPLICIT_RGBD, backend=backend, initial_tile=16,
-                max_depth=3, k=3, seed=4,
+                max_depth=3, k=3,
             )
             results[backend] = segment(depth, small_maps, config)
         a, b = results["naive"], results["integral"]
@@ -412,7 +457,7 @@ class TestSegment:
         depth, _ = render_scene(
             SyntheticScene((GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0])),)), small_maps
         )
-        config = SegConfig(formulation=IMPLICIT_RGBD, initial_tile=32, k=30, seed=0)
+        config = SegConfig(formulation=IMPLICIT_RGBD, initial_tile=32, k=30)
         result = segment(depth, small_maps, config)
         assert any("clamped" in w for w in result.warnings)
 
@@ -421,7 +466,7 @@ class TestSegment:
         depth, _ = render_scene(scene, small_maps, noise=NoiseModel(), seed=10)
         config = SegConfig(
             formulation=EXPLICIT_STANDARD, initial_tile=16, max_depth=2,
-            rms_threshold=0.08, error_metric="max", k=3, seed=0,
+            rms_threshold=0.08, error_metric="max", k=3,
         )
         result = segment(depth, small_maps, config)
         assert result.n_fitted > 0
@@ -462,7 +507,7 @@ class TestSegment:
     def test_color_output_and_csv(self, small_maps):
         scene = corner_scene()
         depth, _ = render_scene(scene, small_maps, noise=NoiseModel(), seed=11)
-        config = SegConfig(formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3, k=3, seed=5)
+        config = SegConfig(formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3, k=3)
         result = segment(depth, small_maps, config)
         rgb = result.to_color()
         assert rgb.shape == (48, 64, 3) and rgb.dtype == np.uint8
@@ -535,7 +580,7 @@ class TestNodePyramidSegment:
         results = {
             backend: segment(depth, maps, SegConfig(
                 formulation=formulation, backend=backend, initial_tile=16, max_depth=2,
-                rms_threshold=threshold, k=3, seed=0,
+                rms_threshold=threshold, k=3,
             ))
             for backend in ("naive", "integral")
         }
@@ -584,7 +629,7 @@ class TestNodePyramidSegment:
         depth, _ = render_scene(
             corner_scene(), small_maps, noise=NoiseModel(), seed=5, dropout=dropout
         )
-        config = SegConfig(formulation=formulation, initial_tile=16, max_depth=3, k=3, seed=0)
+        config = SegConfig(formulation=formulation, initial_tile=16, max_depth=3, k=3)
         given = segment(depth, small_maps, config, constant=build_constant_channels(small_maps))
         calls = []
         original = rangefit.integral.build_constant_channels
@@ -619,7 +664,7 @@ class TestNodePyramidSegment:
         depth = DepthImage(values=depth.values, valid=valid)
         result = segment(depth, maps, SegConfig(
             formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=2,
-            rms_threshold=SegConfig().threshold / 8, k=3, seed=0,
+            rms_threshold=SegConfig().threshold / 8, k=3,
         ))
         assert {t.status for t in result.tiles} == set(TileStatus)
         labels, rgb = reference_paint(result)
