@@ -1,10 +1,10 @@
 """Quadtree planar segmentation of a noisy synthetic room corner.
 
 Tiles that fit a plane below the residual threshold become leaves; tiles
-straddling the creases subdivide up to three times; k-means then groups the
-fitted tiles by their plane coefficients.  The output PPM uses a fixed
-palette, with rejected tiles shown dark red (too many holes) or dark blue
-(irreducible fit error).
+straddling the creases subdivide up to three times; adjacent fitted tiles
+whose plane coefficients agree then grow into segments, with no plane count
+given.  The output PPM uses a fixed palette, with rejected tiles shown dark
+red (too many holes) or dark blue (irreducible fit error).
 """
 
 import numpy as np
@@ -40,7 +40,7 @@ scene = SyntheticScene((
 depth, truth = render_scene(scene, maps, noise=NoiseModel(), seed=3, dropout=0.02)
 config = SegConfig(
     formulation="implicit-rgbd", backend="integral",
-    initial_tile=64, max_depth=3, rms_threshold=2.4e-3, k=3,
+    initial_tile=64, max_depth=3, rms_threshold=2.4e-3,
 )
 result = segment(depth, maps, config)
 
@@ -52,7 +52,8 @@ for tile in result.tiles:
 print("tiles per subdivision level:", dict(sorted(levels.items())))
 
 valid = (result.labels >= 0) & (truth != 255)
-for cluster in range(3):
+print("segments:", int(result.cluster.max()) + 1)
+for cluster in range(int(result.cluster.max()) + 1):
     member_truth = truth[valid & (result.labels == cluster)]
     if member_truth.size:
         majority = np.bincount(member_truth).argmax()

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import fitting, imageio, synth
 from .camera import DEPTH_NOISE_COEFFICIENT, NoiseModel, TanAngleMaps, compute_tan_maps, load_intrinsics
-from .integral import Rect, build_channels, build_constant_channels
+from .integral import FORMULATION_CHANNELS, Rect, build_channels, build_constant_channels
 from .segment import SegConfig
 from .segment import segment as run_segment
 
@@ -87,7 +87,6 @@ def _build_parser() -> _Parser:
     p_seg.add_argument("--max-depth", type=int, default=3)
     p_seg.add_argument("--threshold", type=float, default=None, help="residual threshold in the formulation's metric")
     p_seg.add_argument("--min-valid-fraction", type=float, default=0.5)
-    p_seg.add_argument("--k", type=int, default=8)
     p_seg.add_argument("--metric", choices=("rms", "max"), default="rms")
     p_seg.add_argument("--out", required=True, help="color PPM label image")
     p_seg.add_argument("--csv", help="optional per-tile CSV")
@@ -138,7 +137,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     stack = constant = None
     if args.backend == "integral":
         stack = build_channels(depth, maps, args.formulation)
-        constant = build_constant_channels(maps)
+        # only a hole-free rgbd frame reads its tan sums from the constant stack
+        if FORMULATION_CHANNELS[args.formulation].needs_constant and depth.valid.all():
+            constant = build_constant_channels(maps)
     result = fitting.fit_rect(
         depth, maps, args.rect, args.formulation, args.backend, stack=stack, constant=constant
     )
@@ -161,7 +162,6 @@ def _cmd_segment(args: argparse.Namespace) -> int:
         max_depth=args.max_depth,
         rms_threshold=args.threshold,
         min_valid_fraction=args.min_valid_fraction,
-        k=args.k,
         error_metric=args.metric,
     )
     result = run_segment(depth, maps, config)

@@ -11,10 +11,10 @@ over those nodes once and fits a whole level with one batched solve.
 The walk visits each level once, its nodes held as arrays, its fits as one
 :class:`~rangefit.fitting.FitBatch` and its decisions as masks; leaves come
 out in level order.  A 1-px sliver's fit is the viewing plane through the
-camera centre, so it comes back degenerate.  K-means from count-weighted
-farthest-point seeds, over the fitted leaves' plane coefficients taken in
-one array pass, then groups coplanar tiles into labeled segments, and
-labels and colours are painted on the cell lattice one level at a time.
+camera centre, so it comes back degenerate.  Segments then grow over the
+adjacency of the fitted leaves on the cell lattice, joining neighbours whose
+plane coefficients, taken in one array pass, agree (:func:`group_leaves`),
+and labels and colours are painted on that lattice.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ _COLORS = np.array(
     (*CLUSTER_PALETTE, TOO_INVALID_COLOR, HIGH_ERROR_COLOR, (0, 0, 0)), dtype=np.uint8
 )
 
-D_SCALE = 5.0  # offset divisor of the cluster features (see tile_features)
+D_SCALE = 5.0  # offset divisor of the leaf features (see tile_features)
+JOIN = 0.25  # feature distance under which adjacent leaves join (see group_leaves)
 
 # Smallest tile edge worth fitting; a 2x2 tile still carries the 4 samples an
 # implicit fit needs.
@@ -102,7 +103,6 @@ class SegConfig:
     max_depth: int = 3
     rms_threshold: float | None = None
     min_valid_fraction: float = 0.5
-    k: int = 8
     error_metric: str = "rms"
 
     def __post_init__(self) -> None:
@@ -126,8 +126,6 @@ class SegConfig:
             raise ValueError("rms_threshold must be positive")
         if not (0.0 <= self.min_valid_fraction <= 1.0):
             raise ValueError("min_valid_fraction must be in [0, 1]")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
         if self.error_metric not in ("rms", "max"):
             raise ValueError(f"unknown error metric {self.error_metric!r}")
 
@@ -156,11 +154,11 @@ class Tile:
 
 @dataclass
 class Segmentation:
-    """Leaves as arrays, their cluster labels, and the per-pixel label lattice.
+    """Leaves as arrays, their segment ids, and the per-pixel label lattice.
 
     Leaf i covers ``rects[i]`` (x0, y0, x1, y1) at quadtree ``level[i]``;
     ``status[i]`` indexes ``STATUSES``; row i of ``fits`` is its fit,
-    unfitted for a too-invalid leaf; ``cluster[i]`` is its k-means label,
+    unfitted for a too-invalid leaf; ``cluster[i]`` is its segment id,
     ``UNLABELED`` unless it is fitted.  Leaves come in level order: level 0
     row-major, then each level's children in their parents' order.
     ``cells`` holds the leaf covering each cell of the quadtree's finest
@@ -176,7 +174,6 @@ class Segmentation:
     cluster: np.ndarray
     cells: np.ndarray
     labels: np.ndarray
-    centroids: np.ndarray
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -256,14 +253,14 @@ class Segmentation:
 
 
 def tile_features(coefficients: np.ndarray) -> np.ndarray:
-    """Cluster-ready feature rows for fitted tiles' canonical implicit coefficients.
+    """Feature rows for fitted tiles' canonical implicit coefficients.
 
     ``coefficients`` is (N, 4), as :attr:`FitBatch.canonical` gives them.
     Each plane is rescaled so its normal has unit length with offset d >= 0
     (parallel planes then share their first three features exactly; at d ==
     0 the first normal component over 1e-12, in the order (c, b, a), is made
     positive), and the offset is divided by ``D_SCALE`` to balance
-    normal-direction distances against offset distances in the clustering
+    normal-direction distances against offset distances in the grouping
     metric.
     """
     coef = np.asarray(coefficients, dtype=np.float64)
@@ -280,52 +277,65 @@ def tile_features(coefficients: np.ndarray) -> np.ndarray:
     return coef
 
 
-def kmeans(
-    features: np.ndarray, weights: np.ndarray, k: int, max_iter: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's k-means from weighted farthest-point seeds.
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each node's connected component under edges (a[i], b[i]), named by its lowest node."""
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        hook = ra != rb
+        if not hook.any():
+            return root
+        np.minimum.at(root, np.maximum(ra, rb)[hook], np.minimum(ra, rb)[hook])
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
 
-    The first centroid is the row of largest weight; each next one is the
-    row of largest weight times squared distance to its nearest chosen
-    centroid, ties to the lowest index (Gonzalez's farthest-point seeding,
-    weighted).  No randomness: equal inputs give equal results.  Converges
-    when no label changes or after ``max_iter`` rounds.  ``k`` larger than
-    the sample count is clamped.  Returns (labels, centroids).
+
+def group_leaves(
+    cells: np.ndarray, fitted: np.ndarray, features: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Segment ids of the fitted leaves, grown over the quadtree's leaf adjacency.
+
+    ``cells`` holds the leaf covering each lattice cell (-1 for none),
+    ``fitted`` the fitted leaves' indices, ascending, and ``features`` and
+    ``weights`` their :func:`tile_features` rows and sample counts.  Adjacent
+    leaves join when their features lie closer than ``JOIN``; each segment's
+    heaviest leaf cuts loose every member ``JOIN`` or more away; the leaves
+    of a seam (a segment with no interior leaf) join nearest neighbours.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ValueError(f"features must be a non-empty (n, d) array, got {features.shape}")
-    n = features.shape[0]
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (n,):
-        raise ValueError(f"expected {n} weights, got shape {weights.shape}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    k = min(k, n)
+    n = len(fitted)
+    position = np.full(int(cells.max(initial=-1)) + 2, -1)  # index -1 stays -1
+    position[fitted] = np.arange(n)
+    node = position[cells]
+    a = np.concatenate((node[:, :-1].ravel(), node[:-1].ravel()))
+    b = np.concatenate((node[:, 1:].ravel(), node[1:].ravel()))
+    keep = (a >= 0) & (b >= 0) & (a != b)
+    a, b = np.divmod(np.unique(np.minimum(a, b)[keep] * n + np.maximum(a, b)[keep]), n)
+    distance = np.linalg.norm(features[a] - features[b], axis=1)
 
-    centroids = np.empty((k, features.shape[1]))
-    centroids[0] = features[np.argmax(weights)]
-    dist_sq = np.full(n, np.inf)  # to the nearest centroid chosen so far
-    for i in range(1, k):
-        np.minimum(dist_sq, np.sum((features - centroids[i - 1]) ** 2, axis=1), out=dist_sq)
-        centroids[i] = features[np.argmax(weights * dist_sq)]
-
-    labels = np.full(n, -1)
-    for _ in range(max_iter):
-        distances = np.sum((features[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(distances, axis=1)
-        if np.array_equal(new_labels, labels):
+    joined = distance < JOIN
+    while True:
+        segment = _components(n, a[joined], b[joined])
+        order = np.lexsort((-weights, segment))  # stable, so ties go to the lowest index
+        roots, heaviest = np.unique(segment[order], return_index=True)
+        centre = features[order[heaviest]][np.searchsorted(roots, segment)]
+        cut = np.linalg.norm(features - centre, axis=1) >= JOIN
+        if not cut.any():
             break
-        labels = new_labels
-        for j in range(k):
-            members = features[labels == j]
-            if len(members):
-                centroids[j] = members.mean(axis=0)
-            else:
-                # deterministic restart: grab the point farthest from its centroid
-                worst = int(np.argmax(np.min(distances, axis=1)))
-                centroids[j] = features[worst]
-    return labels, centroids
+        joined &= cut[a] == cut[b]
+
+    leaf, other, gap = np.concatenate((a, b)), np.concatenate((b, a)), np.tile(distance, 2)
+    interior = np.ones(n, dtype=bool)
+    interior[leaf[segment[leaf] != segment[other]]] = False
+    anchored = np.zeros(n, dtype=bool)  # by segment: holds an interior leaf
+    anchored[segment[interior]] = True
+    move = ~anchored[segment[leaf]] & anchored[segment[other]]
+    seam, other, gap = leaf[move], other[move], gap[move]
+    order = np.lexsort((other, gap, seam))
+    nearest = order[np.unique(seam[order], return_index=True)[1]]
+    segment[seam[nearest]] = segment[other[nearest]]
+
+    _, lowest, ids = np.unique(segment, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(lowest))[ids]
 
 
 def _upsample(grid: np.ndarray, cell: int, shape: tuple[int, int]) -> np.ndarray:
@@ -377,8 +387,8 @@ def segment(
     Sums the formulation's channels over every node of the quadtree once
     (:func:`~rangefit.integral.build_node_pyramid`), fits each level of
     the tree with one batched solve over those sums (the naive backend
-    refits each tile from its pixels instead), then clusters the fitted
-    tiles' coefficients.  The rgbd formulations read their camera-constant
+    refits each tile from its pixels instead), then groups the fitted tiles
+    (:func:`group_leaves`).  The rgbd formulations read their camera-constant
     tan sums from ``constant`` when it is given, at the corners of the
     quadtree's cell lattice, and write them from the tan maps otherwise.
     """
@@ -437,20 +447,6 @@ def segment(
     leaf_level, rows, cols, rects, status = (np.concatenate(a) for a in zip(*leaves))
     fits = FitBatch.concatenate(leaf_fits)
 
-    warnings: list[str] = []
-    cluster = np.full(len(status), UNLABELED)
-    fitted = np.flatnonzero(status == _FITTED)
-    if fitted.size:
-        features = tile_features(fits.canonical[fitted])
-        k = config.k
-        if k > fitted.size:
-            warnings.append(f"k={k} exceeds {fitted.size} fitted tiles; clamped")
-            k = fitted.size
-        cluster[fitted], centroids = kmeans(features, fits.n_points[fitted], k)
-    else:
-        centroids = np.zeros((0, 4))
-        warnings.append("no tiles were fitted")
-
     # the leaf covering each lattice cell, painted one level at a time
     cells = np.full(pyramid.levels[0].shape[1:], -1, dtype=np.int32)
     for i, sums in enumerate(pyramid.levels):
@@ -459,7 +455,17 @@ def segment(
             cells = cells[:, : sums.shape[2]]
         at = np.flatnonzero(leaf_level == i)
         cells[rows[at], cols[at]] = at
-    labels = np.append(cluster, UNLABELED).astype(np.int16)[cells]  # likewise
+
+    warnings: list[str] = []
+    cluster = np.full(len(status), UNLABELED)
+    fitted = np.flatnonzero(status == _FITTED)
+    if fitted.size:
+        features = tile_features(fits.canonical[fitted])
+        cluster[fitted] = group_leaves(cells, fitted, features, fits.n_points[fitted])
+    else:
+        warnings.append("no tiles were fitted")
+    dtype = np.int16 if len(status) < 2**15 else np.int32
+    labels = np.append(cluster, UNLABELED).astype(dtype)[cells]  # -1: no leaf
     return Segmentation(
         config=config,
         rects=rects,
@@ -469,6 +475,5 @@ def segment(
         cluster=cluster,
         cells=cells,
         labels=_upsample(labels, config.cell, (h, w)),
-        centroids=centroids,
         warnings=warnings,
     )

@@ -8,13 +8,13 @@ desktop; the remaining criteria are numeric and exact-tolerance.
 
 from __future__ import annotations
 
-import itertools
 import statistics
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import rangefit as rf
 
@@ -316,18 +316,14 @@ _SEG_THRESHOLDS = {
 }
 
 
-def _label_accuracy(predicted: np.ndarray, truth: np.ndarray, k: int) -> float:
+def _label_accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
+    """Pixel accuracy under the best one-to-one segment-to-plane matching."""
     mask = (predicted >= 0) & (truth != 255)
-    total = int(mask.sum())
-    truth_ids = sorted(int(t) for t in np.unique(truth[truth != 255]))
-    best = 0
-    for perm in itertools.permutations(range(k), len(truth_ids)):
-        hits = sum(
-            int(np.count_nonzero(mask & (predicted == cluster) & (truth == t)))
-            for cluster, t in zip(perm, truth_ids)
-        )
-        best = max(best, hits)
-    return best / max(total, 1)
+    p, t = predicted[mask].astype(np.int64), truth[mask].astype(np.int64)
+    table = np.zeros((int(p.max(initial=0)) + 1, int(t.max(initial=0)) + 1))
+    np.add.at(table, (p, t), 1.0)
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return float(table[rows, cols].sum()) / max(int(mask.sum()), 1)
 
 
 def test_a9_segmentation_desk_scale():
@@ -352,13 +348,13 @@ def test_a9_segmentation_desk_scale():
                 config = rf.SegConfig(
                     formulation=formulation, backend="integral",
                     initial_tile=64, max_depth=3,
-                    rms_threshold=_SEG_THRESHOLDS[formulation], k=3,
+                    rms_threshold=_SEG_THRESHOLDS[formulation],
                 )
                 start = time.perf_counter()
                 result = rf.segment(depth, maps, config, constant=constant)
                 times[formulation].append(time.perf_counter() - start)
                 if formulation == rf.IMPLICIT_RGBD:
-                    accuracies.append(_label_accuracy(result.labels, truth, k=3))
+                    accuracies.append(_label_accuracy(result.labels, truth))
 
         median_accuracy = statistics.median(accuracies)
         medians = {f: statistics.median(times[f]) for f in rf.FORMULATIONS}
@@ -400,7 +396,7 @@ def test_a10_additivity_and_tiling_properties():
         depth, _ = rf.render_scene(scene, maps, noise=rf.NoiseModel(), seed=53)
         config = rf.SegConfig(
             formulation=rf.IMPLICIT_RGBD, initial_tile=16, max_depth=3,
-            rms_threshold=_SEG_THRESHOLDS[rf.IMPLICIT_RGBD], k=3,
+            rms_threshold=_SEG_THRESHOLDS[rf.IMPLICIT_RGBD],
         )
         result = rf.segment(depth, maps, config)
         coverage = np.zeros((72, 96), dtype=np.int32)

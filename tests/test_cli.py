@@ -7,9 +7,13 @@ import json
 import numpy as np
 import pytest
 
+from rangefit import cli
 from rangefit.cli import main
+from rangefit.fitting import CSV_HEADER, fit_rect, fit_result_csv_row
 from rangefit.imageio import read_pgm8, read_ppm
-from rangefit import read_depth
+from rangefit import (
+    Rect, build_channels, build_constant_channels, compute_tan_maps, load_intrinsics, read_depth,
+)
 
 
 @pytest.fixture
@@ -117,6 +121,46 @@ class TestFit:
         assert out_csv.read_text().startswith("formulation,backend,")
 
 
+    @pytest.mark.parametrize("formulation, dropout, builds", [
+        ("implicit-standard", "0", 0),
+        ("explicit-standard", "0", 0),
+        ("implicit-rgbd", "0.05", 0),
+        ("explicit-rgbd", "0.05", 0),
+        ("implicit-rgbd", "0", 1),
+        ("explicit-rgbd", "0", 1),
+    ])
+    def test_fit_builds_constant_stack_only_when_read(
+        self, tmp_path, camera_file, corner_scene_file, capsys, monkeypatch,
+        formulation, dropout, builds,
+    ):
+        depth_path = tmp_path / "depth.rf64"
+        assert main([
+            "synth", "--intrinsics", str(camera_file), "--scene", str(corner_scene_file),
+            "--dropout", dropout, "--out", str(depth_path),
+        ]) == 0
+        maps = compute_tan_maps(load_intrinsics(camera_file))
+        depth, rect = read_depth(depth_path), Rect(4, 2, 40, 30)
+        result = fit_rect(
+            depth, maps, rect, formulation, "integral",
+            stack=build_channels(depth, maps, formulation), constant=build_constant_channels(maps),
+        )
+        expected = CSV_HEADER + "\n" + fit_result_csv_row(result, formulation, "integral", rect) + "\n"
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_constant_channels(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_constant_channels", counting)
+        capsys.readouterr()
+        assert main([
+            "fit", "--intrinsics", str(camera_file), "--input", str(depth_path),
+            "--formulation", formulation, "--rect", "4,2,40,30",
+        ]) == 0
+        assert len(calls) == builds
+        assert capsys.readouterr().out == expected
+
+
 class TestSegment:
     def test_segment_corner_scene(self, tmp_path, camera_file, corner_scene_file):
         depth_path = tmp_path / "depth.rf64"
@@ -128,7 +172,7 @@ class TestSegment:
         csv = tmp_path / "tiles.csv"
         code = main([
             "segment", "--intrinsics", str(camera_file), "--input", str(depth_path),
-            "--formulation", "implicit-rgbd", "--tile", "16", "--k", "3",
+            "--formulation", "implicit-rgbd", "--tile", "16",
             "--out", str(ppm), "--csv", str(csv),
         ])
         assert code == 0
@@ -156,7 +200,7 @@ class TestSegment:
             ppm, csv = tmp_path / f"{name}.ppm", tmp_path / f"{name}.csv"
             assert main([
                 "segment", "--intrinsics", str(camera), "--input", str(depth_path),
-                "--tile", tile, "--max-depth", depth, "--k", "1",
+                "--tile", tile, "--max-depth", depth,
                 "--out", str(ppm), "--csv", str(csv),
             ]) == 0
             header, *rows = csv.read_text().strip().split("\n")
@@ -180,7 +224,7 @@ class TestSegment:
         csv, stats = tmp_path / "tiles.csv", tmp_path / "stats.json"
         code = main([
             "segment", "--intrinsics", str(camera_file), "--input", str(depth_path),
-            "--tile", "16", "--max-depth", "2", "--threshold", "1e-4", "--k", "3",
+            "--tile", "16", "--max-depth", "2", "--threshold", "1e-4",
             "--out", str(tmp_path / "seg.ppm"), "--csv", str(csv), "--stats", str(stats),
         ])
         assert code == 0
@@ -223,6 +267,14 @@ class TestExitCodes:
         code = main([
             "segment", "--intrinsics", str(camera_file), "--input", str(tmp_path / "d.rf64"),
             "--out", str(tmp_path / "s.ppm"), "--seed", "1",
+        ])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_segment_has_no_k_flag(self, tmp_path, camera_file, capsys):
+        code = main([
+            "segment", "--intrinsics", str(camera_file), "--input", str(tmp_path / "d.rf64"),
+            "--out", str(tmp_path / "s.ppm"), "--k", "3",
         ])
         assert code == 1
         assert "usage error" in capsys.readouterr().err

@@ -1,12 +1,12 @@
-"""Segmentation tests: k-means, quadtree behavior, labeling accuracy."""
+"""Segmentation tests: leaf grouping, quadtree behavior, labeling accuracy."""
 
 from __future__ import annotations
 
 import importlib
-import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import rangefit.fitting
 import rangefit.integral
@@ -35,7 +35,7 @@ from rangefit import (
     fit_implicit_standard,
     fit_rect,
     gather_window_samples,
-    kmeans,
+    group_leaves,
     render_scene,
     segment,
     tile_features,
@@ -43,6 +43,7 @@ from rangefit import (
 from rangefit.segment import (
     CLUSTER_PALETTE,
     HIGH_ERROR_COLOR,
+    JOIN,
     TOO_INVALID_COLOR,
     UNLABELED,
 )
@@ -50,22 +51,14 @@ from rangefit.segment import (
 from conftest import random_visible_plane
 
 
-def kmeans_objective(features: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
-    return float(np.sum((features - centroids[labels]) ** 2))
-
-
-def best_label_accuracy(predicted: np.ndarray, truth: np.ndarray, k: int) -> float:
-    """Pixel accuracy under the best one-to-one cluster-to-truth matching."""
+def best_label_accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
+    """Pixel accuracy under the best one-to-one segment-to-truth matching."""
     mask = (predicted >= 0) & (truth != 255)
-    total = int(mask.sum())
-    truth_ids = sorted(int(t) for t in np.unique(truth[truth != 255]))
-    best = 0
-    for perm in itertools.permutations(range(k), len(truth_ids)):
-        hits = 0
-        for cluster, t in zip(perm, truth_ids):
-            hits += int(np.count_nonzero(mask & (predicted == cluster) & (truth == t)))
-        best = max(best, hits)
-    return best / max(total, 1)
+    p, t = predicted[mask].astype(np.int64), truth[mask].astype(np.int64)
+    table = np.zeros((int(p.max(initial=0)) + 1, int(t.max(initial=0)) + 1))
+    np.add.at(table, (p, t), 1.0)
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return float(table[rows, cols].sum()) / max(int(mask.sum()), 1)
 
 
 def features_of(result) -> np.ndarray:
@@ -74,92 +67,6 @@ def features_of(result) -> np.ndarray:
     if isinstance(plane, ExplicitPlane):
         plane = explicit_to_implicit(plane)
     return tile_features(plane.coefficients[None])[0]
-
-
-class TestKmeans:
-    def test_single_cluster_is_mean(self):
-        rng = np.random.default_rng(0)
-        features = rng.standard_normal((30, 4))
-        labels, centroids = kmeans(features, np.ones(30), 1)
-        assert (labels == 0).all()
-        np.testing.assert_allclose(centroids[0], features.mean(axis=0), rtol=1e-12)
-
-    def test_k_equals_n(self):
-        rng = np.random.default_rng(1)
-        features = rng.standard_normal((6, 3)) * 10
-        labels, centroids = kmeans(features, np.ones(6), 6)
-        assert sorted(labels) == list(range(6))
-        assert kmeans_objective(features, labels, centroids) == pytest.approx(0.0, abs=1e-20)
-
-    def test_separated_blobs_recovered_exactly(self):
-        rng = np.random.default_rng(2)
-        blob_a = rng.standard_normal((20, 2)) * 0.05 + np.array([0.0, 0.0])
-        blob_b = rng.standard_normal((25, 2)) * 0.05 + np.array([10.0, 0.0])
-        features = np.vstack((blob_a, blob_b))
-        labels, centroids = kmeans(features, np.ones(45), 2)
-        # brute-force oracle: best of the two possible blob assignments
-        assert len(set(labels[:20])) == 1
-        assert len(set(labels[20:])) == 1
-        assert labels[0] != labels[-1]
-        got = kmeans_objective(features, labels, centroids)
-        for assignment in ([0] * 20 + [1] * 25, [1] * 20 + [0] * 25):
-            assignment = np.asarray(assignment)
-            cents = np.stack([features[assignment == j].mean(axis=0) for j in (0, 1)])
-            assert got <= kmeans_objective(features, assignment, cents) + 1e-12
-
-    def test_objective_non_increasing_with_iterations(self):
-        rng = np.random.default_rng(3)
-        features = rng.standard_normal((60, 4))
-        previous = np.inf
-        for iters in range(1, 8):
-            labels, centroids = kmeans(features, np.ones(60), 5, max_iter=iters)
-            objective = kmeans_objective(features, labels, centroids)
-            assert objective <= previous + 1e-12
-            previous = objective
-
-    def test_deterministic_for_seed(self):
-        rng = np.random.default_rng(4)
-        features = rng.standard_normal((40, 4))
-        la, ca = kmeans(features, np.ones(40), 4)
-        lb, cb = kmeans(features, np.ones(40), 4)
-        np.testing.assert_array_equal(la, lb)
-        np.testing.assert_array_equal(ca, cb)
-
-    def test_k_clamped_to_n(self):
-        features = np.array([[0.0, 0.0], [1.0, 1.0]])
-        labels, centroids = kmeans(features, np.ones(2), 5)
-        assert centroids.shape[0] == 2
-        assert set(labels) == {0, 1}
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            kmeans(np.empty((0, 3)), np.ones(0), 2)
-
-    def test_seeds_are_heaviest_then_weighted_farthest(self):
-        rng = np.random.default_rng(6)
-        features = rng.standard_normal((25, 3))
-        weights = rng.uniform(1.0, 2.0, 25)
-        weights[17] = 5.0
-        _, centroids = kmeans(features, weights, 3, max_iter=0)
-        np.testing.assert_array_equal(centroids[0], features[17])
-        farthest = np.argmax(weights * np.sum((features - features[17]) ** 2, axis=1))
-        np.testing.assert_array_equal(centroids[1], features[farthest])
-
-    def test_permuting_rows_permutes_labels(self):
-        rng = np.random.default_rng(7)
-        # dyadic features sum exactly in any order, so centroids match bit for bit
-        features = rng.integers(-512, 512, size=(50, 4)) / 64.0
-        weights = rng.uniform(1.0, 100.0, 50)
-        perm = rng.permutation(50)
-        labels, centroids = kmeans(features, weights, 5)
-        p_labels, p_centroids = kmeans(features[perm], weights[perm], 5)
-        np.testing.assert_array_equal(p_centroids, centroids)
-        np.testing.assert_array_equal(p_labels, labels[perm])
-
-    @pytest.mark.parametrize("shape", [(39,), (40, 1), ()])
-    def test_rejects_weights_of_wrong_shape(self, shape):
-        with pytest.raises(ValueError, match="weights"):
-            kmeans(np.zeros((40, 4)), np.ones(shape), 3)
 
 
 class TestTileFeatures:
@@ -202,6 +109,106 @@ class TestTileFeatures:
             )
         )
         np.testing.assert_allclose(features_of(implicit), features_of(explicit), atol=1e-8)
+
+
+class TestGroupLeaves:
+    def test_coplanar_patches_apart_get_different_ids(self, small_maps):
+        # a nearer box spanning the image height cuts the wall in two
+        wall = GroundTruthPlane(np.array([0.0, 0.0, 1.0, -3.0]))
+        box = GroundTruthPlane(np.array([0.0, 0.0, 1.0, -1.5]), mask_rect=(24, 0, 40, 48))
+        depth, _ = render_scene(SyntheticScene((wall, box)), small_maps)
+        result = segment(depth, small_maps, SegConfig(initial_tile=16, max_depth=2))
+        left, right = (np.unique(result.labels[:, cols]) for cols in (slice(0, 24), slice(40, 64)))
+        assert len(left) == len(right) == 1 and left[0] != right[0]
+
+    def test_radius_stops_a_chain_of_blended_leaves(self):
+        # leaf j owns column j: wall 0-3, one blended leaf 4, box 5-7; each
+        # step is under JOIN, but the box lies 1.6 JOIN from the wall
+        cells = np.tile(np.arange(8), (3, 1))
+        offset = np.array([0, 0, 0, 0, 0.8, 1.6, 1.6, 1.6]) * JOIN
+        features = np.column_stack((np.zeros((8, 2)), -np.ones(8), 0.6 - offset))
+        weights = np.array([256, 256, 256, 256, 64, 200, 200, 200])
+        ids = group_leaves(cells, np.arange(8), features, weights)
+        np.testing.assert_array_equal(ids, [0, 0, 0, 0, 0, 1, 1, 1])
+
+    def test_single_plane_gives_one_id(self):
+        cells = np.array([[0, 0, 1, 2], [3, 3, 1, -1], [4, 5, 6, 6]])
+        fitted = np.array([0, 1, 3, 4, 5, 6])  # leaf 2 is not fitted
+        features = np.tile([0.0, 0.6, -0.8, 0.4], (6, 1))
+        ids = group_leaves(cells, fitted, features, np.full(6, 16))
+        np.testing.assert_array_equal(ids, np.zeros(6))
+
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_corner_seams_join_their_planes(self, small_maps, formulation):
+        depth, _ = render_scene(corner_scene(), small_maps, noise=NoiseModel(), seed=7)
+        result = segment(depth, small_maps, SegConfig(
+            formulation=formulation, initial_tile=16, max_depth=3
+        ))
+        fitted = result.cluster[result.cluster != UNLABELED]
+        assert set(fitted.tolist()) == {0, 1, 2}
+
+    def test_equal_frames_give_equal_ids(self):
+        maps = _maps(160, 120, 150.0)
+        depth, _ = render_scene(
+            box_scene(maps, 5, 2), maps, noise=NoiseModel(), seed=2, dropout=0.02
+        )
+        config = SegConfig(initial_tile=16, max_depth=2)
+        first, again = segment(depth, maps, config), segment(depth, maps, config)
+        np.testing.assert_array_equal(first.cluster, again.cluster)
+        np.testing.assert_array_equal(first.labels, again.labels)
+        # ids are numbered in the order of each segment's lowest leaf
+        fitted = first.cluster[first.cluster != UNLABELED]
+        _, lowest = np.unique(fitted, return_index=True)
+        assert (np.diff(lowest) > 0).all() and fitted.max() >= 5
+
+
+# Worst accuracy allowed over the 15 box scenes.  Under implicit-rgbd at
+# fx 150, an 8-px leaf straddling a box edge fits a plane through the depth
+# step with rms under the default threshold, and a box whose leaves all touch
+# such leaves or the wall has no interior leaf, so the seam step hands it to
+# the wall: its worst scene gives 0.854, against 0.924 for a labelling of
+# each fitted leaf by its majority true plane.
+_BOX_SCENE_FLOOR = {
+    IMPLICIT_STANDARD: 0.9, IMPLICIT_RGBD: 0.85, EXPLICIT_STANDARD: 0.9, EXPLICIT_RGBD: 0.9,
+}
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_two_to_six_planes_without_a_count(formulation):
+    maps = _maps(160, 120, 150.0)
+    config = SegConfig(formulation=formulation, initial_tile=16, max_depth=2)
+    accuracies = []
+    for boxes in range(1, 6):
+        for seed in range(3):
+            depth, truth = render_scene(
+                box_scene(maps, boxes, seed), maps, noise=NoiseModel(), seed=seed, dropout=0.02
+            )
+            accuracies.append(best_label_accuracy(segment(depth, maps, config).labels, truth))
+    assert min(accuracies) >= _BOX_SCENE_FLOOR[formulation]
+
+
+def box_scene(maps, boxes: int, seed: int) -> SyntheticScene:
+    """A wall at 3 m and ``boxes`` tilted box faces at 1.4-2.2 m.
+
+    Each face is a 36x40 px rect at a random offset inside its own cell of a
+    3x2 grid, as framebench's clutter scene places its faces, tilted 15-40
+    degrees, so that its features lie more than ``JOIN`` from the wall's.
+    """
+    rng = np.random.default_rng([boxes, seed])
+    cell_w, cell_h = maps.width // 3, maps.height // 2
+    planes = [GroundTruthPlane(np.array([0.0, 0.0, 1.0, -3.0]))]
+    for i in range(boxes):
+        x0 = (i % 3) * cell_w + int(rng.integers(0, cell_w - 36 + 1))
+        y0 = (i // 3) * cell_h + int(rng.integers(0, cell_h - 40 + 1))
+        tilt, turn = np.deg2rad(rng.uniform(15.0, 40.0)), rng.uniform(0.0, 2 * np.pi)
+        normal = np.array([np.sin(tilt) * np.cos(turn), np.sin(tilt) * np.sin(turn), np.cos(tilt)])
+        centre = rng.uniform(1.4, 2.2) * np.array([
+            maps.tan_x[y0 + 20, x0 + 18], maps.tan_y[y0 + 20, x0 + 18], 1.0
+        ])
+        planes.append(GroundTruthPlane(
+            np.array([*normal, -normal @ centre]), mask_rect=(x0, y0, x0 + 36, y0 + 40)
+        ))
+    return SyntheticScene(tuple(planes))
 
 
 def corner_scene() -> SyntheticScene:
@@ -282,7 +289,7 @@ class TestSegment:
         config = SegConfig(
             formulation=formulation, initial_tile=16, max_depth=3,
             rms_threshold=SegConfig(formulation=formulation).threshold / 8,
-            min_valid_fraction=0.9, k=3,
+            min_valid_fraction=0.9,
         )
         batch_calls = []
         original = rangefit.fitting.fit_sums
@@ -327,21 +334,19 @@ class TestSegment:
             SyntheticScene((GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0])),)), small_maps
         )
         config = SegConfig(
-            formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=2, k=3
+            formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=2
         )
         result = segment(depth, small_maps, config)
         assert result.n_fitted == len(result.tiles) == (64 // 16) * (48 // 16)
         assert all(t.level == 0 for t in result.tiles)
-        # identical features force all centroids onto one point
-        spread = np.abs(result.centroids - result.centroids[0]).max()
-        assert spread < 1e-9
+        assert all(t.cluster == 0 for t in result.tiles)
 
     def test_leaf_tiles_cover_image_exactly(self, small_maps):
         rng = np.random.default_rng(6)
         scene = corner_scene()
         depth, _ = render_scene(scene, small_maps, noise=NoiseModel(), seed=3)
         config = SegConfig(
-            formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3, k=3
+            formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3
         )
         result = segment(depth, small_maps, config)
         coverage = np.zeros((48, 64), dtype=np.int32)
@@ -355,7 +360,7 @@ class TestSegment:
         depth, _ = render_scene(corner_scene(), small_maps, noise=NoiseModel(), seed=3, dropout=0.3)
         config = SegConfig(
             formulation=formulation, initial_tile=16, max_depth=2,
-            rms_threshold=SegConfig(formulation=formulation).threshold / 8, k=3,
+            rms_threshold=SegConfig(formulation=formulation).threshold / 8,
         )
         result = segment(depth, small_maps, config)
         stats = result.stats()
@@ -391,7 +396,7 @@ class TestSegment:
             GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.5]), mask_rect=(0, 24, 32, 48)),
         )
         depth, _ = render_scene(SyntheticScene(planes), small_maps)
-        config = SegConfig(formulation=IMPLICIT_STANDARD, initial_tile=16, k=2)
+        config = SegConfig(formulation=IMPLICIT_STANDARD, initial_tile=16)
         result = segment(depth, small_maps, config)
         rejected = [t for t in result.tiles if t.status is TileStatus.TOO_INVALID]
         # tiles fully inside the empty region (y boundary 24 halves the y0=16
@@ -404,9 +409,9 @@ class TestSegment:
     def test_corner_scene_accuracy(self, small_maps):
         scene = corner_scene()
         depth, truth = render_scene(scene, small_maps, noise=NoiseModel(), seed=7)
-        config = SegConfig(formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3, k=3)
+        config = SegConfig(formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3)
         result = segment(depth, small_maps, config)
-        accuracy = best_label_accuracy(result.labels, truth, k=3)
+        accuracy = best_label_accuracy(result.labels, truth)
         assert accuracy >= 0.95
 
     def test_draws_no_random_numbers(self, small_maps, monkeypatch):
@@ -418,9 +423,9 @@ class TestSegment:
             raise AssertionError("segment drew random numbers")
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
-        config = SegConfig(formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3, k=3)
+        config = SegConfig(formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3)
         result = segment(depth, small_maps, config)
-        assert best_label_accuracy(result.labels, truth, k=3) >= 0.95
+        assert best_label_accuracy(result.labels, truth) >= 0.95
 
     def test_threshold_monotonicity(self, small_maps):
         scene = corner_scene()
@@ -429,7 +434,7 @@ class TestSegment:
         for threshold in (3e-2, 8e-3, 2e-3, 5e-4):
             config = SegConfig(
                 formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3,
-                rms_threshold=threshold, k=3,
+                rms_threshold=threshold,
             )
             leaf_counts.append(len(segment(depth, small_maps, config).tiles))
         assert leaf_counts == sorted(leaf_counts)
@@ -441,7 +446,7 @@ class TestSegment:
         for backend in ("naive", "integral"):
             config = SegConfig(
                 formulation=IMPLICIT_RGBD, backend=backend, initial_tile=16,
-                max_depth=3, k=3,
+                max_depth=3,
             )
             results[backend] = segment(depth, small_maps, config)
         a, b = results["naive"], results["integral"]
@@ -453,20 +458,12 @@ class TestSegment:
             assert ta.cluster == tb.cluster
         np.testing.assert_array_equal(a.labels, b.labels)
 
-    def test_k_clamp_warns(self, small_maps):
-        depth, _ = render_scene(
-            SyntheticScene((GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0])),)), small_maps
-        )
-        config = SegConfig(formulation=IMPLICIT_RGBD, initial_tile=32, k=30)
-        result = segment(depth, small_maps, config)
-        assert any("clamped" in w for w in result.warnings)
-
     def test_max_metric_available(self, small_maps):
         scene = corner_scene()
         depth, _ = render_scene(scene, small_maps, noise=NoiseModel(), seed=10)
         config = SegConfig(
             formulation=EXPLICIT_STANDARD, initial_tile=16, max_depth=2,
-            rms_threshold=0.08, error_metric="max", k=3,
+            rms_threshold=0.08, error_metric="max",
         )
         result = segment(depth, small_maps, config)
         assert result.n_fitted > 0
@@ -507,7 +504,7 @@ class TestSegment:
     def test_color_output_and_csv(self, small_maps):
         scene = corner_scene()
         depth, _ = render_scene(scene, small_maps, noise=NoiseModel(), seed=11)
-        config = SegConfig(formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3, k=3)
+        config = SegConfig(formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3)
         result = segment(depth, small_maps, config)
         rgb = result.to_color()
         assert rgb.shape == (48, 64, 3) and rgb.dtype == np.uint8
@@ -531,8 +528,8 @@ class TestSegment:
             SegConfig(rms_threshold=-1.0)
         with pytest.raises(ValueError, match="threshold"):
             SegConfig(rms_threshold=float("nan"))
-        with pytest.raises(ValueError, match="k"):
-            SegConfig(k=0)
+        with pytest.raises(TypeError):
+            SegConfig(k=3)
 
     def test_image_smaller_than_min_tile_rejected(self, small_maps):
         with pytest.raises(ValueError, match="smaller"):
@@ -543,9 +540,9 @@ class TestSegment:
             )
 
 
-def _maps(width: int, height: int):
+def _maps(width: int, height: int, focal: float = 60.0):
     return compute_tan_maps(CameraIntrinsics(
-        fx=60.0, fy=60.0, cx=(width - 1) / 2, cy=(height - 1) / 2, width=width, height=height
+        fx=focal, fy=focal, cx=(width - 1) / 2, cy=(height - 1) / 2, width=width, height=height
     ))
 
 
@@ -580,7 +577,7 @@ class TestNodePyramidSegment:
         results = {
             backend: segment(depth, maps, SegConfig(
                 formulation=formulation, backend=backend, initial_tile=16, max_depth=2,
-                rms_threshold=threshold, k=3,
+                rms_threshold=threshold,
             ))
             for backend in ("naive", "integral")
         }
@@ -629,7 +626,7 @@ class TestNodePyramidSegment:
         depth, _ = render_scene(
             corner_scene(), small_maps, noise=NoiseModel(), seed=5, dropout=dropout
         )
-        config = SegConfig(formulation=formulation, initial_tile=16, max_depth=3, k=3)
+        config = SegConfig(formulation=formulation, initial_tile=16, max_depth=3)
         given = segment(depth, small_maps, config, constant=build_constant_channels(small_maps))
         calls = []
         original = rangefit.integral.build_constant_channels
@@ -649,6 +646,15 @@ class TestNodePyramidSegment:
         ]
         np.testing.assert_array_equal(alone.labels, given.labels)
 
+    def test_labels_widen_past_int16(self):
+        # 2x2 leaves of uniform noise, all fitted, nearly all their own segment
+        maps = _maps(400, 400, 300.0)
+        depth = DepthImage(values=np.random.default_rng(0).uniform(1.0, 3.0, (400, 400)))
+        result = segment(depth, maps, SegConfig(initial_tile=2, max_depth=0, rms_threshold=1e9))
+        assert result.cluster.max() >= 2**15
+        x0, y0 = result.rects[:, 0], result.rects[:, 1]
+        np.testing.assert_array_equal(result.labels[y0, x0], result.cluster)
+
     @pytest.mark.parametrize("size", [(64, 48), (97, 53)], ids=["64x48", "97x53"])
     def test_painting_matches_per_tile_reference(self, size):
         width, height = size
@@ -664,7 +670,7 @@ class TestNodePyramidSegment:
         depth = DepthImage(values=depth.values, valid=valid)
         result = segment(depth, maps, SegConfig(
             formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=2,
-            rms_threshold=SegConfig().threshold / 8, k=3,
+            rms_threshold=SegConfig().threshold / 8,
         ))
         assert {t.status for t in result.tiles} == set(TileStatus)
         labels, rgb = reference_paint(result)
