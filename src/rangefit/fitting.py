@@ -600,7 +600,7 @@ def _window_sums(
     _require_channels(stack, spec.scatter, "per-frame")
     sums = _gather(stack, corners)
     sums["n"] = n
-    lacking = [name for name in spec.layout + spec.rhs if name not in sums]
+    lacking = stack.lacking(formulation)
     if lacking:
         if not np.all(full):
             raise ValueError(

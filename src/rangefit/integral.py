@@ -197,6 +197,12 @@ class ChannelStack:
         """Every channel in the stack but the count, in tensor order."""
         return tuple(self.channels.keys())
 
+    def lacking(self, formulation: str) -> list[str]:
+        """The entries of ``formulation``'s system this stack does not carry,
+        which a fit reads from the camera-constant stack."""
+        spec = FORMULATION_CHANNELS[formulation]
+        return [name for name in spec.layout + spec.rhs if name not in self.index]
+
 
 def _require_channels(stack: ChannelStack, names: tuple[str, ...], what: str) -> None:
     missing = [name for name in names if name not in stack.channels]

@@ -12,9 +12,9 @@ The walk visits each level once, its nodes held as arrays, its fits as one
 :class:`~rangefit.fitting.FitBatch` and its decisions as masks; leaves come
 out in level order.  A 1-px sliver's fit is the viewing plane through the
 camera centre, so it comes back degenerate.  Segments then grow over the
-adjacency of the fitted leaves on the cell lattice, joining neighbours whose
-plane coefficients, taken in one array pass, agree (:func:`group_leaves`),
-and labels and colours are painted on that lattice.
+adjacency of the fitted leaves on the cell lattice, joining neighbours that
+meet without a depth step and whose plane coefficients agree, in array passes
+(:func:`group_leaves`), and labels and colours are painted on that lattice.
 """
 
 from __future__ import annotations
@@ -61,7 +61,9 @@ _COLORS = np.array(
 )
 
 D_SCALE = 5.0  # offset divisor of the leaf features (see tile_features)
-JOIN = 0.25  # feature distance under which adjacent leaves join (see group_leaves)
+JOIN = 0.25  # feature distance under which touching leaves join (see group_leaves)
+STEP = 0.05  # relative depth gap on a shared edge from which leaves do not touch
+EDGE_ON = 0.1  # |cosine| of plane normal and viewing ray under which a plane is edge-on
 
 # Smallest tile edge worth fitting; a 2x2 tile still carries the 4 samples an
 # implicit fit needs.
@@ -291,16 +293,22 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def group_leaves(
-    cells: np.ndarray, fitted: np.ndarray, features: np.ndarray, weights: np.ndarray
+    cells: np.ndarray, fitted: np.ndarray, features: np.ndarray, weights: np.ndarray,
+    rays: np.ndarray,
 ) -> np.ndarray:
     """Segment ids of the fitted leaves, grown over the quadtree's leaf adjacency.
 
-    ``cells`` holds the leaf covering each lattice cell (-1 for none),
-    ``fitted`` the fitted leaves' indices, ascending, and ``features`` and
-    ``weights`` their :func:`tile_features` rows and sample counts.  Adjacent
-    leaves join when their features lie closer than ``JOIN``; each segment's
-    heaviest leaf cuts loose every member ``JOIN`` or more away; the leaves
-    of a seam (a segment with no interior leaf) join nearest neighbours.
+    ``cells`` holds the leaf covering each lattice cell (-1 for none) and
+    ``rays`` the (tan_x, tan_y) of each cell's centre pixel; ``fitted`` the
+    fitted leaves' indices, ascending, and ``features`` and ``weights`` their
+    :func:`tile_features` rows and sample counts.  Leaves owning neighbouring
+    cells touch unless their planes' depths differ by ``STEP`` or more on a
+    shared cell edge (an occlusion edge).  Touching leaves join when their
+    features lie closer than ``JOIN``; each segment's heaviest leaf cuts loose
+    every member ``JOIN`` or more away.  A leaf is interior unless its plane
+    is edge-on on all its edges (a fit across a depth step) or it touches a
+    leaf of another segment that is not; the leaves of a seam (a segment with
+    no interior leaf) join their nearest adjacent segments.
     """
     n = len(fitted)
     position = np.full(int(cells.max(initial=-1)) + 2, -1)  # index -1 stays -1
@@ -308,11 +316,21 @@ def group_leaves(
     node = position[cells]
     a = np.concatenate((node[:, :-1].ravel(), node[:-1].ravel()))
     b = np.concatenate((node[:, 1:].ravel(), node[1:].ravel()))
+    ray = np.concatenate((rays[:, :-1] + rays[:, 1:], rays[:-1] + rays[1:]), axis=None)
     keep = (a >= 0) & (b >= 0) & (a != b)
-    a, b = np.divmod(np.unique(np.minimum(a, b)[keep] * n + np.maximum(a, b)[keep]), n)
+    a, b, ray = a[keep], b[keep], ray.reshape(-1, 2)[keep] / 2  # each edge's mean ray
+    # each side's normal . (tan_x, tan_y, 1): minus its offset over the depth
+    na, nb = (np.einsum("ij,ij->i", features[i, :2], ray) + features[i, 2] for i in (a, b))
+    incidence = np.zeros(n)  # each leaf's largest |cosine| of normal and ray on its edges
+    cosine = np.abs(np.concatenate((na, nb))) / np.tile(np.sqrt(1 + np.einsum("ij,ij->i", ray, ray)), 2)
+    np.maximum.at(incidence, np.concatenate((a, b)), cosine)
+    wa, wb = -na * features[b, 3], -nb * features[a, 3]  # inverse depths times both offsets
+    pairs, edge = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    stepped = np.bincount(edge, ~(np.abs(wa - wb) < STEP * np.maximum(wa, wb))) > 0
+    a, b = np.divmod(pairs, n)
     distance = np.linalg.norm(features[a] - features[b], axis=1)
 
-    joined = distance < JOIN
+    joined = (distance < JOIN) & ~stepped
     while True:
         segment = _components(n, a[joined], b[joined])
         order = np.lexsort((-weights, segment))  # stable, so ties go to the lowest index
@@ -324,8 +342,9 @@ def group_leaves(
         joined &= cut[a] == cut[b]
 
     leaf, other, gap = np.concatenate((a, b)), np.concatenate((b, a)), np.tile(distance, 2)
-    interior = np.ones(n, dtype=bool)
-    interior[leaf[segment[leaf] != segment[other]]] = False
+    facing = incidence >= EDGE_ON
+    border = ~np.tile(stepped, 2) & facing[other] & (segment[leaf] != segment[other])
+    interior = facing & (np.bincount(leaf[border], minlength=n) == 0)
     anchored = np.zeros(n, dtype=bool)  # by segment: holds an interior leaf
     anchored[segment[interior]] = True
     move = ~anchored[segment[leaf]] & anchored[segment[other]]
@@ -461,7 +480,11 @@ def segment(
     fitted = np.flatnonzero(status == _FITTED)
     if fitted.size:
         features = tile_features(fits.canonical[fitted])
-        cluster[fitted] = group_leaves(cells, fitted, features, fits.n_points[fitted])
+        # the centre pixel of each lattice cell, clipped to the image
+        centre = np.ix_(*(np.minimum(np.arange(k) * config.cell + config.cell // 2, m - 1)
+                          for k, m in zip(cells.shape, (h, w))))
+        rays = np.stack((maps.tan_x[centre], maps.tan_y[centre]), axis=-1)
+        cluster[fitted] = group_leaves(cells, fitted, features, fits.n_points[fitted], rays)
     else:
         warnings.append("no tiles were fitted")
     dtype = np.int16 if len(status) < 2**15 else np.int32

@@ -35,17 +35,19 @@ from rangefit import (
     fit_implicit_standard,
     fit_rect,
     gather_window_samples,
-    group_leaves,
     render_scene,
     segment,
     tile_features,
 )
 from rangefit.segment import (
     CLUSTER_PALETTE,
+    D_SCALE,
     HIGH_ERROR_COLOR,
     JOIN,
+    STEP,
     TOO_INVALID_COLOR,
     UNLABELED,
+    group_leaves,
 )
 
 from conftest import random_visible_plane
@@ -112,30 +114,60 @@ class TestTileFeatures:
 
 
 class TestGroupLeaves:
-    def test_coplanar_patches_apart_get_different_ids(self, small_maps):
-        # a nearer box spanning the image height cuts the wall in two
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    @pytest.mark.parametrize("box_z", [1.5, 2.25, 2.5])
+    def test_coplanar_patches_apart_get_different_ids(self, small_maps, formulation, box_z):
+        # a nearer frontal box, two 8-px leaves across and spanning the image
+        # height, cuts the wall in two; at 2.25 and 2.5 m its features lie
+        # under JOIN from the wall's, and only the depth step parts them
         wall = GroundTruthPlane(np.array([0.0, 0.0, 1.0, -3.0]))
-        box = GroundTruthPlane(np.array([0.0, 0.0, 1.0, -1.5]), mask_rect=(24, 0, 40, 48))
-        depth, _ = render_scene(SyntheticScene((wall, box)), small_maps)
-        result = segment(depth, small_maps, SegConfig(initial_tile=16, max_depth=2))
-        left, right = (np.unique(result.labels[:, cols]) for cols in (slice(0, 24), slice(40, 64)))
-        assert len(left) == len(right) == 1 and left[0] != right[0]
+        box = GroundTruthPlane(np.array([0.0, 0.0, 1.0, -box_z]), mask_rect=(24, 0, 40, 48))
+        depth, _ = render_scene(SyntheticScene((wall, box)), small_maps, noise=NoiseModel(), seed=3)
+        result = segment(depth, small_maps, SegConfig(
+            formulation=formulation, initial_tile=16, max_depth=2
+        ))
+        ids = [np.unique(result.labels[:, cols]) for cols in (slice(0, 24), slice(24, 40), slice(40, 64))]
+        assert [len(i) for i in ids] == [1, 1, 1] and len(np.unique(ids)) == 3
 
     def test_radius_stops_a_chain_of_blended_leaves(self):
-        # leaf j owns column j: wall 0-3, one blended leaf 4, box 5-7; each
-        # step is under JOIN, but the box lies 1.6 JOIN from the wall
+        # leaf j owns column j: wall 0-3, one blended leaf 4, box 5-7, all
+        # 3 m away along the optical axis (every cell's ray), so all touch;
+        # each step is under JOIN, but the box lies 1.6 JOIN from the wall
         cells = np.tile(np.arange(8), (3, 1))
-        offset = np.array([0, 0, 0, 0, 0.8, 1.6, 1.6, 1.6]) * JOIN
-        features = np.column_stack((np.zeros((8, 2)), -np.ones(8), 0.6 - offset))
+        tilt = np.array([0, 0, 0, 0, 0.2, 0.4, 0.4, 0.4])
+        features = np.column_stack(
+            (np.sin(tilt), np.zeros(8), -np.cos(tilt), 3 * np.cos(tilt) / D_SCALE)
+        )
         weights = np.array([256, 256, 256, 256, 64, 200, 200, 200])
-        ids = group_leaves(cells, np.arange(8), features, weights)
+        ids = group_leaves(cells, np.arange(8), features, weights, _axis_rays(cells))
         np.testing.assert_array_equal(ids, [0, 0, 0, 0, 0, 1, 1, 1])
+
+    def test_depth_step_parts_parallel_planes(self):
+        # the same wall at 3 m and a frontal box 0.75 m before it: features
+        # 0.15 apart, under JOIN, but the depth steps by 25% at their edge
+        cells = np.tile(np.arange(8), (3, 1))
+        depth = np.array([3, 3, 3, 3, 2.25, 2.25, 2.25, 3])
+        features = np.column_stack((np.zeros((8, 2)), -np.ones(8), depth / D_SCALE))
+        assert np.linalg.norm(features[0] - features[4]) < JOIN and 0.75 / 3 > STEP
+        ids = group_leaves(cells, np.arange(8), features, np.full(8, 64), _axis_rays(cells))
+        np.testing.assert_array_equal(ids, [0, 0, 0, 0, 1, 1, 1, 2])
+
+    def test_edge_on_leaf_joins_a_neighbour(self):
+        # wall 0-2 and 6-7 at 3 m, box 4-5 at 2 m; leaf 3 fits the plane
+        # x = 0.1 m across the step, edge-on to the axis, and touches neither
+        cells = np.tile(np.arange(8), (3, 1))
+        features = np.tile([0.0, 0.0, -1.0, 3 / D_SCALE], (8, 1))
+        features[4:6, 3] = 2 / D_SCALE
+        features[3] = [1.0, 0.0, 0.0, 0.1 / D_SCALE]
+        ids = group_leaves(cells, np.arange(8), features, np.full(8, 64), _axis_rays(cells))
+        np.testing.assert_array_equal(ids, [0, 0, 0, 1, 1, 1, 2, 2])
 
     def test_single_plane_gives_one_id(self):
         cells = np.array([[0, 0, 1, 2], [3, 3, 1, -1], [4, 5, 6, 6]])
         fitted = np.array([0, 1, 3, 4, 5, 6])  # leaf 2 is not fitted
         features = np.tile([0.0, 0.6, -0.8, 0.4], (6, 1))
-        ids = group_leaves(cells, fitted, features, np.full(6, 16))
+        rays = np.stack(np.meshgrid(np.linspace(-0.5, 0.5, 4), np.linspace(-0.4, 0.4, 3)), -1)
+        ids = group_leaves(cells, fitted, features, np.full(6, 16), rays)
         np.testing.assert_array_equal(ids, np.zeros(6))
 
     @pytest.mark.parametrize("formulation", FORMULATIONS)
@@ -163,13 +195,13 @@ class TestGroupLeaves:
 
 
 # Worst accuracy allowed over the 15 box scenes.  Under implicit-rgbd at
-# fx 150, an 8-px leaf straddling a box edge fits a plane through the depth
-# step with rms under the default threshold, and a box whose leaves all touch
-# such leaves or the wall has no interior leaf, so the seam step hands it to
-# the wall: its worst scene gives 0.854, against 0.924 for a labelling of
-# each fitted leaf by its majority true plane.
+# fx 150, 4- and 8-px leaves straddling a box edge fit with rms under the
+# default threshold: those seen edge-on join a neighbouring segment, the side
+# they join is not always their majority, and a few noisy 4-px wall leaves
+# between two boxes keep segments of their own.  Its worst scene gives 0.890,
+# against 0.924 for a labelling of each fitted leaf by its majority plane.
 _BOX_SCENE_FLOOR = {
-    IMPLICIT_STANDARD: 0.9, IMPLICIT_RGBD: 0.85, EXPLICIT_STANDARD: 0.9, EXPLICIT_RGBD: 0.9,
+    IMPLICIT_STANDARD: 0.9, IMPLICIT_RGBD: 0.88, EXPLICIT_STANDARD: 0.9, EXPLICIT_RGBD: 0.9,
 }
 
 
@@ -191,8 +223,9 @@ def box_scene(maps, boxes: int, seed: int) -> SyntheticScene:
     """A wall at 3 m and ``boxes`` tilted box faces at 1.4-2.2 m.
 
     Each face is a 36x40 px rect at a random offset inside its own cell of a
-    3x2 grid, as framebench's clutter scene places its faces, tilted 15-40
-    degrees, so that its features lie more than ``JOIN`` from the wall's.
+    3x2 grid, as framebench's clutter scene places its faces, tilted 0-40
+    degrees; a face near the frontal lies under ``JOIN`` from the wall in
+    features, and only the depth step parts them.
     """
     rng = np.random.default_rng([boxes, seed])
     cell_w, cell_h = maps.width // 3, maps.height // 2
@@ -200,7 +233,7 @@ def box_scene(maps, boxes: int, seed: int) -> SyntheticScene:
     for i in range(boxes):
         x0 = (i % 3) * cell_w + int(rng.integers(0, cell_w - 36 + 1))
         y0 = (i // 3) * cell_h + int(rng.integers(0, cell_h - 40 + 1))
-        tilt, turn = np.deg2rad(rng.uniform(15.0, 40.0)), rng.uniform(0.0, 2 * np.pi)
+        tilt, turn = np.deg2rad(rng.uniform(0.0, 40.0)), rng.uniform(0.0, 2 * np.pi)
         normal = np.array([np.sin(tilt) * np.cos(turn), np.sin(tilt) * np.sin(turn), np.cos(tilt)])
         centre = rng.uniform(1.4, 2.2) * np.array([
             maps.tan_x[y0 + 20, x0 + 18], maps.tan_y[y0 + 20, x0 + 18], 1.0
@@ -538,6 +571,11 @@ class TestSegment:
                 small_maps,
                 SegConfig(),
             )
+
+
+def _axis_rays(cells: np.ndarray) -> np.ndarray:
+    """(tan_x, tan_y) of every cell: all look along the optical axis."""
+    return np.zeros((*cells.shape, 2))
 
 
 def _maps(width: int, height: int, focal: float = 60.0):
