@@ -15,7 +15,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import fitting, imageio, synth
 from .camera import DEPTH_NOISE_COEFFICIENT, NoiseModel, TanAngleMaps, compute_tan_maps, load_intrinsics
-from .integral import Rect, build_channels, build_constant_channels
+from .integral import FORMULATION_CHANNELS, Rect, build_channels, build_constant_channels
 from .segment import SegConfig
 from .segment import segment as run_segment
 
@@ -137,7 +137,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     stack = constant = None
     if args.backend == "integral":
         stack = build_channels(depth, maps, args.formulation)
-        if stack.lacking(args.formulation):  # sums the fit reads from the constant stack
+        if FORMULATION_CHANNELS[args.formulation].needs_constant:
             constant = build_constant_channels(maps)
     result = fitting.fit_rect(
         depth, maps, args.rect, args.formulation, args.backend, stack=stack, constant=constant

@@ -18,12 +18,11 @@ Formulations (``FORMULATIONS``):
 
 Backends: ``naive`` accumulates monomials directly over the window's samples;
 ``integral`` assembles every scatter entry from one box sum each, and the two
-agree to rounding.  Invalid pixels contribute nothing anywhere: the rgbd
-formulations read their camera-constant block from the shared precomputed
-stack on hole-free frames, while the stack of a frame with holes carries
-masked copies of those tan tables under the same names (the builders add
-them) and every window reads those, so a window's scatter is always the
-exact Gram matrix of its valid samples.
+agree to rounding.  Invalid pixels contribute nothing anywhere: the
+per-frame tables hold zero at holes, and the rgbd formulations read their
+camera-constant block from the shared precomputed stack less the tan
+monomials of the holes the frame stack lists in the window, so a window's
+scatter is always the exact Gram matrix of its valid samples.
 
 Implicit fits take the smallest eigenvector from LAPACK's symmetric solver
 (``np.linalg.eigh``); explicit fits use a hand-unrolled 3x3 Cholesky
@@ -66,6 +65,7 @@ from .integral import (
     _box_sums,
     _check_rect,
     _check_rects,
+    _hole_sums,
     _require_channels,
 )
 from .synth import DepthImage
@@ -585,35 +585,36 @@ def _window_sums(
     stack: ChannelStack,
     constant: ChannelStack | None,
     formulation: str,
-    corners: np.ndarray,
+    rects: np.ndarray | Rect,
     n: float | np.ndarray,
-    full: bool | np.ndarray,
 ) -> dict[str, float | np.ndarray]:
     """Box sums of every channel a formulation's system reads, ``"n"`` the count.
 
-    ``corners`` are the windows' flat corner indices (see :func:`_gather`):
-    for a batch every sum is an (N,) array.  ``full`` marks the hole-free
-    windows.  Every camera-constant entry the frame stack lacks is read from
-    ``constant``; a frame with holes carries its own masked copies of them.
+    ``rects`` is one rect, giving a float per sum, or an (N, 4) array of
+    them, giving (N,) arrays; ``n`` their valid-sample counts.  The tan
+    entries are ``constant``'s, less those of the holes the frame stack lists.
     """
     spec = FORMULATION_CHANNELS[formulation]
     _require_channels(stack, spec.scatter, "per-frame")
+    corners = _box_corners(rects, stack.width)
     sums = _gather(stack, corners)
     sums["n"] = n
-    lacking = stack.lacking(formulation)
-    if lacking:
-        if not np.all(full):
-            raise ValueError(
-                "a window contains invalid pixels but the frame stack carries no masked "
-                "tan channels (was it built from a different frame?)"
-            )
+    if spec.needs_constant:
         if constant is None:
             raise ValueError(f"{formulation} requires the camera-constant channel stack")
         if constant.tensor.shape[1:] != stack.tensor.shape[1:]:
             raise ValueError("constant stack dimensions do not match the per-frame stack")
-        _require_channels(constant, lacking, "constant")
+        _require_channels(constant, CONSTANT_CHANNELS, "constant")
         const = _gather(constant, corners)
-        sums.update((name, const[name]) for name in lacking)
+        tan = [const[name] for name in CONSTANT_CHANNELS]
+        if stack.holes is not None:
+            rects = np.reshape(rects, (-1, 4))
+            area = np.prod(rects[:, 2:] - rects[:, :2], axis=1)
+            holey = np.flatnonzero(n != area)  # the windows that hold holes
+            if holey.size:
+                tan = np.array(tan)
+                tan.reshape(len(tan), -1)[:, holey] -= _hole_sums(stack, rects[holey])
+        sums.update(zip(CONSTANT_CHANNELS, tan))
     return sums
 
 
@@ -639,11 +640,9 @@ def scatter_from_integrals(
 ) -> Scatter4 | Scatter3:
     """Assemble a window's scatter system with one box sum per unique entry.
 
-    ``stack`` holds the frame's depth-dependent channels; ``constant`` holds
-    the camera-constant tan channels and is required by the rgbd
-    formulations on a hole-free frame (a frame with holes carries masked
-    copies of them).  The sample count is always the window's valid-pixel
-    count from the per-frame count channel.
+    ``stack`` holds the frame's depth-dependent channels; ``constant``, which
+    the rgbd formulations require, the camera-constant tan channels.  The
+    sample count is always the window's valid-pixel count from ``stack``.
     """
     _check_formulation(formulation)
     _check_rect(rect, stack.width, stack.height)
@@ -653,9 +652,7 @@ def scatter_from_integrals(
             f"window {rect} holds {n} valid samples; "
             f"{formulation} needs {MIN_SAMPLES[formulation]}"
         )
-    sums = _window_sums(
-        stack, constant, formulation, _box_corners(rect, stack.width), float(n), n == rect.area
-    )
+    sums = _window_sums(stack, constant, formulation, rect, float(n))
     matrix, rhs, target_sq = _system(sums, FORMULATION_CHANNELS[formulation])
     if rhs is None:
         return Scatter4(matrix=matrix, n=n)
@@ -846,9 +843,9 @@ class ExplicitRgbdFitter:
 
         Hole-free windows reuse the window's cached camera-constant factor;
         windows containing invalid pixels go through
-        :func:`scatter_from_integrals`, which assembles the frame's masked
-        normal equations (they are frame-specific, so there is nothing to
-        cache).
+        :func:`scatter_from_integrals`, which subtracts their holes' sums
+        from the camera-constant matrix (they are frame-specific, so there
+        is nothing to cache).
         """
         _check_rect(rect, stack.width, stack.height)
         if stack.count.table.shape != self.constant.count.table.shape:
@@ -964,14 +961,11 @@ def fit_rects(
     """
     _check_formulation(formulation)
     rects = _check_rects(rects, stack.width, stack.height)
-    corners = _box_corners(rects, stack.width)
-    n = np.rint(_box_sums(stack.count.table, corners))
+    n = np.rint(_box_sums(stack.count.table, _box_corners(rects, stack.width)))
     fitted = np.flatnonzero(n >= MIN_SAMPLES[formulation])
     if fitted.size == 0:
         return _unfitted(len(rects), MIN_SAMPLES[formulation], _space(formulation))
-    corners, n = corners[:, fitted], n[fitted]
-    x0, y0, x1, y1 = rects[fitted].T
-    sums = _window_sums(stack, constant, formulation, corners, n, n == (x1 - x0) * (y1 - y0))
+    sums = _window_sums(stack, constant, formulation, rects[fitted], n[fitted])
     return fit_sums(sums, formulation).expand(fitted, len(rects))
 
 

@@ -21,16 +21,15 @@ is computed per pixel; one builder serves every formulation and the
 camera-constant stack.
 
 A stack is one float64 tensor of shape (C, H+1, W+1): one zero-padded table
-per channel, the validity count being the last of the C.  The builder writes
-every monomial straight into its table with the depth mask applied once, so
-invalid pixels contribute zero to every channel and to the count and fits
-always normalize by the true sample count of a window.  It then forms all C
-prefix sums in one pass, rows first and then columns, the same order of
-additions as a per-channel ``cumsum`` pair, so the tables are bit-identical
-to :func:`build_integral` on each masked monomial.  Because the
-camera-constant channels cannot know a frame's holes, the rgbd stack of a
-frame with invalid pixels carries masked copies of those tan tables under the
-same names, and fits read them in place of the constant stack.
+per channel, the validity count being the last of the C.  Every
+depth-bearing monomial is written from a depth lattice whose holes hold the
+neutral depth, 0 for the standard monomials and +inf for the inverse ones
+(1/inf = 0), so holes add zero with no mask and fits normalize by the count.
+All C prefix sums are formed in one pass, rows first and then columns, the
+additions of a per-channel ``cumsum`` pair, so the tables are bit-identical
+to :func:`build_integral` on each masked monomial.  Tan sums are always the
+camera constants less the holes' sums, which the rgbd stack of a frame with
+holes lists.
 
 Summed-area tables serve arbitrary windows.  The segmenter fits only the
 nodes of a quadtree fixed by the image size, so :func:`build_node_pyramid`
@@ -41,7 +40,7 @@ and each coarser level from the finer one, with no prefix sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -69,8 +68,8 @@ class ChannelSet:
     side; ``residual`` the optional rms diagnostic channel.  Derived:
     ``scatter``, the per-frame channels (the entries that are not camera
     constants); ``needs_constant``, whether the rest come from the constant
-    stack (a frame with holes carries masked copies of them instead); and
-    ``size``, the system's order and so its fewest samples.
+    stack (less the sums of a frame's holes); and ``size``, the system's
+    order and so its fewest samples.
     """
 
     layout: tuple[str, ...]
@@ -165,14 +164,17 @@ class ChannelStack:
     slice of ``tensor``; ``channels`` (every channel but the count) and
     ``count`` are :class:`IntegralImage` views into it.  What a stack holds
     is read from its names: a frame stack has its formulation's per-frame
-    channels (``FORMULATION_CHANNELS``), the residual channel when built with
-    it and, for an rgbd frame with holes, masked copies of the tan tables; the
-    camera-constant stack has the unmasked tan tables, built once per camera
-    and shared by reference across frames.
+    channels (``FORMULATION_CHANNELS``) and the residual channel when built
+    with it; the camera-constant stack has the tan tables, built once per
+    camera and shared by reference across frames.  An rgbd frame stack with
+    holes lists them: ``holes`` by flat pixel index, ascending, and
+    ``hole_tan``, the (5, K+1) running sums of their tan monomials from 0.
     """
 
     tensor: np.ndarray
     index: dict[str, int]
+    holes: np.ndarray | None = None
+    hole_tan: np.ndarray | None = None
     channels: dict[str, IntegralImage] = field(init=False, repr=False, compare=False)
     count: IntegralImage = field(init=False, repr=False, compare=False)
 
@@ -196,12 +198,6 @@ class ChannelStack:
     def per_frame_channel_names(self) -> tuple[str, ...]:
         """Every channel in the stack but the count, in tensor order."""
         return tuple(self.channels.keys())
-
-    def lacking(self, formulation: str) -> list[str]:
-        """The entries of ``formulation``'s system this stack does not carry,
-        which a fit reads from the camera-constant stack."""
-        spec = FORMULATION_CHANNELS[formulation]
-        return [name for name in spec.layout + spec.rhs if name not in self.index]
 
 
 def _require_channels(stack: ChannelStack, names: tuple[str, ...], what: str) -> None:
@@ -281,9 +277,8 @@ def _write_monomials(
     depth: np.ndarray | None,
     tan_x: np.ndarray,
     tan_y: np.ndarray,
-    valid: np.ndarray | bool,
 ) -> None:
-    """Write each named channel's monomial into ``out[i]`` wherever ``valid`` holds.
+    """Write each named channel's monomial into ``out[i]``.
 
     ``depth``, ``tan_x`` and ``tan_y`` are same-shape lattices (or pixel
     lists); ``depth`` None suits the camera-constant channels.
@@ -291,7 +286,13 @@ def _write_monomials(
     sources = {"depth": depth, "tan_x": tan_x, "tan_y": tan_y, **dict(zip(names, out))}
     for name, (op, *operands) in _MONOMIALS.items():
         if name in names:
-            op(*(sources.get(a, a) for a in operands), out=sources[name], where=valid)
+            op(*(sources.get(a, a) for a in operands), out=sources[name])
+
+
+def _neutral_depth(names: tuple[str, ...], depth: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """``depth`` with holes at the depth that zeroes each depth-bearing monomial of
+    ``names``: +inf for the inverse ones (1/inf = 0), else 0; a stack never mixes them."""
+    return np.where(valid, depth, np.inf if "inv_z" in names else 0.0)
 
 
 def _build_stack(
@@ -302,14 +303,14 @@ def _build_stack(
 ) -> ChannelStack:
     """Write each channel's monomial into one tensor, then prefix-sum it in place.
 
-    ``valid`` masks every write, count included (True: no pixel is masked);
-    ``depth`` None builds the camera-constant stack.
+    ``valid`` is the count (True: no pixel is a hole), ``depth`` neutral at
+    holes (:func:`_neutral_depth`); ``depth`` None builds the constant stack.
     """
     h, w = maps.height, maps.width
     out = np.zeros((len(names) + 1, h + 1, w + 1))
     body = out[:, 1:, 1:]
     np.copyto(body[-1], valid)
-    _write_monomials(names, body, depth, maps.tan_x, maps.tan_y, valid)
+    _write_monomials(names, body, depth, maps.tan_x, maps.tan_y)
     # rows first, then columns: the additions of cumsum(cumsum(c, 0), 1)
     for y in range(1, h):
         np.add(body[:, y], body[:, y - 1], out=body[:, y])
@@ -341,9 +342,9 @@ def build_channels(
 
     ``include_residual`` adds the explicit formulations' rms diagnostic
     channel.  rgbd stacks combine with :func:`build_constant_channels`; when
-    the frame has invalid pixels they also carry masked tan tables under the
-    constant stack's names, so every window assembles exact masked sums while
-    hole-free frames keep the full precomputation advantage.
+    the frame has holes they also list them, so a window containing holes
+    subtracts their tan sums from the constant ones, while hole-free frames
+    and windows keep the full precomputation advantage.
     """
     spec = FORMULATION_CHANNELS.get(formulation)
     if spec is None:
@@ -352,11 +353,27 @@ def build_channels(
     names = spec.scatter
     if include_residual and spec.residual is not None:
         names += (spec.residual,)
-    holes = not bool(depth.valid.all())
-    if holes and spec.needs_constant:
-        names += CONSTANT_CHANNELS
-    # a hole-free frame needs no mask, and unmasked ufunc loops run faster
-    return _build_stack(names, maps, depth.values, depth.valid if holes else True)
+    if depth.valid.all():
+        return _build_stack(names, maps, depth.values, True)
+    stack = _build_stack(names, maps, _neutral_depth(names, depth.values, depth.valid), depth.valid)
+    if not spec.needs_constant:
+        return stack
+    holes = np.flatnonzero(~depth.valid)
+    running = np.zeros((len(CONSTANT_CHANNELS), holes.size + 1))
+    tan_at = maps.tan_x.flat[holes], maps.tan_y.flat[holes]
+    _write_monomials(CONSTANT_CHANNELS, running[:, 1:], None, *tan_at)
+    return replace(stack, holes=holes, hole_tan=np.cumsum(running, axis=1, out=running))
+
+
+def _hole_sums(stack: ChannelStack, rects: np.ndarray) -> np.ndarray:
+    """(5, N) tan monomial sums over the holes of N rects of a row or more: per
+    rect row, the stack's running sums at the ends of its span of the hole list."""
+    x0, y0, x1, y1 = np.asarray(rects).T
+    first = np.cumsum(y1 - y0) - (y1 - y0)  # each rect's first row among all rows
+    rect = np.repeat(np.arange(len(first)), y1 - y0)
+    start = (np.arange(len(rect)) - first[rect] + y0[rect]) * stack.width
+    lo, hi = np.searchsorted(stack.holes, (start + x0[rect], start + x1[rect]))
+    return np.add.reduceat(stack.hole_tan[:, hi] - stack.hole_tan[:, lo], first, axis=1)
 
 
 def build_standard_implicit_channels(depth: DepthImage, maps: TanAngleMaps) -> ChannelStack:
@@ -413,25 +430,22 @@ def _cell_sums(
     cell: int,
     shape: tuple[int, int],
 ) -> np.ndarray:
-    """(len(names), *shape) sums of each channel's masked monomial over ``cell``-pixel cells.
+    """(len(names), *shape) sums of each channel's monomial over ``cell``-pixel cells.
 
     Writes one band of at most ``cell`` pixel rows at a time into a reused
-    buffer as wide as the image, then sums the band's rows, each whole
-    cell's columns and the ragged last cell's remaining columns.
+    buffer as wide as the image, its holes at the neutral depth, then sums
+    the band's rows, each whole cell's columns and the ragged last cell's
+    remaining columns.
     """
     h, w = maps.height, maps.width
     whole = w // cell  # cells of full width
     out = np.empty((len(names), *shape))
-    band = np.zeros((len(names), min(cell, h), w))
+    band = np.empty((len(names), min(cell, h), w))
     for r, y0 in enumerate(range(0, h, cell)):
         y1 = min(y0 + cell, h)
         rows = band[:, : y1 - y0]
-        if valid is not True:  # masked writes leave stale values
-            rows.fill(0.0)
-        _write_monomials(
-            names, rows, depth[y0:y1], maps.tan_x[y0:y1], maps.tan_y[y0:y1],
-            valid if valid is True else valid[y0:y1],
-        )
+        z = depth[y0:y1] if valid is True else _neutral_depth(names, depth[y0:y1], valid[y0:y1])
+        _write_monomials(names, rows, z, maps.tan_x[y0:y1], maps.tan_y[y0:y1])
         summed = rows.sum(axis=1)
         out[:, r, :whole] = summed[:, : whole * cell].reshape(len(names), whole, cell).sum(axis=2)
         if whole < shape[1]:
@@ -456,10 +470,10 @@ def build_node_pyramid(
     the finer one (a finer level of odd size has no partner for its last
     row or column), so no large sums are differenced and each level holds
     only the nodes that overlap the image.  The count is each cell's area
-    less its hole pixels.  An rgbd formulation's tan sums are read from
-    ``constant``'s tables at the lattice corners less their hole pixels'
-    monomials, or, without ``constant``, written like the per-frame
-    channels.  ``formulation`` None sums the count alone.
+    less its hole pixels, and an rgbd formulation's tan sums its unmasked
+    sums less its hole pixels' monomials, the unmasked sums read from
+    ``constant``'s tables at the lattice corners or, without ``constant``,
+    written from the tan maps.  ``formulation`` None sums the count alone.
     """
     _check_frame(depth, maps)
     h, w = maps.height, maps.width
@@ -475,26 +489,24 @@ def build_node_pyramid(
         spec = FORMULATION_CHANNELS[formulation]
         names = spec.scatter + ((spec.residual,) if spec.residual else ())
         tan = CONSTANT_CHANNELS if spec.needs_constant else ()
-    if constant is None:
-        names, tan = names + tan, ()
-    elif tan:
+    valid = depth.valid if holes.size and names else True
+    written = names + tan if constant is None else names  # tan monomials hold no depth
+    parts = [_cell_sums(written, maps, depth.values, valid, cell, shape)]
+    if tan and constant is not None:
         if constant.tensor.shape[1:] != (h + 1, w + 1):
             raise ValueError("constant stack dimensions do not match the frame")
         _require_channels(constant, tan, "constant")
         rows = np.array([constant.index[name] for name in tan])
         corners = constant.tensor[rows[:, None, None], ys[:, None], xs]
-        tan_cells = np.diff(np.diff(corners, axis=1), axis=2)
-        at_holes = np.empty((len(tan), holes.size))
-        _write_monomials(tan, at_holes, None, maps.tan_x.flat[holes], maps.tan_y.flat[holes], True)
-        for channel, values in zip(tan_cells, at_holes):
-            channel -= np.bincount(hole_cells, values, channel.size).reshape(shape)
-    valid = depth.valid if holes.size else True
-    parts = [_cell_sums(names, maps, depth.values, valid, cell, shape)]
-    if tan:
-        parts.append(tan_cells)
+        parts.append(np.diff(np.diff(corners, axis=1), axis=2))
     area = np.diff(ys)[:, None] * np.diff(xs)
     parts.append((area - np.bincount(hole_cells, minlength=area.size).reshape(shape))[None])
     levels = [np.concatenate(parts)]
+    if tan and holes.size:
+        at_holes = np.empty((len(tan), holes.size))
+        _write_monomials(tan, at_holes, None, maps.tan_x.flat[holes], maps.tan_y.flat[holes])
+        for channel, values in zip(levels[0][len(names) : -1], at_holes):
+            channel -= np.bincount(hole_cells, values, channel.size).reshape(shape)
     for _ in range(max_depth):
         # the 2x2 sums ((f00 + f01) + f10) + f11, a missing odd row or column
         # adding nothing

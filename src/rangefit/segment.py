@@ -313,12 +313,14 @@ def group_leaves(
     n = len(fitted)
     position = np.full(int(cells.max(initial=-1)) + 2, -1)  # index -1 stays -1
     position[fitted] = np.arange(n)
-    node = position[cells]
-    a = np.concatenate((node[:, :-1].ravel(), node[:-1].ravel()))
-    b = np.concatenate((node[:, 1:].ravel(), node[1:].ravel()))
-    ray = np.concatenate((rays[:, :-1] + rays[:, 1:], rays[:-1] + rays[1:]), axis=None)
-    keep = (a >= 0) & (b >= 0) & (a != b)
-    a, b, ray = a[keep], b[keep], ray.reshape(-1, 2)[keep] / 2  # each edge's mean ray
+    node, (rows, cols), ray = position[cells], cells.shape, rays.reshape(-1, 2)
+    a = np.concatenate((node[:, :-1], node[:-1]), axis=None)
+    b = np.concatenate((node[:, 1:], node[1:]), axis=None)
+    edge = np.flatnonzero((a >= 0) & (b >= 0) & (a != b))
+    # each kept edge's cells by flat index (edges within rows come first), its mean ray
+    within = edge < rows * (cols - 1)
+    cell = np.where(within, edge + edge // max(cols - 1, 1), edge - rows * (cols - 1))
+    a, b, ray = a[edge], b[edge], (ray[cell] + ray[cell + np.where(within, 1, cols)]) / 2
     # each side's normal . (tan_x, tan_y, 1): minus its offset over the depth
     na, nb = (np.einsum("ij,ij->i", features[i, :2], ray) + features[i, 2] for i in (a, b))
     incidence = np.zeros(n)  # each leaf's largest |cosine| of normal and ray on its edges

@@ -105,6 +105,30 @@ def test_a1_channel_count_audit():
         ) == 3
 
 
+def holey_frame(width: int, height: int) -> tuple[rf.DepthImage, rf.TanAngleMaps]:
+    """The bench's tilted plane at 2.5 m, noisy (seed 0), with 2% of pixels dropped."""
+    maps = rf.compute_tan_maps(make_camera(width, height))
+    normal = np.array([0.15, 0.1, -0.98])
+    normal /= np.linalg.norm(normal)
+    plane = rf.GroundTruthPlane(np.array([*normal, -2.5 * normal[2]]))
+    depth, _ = rf.render_scene(
+        rf.SyntheticScene((plane,)), maps, noise=rf.NoiseModel(), seed=0, dropout=0.02
+    )
+    assert 0.01 < 1.0 - depth.valid.mean() < 0.03
+    return depth, maps
+
+
+def test_a1_channel_count_on_a_holey_frame():
+    with criterion("A1 channel-count audit on a 2%-dropout frame (9/4/8/3 per-frame)"):
+        depth, maps = holey_frame(64, 48)
+        expected = {
+            rf.IMPLICIT_STANDARD: 9, rf.IMPLICIT_RGBD: 4, rf.EXPLICIT_STANDARD: 8, rf.EXPLICIT_RGBD: 3,
+        }
+        for formulation, channels in expected.items():
+            stack = rf.build_channels(depth, maps, formulation, include_residual=False)
+            assert len(stack.per_frame_channel_names()) == channels, formulation
+
+
 def test_a2_integral_build_speed_ratio():
     with criterion("A2 per-frame channel-build time ratio (<= 0.75 implicit, <= 0.70 explicit)"):
         config = rf.BenchConfig(
@@ -118,6 +142,26 @@ def test_a2_integral_build_speed_ratio():
             f"  build ratios: implicit {implicit_ratio:.3f} (target 0.45, bound 0.75), "
             f"explicit {explicit_ratio:.3f} (target 0.48, bound 0.70)"
         )
+        assert implicit_ratio <= 0.75
+        assert explicit_ratio <= 0.70
+
+
+def test_a2_build_speed_ratio_on_a_holey_frame():
+    with criterion("A2 build time ratio on a 2%-dropout frame (<= 0.75 implicit, <= 0.70 explicit)"):
+        # timed as run_bench times A2: formulations interleaved in each of 2
+        # warm-up and 9 timed repetitions, the bare scatter channels, medians
+        depth, maps = holey_frame(640, 480)
+        seconds: dict[str, list[float]] = {f: [] for f in rf.FORMULATIONS}
+        for rep in range(2 + 9):
+            for formulation in rf.FORMULATIONS:
+                t0 = time.perf_counter()
+                rf.build_channels(depth, maps, formulation, include_residual=False)
+                if rep >= 2:
+                    seconds[formulation].append(time.perf_counter() - t0)
+        median = {f: statistics.median(t) for f, t in seconds.items()}
+        implicit_ratio = median[rf.IMPLICIT_RGBD] / median[rf.IMPLICIT_STANDARD]
+        explicit_ratio = median[rf.EXPLICIT_RGBD] / median[rf.EXPLICIT_STANDARD]
+        print(f"  holey build ratios: implicit {implicit_ratio:.3f}, explicit {explicit_ratio:.3f}")
         assert implicit_ratio <= 0.75
         assert explicit_ratio <= 0.70
 

@@ -124,8 +124,8 @@ class TestFit:
     @pytest.mark.parametrize("formulation, dropout, builds", [
         ("implicit-standard", "0", 0),
         ("explicit-standard", "0", 0),
-        ("implicit-rgbd", "0.05", 0),
-        ("explicit-rgbd", "0.05", 0),
+        ("implicit-rgbd", "0.05", 1),
+        ("explicit-rgbd", "0.05", 1),
         ("implicit-rgbd", "0", 1),
         ("explicit-rgbd", "0", 1),
     ])

@@ -11,7 +11,6 @@ from rangefit import (
     FORMULATIONS,
     IMPLICIT_RGBD,
     IMPLICIT_STANDARD,
-    ChannelStack,
     DepthImage,
     ExplicitPlane,
     ExplicitRgbdFitter,
@@ -41,7 +40,6 @@ from rangefit import (
     scatter_from_integrals,
 )
 from rangefit.fitting import CSV_HEADER, MIN_SAMPLES, fit_result_csv_row
-from rangefit.integral import CONSTANT_CHANNELS
 
 from conftest import random_visible_plane
 
@@ -241,23 +239,29 @@ class TestBackendEquivalence:
             with pytest.raises(ValueError, match="constant"):
                 fit_rects(stack, None, np.array([[0, 0, 20, 20]]), formulation)
 
-    def test_holey_windows_match_naive_in_rgbd_formulations(self, small_maps):
-        # scattered dropout: windows containing holes must still assemble the
-        # exact masked scatter via the frame's masked tan channels
+    @pytest.mark.parametrize("holes", ["dropout", "discs"])
+    def test_holey_windows_match_naive_in_rgbd_formulations(self, small_maps, holes):
+        # scattered dropout or shadow discs: windows containing holes must still
+        # assemble the exact masked scatter, their tan sums the constant ones less the holes'
         rng = np.random.default_rng(77)
         plane = random_visible_plane(rng)
         depth, _ = render_scene(
-            SyntheticScene((plane,)), small_maps, noise=NoiseModel(), seed=6, dropout=0.15
+            SyntheticScene((plane,)), small_maps, noise=NoiseModel(), seed=6,
+            dropout=0.15 if holes == "dropout" else 0.0,
         )
+        if holes == "discs":
+            depth = DepthImage(values=depth.values, valid=depth.valid & ~_disc_holes((48, 64), rng))
         assert not depth.valid.all()
         constant = build_constant_channels(small_maps)
         for formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
             stack = STACK_BUILDERS[formulation](depth, small_maps)
-            assert set(CONSTANT_CHANNELS) <= set(stack.channels)  # masked tan tables
+            assert stack.holes is not None
+            rects = []
             for _ in range(20):
                 x0 = int(rng.integers(0, 48))
                 y0 = int(rng.integers(0, 32))
                 rect = Rect(x0, y0, int(rng.integers(x0 + 8, 65)), int(rng.integers(y0 + 8, 49)))
+                rects.append(rect)
                 naive = accumulate_scatter_naive(
                     gather_window_samples(depth, small_maps, rect, formulation), formulation
                 )
@@ -265,32 +269,22 @@ class TestBackendEquivalence:
                 fro = np.linalg.norm(naive.matrix)
                 assert np.abs(tables.matrix - naive.matrix).max() <= 1e-9 * fro
                 a = implicit_from_result(FITTERS[formulation](naive))
-                b = implicit_from_result(FITTERS[formulation](tables))
+                b = implicit_from_result(
+                    fit_rect(depth, small_maps, rect, formulation, "integral", stack, constant)
+                )
                 assert np.abs(a - b).max() <= 1e-6
-
-    def test_holey_window_needs_masked_tan_channels(self, small_maps):
-        depth, _ = render_scene(
-            SyntheticScene((random_visible_plane(np.random.default_rng(19)),)),
-            small_maps, noise=NoiseModel(), seed=6, dropout=0.1,
-        )
-        constant = build_constant_channels(small_maps)
-        for formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
-            stack = STACK_BUILDERS[formulation](depth, small_maps)
-            kept = [name for name in stack.index if name not in CONSTANT_CHANNELS]
-            unmarked = ChannelStack(
-                stack.tensor[[stack.index[name] for name in kept]],
-                {name: i for i, name in enumerate(kept)},
-            )
-            with pytest.raises(ValueError, match="no masked tan channels"):
-                scatter_from_integrals(unmarked, constant, Rect(0, 0, 64, 48), formulation)
-            with pytest.raises(ValueError, match="no masked tan channels"):
-                fit_rects(unmarked, constant, np.array([[0, 0, 64, 48]]), formulation)
+            assert any(not depth.valid[r.y0 : r.y1, r.x0 : r.x1].all() for r in rects)
+            batch = fit_rects(stack, constant, np.array(rects), formulation)
+            for rect, got in zip(rects, batch):
+                naive = fit_rect(depth, small_maps, rect, formulation, "naive")
+                assert np.abs(implicit_from_result(naive) - implicit_from_result(got)).max() <= 1e-6
 
     def test_hole_free_frame_stacks_stay_lean(self, small_maps, noisy_scene):
         _, depth = noisy_scene
         assert depth.valid.all()
         stack = build_rgbd_implicit_channels(depth, small_maps)
         assert stack.per_frame_channel_names() == ("tx_over_z", "ty_over_z", "inv_z", "inv_z2")
+        assert stack.holes is None and stack.hole_tan is None
 
 
 class TestNoiselessRecovery:
@@ -750,7 +744,7 @@ class TestFitRects:
         self, small_maps, formulation
     ):
         # localized holes: one batch mixes hole-free and holey windows, and
-        # every window of the frame reads its masked tan tables
+        # every window reads the constant tan sums, less its holes' if any
         rng = np.random.default_rng(23)
         depth, _ = render_scene(
             SyntheticScene((random_visible_plane(rng),)), small_maps, noise=NoiseModel(), seed=7
@@ -763,11 +757,11 @@ class TestFitRects:
         stack = STACK_BUILDERS[formulation](depth, small_maps)
         constant = build_constant_channels(small_maps)
         with_constant = fit_rects(stack, constant, np.array(rects), formulation)
-        without = fit_rects(stack, None, np.array(rects), formulation)
-        for rect, got, bare in zip(rects, with_constant, without):
+        with pytest.raises(ValueError, match="requires the camera-constant channel stack"):
+            fit_rects(stack, None, np.array(rects), formulation)
+        for rect, got in zip(rects, with_constant):
             naive = fit_rect(depth, small_maps, rect, formulation, "naive")
-            assert got.n_points == bare.n_points == naive.n_points
-            assert np.array_equal(got.plane.coefficients, bare.plane.coefficients)
+            assert got.n_points == naive.n_points
             a, b = implicit_from_result(naive), implicit_from_result(got)
             assert np.abs(a - b).max() <= 1e-6, rect
 

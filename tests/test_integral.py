@@ -31,6 +31,7 @@ from rangefit.integral import (
     CONSTANT_CHANNELS,
     COUNT_CHANNEL,
     FORMULATION_CHANNELS,
+    _hole_sums,
     build_node_pyramid,
 )
 
@@ -197,11 +198,11 @@ class TestPerFrameBuilders:
         ],
     )
     def test_scatter_channel_counts(self, noisy_frame, small_maps, builder, expected_channels):
-        # the scatter channels come first, then the residual and masked tan tables
+        # the scatter channels come first, then the residual; holes add none
         names = builder(noisy_frame, small_maps).per_frame_channel_names()
         scatter = [spec.scatter for spec in FORMULATION_CHANNELS.values()]
         assert names[:expected_channels] in scatter
-        assert set(names[expected_channels:]) <= {"z2", "inv_z2", *CONSTANT_CHANNELS}
+        assert set(names[expected_channels:]) <= {"z2", "inv_z2"}
 
     def test_explicit_residual_channel_is_separate(self, noisy_frame, small_maps):
         with_res = build_standard_explicit_channels(noisy_frame, small_maps)
@@ -210,9 +211,9 @@ class TestPerFrameBuilders:
         assert "z2" not in bare.channels
         assert len(bare.per_frame_channel_names()) == 8
 
-        # the frame has holes: masked tan tables follow the residual
+        # the frame has holes: the residual is still the last table
         rgbd = build_rgbd_explicit_channels(noisy_frame, small_maps)
-        assert rgbd.per_frame_channel_names()[3:] == ("inv_z2", *CONSTANT_CHANNELS)
+        assert rgbd.per_frame_channel_names()[3:] == ("inv_z2",)
 
     def test_standard_implicit_sums_match_naive(self, noisy_frame, small_maps):
         stack = build_standard_implicit_channels(noisy_frame, small_maps)
@@ -376,13 +377,12 @@ class TestChannelTensor:
         names = _SCATTER[formulation]
         if include_residual and formulation in _RESIDUAL:
             names += (_RESIDUAL[formulation],)
-        if holes and rgbd:
-            names += CONSTANT_CHANNELS  # masked, under the camera-constant names
         if formulation in (IMPLICIT_STANDARD, IMPLICIT_RGBD):
             stack = _WRAPPERS[formulation](depth, maps)
         else:
             stack = _WRAPPERS[formulation](depth, maps, include_residual=include_residual)
         assert tuple(stack.channels) == names
+        assert (stack.holes is not None) == (stack.hole_tan is not None) == (holes and rgbd)
         lattices = _reference_lattices(depth, maps)
         _assert_tables_match_reference(stack, lattices, depth.valid, depth.valid.astype(float))
         again = build_channels(depth, maps, formulation, include_residual)
@@ -402,6 +402,44 @@ class TestChannelTensor:
     def test_unknown_formulation(self, small_maps):
         with pytest.raises(ValueError, match="unknown formulation"):
             build_channels(_frame(small_maps, holes=False), small_maps, "implicit-wat")
+
+
+class TestHoleList:
+    """A holey rgbd stack lists its holes; window tan sums over them against brute force."""
+
+    def test_window_hole_sums_match_brute_force(self):
+        width, height = 37, 23
+        maps = _camera_maps(width, height)
+        depth = _frame(maps, holes=False)
+        rng = np.random.default_rng(31)
+        valid = np.ones((height, width), dtype=bool)
+        valid[:12] = rng.random((12, width)) >= 0.15  # rows 12-14 and 19-22 stay hole-free
+        valid[15:19, 20:28] = False  # an all-hole block
+        valid[[3, 16, 20], 0] = valid[[5, 17, 21], width - 1] = False  # holes on both borders
+        depth = DepthImage(values=depth.values, valid=valid)
+        stack = build_channels(depth, maps, EXPLICIT_RGBD)
+        assert np.array_equal(stack.holes, np.flatnonzero(~valid))
+        rects = [
+            Rect(3, 7, 30, 8),  # 1 px tall
+            Rect(0, 16, 1, 17),  # 1 px wide, a hole at x = 0
+            Rect(12, 0, 13, height),  # 1 px wide
+            Rect(0, 0, 5, height),  # touches x = 0
+            Rect(30, 0, width, height),  # touches x = W
+            Rect(0, 10, width, 22),  # holey, with hole-free rows
+            Rect(20, 15, 28, 19),  # all holes
+            Rect(2, 12, 30, 15),  # no holes
+            Rect(0, 0, width, height),
+        ]
+        for _ in range(20):
+            rects.append(random_rect(rng, width, height, min_size=1))
+        got = _hole_sums(stack, np.array(rects))
+        lattices = _reference_lattices(depth, maps)
+        assert got.shape == (len(CONSTANT_CHANNELS), len(rects))
+        for i, (x0, y0, x1, y1) in enumerate(rects):
+            holes = ~valid[y0:y1, x0:x1]
+            for name, sums in zip(CONSTANT_CHANNELS, got):
+                expected = lattices[name][y0:y1, x0:x1][holes].sum()
+                assert sums[i] == pytest.approx(expected, rel=1e-12, abs=1e-12), (name, i)
 
 
 class TestFormulationTable:
