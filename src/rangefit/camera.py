@@ -162,16 +162,6 @@ def back_project(pixel: tuple[int, int], depth: float, maps: TanAngleMaps) -> Po
     )
 
 
-def back_project_image(depth: np.ndarray, maps: TanAngleMaps) -> np.ndarray:
-    """Vectorized back-projection of a full depth lattice.
-
-    Returns an (H, W, 3) array of camera-frame coordinates; rows with
-    non-positive or non-finite depth come out non-finite/zero and should be
-    filtered by the caller's validity mask.
-    """
-    return np.stack((depth * maps.tan_x, depth * maps.tan_y, depth), axis=-1)
-
-
 def project_point(
     point: Point3,
     intrinsics: CameraIntrinsics,

@@ -62,7 +62,6 @@ from .integral import (
     Rect,
     _box,
     _box_corners,
-    _box_sums,
     _check_rect,
     _check_rects,
     _hole_sums,
@@ -94,7 +93,7 @@ _PIVOT_REL = 1e-12
 # scenes sit 2e-3 away.
 _CENTRE_REL = 1e-4
 
-CSV_HEADER = "formulation,backend,x0,y0,x1,y1,a,b,c,d,lambda,rms,n_points"
+CSV_HEADER = "formulation,backend,x0,y0,x1,y1,a,b,c,d,lambda,rms,n_points,degenerate"
 
 
 def canonicalize_implicit(coefficients: np.ndarray) -> np.ndarray:
@@ -569,7 +568,7 @@ def _gather(stack: ChannelStack, corners: np.ndarray) -> dict[str, float | np.nd
 
     ``corners`` holds flat table indices from ``_box_corners``: (4, N) for a
     batch, giving (N,) sums per channel, or (4,) for one window.  The sums
-    are formed in the same order of operations as ``_box_sums``.
+    are formed in the same order of operations as ``_box``.
     """
     t = stack.tensor.reshape(len(stack.index), -1).take(corners, axis=1)
     sums = t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3]
@@ -586,19 +585,18 @@ def _window_sums(
     constant: ChannelStack | None,
     formulation: str,
     rects: np.ndarray | Rect,
-    n: float | np.ndarray,
 ) -> dict[str, float | np.ndarray]:
     """Box sums of every channel a formulation's system reads, ``"n"`` the count.
 
     ``rects`` is one rect, giving a float per sum, or an (N, 4) array of
-    them, giving (N,) arrays; ``n`` their valid-sample counts.  The tan
-    entries are ``constant``'s, less those of the holes the frame stack lists.
+    them, giving (N,) arrays.  The tan entries are ``constant``'s, less
+    those of the holes the frame stack lists; only the windows whose count
+    falls short of their area hold holes.
     """
     spec = FORMULATION_CHANNELS[formulation]
     _require_channels(stack, spec.scatter, "per-frame")
     corners = _box_corners(rects, stack.width)
     sums = _gather(stack, corners)
-    sums["n"] = n
     if spec.needs_constant:
         if constant is None:
             raise ValueError(f"{formulation} requires the camera-constant channel stack")
@@ -606,15 +604,19 @@ def _window_sums(
             raise ValueError("constant stack dimensions do not match the per-frame stack")
         _require_channels(constant, CONSTANT_CHANNELS, "constant")
         const = _gather(constant, corners)
-        tan = [const[name] for name in CONSTANT_CHANNELS]
-        if stack.holes is not None:
-            rects = np.reshape(rects, (-1, 4))
-            area = np.prod(rects[:, 2:] - rects[:, :2], axis=1)
-            holey = np.flatnonzero(n != area)  # the windows that hold holes
-            if holey.size:
-                tan = np.array(tan)
-                tan.reshape(len(tan), -1)[:, holey] -= _hole_sums(stack, rects[holey])
-        sums.update(zip(CONSTANT_CHANNELS, tan))
+        sums.update((name, const[name]) for name in CONSTANT_CHANNELS)
+        if stack.holes is None:
+            return sums
+        if isinstance(rects, Rect):
+            if sums["n"] != rects.area:
+                holes = _hole_sums(stack, np.array([rects]))[:, 0]
+                sums.update((name, sums[name] - h) for name, h in zip(CONSTANT_CHANNELS, holes))
+            return sums
+        x0, y0, x1, y1 = rects.T
+        holey = np.flatnonzero(sums["n"] != (x1 - x0) * (y1 - y0))
+        if holey.size:
+            for name, h in zip(CONSTANT_CHANNELS, _hole_sums(stack, rects[holey])):
+                sums[name][holey] -= h
     return sums
 
 
@@ -646,13 +648,13 @@ def scatter_from_integrals(
     """
     _check_formulation(formulation)
     _check_rect(rect, stack.width, stack.height)
-    n = int(round(_box(stack.count.table, rect)))
+    sums = _window_sums(stack, constant, formulation, rect)
+    n = int(sums["n"])
     if n < MIN_SAMPLES[formulation]:
         raise InsufficientSamplesError(
             f"window {rect} holds {n} valid samples; "
             f"{formulation} needs {MIN_SAMPLES[formulation]}"
         )
-    sums = _window_sums(stack, constant, formulation, rect, float(n))
     matrix, rhs, target_sq = _system(sums, FORMULATION_CHANNELS[formulation])
     if rhs is None:
         return Scatter4(matrix=matrix, n=n)
@@ -826,6 +828,7 @@ class ExplicitRgbdFitter:
         if matrix is None:
             _check_rect(rect, self.constant.width, self.constant.height)
             sums = _gather(self.constant, _box_corners(rect, self.constant.width))
+            sums["n"] = float(rect.area)
             matrix = self._matrices[rect] = _scatter_matrix(sums, self._spec)
         return matrix
 
@@ -848,24 +851,24 @@ class ExplicitRgbdFitter:
         is nothing to cache).
         """
         _check_rect(rect, stack.width, stack.height)
-        if stack.count.table.shape != self.constant.count.table.shape:
+        if stack.tensor.shape[1:] != self.constant.tensor.shape[1:]:
             raise ValueError("constant stack dimensions do not match the per-frame stack")
         _require_channels(stack, self._spec.scatter, "per-frame")
-        n = int(round(_box(stack.count.table, rect)))
+        n = int(round(_box(stack.count, rect)))
         if n != rect.area or n < self._spec.size:
             return fit_explicit_rgbd(
                 scatter_from_integrals(stack, self.constant, rect, EXPLICIT_RGBD)
             )
         # scalar reads: one gather over every channel of the stack costs more
         ch = stack.channels
-        rhs = np.array([_box(ch[name].table, rect) for name in self._spec.rhs])
+        rhs = np.array([_box(ch[name], rect) for name in self._spec.rhs])
         factor = self.factor_for(rect)
         if factor is None:
             alpha = _pinv_solve(self.matrix_for(rect), rhs)
         else:
             alpha = solve_cholesky3(factor, rhs)
         residual = self._spec.residual
-        target_sq = _box(ch[residual].table, rect) if residual in ch else None
+        target_sq = _box(ch[residual], rect) if residual in ch else None
         return _explicit_result(alpha, rhs, n, target_sq, SPACE_RGBD, factor is None)
 
 
@@ -961,11 +964,9 @@ def fit_rects(
     """
     _check_formulation(formulation)
     rects = _check_rects(rects, stack.width, stack.height)
-    n = np.rint(_box_sums(stack.count.table, _box_corners(rects, stack.width)))
-    fitted = np.flatnonzero(n >= MIN_SAMPLES[formulation])
-    if fitted.size == 0:
-        return _unfitted(len(rects), MIN_SAMPLES[formulation], _space(formulation))
-    sums = _window_sums(stack, constant, formulation, rects[fitted], n[fitted])
+    sums = _window_sums(stack, constant, formulation, rects)
+    fitted = np.flatnonzero(sums["n"] >= MIN_SAMPLES[formulation])
+    sums = {name: s[fitted] for name, s in sums.items()}
     return fit_sums(sums, formulation).expand(fitted, len(rects))
 
 
@@ -1035,7 +1036,8 @@ def _fit_systems(
 def fit_result_csv_row(
     result: FitResult, formulation: str, backend: str, rect: Rect
 ) -> str:
-    """One CSV row per fit; explicit fits are reported in implicit form."""
+    """One CSV row per fit; explicit fits are reported in implicit form, and
+    the last column says whether the fit is degenerate (``True``/``False``)."""
     if isinstance(result.plane, ExplicitPlane):
         coef = explicit_to_implicit(result.plane).coefficients
     else:
@@ -1056,5 +1058,6 @@ def fit_result_csv_row(
         lam,
         rms,
         str(result.n_points),
+        str(result.degenerate),
     ]
     return ",".join(fields)

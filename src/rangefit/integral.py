@@ -21,7 +21,7 @@ is computed per pixel; one builder serves every formulation and the
 camera-constant stack.
 
 A stack is one float64 tensor of shape (C, H+1, W+1): one zero-padded table
-per channel, the validity count being the last of the C.  Every
+per channel, a frame stack's last being the validity count.  Every
 depth-bearing monomial is written from a depth lattice whose holes hold the
 neutral depth, 0 for the standard monomials and +inf for the inverse ones
 (1/inf = 0), so holes add zero with no mask and fits normalize by the count.
@@ -137,63 +137,44 @@ class Rect(NamedTuple):
 
 
 @dataclass(frozen=True)
-class IntegralImage:
-    """Cumulative-sum table with a zero-padded first row and column.
-
-    ``table[y, x]`` holds the sum of the source over ``[0, x) x [0, y)``, so
-    the table is (H+1, W+1) for an (H, W) source.
-    """
-
-    name: str
-    table: np.ndarray
-
-    @property
-    def height(self) -> int:
-        return self.table.shape[0] - 1
-
-    @property
-    def width(self) -> int:
-        return self.table.shape[1] - 1
-
-
-@dataclass(frozen=True)
 class ChannelStack:
     """A named set of summed-area tables held in one (C, H+1, W+1) tensor.
 
     ``index`` maps every channel name, the validity count included, to its
     slice of ``tensor``; ``channels`` (every channel but the count) and
-    ``count`` are :class:`IntegralImage` views into it.  What a stack holds
-    is read from its names: a frame stack has its formulation's per-frame
-    channels (``FORMULATION_CHANNELS``) and the residual channel when built
-    with it; the camera-constant stack has the tan tables, built once per
-    camera and shared by reference across frames.  An rgbd frame stack with
-    holes lists them: ``holes`` by flat pixel index, ascending, and
-    ``hole_tan``, the (5, K+1) running sums of their tan monomials from 0.
+    ``count`` are array views into it.  What a stack holds is read from its
+    names: a frame stack has its formulation's per-frame channels
+    (``FORMULATION_CHANNELS``), the residual channel when built with it and
+    the count; the camera-constant stack has the five tan tables and no
+    count, built once per camera and shared by reference across frames.  An
+    rgbd frame stack with holes lists them: ``holes`` by flat pixel index,
+    ascending, and ``hole_tan``, the (5, K+1) running sums of their tan
+    monomials from 0.
     """
 
     tensor: np.ndarray
     index: dict[str, int]
     holes: np.ndarray | None = None
     hole_tan: np.ndarray | None = None
-    channels: dict[str, IntegralImage] = field(init=False, repr=False, compare=False)
-    count: IntegralImage = field(init=False, repr=False, compare=False)
+    channels: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    count: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tensor.ndim != 3 or sorted(self.index.values()) != list(range(len(self.tensor))):
             raise ValueError(
                 f"index {self.index} does not name the {self.tensor.shape} tensor's channels"
             )
-        views = {name: IntegralImage(name, self.tensor[i]) for name, i in self.index.items()}
-        object.__setattr__(self, "count", views.pop(COUNT_CHANNEL))
+        views = {name: self.tensor[i] for name, i in self.index.items()}
+        object.__setattr__(self, "count", views.pop(COUNT_CHANNEL, None))
         object.__setattr__(self, "channels", views)
 
     @property
     def height(self) -> int:
-        return self.count.height
+        return self.tensor.shape[1] - 1
 
     @property
     def width(self) -> int:
-        return self.count.width
+        return self.tensor.shape[2] - 1
 
     def per_frame_channel_names(self) -> tuple[str, ...]:
         """Every channel in the stack but the count, in tensor order."""
@@ -226,7 +207,7 @@ def _check_rects(rects: np.ndarray, width: int, height: int) -> np.ndarray:
 
 
 def _box_corners(rects: np.ndarray, width: int) -> np.ndarray:
-    """(4, N) flat table indices of each rect's corners, in ``_box_sums`` order.
+    """(4, N) flat table indices of each rect's corners, in ``_box`` order.
 
     One (x0, y0, x1, y1) rect gives the (4,) indices of its corners.
     """
@@ -235,14 +216,12 @@ def _box_corners(rects: np.ndarray, width: int) -> np.ndarray:
     return np.array((y1 * stride + x1, y0 * stride + x1, y1 * stride + x0, y0 * stride + x0))
 
 
-def _box_sums(table: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    """Box sums of many rects at once, in the same order of operations as ``box_sum``."""
-    t = table.reshape(-1).take(corners)
-    return t[0] - t[1] - t[2] + t[3]
+def build_integral(channel: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Summed-area table of an (H, W) channel; masked-out pixels contribute zero.
 
-
-def build_integral(channel: np.ndarray, mask: np.ndarray | None = None, name: str = "") -> IntegralImage:
-    """Single-pass summed-area table; masked-out pixels contribute zero."""
+    ``table[y, x]`` holds the sum of the source over ``[0, x) x [0, y)``, so
+    the table is (H+1, W+1), its first row and column zero.
+    """
     channel = np.asarray(channel, dtype=np.float64)
     if channel.ndim != 2:
         raise ValueError(f"channel must be 2D, got shape {channel.shape}")
@@ -254,7 +233,7 @@ def build_integral(channel: np.ndarray, mask: np.ndarray | None = None, name: st
     h, w = channel.shape
     table = np.zeros((h + 1, w + 1))
     table[1:, 1:] = np.cumsum(np.cumsum(channel, axis=0), axis=1)
-    return IntegralImage(name=name, table=table)
+    return table
 
 
 def _box(table: np.ndarray, rect: Rect) -> float:
@@ -265,10 +244,10 @@ def _box(table: np.ndarray, rect: Rect) -> float:
     )
 
 
-def box_sum(integral: IntegralImage, rect: Rect) -> float:
-    """Sum of the source channel over ``rect`` via the 4-lookup identity."""
-    _check_rect(rect, integral.width, integral.height)
-    return _box(integral.table, rect)
+def box_sum(table: np.ndarray, rect: Rect) -> float:
+    """Sum over ``rect`` of the source of a summed-area table (4-lookup identity)."""
+    _check_rect(rect, table.shape[1] - 1, table.shape[0] - 1)
+    return _box(table, rect)
 
 
 def _write_monomials(
@@ -298,33 +277,37 @@ def _neutral_depth(names: tuple[str, ...], depth: np.ndarray, valid: np.ndarray)
 def _build_stack(
     names: tuple[str, ...],
     maps: TanAngleMaps,
-    depth: np.ndarray | None,
-    valid: np.ndarray | bool,
+    depth: np.ndarray | None = None,
+    valid: np.ndarray | bool | None = None,
 ) -> ChannelStack:
     """Write each channel's monomial into one tensor, then prefix-sum it in place.
 
     ``valid`` is the count (True: no pixel is a hole), ``depth`` neutral at
-    holes (:func:`_neutral_depth`); ``depth`` None builds the constant stack.
+    holes (:func:`_neutral_depth`); without them this builds the constant
+    stack, which has no count.
     """
     h, w = maps.height, maps.width
-    out = np.zeros((len(names) + 1, h + 1, w + 1))
+    if valid is not None:
+        names += (COUNT_CHANNEL,)
+    out = np.zeros((len(names), h + 1, w + 1))
     body = out[:, 1:, 1:]
-    np.copyto(body[-1], valid)
+    if valid is not None:
+        np.copyto(body[-1], valid)
     _write_monomials(names, body, depth, maps.tan_x, maps.tan_y)
     # rows first, then columns: the additions of cumsum(cumsum(c, 0), 1)
     for y in range(1, h):
         np.add(body[:, y], body[:, y - 1], out=body[:, y])
     np.cumsum(body, axis=2, out=body)
-    return ChannelStack(out, {name: i for i, name in enumerate((*names, COUNT_CHANNEL))})
+    return ChannelStack(out, {name: i for i, name in enumerate(names)})
 
 
 def build_constant_channels(maps: TanAngleMaps) -> ChannelStack:
     """Camera-constant monomial tables: tan_x^2, tan_x*tan_y, tan_y^2, tan_x, tan_y.
 
-    Built once per intrinsics and reused for every frame; the count channel
-    here counts pixels (all of them), matching the precomputed-sum semantics.
+    Built once per intrinsics and reused for every frame.  The stack has no
+    count: a window's pixel count is its area.
     """
-    return _build_stack(CONSTANT_CHANNELS, maps, None, True)
+    return _build_stack(CONSTANT_CHANNELS, maps)
 
 
 def _check_frame(depth: DepthImage, maps: TanAngleMaps) -> None:

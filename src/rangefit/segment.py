@@ -165,7 +165,7 @@ class Segmentation:
     row-major, then each level's children in their parents' order.
     ``cells`` holds the leaf covering each cell of the quadtree's finest
     lattice (``initial_tile >> max_depth`` pixels), from which ``labels``
-    and :meth:`to_color` are painted.
+    and :meth:`to_color` are painted over the (h, w) image ``shape``.
     """
 
     config: SegConfig
@@ -175,7 +175,7 @@ class Segmentation:
     fits: FitBatch
     cluster: np.ndarray
     cells: np.ndarray
-    labels: np.ndarray
+    shape: tuple[int, int]
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -201,6 +201,14 @@ class Segmentation:
             ))
         ]
 
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Each pixel's segment id, -1 where no fitted leaf covers it; painted
+        on first read, int16 unless there are 2**15 leaves or more."""
+        dtype = np.int16 if len(self.status) < 2**15 else np.int32
+        lattice = np.append(self.cluster, UNLABELED).astype(dtype)[self.cells]  # -1: no leaf
+        return _upsample(lattice, self.config.cell, self.shape)
+
     def to_color(self) -> np.ndarray:
         """Render the per-pixel labels with the fixed palette.
 
@@ -210,7 +218,7 @@ class Segmentation:
         palette = len(CLUSTER_PALETTE)
         rows = np.where(self.status == _FITTED, self.cluster % palette, palette - 1 + self.status)
         colors = _COLORS[np.append(rows, -1)]  # a cell no leaf covers takes the last row
-        return _upsample(colors[self.cells], self.config.cell, self.labels.shape)
+        return _upsample(colors[self.cells], self.config.cell, self.shape)
 
     def to_csv(self) -> str:
         lines = ["x0,y0,x1,y1,status,a,b,c,d,rms,cluster"]
@@ -233,7 +241,7 @@ class Segmentation:
         ``split``; and ``degenerate``, its leaves whose fit was flagged
         degenerate.  Computed from the leaf arrays on each call.
         """
-        width = self.labels.shape[1]
+        width = self.shape[1]
         x0, y0 = self.rects[:, 0], self.rects[:, 1]
         levels = []
         for level in range(int(self.level.max()) + 1):
@@ -489,8 +497,6 @@ def segment(
         cluster[fitted] = group_leaves(cells, fitted, features, fits.n_points[fitted], rays)
     else:
         warnings.append("no tiles were fitted")
-    dtype = np.int16 if len(status) < 2**15 else np.int32
-    labels = np.append(cluster, UNLABELED).astype(dtype)[cells]  # -1: no leaf
     return Segmentation(
         config=config,
         rects=rects,
@@ -499,6 +505,6 @@ def segment(
         fits=fits,
         cluster=cluster,
         cells=cells,
-        labels=_upsample(labels, config.cell, (h, w)),
+        shape=(h, w),
         warnings=warnings,
     )

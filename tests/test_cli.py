@@ -121,6 +121,29 @@ class TestFit:
         assert out_csv.read_text().startswith("formulation,backend,")
 
 
+    def test_fit_reports_degenerate(self, tmp_path, camera_file, capsys):
+        # a 1-px column fits its viewing plane through the camera centre, which
+        # used to print as a plane with nothing to say it is no surface
+        scene, depth_path = tmp_path / "two.txt", tmp_path / "depth.pgm"
+        scene.write_text(
+            "0.2543 0.0509 -0.9658 1.5453 0 0 40 48\n"
+            "-0.2035 0.1017 -0.9738 2.3372 40 0 64 48\n"
+        )
+        assert main([
+            "synth", "--intrinsics", str(camera_file), "--scene", str(scene),
+            "--seed", "1", "--dropout", "0.05", "--out", str(depth_path),
+        ]) == 0
+        flags = {}
+        for rect in ("0,0,1,48", "0,0,32,48"):
+            capsys.readouterr()
+            assert main([
+                "fit", "--intrinsics", str(camera_file), "--input", str(depth_path),
+                "--formulation", "explicit-rgbd", "--rect", rect,
+            ]) == 0
+            header, row = capsys.readouterr().out.strip().split("\n")
+            flags[rect] = dict(zip(header.split(","), row.split(",")))["degenerate"]
+        assert flags == {"0,0,1,48": "True", "0,0,32,48": "False"}
+
     @pytest.mark.parametrize("formulation, dropout, builds", [
         ("implicit-standard", "0", 0),
         ("explicit-standard", "0", 0),

@@ -68,28 +68,28 @@ def random_rect(rng: np.random.Generator, width: int, height: int, min_size: int
 
 class TestBuildIntegral:
     def test_all_ones(self):
-        table = build_integral(np.ones((10, 10))).table
+        table = build_integral(np.ones((10, 10)))
         assert table[10, 10] == 100.0
 
     def test_all_invalid(self):
         image = build_integral(np.ones((5, 5)), mask=np.zeros((5, 5), dtype=bool))
-        assert not np.any(image.table)
+        assert not np.any(image)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(0)
         channel = rng.standard_normal((12, 9))
         mask = rng.random((12, 9)) > 0.3
         expected = naive_prefix_sum(channel, mask)
-        table = build_integral(channel, mask).table
+        table = build_integral(channel, mask)
         np.testing.assert_allclose(table, expected, atol=1e-12)
 
     def test_zero_padding_and_monotonicity(self):
         rng = np.random.default_rng(1)
         image = build_integral(rng.random((8, 8)))
-        assert not np.any(image.table[0, :])
-        assert not np.any(image.table[:, 0])
-        assert np.all(np.diff(image.table, axis=0) >= 0)
-        assert np.all(np.diff(image.table, axis=1) >= 0)
+        assert not np.any(image[0, :])
+        assert not np.any(image[:, 0])
+        assert np.all(np.diff(image, axis=0) >= 0)
+        assert np.all(np.diff(image, axis=1) >= 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -163,9 +163,12 @@ class TestConstantChannels:
         total = box_sum(stack.channels["tx"], Rect(0, 0, 32, 24))
         assert abs(total) < 1e-10
 
-    def test_count_channel_counts_pixels(self, small_maps):
+    def test_holds_exactly_the_five_tan_tables(self, small_maps):
+        # a window's pixel count is its area, so the stack needs no count table
         stack = build_constant_channels(small_maps)
-        assert box_sum(stack.count, Rect(3, 5, 13, 25)) == 200.0
+        assert stack.count is None
+        assert tuple(stack.index) == CONSTANT_CHANNELS
+        assert stack.tensor.shape == (5, small_maps.height + 1, small_maps.width + 1)
 
     def test_sums_match_naive(self):
         from rangefit import CameraIntrinsics, compute_tan_maps
@@ -335,11 +338,14 @@ def _reference_lattices(depth: DepthImage, maps) -> dict[str, np.ndarray]:
 
 def _assert_tables_match_reference(stack, lattices, mask, count_source):
     for name, image in stack.channels.items():
-        assert np.array_equal(image.table, build_integral(lattices[name], mask).table), name
-        assert image.table.base is stack.tensor, name
-    assert np.array_equal(stack.count.table, build_integral(count_source).table)
-    assert stack.count.table.base is stack.tensor
-    assert stack.tensor.shape == (len(stack.channels) + 1, *stack.count.table.shape)
+        assert np.array_equal(image, build_integral(lattices[name], mask)), name
+        assert image.base is stack.tensor, name
+    counted = count_source is not None
+    if counted:
+        assert np.array_equal(stack.count, build_integral(count_source))
+        assert stack.count.base is stack.tensor
+    h, w = lattices["tx"].shape
+    assert stack.tensor.shape == (len(stack.channels) + counted, h + 1, w + 1)
 
 
 def _camera_maps(width: int, height: int):
@@ -395,9 +401,7 @@ class TestChannelTensor:
         stack = build_constant_channels(maps)
         assert tuple(stack.channels) == ("tx2", "txty", "ty2", "tx", "ty")
         depth = DepthImage(values=np.ones(maps.tan_x.shape))
-        _assert_tables_match_reference(
-            stack, _reference_lattices(depth, maps), None, np.ones(maps.tan_x.shape)
-        )
+        _assert_tables_match_reference(stack, _reference_lattices(depth, maps), None, None)
 
     def test_unknown_formulation(self, small_maps):
         with pytest.raises(ValueError, match="unknown formulation"):

@@ -693,6 +693,21 @@ class TestNodePyramidSegment:
         x0, y0 = result.rects[:, 0], result.rects[:, 1]
         np.testing.assert_array_equal(result.labels[y0, x0], result.cluster)
 
+    def test_labels_are_painted_on_first_read(self):
+        maps = _maps(97, 53)
+        depth, _ = render_scene(corner_scene(), maps, noise=NoiseModel(), seed=4, dropout=0.1)
+        result = segment(depth, maps, SegConfig(initial_tile=16, max_depth=2))
+        result.to_color()
+        result.stats()
+        assert "labels" not in result.__dict__
+        assert result.shape == (53, 97)
+        cell = result.config.cell
+        lattice = np.append(result.cluster, -1)[result.cells]
+        expected = np.repeat(np.repeat(lattice, cell, axis=0), cell, axis=1)[:53, :97]
+        assert result.labels.dtype == np.int16
+        np.testing.assert_array_equal(result.labels, expected)
+        assert result.__dict__["labels"] is result.labels
+
     @pytest.mark.parametrize("size", [(64, 48), (97, 53)], ids=["64x48", "97x53"])
     def test_painting_matches_per_tile_reference(self, size):
         width, height = size
