@@ -39,8 +39,7 @@ scene = SyntheticScene((
 
 depth, truth = render_scene(scene, maps, noise=NoiseModel(), seed=3, dropout=0.02)
 config = SegConfig(
-    formulation="implicit-rgbd", backend="integral",
-    initial_tile=64, max_depth=3, rms_threshold=2.4e-3,
+    formulation="implicit-rgbd", initial_tile=64, max_depth=3, rms_threshold=2.4e-3,
 )
 result = segment(depth, maps, config)
 

@@ -171,13 +171,29 @@ class BenchReport:
         return values[0], statistics.median(values), values[-1]
 
     def _ratio(self, kind: str, phase: str, plane_count: int | None = None) -> float:
-        """Median ``phase`` time on the integral backend, inverse-depth over standard."""
+        """Median over repetitions of the ``phase`` time on the integral
+        backend, inverse-depth over standard.
+
+        Both methods run in every repetition, one after the other, so pairing
+        their times by repetition cancels host-speed swings that outlast a
+        pair; a ratio of the two medians would take them from different swings.
+        """
         if kind not in _RATIO_PAIRS:
             raise ValueError(f"kind must be 'implicit' or 'explicit', got {kind!r}")
-        rgbd, standard = _RATIO_PAIRS[kind]
-        return self.median_seconds(rgbd, "integral", phase, plane_count) / self.median_seconds(
-            standard, "integral", phase, plane_count
+        rgbd, standard = (
+            {
+                r.rep: r.seconds
+                for r in self.rows
+                if r.method == method
+                and r.backend == "integral"
+                and r.phase == phase
+                and (plane_count is None or r.plane_count == plane_count)
+            }
+            for method in _RATIO_PAIRS[kind]
         )
+        if not rgbd or rgbd.keys() != standard.keys():
+            raise ValueError(f"no paired {kind}/integral/{phase}/{plane_count} rows")
+        return statistics.median(rgbd[rep] / standard[rep] for rep in rgbd)
 
     def build_ratio(self, kind: str) -> float:
         """Median per-frame channel-build time, inverse-depth over standard."""

@@ -82,7 +82,6 @@ def _build_parser() -> _Parser:
     p_seg.add_argument("--intrinsics", required=True)
     p_seg.add_argument("--input", required=True)
     p_seg.add_argument("--formulation", choices=fitting.FORMULATIONS, default=fitting.IMPLICIT_RGBD)
-    p_seg.add_argument("--backend", choices=("naive", "integral"), default="integral")
     p_seg.add_argument("--tile", type=int, default=64)
     p_seg.add_argument("--max-depth", type=int, default=3)
     p_seg.add_argument("--threshold", type=float, default=None, help="residual threshold in the formulation's metric")
@@ -156,7 +155,6 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     depth, maps = _load_frame(args)
     config = SegConfig(
         formulation=args.formulation,
-        backend=args.backend,
         initial_tile=args.tile,
         max_depth=args.max_depth,
         rms_threshold=args.threshold,

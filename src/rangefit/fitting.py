@@ -981,35 +981,11 @@ def fit_sums(sums: dict[str, np.ndarray], formulation: str) -> FitBatch:
     minimum-norm solution for the windows it rejects, flagged degenerate.
     """
     _check_formulation(formulation)
-    matrices, rhs, target_sq = _system(sums, FORMULATION_CHANNELS[formulation])
+    space, spec = _space(formulation), FORMULATION_CHANNELS[formulation]
     n = np.asarray(sums["n"], dtype=np.float64)
-    return _fit_systems(matrices, rhs, target_sq, n, formulation)
-
-
-def fit_scatters(scatters: list[Scatter4 | Scatter3], formulation: str) -> FitBatch:
-    """Fit many accumulated scatter systems at once, as :func:`fit_sums` does."""
-    _check_formulation(formulation)
-    size = FORMULATION_CHANNELS[formulation].size
-    matrices = np.array([s.matrix for s in scatters]).reshape(-1, size, size)
-    n = np.array([s.n for s in scatters], dtype=np.float64)
-    if size == 4:
-        return _fit_systems(matrices, None, None, n, formulation)
-    rhs = np.array([s.rhs for s in scatters]).reshape(-1, 3)
-    target_sq = np.array([s.target_sq for s in scatters], dtype=np.float64)  # None: NaN
-    return _fit_systems(matrices, rhs, target_sq, n, formulation)
-
-
-def _fit_systems(
-    matrices: np.ndarray,
-    rhs: np.ndarray | None,
-    target_sq: np.ndarray | None,
-    n: np.ndarray,
-    formulation: str,
-) -> FitBatch:
-    """Batched fits of N systems as ``_system`` gives them; ``n`` the (N,) counts."""
-    space = _space(formulation)
     if len(n) == 0:
-        return _unfitted(0, FORMULATION_CHANNELS[formulation].size, space)
+        return _unfitted(0, spec.size, space)
+    matrices, rhs, target_sq = _system(sums, spec)
     fitted = np.ones(len(n), dtype=bool)
     if rhs is None:
         v, rms, lam, degenerate = _implicit_fits(matrices, n, space)

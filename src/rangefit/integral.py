@@ -439,7 +439,7 @@ def _cell_sums(
 def build_node_pyramid(
     depth: DepthImage,
     maps: TanAngleMaps,
-    formulation: str | None,
+    formulation: str,
     tile: int,
     max_depth: int,
     constant: ChannelStack | None = None,
@@ -456,7 +456,7 @@ def build_node_pyramid(
     less its hole pixels, and an rgbd formulation's tan sums its unmasked
     sums less its hole pixels' monomials, the unmasked sums read from
     ``constant``'s tables at the lattice corners or, without ``constant``,
-    written from the tan maps.  ``formulation`` None sums the count alone.
+    written from the tan maps.
     """
     _check_frame(depth, maps)
     h, w = maps.height, maps.width
@@ -466,13 +466,10 @@ def build_node_pyramid(
     xs = np.minimum(np.arange(shape[1] + 1) * cell, w)
     holes = np.flatnonzero(~depth.valid)
     hole_cells = holes // w // cell * shape[1] + holes % w // cell
-    names: tuple[str, ...] = ()
-    tan: tuple[str, ...] = ()
-    if formulation is not None:
-        spec = FORMULATION_CHANNELS[formulation]
-        names = spec.scatter + ((spec.residual,) if spec.residual else ())
-        tan = CONSTANT_CHANNELS if spec.needs_constant else ()
-    valid = depth.valid if holes.size and names else True
+    spec = FORMULATION_CHANNELS[formulation]
+    names = spec.scatter + ((spec.residual,) if spec.residual else ())
+    tan = CONSTANT_CHANNELS if spec.needs_constant else ()
+    valid = depth.valid if holes.size else True
     written = names + tan if constant is None else names  # tan monomials hold no depth
     parts = [_cell_sums(written, maps, depth.values, valid, cell, shape)]
     if tan and constant is not None:

@@ -6,8 +6,8 @@ tiles whose residual exceeds the threshold split into four half-size children
 Every tile is a node of a quadtree fixed by the image size: a ragged edge
 tile is cut where a full tile would be, and its children are clipped to the
 image, so every tile edge lies on the ``initial_tile >> max_depth`` lattice
-or on the image border.  The integral backend sums each frame's channels
-over those nodes once and fits a whole level with one batched solve.
+or on the image border.  Each frame's channels are summed over those nodes
+once, and a whole level is fitted with one batched solve.
 The walk visits each level once, its nodes held as arrays, its fits as one
 :class:`~rangefit.fitting.FitBatch` and its decisions as masks; leaves come
 out in level order.  A 1-px sliver's fit is the viewing plane through the
@@ -100,7 +100,6 @@ class SegConfig:
     """
 
     formulation: str = fitting.IMPLICIT_RGBD
-    backend: str = "integral"
     initial_tile: int = 64
     max_depth: int = 3
     rms_threshold: float | None = None
@@ -110,8 +109,6 @@ class SegConfig:
     def __post_init__(self) -> None:
         if self.formulation not in FORMULATIONS:
             raise ValueError(f"unknown formulation {self.formulation!r}")
-        if self.backend not in ("naive", "integral"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if self.max_depth < 0:
             raise ValueError("max_depth must be non-negative")
         if self.initial_tile % (1 << self.max_depth):
@@ -415,11 +412,11 @@ def segment(
 
     Sums the formulation's channels over every node of the quadtree once
     (:func:`~rangefit.integral.build_node_pyramid`), fits each level of
-    the tree with one batched solve over those sums (the naive backend
-    refits each tile from its pixels instead), then groups the fitted tiles
-    (:func:`group_leaves`).  The rgbd formulations read their camera-constant
-    tan sums from ``constant`` when it is given, at the corners of the
-    quadtree's cell lattice, and write them from the tan maps otherwise.
+    the tree with one batched solve over those sums, then groups the
+    fitted tiles (:func:`group_leaves`).  The rgbd formulations read their
+    camera-constant tan sums from ``constant`` when it is given, at the
+    corners of the quadtree's cell lattice, and write them from the tan maps
+    otherwise.
     """
     if depth.width < 1 or depth.height < 1:
         raise ValueError("empty depth image")
@@ -429,10 +426,8 @@ def segment(
         )
 
     formulation = config.formulation
-    integral = config.backend == "integral"
     pyramid = build_node_pyramid(
-        depth, maps, formulation if integral else None,
-        config.initial_tile, config.max_depth, constant,
+        depth, maps, formulation, config.initial_tile, config.max_depth, constant
     )
     w, h, threshold = depth.width, depth.height, config.threshold
     # A level's nodes as (row, col) on the level's grid, level 0 row-major.
@@ -451,15 +446,7 @@ def segment(
         dense = np.flatnonzero(
             (n_valid >= config.min_valid_fraction * area) & (n_valid >= MIN_SAMPLES[formulation])
         )
-        if integral:
-            batch = fitting.fit_sums(pyramid.sums(level, rows[dense], cols[dense]), formulation)
-        else:
-            batch = fitting.fit_scatters([
-                fitting.accumulate_scatter_naive(
-                    fitting.gather_window_samples(depth, maps, Rect(*r), formulation), formulation
-                )
-                for r in rects[dense].tolist()
-            ], formulation)
+        batch = fitting.fit_sums(pyramid.sums(level, rows[dense], cols[dense]), formulation)
         fits = batch.expand(dense, rows.size)
         good = ~fits.degenerate & (_errors(depth, maps, rects, fits, config) <= threshold)
         # a node splits only into more than one child inside the image

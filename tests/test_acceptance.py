@@ -390,8 +390,7 @@ def test_a9_segmentation_desk_scale():
         for depth, truth in zip(frames, truths):
             for formulation in rf.FORMULATIONS:
                 config = rf.SegConfig(
-                    formulation=formulation, backend="integral",
-                    initial_tile=64, max_depth=3,
+                    formulation=formulation, initial_tile=64, max_depth=3,
                     rms_threshold=_SEG_THRESHOLDS[formulation],
                 )
                 start = time.perf_counter()

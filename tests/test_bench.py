@@ -13,6 +13,7 @@ from rangefit import (
     op_count_audit,
     run_bench,
 )
+from rangefit.bench import BenchReport, BenchRow
 
 
 TINY = BenchConfig(
@@ -103,6 +104,23 @@ class TestRunBench:
             assert report.per_fit_ratio(kind) > 0
         lo, mid, hi = report.spread_seconds(IMPLICIT_RGBD, "integral", "build")
         assert lo <= mid <= hi
+
+    def test_ratios_pair_repetitions(self):
+        # the host slows the rgbd fit of rep 2 and both fits of rep 0: each
+        # rep's own ratio reads 0.5 twice, the two medians 2.0 / 2.0
+        report = BenchReport(config=BenchConfig(plane_counts=(0, 5)))
+        pairs = [(4.0, 2.0), (1.0, 0.5), (2.0, 2.0)]
+        for rep, times in enumerate(pairs):
+            for method, seconds in zip((EXPLICIT_STANDARD, EXPLICIT_RGBD), times):
+                for phase, count in (("build", 0), ("fit", 5)):
+                    report.rows.append(BenchRow(method, "integral", phase, count, rep, seconds))
+        assert report.build_ratio("explicit") == 0.5
+        assert report.per_fit_ratio("explicit") == 0.5
+        report.rows.pop()  # rep 2 has no rgbd fit left to pair
+        with pytest.raises(ValueError, match="paired"):
+            report.per_fit_ratio("explicit")
+        with pytest.raises(ValueError, match="paired"):
+            report.build_ratio("implicit")
 
     def test_summary_text(self, report):
         text = report.summary()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,7 +13,8 @@ from rangefit.cli import main
 from rangefit.fitting import CSV_HEADER, fit_rect, fit_result_csv_row
 from rangefit.imageio import read_pgm8, read_ppm
 from rangefit import (
-    Rect, build_channels, build_constant_channels, compute_tan_maps, load_intrinsics, read_depth,
+    Rect, SegConfig, build_channels, build_constant_channels, compute_tan_maps, load_intrinsics,
+    read_depth, segment,
 )
 
 
@@ -238,6 +240,30 @@ class TestSegment:
         )
         assert huge_rgb.tobytes() == one_rgb.tobytes()
 
+    def test_metric_and_min_valid_fraction_reach_the_config(
+        self, tmp_path, camera_file, corner_scene_file
+    ):
+        depth_path = tmp_path / "depth.rf64"
+        main([
+            "synth", "--intrinsics", str(camera_file), "--scene", str(corner_scene_file),
+            "--out", str(depth_path), "--seed", "3", "--dropout", "0.05",
+        ])
+        csv = tmp_path / "tiles.csv"
+        code = main([
+            "segment", "--intrinsics", str(camera_file), "--input", str(depth_path),
+            "--tile", "16", "--metric", "max", "--min-valid-fraction", "0.9",
+            "--out", str(tmp_path / "seg.ppm"), "--csv", str(csv),
+        ])
+        assert code == 0
+        depth, maps = read_depth(depth_path), compute_tan_maps(load_intrinsics(camera_file))
+        config = SegConfig(initial_tile=16, error_metric="max", min_valid_fraction=0.9)
+        written = csv.read_text()
+        assert written == segment(depth, maps, config).to_csv()
+        # on this frame both flags change the tiles, so neither was dropped
+        for default in ({"error_metric": "rms"}, {"min_valid_fraction": 0.5}):
+            other = dataclasses.replace(config, **default)
+            assert segment(depth, maps, other).to_csv() != written, default
+
     def test_stats_json(self, tmp_path, camera_file, corner_scene_file):
         depth_path = tmp_path / "depth.rf64"
         main([
@@ -298,6 +324,14 @@ class TestExitCodes:
         code = main([
             "segment", "--intrinsics", str(camera_file), "--input", str(tmp_path / "d.rf64"),
             "--out", str(tmp_path / "s.ppm"), "--k", "3",
+        ])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_segment_has_no_backend_flag(self, tmp_path, camera_file, capsys):
+        code = main([
+            "segment", "--intrinsics", str(camera_file), "--input", str(tmp_path / "d.rf64"),
+            "--out", str(tmp_path / "s.ppm"), "--backend", "naive",
         ])
         assert code == 1
         assert "usage error" in capsys.readouterr().err

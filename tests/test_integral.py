@@ -476,7 +476,7 @@ class TestNodePyramid:
     @pytest.mark.parametrize("size", [(64, 48), (97, 53)], ids=["64x48", "97x53"])
     @pytest.mark.parametrize("holes", [False, True], ids=["hole-free", "holes"])
     @pytest.mark.parametrize("with_constant", [False, True], ids=["maps", "constant"])
-    @pytest.mark.parametrize("formulation", [*FORMULATIONS, None])
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
     def test_node_sums_match_masked_sums(self, formulation, with_constant, holes, size):
         width, height = size
         tile, max_depth = 16, 2
@@ -484,11 +484,10 @@ class TestNodePyramid:
         depth = _frame(maps, holes)
         constant = build_constant_channels(maps) if with_constant else None
         pyramid = build_node_pyramid(depth, maps, formulation, tile, max_depth, constant)
-        names = {COUNT_CHANNEL}
-        if formulation is not None:
-            names |= set(_SCATTER[formulation]) | {_RESIDUAL.get(formulation, COUNT_CHANNEL)}
-            if formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
-                names |= set(CONSTANT_CHANNELS)
+        names = {COUNT_CHANNEL, *_SCATTER[formulation]}
+        names.add(_RESIDUAL.get(formulation, COUNT_CHANNEL))
+        if formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
+            names |= set(CONSTANT_CHANNELS)
         assert set(pyramid.index) == names
         assert len(pyramid.levels) == max_depth + 1
         lattices = _masked_lattices(depth, maps)

@@ -39,6 +39,8 @@ from rangefit import (
     segment,
     tile_features,
 )
+from rangefit.fitting import MIN_SAMPLES
+from rangefit.integral import COUNT_CHANNEL
 from rangefit.segment import (
     CLUSTER_PALETTE,
     D_SCALE,
@@ -472,25 +474,6 @@ class TestSegment:
             leaf_counts.append(len(segment(depth, small_maps, config).tiles))
         assert leaf_counts == sorted(leaf_counts)
 
-    def test_backend_equivalence_tile_for_tile(self, small_maps):
-        scene = corner_scene()
-        depth, _ = render_scene(scene, small_maps, noise=NoiseModel(), seed=9)
-        results = {}
-        for backend in ("naive", "integral"):
-            config = SegConfig(
-                formulation=IMPLICIT_RGBD, backend=backend, initial_tile=16,
-                max_depth=3,
-            )
-            results[backend] = segment(depth, small_maps, config)
-        a, b = results["naive"], results["integral"]
-        assert len(a.tiles) == len(b.tiles)
-        key = lambda t: (t.rect.x0, t.rect.y0, t.rect.x1, t.rect.y1)
-        for ta, tb in zip(sorted(a.tiles, key=key), sorted(b.tiles, key=key)):
-            assert ta.rect == tb.rect
-            assert ta.status == tb.status
-            assert ta.cluster == tb.cluster
-        np.testing.assert_array_equal(a.labels, b.labels)
-
     def test_max_metric_available(self, small_maps):
         scene = corner_scene()
         depth, _ = render_scene(scene, small_maps, noise=NoiseModel(), seed=10)
@@ -563,6 +546,8 @@ class TestSegment:
             SegConfig(rms_threshold=float("nan"))
         with pytest.raises(TypeError):
             SegConfig(k=3)
+        with pytest.raises(TypeError):
+            SegConfig(backend="naive")
 
     def test_image_smaller_than_min_tile_rejected(self, small_maps):
         with pytest.raises(ValueError, match="smaller"):
@@ -612,51 +597,85 @@ class TestNodePyramidSegment:
         maps = _maps(width, height)
         depth, _ = render_scene(corner_scene(), maps, noise=NoiseModel(), seed=4, dropout=dropout)
         threshold = SegConfig(formulation=formulation).threshold / 8
-        results = {
-            backend: segment(depth, maps, SegConfig(
-                formulation=formulation, backend=backend, initial_tile=16, max_depth=2,
-                rms_threshold=threshold,
-            ))
-            for backend in ("naive", "integral")
-        }
-        for result in results.values():
-            coverage = np.zeros((height, width), dtype=np.int32)
-            for tile in result.tiles:
-                r = tile.rect
-                coverage[r.y0 : r.y1, r.x0 : r.x1] += 1
-                # every edge on the 4-px lattice or on the image border
-                assert r.x0 % 4 == 0 and r.y0 % 4 == 0, r
-                assert r.x1 % 4 == 0 or r.x1 == width, r
-                assert r.y1 % 4 == 0 or r.y1 == height, r
-                assert max(r.x1 - r.x0, r.y1 - r.y0) <= 16 >> tile.level, (r, tile.level)
-            assert (coverage == 1).all()
-            # ragged edge tiles were split, so the rule above was exercised
-            assert any(
-                t.level > 0 and (t.rect.x1 == width or t.rect.y1 == height) for t in result.tiles
-            )
-            if dropout == 0.0:
-                # min_valid_fraction is taken over the clipped area
-                assert result.n_too_invalid == 0
-            # A 1-px sliver's samples lie on one image column or row; their
-            # viewing plane, through the camera centre, fits them exactly.
-            slivers = [
-                t for t in result.tiles
-                if t.result is not None and 1 in (t.rect.x1 - t.rect.x0, t.rect.y1 - t.rect.y0)
-            ]
-            assert bool(slivers) == (width == 97)
-            for t in slivers:
-                assert t.result.degenerate and t.status is TileStatus.HIGH_ERROR, t.rect
-        naive, integral = results["naive"], results["integral"]
-        assert [(t.rect, t.level, t.status) for t in naive.tiles] == [
-            (t.rect, t.level, t.status) for t in integral.tiles
+        result = segment(depth, maps, SegConfig(
+            formulation=formulation, initial_tile=16, max_depth=2, rms_threshold=threshold,
+        ))
+        coverage = np.zeros((height, width), dtype=np.int32)
+        for tile in result.tiles:
+            r = tile.rect
+            coverage[r.y0 : r.y1, r.x0 : r.x1] += 1
+            # every edge on the 4-px lattice or on the image border
+            assert r.x0 % 4 == 0 and r.y0 % 4 == 0, r
+            assert r.x1 % 4 == 0 or r.x1 == width, r
+            assert r.y1 % 4 == 0 or r.y1 == height, r
+            assert max(r.x1 - r.x0, r.y1 - r.y0) <= 16 >> tile.level, (r, tile.level)
+        assert (coverage == 1).all()
+        # ragged edge tiles were split, so the rule above was exercised
+        assert any(
+            t.level > 0 and (t.rect.x1 == width or t.rect.y1 == height) for t in result.tiles
+        )
+        if dropout == 0.0:
+            # min_valid_fraction is taken over the clipped area
+            assert result.n_too_invalid == 0
+        # A 1-px sliver's samples lie on one image column or row; their
+        # viewing plane, through the camera centre, fits them exactly.
+        slivers = [
+            t for t in result.tiles
+            if t.result is not None and 1 in (t.rect.x1 - t.rect.x0, t.rect.y1 - t.rect.y0)
         ]
-        for a, b in zip(naive.tiles, integral.tiles):
-            if a.result is not None:
+        assert bool(slivers) == (width == 97)
+        for t in slivers:
+            assert t.result.degenerate and t.status is TileStatus.HIGH_ERROR, t.rect
+        # every fitted leaf, ragged ones included, is its window's naive refit
+        for t in result.tiles:
+            if t.result is not None:
+                naive = fit_rect(depth, maps, t.rect, formulation, "naive")
+                assert naive.degenerate == t.result.degenerate, t.rect
                 # 1e-6: a ragged 4x1 sliver holding 3 collinear samples is
                 # ill-conditioned; its two fits differ by 7e-7 (97x53, holes)
                 np.testing.assert_allclose(
-                    a.result.plane.coefficients, b.result.plane.coefficients, rtol=0, atol=1e-6
+                    naive.plane.coefficients, t.result.plane.coefficients, rtol=0, atol=1e-6
                 )
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1], ids=["hole-free", "holes"])
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_every_node_fit_is_its_window_refit(self, formulation, dropout):
+        # Split decisions rest on interior nodes' fits, which no leaf shows:
+        # fit every node of every level from its sums, as the segmenter
+        # does, and refit its window from the pixels.
+        width, height, tile, max_depth = 97, 53, 16, 2
+        maps = _maps(width, height)
+        depth, _ = render_scene(corner_scene(), maps, noise=NoiseModel(), seed=4, dropout=dropout)
+        pyramid = rangefit.integral.build_node_pyramid(
+            depth, maps, formulation, tile, max_depth, build_constant_channels(maps)
+        )
+        checked = []  # per level: the windows refitted
+        for level, sums in enumerate(pyramid.levels):
+            size = tile >> level
+            rows, cols = (a.ravel() for a in np.indices(sums.shape[1:]))
+            n = sums[pyramid.index[COUNT_CHANNEL], rows, cols]
+            # the segmenter's own density gate: half the clipped area
+            rects = [
+                Rect(q * size, r * size, min((q + 1) * size, width), min((r + 1) * size, height))
+                for r, q in zip(rows, cols)
+            ]
+            dense = np.flatnonzero(
+                (n >= 0.5 * np.array([r.area for r in rects])) & (n >= MIN_SAMPLES[formulation])
+            )
+            batch = rangefit.fitting.fit_sums(pyramid.sums(level, rows[dense], cols[dense]), formulation)
+            checked.append([rects[i] for i in dense])
+            for i, fit in zip(dense, batch):
+                naive = fit_rect(depth, maps, rects[i], formulation, "naive")
+                assert fit.n_points == naive.n_points, rects[i]
+                assert fit.degenerate == naive.degenerate, rects[i]
+                # 1e-6 as above: 1-px slivers hold a few collinear samples
+                np.testing.assert_allclose(
+                    fit.plane.coefficients, naive.plane.coefficients, rtol=0, atol=1e-6,
+                    err_msg=str(rects[i]),
+                )
+        # every level was refitted, its ragged edge nodes included
+        assert len(checked) == max_depth + 1
+        assert all(any(r.x1 == width for r in rects) for rects in checked)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.1], ids=["hole-free", "holes"])
     @pytest.mark.parametrize("formulation", [IMPLICIT_RGBD, EXPLICIT_RGBD])
