@@ -255,8 +255,11 @@ class FitBatch:
     eigenvalue: np.ndarray
     n_points: np.ndarray
     degenerate: np.ndarray
-    fitted: np.ndarray
     space: str
+
+    @property
+    def fitted(self) -> np.ndarray:
+        return self.n_points > 0
 
     @cached_property
     def canonical(self) -> np.ndarray:
@@ -266,7 +269,7 @@ class FitBatch:
         return explicit_to_implicit_rows(self.coefficients, self.space)
 
     def __len__(self) -> int:
-        return len(self.fitted)
+        return len(self.n_points)
 
     def __iter__(self) -> Iterator[FitResult | None]:
         return (self[i] for i in range(len(self)))
@@ -322,7 +325,6 @@ _UNFITTED = {
     "eigenvalue": np.nan,
     "n_points": 0,
     "degenerate": False,
-    "fitted": False,
 }
 
 
@@ -986,10 +988,9 @@ def fit_sums(sums: dict[str, np.ndarray], formulation: str) -> FitBatch:
     if len(n) == 0:
         return _unfitted(0, spec.size, space)
     matrices, rhs, target_sq = _system(sums, spec)
-    fitted = np.ones(len(n), dtype=bool)
     if rhs is None:
         v, rms, lam, degenerate = _implicit_fits(matrices, n, space)
-        return FitBatch(v, rms, lam, n.astype(np.int64), degenerate, fitted, space)
+        return FitBatch(v, rms, lam, n.astype(np.int64), degenerate, space)
     factor, solvable = _cholesky3_batch(matrices)
     with np.errstate(invalid="ignore", divide="ignore"):
         alpha = np.stack(_cholesky_substitute(factor, rhs[:, 0], rhs[:, 1], rhs[:, 2]), axis=1)
@@ -1006,7 +1007,7 @@ def fit_sums(sums: dict[str, np.ndarray], formulation: str) -> FitBatch:
         offset, normal = c, np.hypot(np.hypot(a, b), 1.0)
     degenerate = ~solvable | _near_centre(offset, normal, rhs[:, 2] / n, space)
     eigenvalue = np.full(len(n), np.nan)
-    return FitBatch(alpha, rms, eigenvalue, n.astype(np.int64), degenerate, fitted, space)
+    return FitBatch(alpha, rms, eigenvalue, n.astype(np.int64), degenerate, space)
 
 
 def fit_result_csv_row(

@@ -411,18 +411,17 @@ def _cell_sums(
     depth: np.ndarray,
     valid: np.ndarray | bool,
     cell: int,
-    shape: tuple[int, int],
-) -> np.ndarray:
-    """(len(names), *shape) sums of each channel's monomial over ``cell``-pixel cells.
+    out: np.ndarray,
+) -> None:
+    """Write into ``out`` each channel's monomial summed over ``cell``-pixel cells.
 
     Writes one band of at most ``cell`` pixel rows at a time into a reused
-    buffer as wide as the image, its holes at the neutral depth, then sums
-    the band's rows, each whole cell's columns and the ragged last cell's
-    remaining columns.
+    buffer as wide as the image, holes at the neutral depth, and sums its
+    rows, whole cells' columns and the ragged last cell's columns.  The count
+    row, each cell's area less its holes, loses them with the tan rows.
     """
     h, w = maps.height, maps.width
     whole = w // cell  # cells of full width
-    out = np.empty((len(names), *shape))
     band = np.empty((len(names), min(cell, h), w))
     for r, y0 in enumerate(range(0, h, cell)):
         y1 = min(y0 + cell, h)
@@ -431,9 +430,8 @@ def _cell_sums(
         _write_monomials(names, rows, z, maps.tan_x[y0:y1], maps.tan_y[y0:y1])
         summed = rows.sum(axis=1)
         out[:, r, :whole] = summed[:, : whole * cell].reshape(len(names), whole, cell).sum(axis=2)
-        if whole < shape[1]:
+        if whole < out.shape[2]:
             out[:, r, whole] = summed[:, whole * cell :].sum(axis=1)
-    return out
 
 
 def build_node_pyramid(
@@ -452,11 +450,11 @@ def build_node_pyramid(
     time and summed into cells, and each coarser level is the 2x2 sum of
     the finer one (a finer level of odd size has no partner for its last
     row or column), so no large sums are differenced and each level holds
-    only the nodes that overlap the image.  The count is each cell's area
-    less its hole pixels, and an rgbd formulation's tan sums its unmasked
-    sums less its hole pixels' monomials, the unmasked sums read from
+    only the nodes that overlap the image.  Level 0 is one array: its count
+    row is each cell's area less its holes, taken off in one loop with an
+    rgbd formulation's tan rows, which are their unmasked sums (read from
     ``constant``'s tables at the lattice corners or, without ``constant``,
-    written from the tan maps.
+    written from the tan maps) less their holes' monomials.
     """
     _check_frame(depth, maps)
     h, w = maps.height, maps.width
@@ -471,22 +469,23 @@ def build_node_pyramid(
     tan = CONSTANT_CHANNELS if spec.needs_constant else ()
     valid = depth.valid if holes.size else True
     written = names + tan if constant is None else names  # tan monomials hold no depth
-    parts = [_cell_sums(written, maps, depth.values, valid, cell, shape)]
+    index = {name: i for i, name in enumerate((*names, *tan, COUNT_CHANNEL))}
+    level = np.empty((len(index), *shape))
+    _cell_sums(written, maps, depth.values, valid, cell, level[: len(written)])
     if tan and constant is not None:
         if constant.tensor.shape[1:] != (h + 1, w + 1):
             raise ValueError("constant stack dimensions do not match the frame")
         _require_channels(constant, tan, "constant")
         rows = np.array([constant.index[name] for name in tan])
-        corners = constant.tensor[rows[:, None, None], ys[:, None], xs]
-        parts.append(np.diff(np.diff(corners, axis=1), axis=2))
-    area = np.diff(ys)[:, None] * np.diff(xs)
-    parts.append((area - np.bincount(hole_cells, minlength=area.size).reshape(shape))[None])
-    levels = [np.concatenate(parts)]
-    if tan and holes.size:
+        across = np.diff(constant.tensor[rows[:, None, None], ys[:, None], xs], axis=1)
+        np.subtract(across[:, :, 1:], across[:, :, :-1], out=level[len(names) : -1])
+    level[-1] = np.diff(ys)[:, None] * np.diff(xs)
+    if holes.size:
         at_holes = np.empty((len(tan), holes.size))
         _write_monomials(tan, at_holes, None, maps.tan_x.flat[holes], maps.tan_y.flat[holes])
-        for channel, values in zip(levels[0][len(names) : -1], at_holes):
+        for channel, values in zip(level[len(names) :], (*at_holes, None)):
             channel -= np.bincount(hole_cells, values, channel.size).reshape(shape)
+    levels = [level]
     for _ in range(max_depth):
         # the 2x2 sums ((f00 + f01) + f10) + f11, a missing odd row or column
         # adding nothing
@@ -497,5 +496,4 @@ def build_node_pyramid(
         coarse[:, :pair_rows] += f[:, 1::2, 0::2]
         coarse[:, :pair_rows, :pair_cols] += f[:, 1::2, 1::2]
         levels.append(coarse)
-    index = {name: i for i, name in enumerate((*names, *tan, COUNT_CHANNEL))}
     return NodePyramid(tuple(reversed(levels)), index)

@@ -471,6 +471,7 @@ def segment(
             cells = cells[:, : sums.shape[2]]
         at = np.flatnonzero(leaf_level == i)
         cells[rows[at], cols[at]] = at
+    del pyramid, sums  # grouping and painting read no node sum
 
     warnings: list[str] = []
     cluster = np.full(len(status), UNLABELED)

@@ -28,9 +28,9 @@ INVALID_LABEL = 255
 class GroundTruthPlane:
     """An implicit plane a*X + b*Y + c*Z + d = 0 with a unit normal.
 
-    ``mask_rect`` (x0, y0, x1, y1; half-open pixel bounds) optionally limits
-    which pixels the plane can cover, which is handy for building piecewise
-    scenes with exactly known labels.
+    ``mask_rect`` (x0, y0, x1, y1; half-open pixel bounds, 0 <= x0 <= x1 and
+    0 <= y0 <= y1, clipped to the image) optionally limits which pixels the
+    plane can cover, handy for building piecewise scenes with known labels.
     """
 
     coefficients: np.ndarray
@@ -46,6 +46,9 @@ class GroundTruthPlane:
         if norm == 0:
             raise ValueError("plane normal must be nonzero")
         object.__setattr__(self, "coefficients", coef / norm)
+        x0, y0, x1, y1 = self.mask_rect or (0, 0, 0, 0)
+        if not (0 <= x0 <= x1 and 0 <= y0 <= y1):
+            raise ValueError(f"mask_rect {self.mask_rect} needs 0 <= x0 <= x1 and 0 <= y0 <= y1")
 
     @property
     def normal(self) -> np.ndarray:
@@ -207,13 +210,14 @@ def parse_scene(text: str) -> SyntheticScene:
         if not line:
             continue
         parts = line.split()
-        if len(parts) not in (4, 8):
-            raise ValueError(
-                f"scene line {lineno}: expected 'a b c d' or 'a b c d x0 y0 x1 y1', got {raw!r}"
-            )
-        coef = np.array([float(v) for v in parts[:4]])
-        mask = tuple(int(v) for v in parts[4:]) if len(parts) == 8 else None
-        planes.append(GroundTruthPlane(coefficients=coef, mask_rect=mask))
+        try:
+            if len(parts) not in (4, 8):
+                raise ValueError(f"expected 'a b c d' or 'a b c d x0 y0 x1 y1', got {raw!r}")
+            coef = np.array([float(v) for v in parts[:4]])
+            mask = tuple(int(v) for v in parts[4:]) if len(parts) == 8 else None
+            planes.append(GroundTruthPlane(coefficients=coef, mask_rect=mask))
+        except ValueError as exc:
+            raise ValueError(f"scene line {lineno}: {exc}") from None
     if not planes:
         raise ValueError("scene file holds no planes")
     return SyntheticScene(planes=tuple(planes))

@@ -440,6 +440,19 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rect", ["-5 0 10 48", "5 0 2 48"], ids=["negative", "inverted"])
+    def test_scene_rect_out_of_order_is_data_error(self, tmp_path, camera_file, rect, capsys):
+        # each of these exited 0 with a depth image holding no valid pixel
+        scene = tmp_path / "scene.txt"
+        scene.write_text(f"0 0 1 -2 {rect}\n")
+        out = tmp_path / "d.pgm"
+        code = main([
+            "synth", "--intrinsics", str(camera_file), "--scene", str(scene), "--out", str(out),
+        ])
+        assert code == 2
+        assert "scene line 1: mask_rect" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit", "segment"])
     def test_non_finite_focal_length_is_named(
         self, tmp_path, camera_file, scene_file, command, capsys

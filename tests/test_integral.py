@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rangefit import (
     EXPLICIT_RGBD,
@@ -527,6 +529,38 @@ class TestNodePyramid:
                     exact = math.fsum(values)
                     bound = 1e-13 * math.fsum(np.abs(values))
                     assert abs(sums[i, row, col] - exact) <= bound, (name, level, row, col)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        width=st.integers(1, 130),
+        height=st.integers(1, 100),
+        cell=st.sampled_from([1, 2, 4, 8]),
+        max_depth=st.integers(0, 3),
+        hole_fraction=st.floats(0.0, 0.4),
+        seed=st.integers(0, 2**32 - 1),
+        formulation=st.sampled_from(FORMULATIONS),
+        with_constant=st.booleans(),
+    )
+    def test_count_rows_are_exact(
+        self, width, height, cell, max_depth, hole_fraction, seed, formulation, with_constant
+    ):
+        # the count row at every level equals the padded block sums of the
+        # validity mask exactly, whatever the frame size, lattice and holes
+        maps = _camera_maps(width, height)
+        rng = np.random.default_rng(seed)
+        valid = rng.random((height, width)) >= hole_fraction
+        depth = DepthImage(values=rng.uniform(0.5, 5.0, (height, width)), valid=valid)
+        constant = build_constant_channels(maps) if with_constant else None
+        tile = cell << max_depth
+        pyramid = build_node_pyramid(depth, maps, formulation, tile, max_depth, constant)
+        assert len(pyramid.levels) == max_depth + 1
+        for level, sums in enumerate(pyramid.levels):
+            edge = tile >> level
+            rows, cols = -(-height // edge), -(-width // edge)
+            padded = np.zeros((rows * edge, cols * edge))
+            padded[:height, :width] = valid
+            expected = padded.reshape(rows, edge, cols, edge).sum(axis=(1, 3))
+            assert np.array_equal(sums[pyramid.index[COUNT_CHANNEL]], expected), level
 
     def test_constant_stack_must_match_the_frame(self, small_maps):
         depth = _frame(small_maps, holes=False)

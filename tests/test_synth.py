@@ -174,6 +174,20 @@ class TestPlaneValidation:
         with pytest.raises(ValueError, match="finite"):
             GroundTruthPlane(np.array(coefficients, dtype=float))
 
+    @pytest.mark.parametrize(
+        "mask_rect", [(-5, 0, 10, 48), (5, 0, 2, 48)], ids=["negative", "inverted"]
+    )
+    def test_mask_rect_out_of_order(self, mask_rect):
+        # a negative bound wrapped around the image, and an inverted rect
+        # rendered nothing
+        with pytest.raises(ValueError, match="0 <= x0 <= x1 and 0 <= y0 <= y1"):
+            GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0]), mask_rect=mask_rect)
+
+    def test_mask_rect_past_the_image_is_clipped(self, small_maps):
+        plane = GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0]), mask_rect=(32, 0, 1000, 1000))
+        depth, _ = render_scene(SyntheticScene((plane,)), small_maps)
+        assert depth.valid[:, 32:].all() and not depth.valid[:, :32].any()
+
 
 class TestSceneFiles:
     def test_parse_with_masks_and_comments(self):
@@ -191,6 +205,11 @@ class TestSceneFiles:
     def test_parse_bad_line(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_scene("0 0 1 -2\n0 0 1\n")
+
+    @pytest.mark.parametrize("rect", ["-5 0 10 48", "5 0 2 48"])
+    def test_parse_bad_mask_rect_names_its_line(self, rect):
+        with pytest.raises(ValueError, match="scene line 2: mask_rect"):
+            parse_scene(f"0 0 1 -2\n0 0 1 -2 {rect}\n")
 
     def test_parse_empty(self):
         with pytest.raises(ValueError, match="no planes"):
