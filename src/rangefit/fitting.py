@@ -27,9 +27,10 @@ scatter is always the exact Gram matrix of its valid samples.
 Implicit fits take the smallest eigenvector from LAPACK's symmetric solver
 (``np.linalg.eigh``); explicit fits use a hand-unrolled 3x3 Cholesky
 factorization, which ``ExplicitRgbdFitter`` caches per window.
-:func:`fit_rect` fits one window with scalar box sums; :func:`fit_rects`
+:func:`fit_rect` fits one window from one indexed read of each stack, its
+sums and its one system's diagnostics as floats; :func:`fit_rects`
 fits many windows of one frame at once, gathering every box sum with one
-indexed read per channel and solving the whole batch with array operations
+indexed read per stack and solving the whole batch with array operations
 in :func:`fit_sums`, which also fits windows whose sums come from elsewhere.
 A batch comes back as a :class:`FitBatch` of arrays, its canonical implicit
 coefficients formed in one vectorised pass; a :class:`FitResult` is built
@@ -51,6 +52,7 @@ from .camera import TanAngleMaps
 from .errors import DegenerateFitError, InsufficientSamplesError
 from .integral import (
     CONSTANT_CHANNELS,
+    COUNT_CHANNEL,
     EXPLICIT_RGBD,
     EXPLICIT_STANDARD,
     FORMULATION_CHANNELS,
@@ -60,7 +62,6 @@ from .integral import (
     ChannelSet,
     ChannelStack,
     Rect,
-    _box,
     _box_corners,
     _check_rect,
     _check_rects,
@@ -110,13 +111,14 @@ def canonicalize_implicit(coefficients: np.ndarray) -> np.ndarray:
     # Scaled by a power of two, so the squares neither overflow nor underflow;
     # the unit vector is unchanged bit for bit.
     coef = np.ldexp(coef, -math.frexp(max(map(abs, coef.tolist())))[1])
-    norm = float(np.linalg.norm(coef))
-    if norm == 0 or not np.isfinite(norm):
+    norm = math.sqrt(coef.dot(coef))  # np.linalg.norm of a vector, bit for bit
+    if norm == 0 or not math.isfinite(norm):
         raise ValueError("cannot canonicalize a zero or non-finite coefficient vector")
     unit = coef / norm
-    for idx in (2, 1, 0, 3):
-        if abs(unit[idx]) > _CANONICAL_EPS:
-            return unit if unit[idx] > 0 else -unit
+    a, b, c, d = unit.tolist()
+    for u in (c, b, a, d):
+        if abs(u) > _CANONICAL_EPS:
+            return unit if u > 0 else -unit
     return unit
 
 
@@ -569,11 +571,14 @@ def _gather(stack: ChannelStack, corners: np.ndarray) -> dict[str, float | np.nd
     """Every channel's box sums from one indexed read of the stack's tensor.
 
     ``corners`` holds flat table indices from ``_box_corners``: (4, N) for a
-    batch, giving (N,) sums per channel, or (4,) for one window.  The sums
-    are formed in the same order of operations as ``_box``.
+    batch, giving (N,) sums per channel, or (4,) for one window, giving
+    floats.  The sums are formed in the same order of operations as ``_box``.
     """
     t = stack.tensor.reshape(len(stack.index), -1).take(corners, axis=1)
-    sums = t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3]
+    if t.ndim == 2:
+        sums = [a - b - c + d for a, b, c, d in t.tolist()]
+    else:
+        sums = t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3]
     return {name: sums[i] for name, i in stack.index.items()}
 
 
@@ -591,34 +596,41 @@ def _window_sums(
     """Box sums of every channel a formulation's system reads, ``"n"`` the count.
 
     ``rects`` is one rect, giving a float per sum, or an (N, 4) array of
-    them, giving (N,) arrays.  The tan entries are ``constant``'s, less
-    those of the holes the frame stack lists; only the windows whose count
-    falls short of their area hold holes.
+    them, giving (N,) arrays.  A stack without a count table counts each
+    window's area.  The tan entries are ``constant``'s, less those of the
+    holes the frame stack lists; only the windows whose count falls short of
+    their area hold holes.
     """
     spec = FORMULATION_CHANNELS[formulation]
     _require_channels(stack, spec.scatter, "per-frame")
     corners = _box_corners(rects, stack.width)
     sums = _gather(stack, corners)
-    if spec.needs_constant:
-        if constant is None:
-            raise ValueError(f"{formulation} requires the camera-constant channel stack")
-        if constant.tensor.shape[1:] != stack.tensor.shape[1:]:
-            raise ValueError("constant stack dimensions do not match the per-frame stack")
-        _require_channels(constant, CONSTANT_CHANNELS, "constant")
-        const = _gather(constant, corners)
-        sums.update((name, const[name]) for name in CONSTANT_CHANNELS)
-        if stack.holes is None:
-            return sums
-        if isinstance(rects, Rect):
-            if sums["n"] != rects.area:
-                holes = _hole_sums(stack, np.array([rects]))[:, 0]
-                sums.update((name, sums[name] - h) for name, h in zip(CONSTANT_CHANNELS, holes))
-            return sums
+    if isinstance(rects, Rect):
+        area = float(rects.area)
+    else:
         x0, y0, x1, y1 = rects.T
-        holey = np.flatnonzero(sums["n"] != (x1 - x0) * (y1 - y0))
-        if holey.size:
-            for name, h in zip(CONSTANT_CHANNELS, _hole_sums(stack, rects[holey])):
-                sums[name][holey] -= h
+        area = ((x1 - x0) * (y1 - y0)).astype(np.float64)
+    sums.setdefault(COUNT_CHANNEL, area)
+    if not spec.needs_constant:
+        return sums
+    if constant is None:
+        raise ValueError(f"{formulation} requires the camera-constant channel stack")
+    if constant.tensor.shape[1:] != stack.tensor.shape[1:]:
+        raise ValueError("constant stack dimensions do not match the per-frame stack")
+    _require_channels(constant, CONSTANT_CHANNELS, "constant")
+    const = _gather(constant, corners)
+    sums.update((name, const[name]) for name in CONSTANT_CHANNELS)
+    if stack.holes is None:
+        return sums
+    if isinstance(rects, Rect):
+        if sums[COUNT_CHANNEL] != area:
+            holes = _hole_sums(stack, np.array([rects]))[:, 0].tolist()
+            sums.update((name, sums[name] - h) for name, h in zip(CONSTANT_CHANNELS, holes))
+        return sums
+    holey = np.flatnonzero(sums[COUNT_CHANNEL] != area)
+    if holey.size:
+        for name, h in zip(CONSTANT_CHANNELS, _hole_sums(stack, rects[holey])):
+            sums[name][holey] -= h
     return sums
 
 
@@ -685,6 +697,18 @@ def _near_centre(offset, normal, mean, space: str):
     return abs(offset) <= _CENTRE_REL * mean * normal
 
 
+def _implicit_degenerate(lam, second, fro, offset, normal, mean, space: str):
+    """Whether implicit fits are degenerate: a zero scatter (Frobenius norm
+    ``fro``), a smallest eigenvalue ``lam`` tied with the next, ``second``, so
+    that its eigenvector is ambiguous, or a plane through the camera centre
+    (see :func:`_near_centre`).  Works on floats and on arrays alike."""
+    return (
+        (fro == 0.0)
+        | (second - lam <= _EIGEN_TIE_REL * fro)
+        | _near_centre(offset, normal, mean, space)
+    )
+
+
 def _implicit_fits(
     matrices: np.ndarray, counts: np.ndarray, space: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -699,25 +723,31 @@ def _implicit_fits(
     v = vectors[:, :, 0]
     # scatter entry (2, 3) sums the depths (standard) or inverse depths (rgbd)
     mean = matrices[:, 2, 3] / counts
-    degenerate = (
-        (fro == 0.0)
-        | (values[:, 1] - lam <= _EIGEN_TIE_REL * fro)
-        | _near_centre(v[:, 3], np.linalg.norm(v[:, :3], axis=1), mean, space)
-    )
+    normal = np.linalg.norm(v[:, :3], axis=1)
+    degenerate = _implicit_degenerate(lam, values[:, 1], fro, v[:, 3], normal, mean, space)
     rms = np.sqrt(np.maximum(lam, 0.0) / counts)
     return v, rms, lam, degenerate
 
 
 def _fit_implicit(scatter: Scatter4, space: str) -> FitResult:
-    # builds its one result directly: a FitBatch costs more than it saves here
-    _require_n(scatter.n, 4)
-    v, rms, lam, degenerate = _implicit_fits(scatter.matrix[None], np.array([scatter.n]), space)
+    # one system solved on its own, its diagnostics on floats: the batch
+    # set-up of _implicit_fits costs more than the solve here
+    n = scatter.n
+    _require_n(n, 4)
+    values, vectors = _eigh(scatter.matrix)
+    lam, second, *rest = values.tolist()
+    v = vectors[:, 0]
+    a, b, c, d = v.tolist()
+    mean = float(scatter.matrix[2, 3]) / n  # as in _implicit_fits
+    degenerate = _implicit_degenerate(
+        lam, second, math.hypot(lam, second, *rest), d, math.hypot(a, b, c), mean, space
+    )
     return FitResult(
-        plane=ImplicitPlane(v[0]),
-        n_points=scatter.n,
-        rms_residual=float(rms[0]),
-        eigenvalue=float(lam[0]),
-        degenerate=bool(degenerate[0]),
+        plane=ImplicitPlane(v),
+        n_points=n,
+        rms_residual=math.sqrt(max(lam, 0.0) / n),
+        eigenvalue=lam,
+        degenerate=degenerate,
     )
 
 
@@ -755,11 +785,11 @@ def _explicit_result(
         # sum(b^2) - alpha . (M^t b).  Differencing aggregated sums puts a
         # noise floor of about sqrt(eps * mean(b^2)) under the rms; clamp the
         # tiny negatives the same rounding can produce.
-        sq = max(float(target_sq) - float(alpha @ rhs), 0.0)
+        sq = max(float(target_sq) - float(alpha.dot(rhs)), 0.0)  # rounds as alpha @ rhs
         rms = math.sqrt(sq / n)
     # rhs[2] sums the depths (standard) or inverse depths (rgbd); the
     # implicit forms are (a, b, -1, c) and (a, b, c, -1)
-    a, b, c = (float(v) for v in alpha)
+    a, b, c = alpha.tolist()
     offset, normal = (1.0, math.hypot(a, b, c)) if space == SPACE_RGBD else (c, math.hypot(a, b, 1))
     degenerate = bool(degenerate or _near_centre(offset, normal, float(rhs[2]) / n, space))
     plane = ExplicitPlane(coefficients=alpha, space=space)
@@ -812,8 +842,9 @@ class ExplicitRgbdFitter:
 
     The normal-equation matrix depends only on the camera constants and the
     window, so its Cholesky factor is computed once per window and reused
-    for every frame; each fit then costs three right-hand-side box sums and
-    two triangular solves.
+    for every frame; each fit then costs one indexed read of the window's
+    box sums, at corner indices also cached per window, and two triangular
+    solves.
     """
 
     _spec = FORMULATION_CHANNELS[EXPLICIT_RGBD]
@@ -821,15 +852,23 @@ class ExplicitRgbdFitter:
     def __init__(self, constant: ChannelStack):
         _require_channels(constant, CONSTANT_CHANNELS, "constant")
         self.constant = constant
+        self._corners: dict[Rect, np.ndarray] = {}
         self._factors: dict[Rect, CholeskyFactor | None] = {}
         self._matrices: dict[Rect, np.ndarray] = {}
+
+    def _corners_of(self, rect: Rect) -> np.ndarray:
+        """The window's flat table indices (``_box_corners``), checked and cached."""
+        corners = self._corners.get(rect)
+        if corners is None:
+            _check_rect(rect, self.constant.width, self.constant.height)
+            corners = self._corners[rect] = _box_corners(rect, self.constant.width)
+        return corners
 
     def matrix_for(self, rect: Rect) -> np.ndarray:
         """The window's camera-constant normal-equation matrix, cached."""
         matrix = self._matrices.get(rect)
         if matrix is None:
-            _check_rect(rect, self.constant.width, self.constant.height)
-            sums = _gather(self.constant, _box_corners(rect, self.constant.width))
+            sums = _gather(self.constant, self._corners_of(rect))
             sums["n"] = float(rect.area)
             matrix = self._matrices[rect] = _scatter_matrix(sums, self._spec)
         return matrix
@@ -852,25 +891,24 @@ class ExplicitRgbdFitter:
         from the camera-constant matrix (they are frame-specific, so there
         is nothing to cache).
         """
-        _check_rect(rect, stack.width, stack.height)
         if stack.tensor.shape[1:] != self.constant.tensor.shape[1:]:
             raise ValueError("constant stack dimensions do not match the per-frame stack")
+        corners = self._corners_of(rect)
         _require_channels(stack, self._spec.scatter, "per-frame")
-        n = int(round(_box(stack.count, rect)))
+        sums = _gather(stack, corners)
+        n = int(sums.get(COUNT_CHANNEL, rect.area))
         if n != rect.area or n < self._spec.size:
             return fit_explicit_rgbd(
                 scatter_from_integrals(stack, self.constant, rect, EXPLICIT_RGBD)
             )
-        # scalar reads: one gather over every channel of the stack costs more
-        ch = stack.channels
-        rhs = np.array([_box(ch[name], rect) for name in self._spec.rhs])
+        b = [sums[name] for name in self._spec.rhs]
+        rhs = np.array(b)
         factor = self.factor_for(rect)
         if factor is None:
             alpha = _pinv_solve(self.matrix_for(rect), rhs)
         else:
-            alpha = solve_cholesky3(factor, rhs)
-        residual = self._spec.residual
-        target_sq = _box(ch[residual], rect) if residual in ch else None
+            alpha = np.array(_cholesky_substitute(factor, *b))
+        target_sq = sums.get(self._spec.residual)
         return _explicit_result(alpha, rhs, n, target_sq, SPACE_RGBD, factor is None)
 
 

@@ -21,15 +21,19 @@ is computed per pixel; one builder serves every formulation and the
 camera-constant stack.
 
 A stack is one float64 tensor of shape (C, H+1, W+1): one zero-padded table
-per channel, a frame stack's last being the validity count.  Every
-depth-bearing monomial is written from a depth lattice whose holes hold the
-neutral depth, 0 for the standard monomials and +inf for the inverse ones
-(1/inf = 0), so holes add zero with no mask and fits normalize by the count.
-All C prefix sums are formed in one pass, rows first and then columns, the
-additions of a per-channel ``cumsum`` pair, so the tables are bit-identical
-to :func:`build_integral` on each masked monomial.  Tan sums are always the
-camera constants less the holes' sums, which the rgbd stack of a frame with
-holes lists.
+per channel, the last of a frame with holes being the validity count (a
+window of a hole-free frame holds its area in samples, as with the constant
+stack).  Every depth-bearing monomial is written from a depth lattice whose
+holes hold the neutral depth, 0 for the standard monomials and +inf for the
+inverse ones (1/inf = 0), so holes add zero with no mask and fits normalize
+by the count.  A stack is built in one pass over the frame, one band of
+rows at a time: the band's monomials go into one reused, cache-sized
+buffer, each row is added into a running row of column sums, and that row
+is prefix-summed into the table row.  Those are the additions of a
+per-channel ``cumsum`` pair, rows first and then columns, so the tables are
+bit-identical to :func:`build_integral` on each masked monomial.  Tan sums
+are always the camera constants less the holes' sums, which the rgbd stack
+of a frame with holes lists.
 
 Summed-area tables serve arbitrary windows.  The segmenter fits only the
 nodes of a quadtree fixed by the image size, so :func:`build_node_pyramid`
@@ -144,12 +148,13 @@ class ChannelStack:
     slice of ``tensor``; ``channels`` (every channel but the count) and
     ``count`` are array views into it.  What a stack holds is read from its
     names: a frame stack has its formulation's per-frame channels
-    (``FORMULATION_CHANNELS``), the residual channel when built with it and
-    the count; the camera-constant stack has the five tan tables and no
-    count, built once per camera and shared by reference across frames.  An
-    rgbd frame stack with holes lists them: ``holes`` by flat pixel index,
-    ascending, and ``hole_tan``, the (5, K+1) running sums of their tan
-    monomials from 0.
+    (``FORMULATION_CHANNELS``), the residual channel when built with it and,
+    when the frame has holes, the count; the camera-constant stack has the
+    five tan tables, built once per camera and shared by reference across
+    frames.  A stack without a count (``count`` None) counts every pixel of
+    a window, its area.  An rgbd frame stack with holes lists them:
+    ``holes`` by flat pixel index, ascending, and ``hole_tan``, the (5, K+1)
+    running sums of their tan monomials from 0.
     """
 
     tensor: np.ndarray
@@ -206,12 +211,12 @@ def _check_rects(rects: np.ndarray, width: int, height: int) -> np.ndarray:
     return rects.astype(np.int64, copy=False)
 
 
-def _box_corners(rects: np.ndarray, width: int) -> np.ndarray:
+def _box_corners(rects: np.ndarray | Rect, width: int) -> np.ndarray:
     """(4, N) flat table indices of each rect's corners, in ``_box`` order.
 
-    One (x0, y0, x1, y1) rect gives the (4,) indices of its corners.
+    One ``Rect`` gives the (4,) indices of its corners, from Python ints.
     """
-    x0, y0, x1, y1 = np.asarray(rects).T
+    x0, y0, x1, y1 = rects if isinstance(rects, Rect) else np.asarray(rects).T
     stride = width + 1
     return np.array((y1 * stride + x1, y0 * stride + x1, y1 * stride + x0, y0 * stride + x0))
 
@@ -274,30 +279,53 @@ def _neutral_depth(names: tuple[str, ...], depth: np.ndarray, valid: np.ndarray)
     return np.where(valid, depth, np.inf if "inv_z" in names else 0.0)
 
 
+# Bytes of monomials written per band of rows (at least one row): a band, the
+# running column sums and the table rows they fill stay in a core's L2 cache.
+_BAND_BYTES = 1 << 19
+
+
+def _band_rows(channels: int, width: int) -> int:
+    """Rows per build band of a stack of ``channels`` tables ``width`` pixels wide."""
+    return max(1, _BAND_BYTES // (8 * channels * width))
+
+
 def _build_stack(
     names: tuple[str, ...],
     maps: TanAngleMaps,
     depth: np.ndarray | None = None,
-    valid: np.ndarray | bool | None = None,
+    valid: np.ndarray | None = None,
 ) -> ChannelStack:
-    """Write each channel's monomial into one tensor, then prefix-sum it in place.
+    """Prefix-sum each channel's monomial into one tensor, a band of rows at a time.
 
-    ``valid`` is the count (True: no pixel is a hole), ``depth`` neutral at
-    holes (:func:`_neutral_depth`); without them this builds the constant
-    stack, which has no count.
+    Each band's monomials are written into one reused buffer.  ``valid``,
+    when given, marks the frame's holes: they are written at the neutral
+    depth (:func:`_neutral_depth`) and the count is the last table.  Without
+    it no pixel is a hole and the stack has no count, like the constant
+    stack (``depth`` None).  Every row is added into one running row of
+    column sums, which is prefix-summed into its table row: the additions of
+    ``cumsum(cumsum(c, 0), 1)``.
     """
     h, w = maps.height, maps.width
     if valid is not None:
         names += (COUNT_CHANNEL,)
-    out = np.zeros((len(names), h + 1, w + 1))
-    body = out[:, 1:, 1:]
-    if valid is not None:
-        np.copyto(body[-1], valid)
-    _write_monomials(names, body, depth, maps.tan_x, maps.tan_y)
-    # rows first, then columns: the additions of cumsum(cumsum(c, 0), 1)
-    for y in range(1, h):
-        np.add(body[:, y], body[:, y - 1], out=body[:, y])
-    np.cumsum(body, axis=2, out=body)
+    out = np.empty((len(names), h + 1, w + 1))
+    out[:, 0] = 0.0
+    out[:, 1:, 0] = 0.0
+    table_rows = out[:, 1:, 1:].swapaxes(0, 1)
+    rows = _band_rows(len(names), w)
+    band = np.empty((len(names), min(rows, h), w))
+    column = np.full((len(names), w), -0.0)  # -0.0 + c == c, bit for bit
+    for y0 in range(0, h, rows):
+        y1 = min(y0 + rows, h)
+        written = band[:, : y1 - y0]
+        z = None if depth is None else depth[y0:y1]
+        if valid is not None:
+            np.copyto(written[-1], valid[y0:y1])
+            z = _neutral_depth(names, z, valid[y0:y1])
+        _write_monomials(names, written, z, maps.tan_x[y0:y1], maps.tan_y[y0:y1])
+        for row, table_row in zip(written.swapaxes(0, 1), table_rows[y0:y1]):
+            np.add(column, row, out=column)
+            np.add.accumulate(column, axis=1, out=table_row)  # np.cumsum's additions
     return ChannelStack(out, {name: i for i, name in enumerate(names)})
 
 
@@ -324,10 +352,11 @@ def build_channels(
     """Per-frame tables of ``formulation``'s channels (``FORMULATION_CHANNELS``).
 
     ``include_residual`` adds the explicit formulations' rms diagnostic
-    channel.  rgbd stacks combine with :func:`build_constant_channels`; when
-    the frame has holes they also list them, so a window containing holes
-    subtracts their tan sums from the constant ones, while hole-free frames
-    and windows keep the full precomputation advantage.
+    channel.  rgbd stacks combine with :func:`build_constant_channels`.  Only
+    a frame with holes gets a count table, and its rgbd stacks also list the
+    holes, so a window containing holes subtracts their tan sums from the
+    constant ones, while hole-free frames and windows keep the full
+    precomputation advantage.
     """
     spec = FORMULATION_CHANNELS.get(formulation)
     if spec is None:
@@ -337,13 +366,13 @@ def build_channels(
     if include_residual and spec.residual is not None:
         names += (spec.residual,)
     if depth.valid.all():
-        return _build_stack(names, maps, depth.values, True)
-    stack = _build_stack(names, maps, _neutral_depth(names, depth.values, depth.valid), depth.valid)
+        return _build_stack(names, maps, depth.values)
+    stack = _build_stack(names, maps, depth.values, depth.valid)
     if not spec.needs_constant:
         return stack
     holes = np.flatnonzero(~depth.valid)
     running = np.zeros((len(CONSTANT_CHANNELS), holes.size + 1))
-    tan_at = maps.tan_x.flat[holes], maps.tan_y.flat[holes]
+    tan_at = maps.tan_x.take(holes), maps.tan_y.take(holes)
     _write_monomials(CONSTANT_CHANNELS, running[:, 1:], None, *tan_at)
     return replace(stack, holes=holes, hole_tan=np.cumsum(running, axis=1, out=running))
 

@@ -591,6 +591,44 @@ class TestExplicitRgbdFitter:
             via_fitter.plane.coefficients, naive.plane.coefficients, atol=1e-9
         )
 
+    def test_matches_fit_rects_per_window(self, small_maps):
+        # the fitter's own path (one indexed read, cached factors, substitution
+        # on floats) against the batch, on a frame with a block of holes
+        rng = np.random.default_rng(24)
+        depth, _ = render_scene(
+            SyntheticScene((random_visible_plane(rng),)), small_maps, noise=NoiseModel(), seed=8
+        )
+        valid = depth.valid.copy()
+        valid[20:26, 30:36] = False
+        depth = DepthImage(values=depth.values, valid=valid)
+        constant = build_constant_channels(small_maps)
+        fitter = ExplicitRgbdFitter(constant)
+        stack = build_rgbd_explicit_channels(depth, small_maps)
+        hole_free = [Rect(0, 0, 16, 16), Rect(40, 30, 64, 48), Rect(0, 44, 64, 45)]
+        column = Rect(5, 0, 6, 48)  # constant tan_x: a singular camera-constant matrix
+        holey = [Rect(24, 16, 48, 40), Rect(0, 0, 64, 48), Rect(32, 10, 33, 40)]
+        empty = Rect(31, 21, 33, 23)  # all holes
+        rects = hole_free + [column] + holey + [empty] + _batch_windows(rng)
+        assert all(valid[r.y0 : r.y1, r.x0 : r.x1].all() for r in hole_free + [column])
+        assert not any(valid[r.y0 : r.y1, r.x0 : r.x1].all() for r in holey)
+        assert fitter.factor_for(column) is None
+        batch = fit_rects(stack, constant, np.array(rects), EXPLICIT_RGBD)
+        for rect, want in zip(rects, batch):
+            if want is None:
+                with pytest.raises(InsufficientSamplesError):
+                    fitter.fit(stack, rect)
+                continue
+            got = fitter.fit(stack, rect)
+            np.testing.assert_allclose(
+                got.plane.coefficients, want.plane.coefficients, rtol=1e-12, atol=1e-12
+            )
+            assert got.degenerate == want.degenerate, rect
+            assert got.n_points == want.n_points, rect
+            assert got.rms_residual == pytest.approx(want.rms_residual, rel=1e-9, abs=1e-15)
+        assert batch[rects.index(empty)] is None
+        # the hole-free sliver takes the minimum-norm path, flagged degenerate
+        assert batch[rects.index(column)].degenerate
+
     def test_fit_rect_dispatch(self, small_maps):
         depth, _ = render_scene(
             SyntheticScene((GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0])),)), small_maps

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from rangefit.integral import (
     CONSTANT_CHANNELS,
     COUNT_CHANNEL,
     FORMULATION_CHANNELS,
+    _band_rows,
     _hole_sums,
     build_node_pyramid,
 )
@@ -270,7 +272,7 @@ class TestPerFrameBuilders:
         )
         stack = build_rgbd_implicit_channels(depth, small_maps)
         rect = Rect(4, 4, 24, 14)
-        assert box_sum(stack.count, rect) == 200.0
+        assert stack.count is None  # hole-free: the window's count is its area, 200
         assert box_sum(stack.channels["inv_z"], rect) == pytest.approx(100.0, rel=1e-12)
 
         std = build_standard_implicit_channels(depth, small_maps)
@@ -293,7 +295,7 @@ class TestPerFrameBuilders:
         full = Rect(0, 0, 8, 6)
         for name in stack.channels:
             assert box_sum(stack.channels[name], full) == 48.0
-        assert box_sum(stack.count, full) == 48.0
+        assert stack.count is None  # hole-free: the count is the area, 48
 
     def test_dimension_mismatch(self, noisy_frame):
         from rangefit import CameraIntrinsics, compute_tan_maps
@@ -350,11 +352,11 @@ def _assert_tables_match_reference(stack, lattices, mask, count_source):
     assert stack.tensor.shape == (len(stack.channels) + counted, h + 1, w + 1)
 
 
-def _camera_maps(width: int, height: int):
+def _camera_maps(width: int, height: int, fx: float = 60.0):
     from rangefit import CameraIntrinsics, compute_tan_maps
 
     return compute_tan_maps(CameraIntrinsics(
-        fx=60.0, fy=55.0, cx=(width - 1) / 2, cy=(height - 1) / 2, width=width, height=height
+        fx=fx, fy=fx * 11 / 12, cx=(width - 1) / 2, cy=(height - 1) / 2, width=width, height=height
     ))
 
 
@@ -371,10 +373,27 @@ def _frame(maps, holes: bool) -> DepthImage:
     return DepthImage(values=depth.values, valid=valid)
 
 
+# Cameras (width, height, fx) of the tensor tests.  1000 px wide, a build
+# band holds 6-21 rows (3-10 tables): 67 rows span at least three bands and
+# end in a ragged one, and 5 rows are fewer than one band.
+_SIZES = [(64, 48, 60.0), (37, 1, 60.0), (1, 29, 60.0), (1000, 67, 800.0), (1000, 5, 800.0)]
+_SIZE_IDS = ["64x48", "1xW", "Hx1", "3+bands", "1-band"]
+
+
+def _assert_band_layout(stack, size: tuple[int, int, float]) -> None:
+    """The multi-band and one-band sizes really are so for this stack's tables."""
+    w, h, _ = size
+    rows = _band_rows(len(stack.index), w)
+    if (w, h) == (1000, 67):
+        assert h >= 3 * rows and h % rows, (h, rows)
+    if (w, h) == (1000, 5):
+        assert h < rows, (h, rows)
+
+
 class TestChannelTensor:
     """One (C, H+1, W+1) tensor per stack, each table bit-equal to build_integral."""
 
-    @pytest.mark.parametrize("size", [(64, 48), (37, 1), (1, 29)], ids=["64x48", "1xW", "Hx1"])
+    @pytest.mark.parametrize("size", _SIZES, ids=_SIZE_IDS)
     @pytest.mark.parametrize("holes", [False, True], ids=["hole-free", "holes"])
     @pytest.mark.parametrize("include_residual", [True, False], ids=["residual", "bare"])
     @pytest.mark.parametrize("formulation", FORMULATIONS)
@@ -391,19 +410,43 @@ class TestChannelTensor:
             stack = _WRAPPERS[formulation](depth, maps, include_residual=include_residual)
         assert tuple(stack.channels) == names
         assert (stack.holes is not None) == (stack.hole_tan is not None) == (holes and rgbd)
+        _assert_band_layout(stack, size)
         lattices = _reference_lattices(depth, maps)
-        _assert_tables_match_reference(stack, lattices, depth.valid, depth.valid.astype(float))
+        # only a frame with holes has a count table
+        count = depth.valid.astype(float) if holes else None
+        _assert_tables_match_reference(stack, lattices, depth.valid, count)
         again = build_channels(depth, maps, formulation, include_residual)
         assert again.index == stack.index
         assert np.array_equal(again.tensor, stack.tensor)
 
-    @pytest.mark.parametrize("size", [(64, 48), (37, 1), (1, 29)], ids=["64x48", "1xW", "Hx1"])
+    @pytest.mark.parametrize("size", _SIZES, ids=_SIZE_IDS)
     def test_constant_stack_matches_per_channel_reference(self, size):
         maps = _camera_maps(*size)
         stack = build_constant_channels(maps)
         assert tuple(stack.channels) == ("tx2", "txty", "ty2", "tx", "ty")
+        _assert_band_layout(stack, size)
         depth = DepthImage(values=np.ones(maps.tan_x.shape))
         _assert_tables_match_reference(stack, _reference_lattices(depth, maps), None, None)
+
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_build_makes_no_frame_sized_temporary(self, formulation):
+        # the build writes one band of rows at a time, so beyond its tensor it
+        # holds less than one (H, W) float64 lattice, even on a frame with holes
+        height, width = 480, 640
+        maps = _camera_maps(width, height, 525.0)
+        rng = np.random.default_rng(12)
+        depth = DepthImage(
+            values=rng.uniform(0.5, 5.0, (height, width)),
+            valid=rng.random((height, width)) >= 0.02,
+        )
+        tracemalloc.start()
+        try:
+            stack = build_channels(depth, maps, formulation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack.count is not None
+        assert peak - stack.tensor.nbytes < height * width * 8
 
     def test_unknown_formulation(self, small_maps):
         with pytest.raises(ValueError, match="unknown formulation"):
