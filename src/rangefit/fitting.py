@@ -796,15 +796,24 @@ def _explicit_result(
     return FitResult(plane=plane, n_points=n, rms_residual=rms, degenerate=degenerate)
 
 
+def _factor_or_none(matrix: np.ndarray) -> CholeskyFactor | None:
+    """:func:`cholesky3` of ``matrix``, or None when it is singular."""
+    try:
+        return cholesky3(matrix)
+    except DegenerateFitError:
+        return None
+
+
+def _explicit_alpha(matrix: np.ndarray, factor: CholeskyFactor | None, rhs: np.ndarray):
+    """The solution from ``matrix``'s factor, or the minimum-norm one when it is None."""
+    return _pinv_solve(matrix, rhs) if factor is None else solve_cholesky3(factor, rhs)
+
+
 def _fit_explicit(scatter: Scatter3, space: str) -> FitResult:
     _require_n(scatter.n, 3)
-    degenerate = False
-    try:
-        alpha = solve_cholesky3(cholesky3(scatter.matrix), scatter.rhs)
-    except DegenerateFitError:
-        alpha = _pinv_solve(scatter.matrix, scatter.rhs)
-        degenerate = True
-    return _explicit_result(alpha, scatter.rhs, scatter.n, scatter.target_sq, space, degenerate)
+    factor = _factor_or_none(scatter.matrix)
+    alpha = _explicit_alpha(scatter.matrix, factor, scatter.rhs)
+    return _explicit_result(alpha, scatter.rhs, scatter.n, scatter.target_sq, space, factor is None)
 
 
 def fit_explicit_standard(scatter: Scatter3) -> FitResult:
@@ -837,14 +846,22 @@ FIT_BY_FORMULATION: dict[str, Callable[..., FitResult]] = {
 }
 
 
+class _Window(NamedTuple):
+    """A window's flat table indices, constant matrix and factor (None: singular)."""
+
+    corners: np.ndarray
+    matrix: np.ndarray
+    factor: CholeskyFactor | None
+
+
 class ExplicitRgbdFitter:
     """Explicit inverse-depth fits with per-window factor caching.
 
     The normal-equation matrix depends only on the camera constants and the
-    window, so its Cholesky factor is computed once per window and reused
-    for every frame; each fit then costs one indexed read of the window's
-    box sums, at corner indices also cached per window, and two triangular
-    solves.
+    window, so one record per window (:class:`_Window`) holds its corner
+    indices, matrix and Cholesky factor, computed once and reused for every
+    frame; each fit then costs one indexed read of the window's box sums and
+    two triangular solves.
     """
 
     _spec = FORMULATION_CHANNELS[EXPLICIT_RGBD]
@@ -852,35 +869,26 @@ class ExplicitRgbdFitter:
     def __init__(self, constant: ChannelStack):
         _require_channels(constant, CONSTANT_CHANNELS, "constant")
         self.constant = constant
-        self._corners: dict[Rect, np.ndarray] = {}
-        self._factors: dict[Rect, CholeskyFactor | None] = {}
-        self._matrices: dict[Rect, np.ndarray] = {}
+        self._windows: dict[Rect, _Window] = {}
 
-    def _corners_of(self, rect: Rect) -> np.ndarray:
-        """The window's flat table indices (``_box_corners``), checked and cached."""
-        corners = self._corners.get(rect)
-        if corners is None:
+    def _window(self, rect: Rect) -> _Window:
+        """The window's record, built on first use, once its rect is checked."""
+        window = self._windows.get(rect)
+        if window is None:
             _check_rect(rect, self.constant.width, self.constant.height)
-            corners = self._corners[rect] = _box_corners(rect, self.constant.width)
-        return corners
+            corners = _box_corners(rect, self.constant.width)
+            sums = _gather(self.constant, corners) | {"n": float(rect.area)}
+            matrix = _scatter_matrix(sums, self._spec)
+            window = self._windows[rect] = _Window(corners, matrix, _factor_or_none(matrix))
+        return window
 
     def matrix_for(self, rect: Rect) -> np.ndarray:
         """The window's camera-constant normal-equation matrix, cached."""
-        matrix = self._matrices.get(rect)
-        if matrix is None:
-            sums = _gather(self.constant, self._corners_of(rect))
-            sums["n"] = float(rect.area)
-            matrix = self._matrices[rect] = _scatter_matrix(sums, self._spec)
-        return matrix
+        return self._window(rect).matrix
 
     def factor_for(self, rect: Rect) -> CholeskyFactor | None:
         """The cached factor, or None when the window's system is singular."""
-        if rect not in self._factors:
-            try:
-                self._factors[rect] = cholesky3(self.matrix_for(rect))
-            except DegenerateFitError:
-                self._factors[rect] = None
-        return self._factors[rect]
+        return self._window(rect).factor
 
     def fit(self, stack: ChannelStack, rect: Rect) -> FitResult:
         """Fit one window of one frame.
@@ -893,23 +901,18 @@ class ExplicitRgbdFitter:
         """
         if stack.tensor.shape[1:] != self.constant.tensor.shape[1:]:
             raise ValueError("constant stack dimensions do not match the per-frame stack")
-        corners = self._corners_of(rect)
+        window = self._window(rect)
         _require_channels(stack, self._spec.scatter, "per-frame")
-        sums = _gather(stack, corners)
+        sums = _gather(stack, window.corners)
         n = int(sums.get(COUNT_CHANNEL, rect.area))
         if n != rect.area or n < self._spec.size:
             return fit_explicit_rgbd(
                 scatter_from_integrals(stack, self.constant, rect, EXPLICIT_RGBD)
             )
-        b = [sums[name] for name in self._spec.rhs]
-        rhs = np.array(b)
-        factor = self.factor_for(rect)
-        if factor is None:
-            alpha = _pinv_solve(self.matrix_for(rect), rhs)
-        else:
-            alpha = np.array(_cholesky_substitute(factor, *b))
+        rhs = np.array([sums[name] for name in self._spec.rhs])
+        alpha = _explicit_alpha(window.matrix, window.factor, rhs)
         target_sq = sums.get(self._spec.residual)
-        return _explicit_result(alpha, rhs, n, target_sq, SPACE_RGBD, factor is None)
+        return _explicit_result(alpha, rhs, n, target_sq, SPACE_RGBD, window.factor is None)
 
 
 def explicit_to_implicit(plane: ExplicitPlane) -> ImplicitPlane:

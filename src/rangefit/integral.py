@@ -22,30 +22,25 @@ camera-constant stack.
 
 A stack is one float64 tensor of shape (C, H+1, W+1): one zero-padded table
 per channel, the last of a frame with holes being the validity count (a
-window of a hole-free frame holds its area in samples, as with the constant
-stack).  Every depth-bearing monomial is written from a depth lattice whose
-holes hold the neutral depth, 0 for the standard monomials and +inf for the
-inverse ones (1/inf = 0), so holes add zero with no mask and fits normalize
-by the count.  A stack is built in one pass over the frame, one band of
-rows at a time: the band's monomials go into one reused, cache-sized
-buffer, each row is added into a running row of column sums, and that row
-is prefix-summed into the table row.  Those are the additions of a
-per-channel ``cumsum`` pair, rows first and then columns, so the tables are
-bit-identical to :func:`build_integral` on each masked monomial.  Tan sums
-are always the camera constants less the holes' sums, which the rgbd stack
-of a frame with holes lists.
-
-Summed-area tables serve arbitrary windows.  The segmenter fits only the
-nodes of a quadtree fixed by the image size, so :func:`build_node_pyramid`
-instead sums a frame's monomials into the cells of the quadtree's lattice
-and each coarser level from the finer one, with no prefix sums.
+window of a hole-free frame or of the constant stack holds its area in
+samples).  One writer, :func:`_bands`, streams a frame's monomials a band of
+rows at a time into one reused buffer: holes hold the neutral depth (0, or
++inf for the inverse monomials), so they add zero with no mask, and the
+count is the monomial of the validity mask.  :func:`_build_stack`
+prefix-sums the bands into the tables with the additions of a per-channel
+``cumsum`` pair, so each is bit-identical to :func:`build_integral`.  The
+segmenter fits only the nodes of a quadtree fixed by the image size, so
+:func:`build_node_pyramid` instead sums the bands into the cells of its
+lattice and each coarser level from the finer one, with no prefix sums.
+Tan sums are always the camera constants less the holes' sums, which the
+rgbd stack of a frame with holes lists.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -103,8 +98,9 @@ FORMULATION_CHANNELS = {
 
 # Per-pixel recipe of every channel, in an order that writes each operand
 # before it is read: a ufunc over operands naming a source lattice ("depth",
-# "tan_x", "tan_y"), a channel of the same stack, or a number.  X = Z*tan_x
-# and Y = Z*tan_y; np.positive copies.
+# "tan_x", "tan_y", "valid"), a channel of the same stack, or a number.  X =
+# Z*tan_x, Y = Z*tan_y; np.positive copies.  The count copies the mask (a
+# float ufunc would cast it through a buffer).
 _MONOMIALS = {
     "z": (np.positive, "depth"),
     "x": (np.multiply, "z", "tan_x"),
@@ -124,6 +120,7 @@ _MONOMIALS = {
     "ty2": (np.multiply, "tan_y", "tan_y"),
     "tx": (np.positive, "tan_x"),
     "ty": (np.positive, "tan_y"),
+    COUNT_CHANNEL: (lambda valid, out: np.copyto(out, valid), "valid"),
 }
 
 
@@ -261,22 +258,17 @@ def _write_monomials(
     depth: np.ndarray | None,
     tan_x: np.ndarray,
     tan_y: np.ndarray,
+    valid: np.ndarray | None = None,
 ) -> None:
     """Write each named channel's monomial into ``out[i]``.
 
-    ``depth``, ``tan_x`` and ``tan_y`` are same-shape lattices (or pixel
-    lists); ``depth`` None suits the camera-constant channels.
+    The sources are same-shape lattices (or pixel lists); ``depth`` None suits
+    the camera-constant channels, ``valid`` None every channel but the count.
     """
-    sources = {"depth": depth, "tan_x": tan_x, "tan_y": tan_y, **dict(zip(names, out))}
+    sources = dict(zip(names, out), depth=depth, tan_x=tan_x, tan_y=tan_y, valid=valid)
     for name, (op, *operands) in _MONOMIALS.items():
         if name in names:
             op(*(sources.get(a, a) for a in operands), out=sources[name])
-
-
-def _neutral_depth(names: tuple[str, ...], depth: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """``depth`` with holes at the depth that zeroes each depth-bearing monomial of
-    ``names``: +inf for the inverse ones (1/inf = 0), else 0; a stack never mixes them."""
-    return np.where(valid, depth, np.inf if "inv_z" in names else 0.0)
 
 
 # Bytes of monomials written per band of rows (at least one row): a band, the
@@ -289,41 +281,51 @@ def _band_rows(channels: int, width: int) -> int:
     return max(1, _BAND_BYTES // (8 * channels * width))
 
 
+def _bands(
+    names: tuple[str, ...],
+    maps: TanAngleMaps,
+    depth: np.ndarray | None,
+    valid: np.ndarray | None,
+    rows: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(y0, band)``, the named monomials of at most ``rows`` pixel rows
+    from ``y0``, every band written into one reused buffer.  Holes (``valid``
+    False) hold the neutral depth, +inf for the inverse monomials (1/inf = 0),
+    else 0 (a stack never mixes the two), so they add zero with no mask;
+    ``valid`` None means no holes, ``depth`` None the camera-constant ones."""
+    buffer = np.empty((len(names), min(rows, maps.height), maps.width))
+    hole = np.inf if "inv_z" in names else 0.0
+    for y0 in range(0, maps.height, rows):
+        at, band = slice(y0, y0 + rows), buffer[:, : maps.height - y0]
+        v = None if valid is None else valid[at]
+        z = None if depth is None else depth[at] if v is None else np.where(v, depth[at], hole)
+        _write_monomials(names, band, z, maps.tan_x[at], maps.tan_y[at], v)
+        del z  # free the neutral depths before the band is summed
+        yield y0, band
+
+
 def _build_stack(
     names: tuple[str, ...],
     maps: TanAngleMaps,
     depth: np.ndarray | None = None,
     valid: np.ndarray | None = None,
 ) -> ChannelStack:
-    """Prefix-sum each channel's monomial into one tensor, a band of rows at a time.
+    """Prefix-sum each channel's monomial (:func:`_bands`) into one tensor.
 
-    Each band's monomials are written into one reused buffer.  ``valid``,
-    when given, marks the frame's holes: they are written at the neutral
-    depth (:func:`_neutral_depth`) and the count is the last table.  Without
-    it no pixel is a hole and the stack has no count, like the constant
-    stack (``depth`` None).  Every row is added into one running row of
-    column sums, which is prefix-summed into its table row: the additions of
-    ``cumsum(cumsum(c, 0), 1)``.
+    With ``valid`` the count is the last table; without it the stack has no
+    count, like the constant stack (``depth`` None).  Each row is added into
+    a running row of column sums, prefix-summed into its table row: the
+    additions of ``cumsum(cumsum(c, 0), 1)``.
     """
-    h, w = maps.height, maps.width
+    w = maps.width
     if valid is not None:
         names += (COUNT_CHANNEL,)
-    out = np.empty((len(names), h + 1, w + 1))
-    out[:, 0] = 0.0
-    out[:, 1:, 0] = 0.0
+    out = np.empty((len(names), maps.height + 1, w + 1))
+    out[:, 0] = out[:, 1:, 0] = 0.0
     table_rows = out[:, 1:, 1:].swapaxes(0, 1)
-    rows = _band_rows(len(names), w)
-    band = np.empty((len(names), min(rows, h), w))
     column = np.full((len(names), w), -0.0)  # -0.0 + c == c, bit for bit
-    for y0 in range(0, h, rows):
-        y1 = min(y0 + rows, h)
-        written = band[:, : y1 - y0]
-        z = None if depth is None else depth[y0:y1]
-        if valid is not None:
-            np.copyto(written[-1], valid[y0:y1])
-            z = _neutral_depth(names, z, valid[y0:y1])
-        _write_monomials(names, written, z, maps.tan_x[y0:y1], maps.tan_y[y0:y1])
-        for row, table_row in zip(written.swapaxes(0, 1), table_rows[y0:y1]):
+    for y0, band in _bands(names, maps, depth, valid, _band_rows(len(names), w)):
+        for row, table_row in zip(band.swapaxes(0, 1), table_rows[y0:]):
             np.add(column, row, out=column)
             np.add.accumulate(column, axis=1, out=table_row)  # np.cumsum's additions
     return ChannelStack(out, {name: i for i, name in enumerate(names)})
@@ -365,10 +367,9 @@ def build_channels(
     names = spec.scatter
     if include_residual and spec.residual is not None:
         names += (spec.residual,)
-    if depth.valid.all():
-        return _build_stack(names, maps, depth.values)
-    stack = _build_stack(names, maps, depth.values, depth.valid)
-    if not spec.needs_constant:
+    valid = None if depth.valid.all() else depth.valid
+    stack = _build_stack(names, maps, depth.values, valid)
+    if valid is None or not spec.needs_constant:
         return stack
     holes = np.flatnonzero(~depth.valid)
     running = np.zeros((len(CONSTANT_CHANNELS), holes.size + 1))
@@ -438,26 +439,16 @@ def _cell_sums(
     names: tuple[str, ...],
     maps: TanAngleMaps,
     depth: np.ndarray,
-    valid: np.ndarray | bool,
+    valid: np.ndarray | None,
     cell: int,
     out: np.ndarray,
 ) -> None:
-    """Write into ``out`` each channel's monomial summed over ``cell``-pixel cells.
-
-    Writes one band of at most ``cell`` pixel rows at a time into a reused
-    buffer as wide as the image, holes at the neutral depth, and sums its
-    rows, whole cells' columns and the ragged last cell's columns.  The count
-    row, each cell's area less its holes, loses them with the tan rows.
-    """
-    h, w = maps.height, maps.width
-    whole = w // cell  # cells of full width
-    band = np.empty((len(names), min(cell, h), w))
-    for r, y0 in enumerate(range(0, h, cell)):
-        y1 = min(y0 + cell, h)
-        rows = band[:, : y1 - y0]
-        z = depth[y0:y1] if valid is True else _neutral_depth(names, depth[y0:y1], valid[y0:y1])
-        _write_monomials(names, rows, z, maps.tan_x[y0:y1], maps.tan_y[y0:y1])
-        summed = rows.sum(axis=1)
+    """Write into ``out`` each channel's monomial (:func:`_bands`) summed over
+    ``cell``-pixel cells: each band of ``cell`` rows summed down its rows, then
+    over whole cells' columns and the ragged last cell's columns."""
+    whole = maps.width // cell  # cells of full width
+    for y0, band in _bands(names, maps, depth, valid, cell):
+        summed, r = band.sum(axis=1), y0 // cell
         out[:, r, :whole] = summed[:, : whole * cell].reshape(len(names), whole, cell).sum(axis=2)
         if whole < out.shape[2]:
             out[:, r, whole] = summed[:, whole * cell :].sum(axis=1)
@@ -473,19 +464,22 @@ def build_node_pyramid(
 ) -> NodePyramid:
     """Sums of a frame's channels over every node of a ``max_depth``-level quadtree.
 
-    The quadtree's roots are ``tile``-pixel squares (``tile`` a multiple of
-    ``2**max_depth``); its leaves are the cells of the ``tile >> max_depth``
-    lattice.  The per-frame monomials are written one band of cells at a
-    time and summed into cells, and each coarser level is the 2x2 sum of
-    the finer one (a finer level of odd size has no partner for its last
-    row or column), so no large sums are differenced and each level holds
-    only the nodes that overlap the image.  Level 0 is one array: its count
-    row is each cell's area less its holes, taken off in one loop with an
-    rgbd formulation's tan rows, which are their unmasked sums (read from
-    ``constant``'s tables at the lattice corners or, without ``constant``,
-    written from the tan maps) less their holes' monomials.
+    The quadtree's roots are ``tile``-pixel squares (``tile`` a positive
+    multiple of ``2**max_depth``, else ValueError); its leaves are the cells
+    of the ``tile >> max_depth`` lattice.  The per-frame monomials are
+    summed into cells a band of cells at a time (:func:`_bands`), and each
+    coarser level is the 2x2 sum of the finer one (a finer level of odd size
+    has no partner for its last row or column), so no large sums are
+    differenced and each level holds only the nodes that overlap the image.
+    Level 0 is one array: its count row is each cell's area less its holes,
+    taken off in one loop with an rgbd formulation's tan rows, which are
+    their unmasked sums (read from ``constant``'s tables at the lattice
+    corners or, without ``constant``, written from the tan maps) less their
+    holes' monomials.
     """
     _check_frame(depth, maps)
+    if max_depth < 0 or tile <= 0 or tile % (1 << max_depth):  # as SegConfig
+        raise ValueError(f"tile {tile} is not a positive multiple of 2**max_depth ({max_depth})")
     h, w = maps.height, maps.width
     cell = tile >> max_depth
     shape = (-(-h // cell), -(-w // cell))
@@ -496,7 +490,7 @@ def build_node_pyramid(
     spec = FORMULATION_CHANNELS[formulation]
     names = spec.scatter + ((spec.residual,) if spec.residual else ())
     tan = CONSTANT_CHANNELS if spec.needs_constant else ()
-    valid = depth.valid if holes.size else True
+    valid = depth.valid if holes.size else None
     written = names + tan if constant is None else names  # tan monomials hold no depth
     index = {name: i for i, name in enumerate((*names, *tan, COUNT_CHANNEL))}
     level = np.empty((len(index), *shape))

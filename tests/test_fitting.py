@@ -569,7 +569,7 @@ class TestExplicitRgbdFitter:
                 cached.plane.coefficients, fresh.plane.coefficients
             )
             assert cached.rms_residual == fresh.rms_residual
-        assert len(fitter._factors) == 1  # one window, one factorization
+        assert list(fitter._windows) == [rect]  # one window, one record, one factorization
 
     def test_fitter_handles_holey_windows(self, small_maps):
         rng = np.random.default_rng(15)
@@ -682,7 +682,7 @@ class TestExplicitRgbdFitter:
             fitter.matrix_for(rect)
         with pytest.raises(ValueError, match="out of bounds"):
             fitter.factor_for(rect)
-        assert not fitter._matrices and not fitter._factors
+        assert not fitter._windows  # nothing cached for a rejected rect
 
     def test_matrix_for_equals_assembled_matrix(self, small_maps, noisy_scene):
         _, depth = noisy_scene

@@ -615,3 +615,65 @@ class TestNodePyramid:
             build_node_pyramid(depth, small_maps, IMPLICIT_RGBD, 16, 2, frame_stack)
         with pytest.raises(ValueError, match="does not match"):
             build_node_pyramid(depth, _camera_maps(32, 24), IMPLICIT_RGBD, 16, 2)
+
+    @pytest.mark.parametrize(
+        ("tile", "max_depth"),
+        [(10, 3), (0, 3), (8, 5), (16, -1)],
+        ids=["not-a-multiple", "zero", "under-2**max_depth", "negative-depth"],
+    )
+    def test_tile_must_be_a_positive_multiple_of_2_to_max_depth(self, small_maps, tile, max_depth):
+        # these built 8-px roots for 10-px tiles, divided by zero or shifted
+        # by a negative count
+        depth = _frame(small_maps, holes=True)
+        with pytest.raises(ValueError, match="positive multiple of 2\\*\\*max_depth"):
+            build_node_pyramid(depth, small_maps, IMPLICIT_RGBD, tile, max_depth)
+
+
+_numpy_empty = np.empty
+
+
+def _nan_empty(shape, dtype=float, *args, **kwargs):
+    """``np.empty`` whose float arrays start as NaN, so an unwritten slot shows."""
+    out = _numpy_empty(shape, dtype, *args, **kwargs)
+    if out.dtype.kind == "f":
+        out.fill(np.nan)
+    return out
+
+
+class TestBandWriter:
+    """No slot the band writer or a build leaves unwritten reaches a table or level."""
+
+    @pytest.mark.parametrize("band_bytes", [1, 1 << 40], ids=["one-row-bands", "one-band"])
+    @pytest.mark.parametrize("holes", [True, False], ids=["holes", "hole-free"])
+    def test_uninitialised_buffers_reach_no_output(self, band_bytes, holes, monkeypatch):
+        maps = _camera_maps(37, 23)  # ragged last band of cells and last cell column
+        depth = _frame(maps, holes)
+        lattices = _reference_lattices(depth, maps)
+        count = depth.valid.astype(float) if holes else None
+        constant = build_constant_channels(maps)
+        tile, max_depth = 16, 2
+        pyramids = {  # both sources of an rgbd pyramid's tan rows
+            (formulation, with_constant): build_node_pyramid(
+                depth, maps, formulation, tile, max_depth, constant if with_constant else None
+            )
+            for formulation in FORMULATIONS
+            for with_constant in (True, False)
+        }
+        monkeypatch.setattr(np, "empty", _nan_empty)
+        monkeypatch.setattr("rangefit.integral._BAND_BYTES", band_bytes)
+        rows = _band_rows(len(CONSTANT_CHANNELS), maps.width)
+        assert rows == 1 if band_bytes == 1 else rows >= maps.height
+        stacks = [build_constant_channels(maps)]
+        _assert_tables_match_reference(stacks[0], lattices, None, None)
+        for formulation in FORMULATIONS:
+            for include_residual in (True, False):
+                stacks.append(build_channels(depth, maps, formulation, include_residual))
+                _assert_tables_match_reference(stacks[-1], lattices, depth.valid, count)
+        for stack in stacks:
+            assert not np.isnan(stack.tensor).any()
+        for (formulation, with_constant), want in pyramids.items():
+            source = stacks[0] if with_constant else None
+            got = build_node_pyramid(depth, maps, formulation, tile, max_depth, source)
+            for level, (sums, expected) in enumerate(zip(got.levels, want.levels)):
+                assert not np.isnan(sums).any(), (formulation, with_constant, level)
+                assert np.array_equal(sums, expected), (formulation, with_constant, level)
