@@ -144,17 +144,21 @@ class BenchReport:
             )
         return "\n".join(lines) + "\n"
 
+    def _rows(
+        self, method: str, backend: str, phase: str, plane_count: int | None
+    ) -> list[BenchRow]:
+        """The rows of one method, backend and phase, at ``plane_count`` unless None."""
+        return [
+            r
+            for r in self.rows
+            if (r.method, r.backend, r.phase) == (method, backend, phase)
+            and (plane_count is None or r.plane_count == plane_count)
+        ]
+
     def _seconds(
         self, method: str, backend: str, phase: str, plane_count: int | None
     ) -> list[float]:
-        values = sorted(
-            r.seconds
-            for r in self.rows
-            if r.method == method
-            and r.backend == backend
-            and r.phase == phase
-            and (plane_count is None or r.plane_count == plane_count)
-        )
+        values = sorted(r.seconds for r in self._rows(method, backend, phase, plane_count))
         if not values:
             raise ValueError(f"no rows for {method}/{backend}/{phase}/{plane_count}")
         return values
@@ -181,14 +185,7 @@ class BenchReport:
         if kind not in _RATIO_PAIRS:
             raise ValueError(f"kind must be 'implicit' or 'explicit', got {kind!r}")
         rgbd, standard = (
-            {
-                r.rep: r.seconds
-                for r in self.rows
-                if r.method == method
-                and r.backend == "integral"
-                and r.phase == phase
-                and (plane_count is None or r.plane_count == plane_count)
-            }
+            {r.rep: r.seconds for r in self._rows(method, "integral", phase, plane_count)}
             for method in _RATIO_PAIRS[kind]
         )
         if not rgbd or rgbd.keys() != standard.keys():
@@ -259,12 +256,10 @@ def run_bench(config: BenchConfig | None = None) -> BenchReport:
     report = BenchReport(config=config)
     digest = hashlib.sha256()
 
-    # camera-constant work, amortized across the sequence and never timed
-    rgbd_fitters: dict[str, ExplicitRgbdFitter] = {}
-    if "integral" in config.backends and EXPLICIT_RGBD in config.formulations:
-        fitter = ExplicitRgbdFitter(constant)
-        fitter.factor_for(rect)
-        rgbd_fitters["integral"] = fitter
+    # camera-constant work, amortized across the sequence and never timed;
+    # fit_rect reads the fitter only for integral explicit-rgbd fits
+    rgbd_fitter = ExplicitRgbdFitter(constant)
+    rgbd_fitter.factor_for(rect)
 
     # methods are interleaved inside each repetition so slow drift in machine
     # load cancels out of the derived ratios
@@ -273,9 +268,6 @@ def run_bench(config: BenchConfig | None = None) -> BenchReport:
         rep_index = rep - config.warmup
         for formulation in config.formulations:
             for backend in config.backends:
-                rgbd_fitter = (
-                    rgbd_fitters.get(backend) if formulation == EXPLICIT_RGBD else None
-                )
                 if backend == "integral":
                     t0 = time.perf_counter()
                     # exactly the audited scatter channels, no residual

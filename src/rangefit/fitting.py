@@ -26,7 +26,10 @@ scatter is always the exact Gram matrix of its valid samples.
 
 Implicit fits take the smallest eigenvector from LAPACK's symmetric solver
 (``np.linalg.eigh``); explicit fits use a hand-unrolled 3x3 Cholesky
-factorization, which ``ExplicitRgbdFitter`` caches per window.
+factorization, which ``ExplicitRgbdFitter`` caches per window.  One scalar
+explicit solve serves ``fit_explicit_*`` and the fitter alike, and an
+explicit plane's implicit form is written in one place, which the
+conversions and the near-centre tests all read.
 :func:`fit_rect` fits one window from one indexed read of each stack, its
 sums and its one system's diagnostics as floats; :func:`fit_rects`
 fits many windows of one frame at once, gathering every box sum with one
@@ -567,19 +570,23 @@ def _symmetric_index(size: int) -> np.ndarray:
 _SYMMETRIC_INDEX = {s.size: _symmetric_index(s.size) for s in FORMULATION_CHANNELS.values()}
 
 
-def _gather(stack: ChannelStack, corners: np.ndarray) -> dict[str, float | np.ndarray]:
+def _gather(stack: ChannelStack, corners: np.ndarray, area) -> dict[str, float | np.ndarray]:
     """Every channel's box sums from one indexed read of the stack's tensor.
 
     ``corners`` holds flat table indices from ``_box_corners``: (4, N) for a
     batch, giving (N,) sums per channel, or (4,) for one window, giving
     floats.  The sums are formed in the same order of operations as ``_box``.
+    ``"n"`` counts from the count table, or is ``area``, the windows' areas
+    batched like the sums, when the stack has none (a frame without holes).
     """
     t = stack.tensor.reshape(len(stack.index), -1).take(corners, axis=1)
     if t.ndim == 2:
         sums = [a - b - c + d for a, b, c, d in t.tolist()]
     else:
         sums = t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3]
-    return {name: sums[i] for name, i in stack.index.items()}
+    gathered = {name: sums[i] for name, i in stack.index.items()}
+    gathered.setdefault(COUNT_CHANNEL, area)
+    return gathered
 
 
 def _scatter_matrix(sums: dict[str, float | np.ndarray], spec: ChannelSet) -> np.ndarray:
@@ -596,21 +603,19 @@ def _window_sums(
     """Box sums of every channel a formulation's system reads, ``"n"`` the count.
 
     ``rects`` is one rect, giving a float per sum, or an (N, 4) array of
-    them, giving (N,) arrays.  A stack without a count table counts each
-    window's area.  The tan entries are ``constant``'s, less those of the
-    holes the frame stack lists; only the windows whose count falls short of
-    their area hold holes.
+    them, giving (N,) arrays.  The tan entries are ``constant``'s, less those
+    of the holes the frame stack lists; only the windows whose count falls
+    short of their area hold holes.
     """
     spec = FORMULATION_CHANNELS[formulation]
     _require_channels(stack, spec.scatter, "per-frame")
     corners = _box_corners(rects, stack.width)
-    sums = _gather(stack, corners)
     if isinstance(rects, Rect):
         area = float(rects.area)
     else:
         x0, y0, x1, y1 = rects.T
         area = ((x1 - x0) * (y1 - y0)).astype(np.float64)
-    sums.setdefault(COUNT_CHANNEL, area)
+    sums = _gather(stack, corners, area)
     if not spec.needs_constant:
         return sums
     if constant is None:
@@ -618,7 +623,7 @@ def _window_sums(
     if constant.tensor.shape[1:] != stack.tensor.shape[1:]:
         raise ValueError("constant stack dimensions do not match the per-frame stack")
     _require_channels(constant, CONSTANT_CHANNELS, "constant")
-    const = _gather(constant, corners)
+    const = _gather(constant, corners, area)
     sums.update((name, const[name]) for name in CONSTANT_CHANNELS)
     if stack.holes is None:
         return sums
@@ -680,9 +685,9 @@ def scatter_from_integrals(
 # ---------------------------------------------------------------------------
 
 
-def _require_n(n: int, minimum: int) -> None:
-    if n < minimum:
-        raise InsufficientSamplesError(f"fit needs at least {minimum} samples, got {n}")
+def _require_n(n: int, matrix: np.ndarray) -> None:
+    if n < len(matrix):
+        raise InsufficientSamplesError(f"fit needs at least {len(matrix)} samples, got {n}")
 
 
 def _near_centre(offset, normal, mean, space: str):
@@ -733,7 +738,7 @@ def _fit_implicit(scatter: Scatter4, space: str) -> FitResult:
     # one system solved on its own, its diagnostics on floats: the batch
     # set-up of _implicit_fits costs more than the solve here
     n = scatter.n
-    _require_n(n, 4)
+    _require_n(n, scatter.matrix)
     values, vectors = _eigh(scatter.matrix)
     lam, second, *rest = values.tolist()
     v = vectors[:, 0]
@@ -771,31 +776,6 @@ def fit_implicit_rgbd(scatter: Scatter4) -> FitResult:
     return _fit_implicit(scatter, SPACE_RGBD)
 
 
-def _explicit_result(
-    alpha: np.ndarray,
-    rhs: np.ndarray,
-    n: int,
-    target_sq: float | None,
-    space: str,
-    degenerate: bool,
-) -> FitResult:
-    rms = None
-    if target_sq is not None:
-        # At the least-squares solution the residual reduces to
-        # sum(b^2) - alpha . (M^t b).  Differencing aggregated sums puts a
-        # noise floor of about sqrt(eps * mean(b^2)) under the rms; clamp the
-        # tiny negatives the same rounding can produce.
-        sq = max(float(target_sq) - float(alpha.dot(rhs)), 0.0)  # rounds as alpha @ rhs
-        rms = math.sqrt(sq / n)
-    # rhs[2] sums the depths (standard) or inverse depths (rgbd); the
-    # implicit forms are (a, b, -1, c) and (a, b, c, -1)
-    a, b, c = alpha.tolist()
-    offset, normal = (1.0, math.hypot(a, b, c)) if space == SPACE_RGBD else (c, math.hypot(a, b, 1))
-    degenerate = bool(degenerate or _near_centre(offset, normal, float(rhs[2]) / n, space))
-    plane = ExplicitPlane(coefficients=alpha, space=space)
-    return FitResult(plane=plane, n_points=n, rms_residual=rms, degenerate=degenerate)
-
-
 def _factor_or_none(matrix: np.ndarray) -> CholeskyFactor | None:
     """:func:`cholesky3` of ``matrix``, or None when it is singular."""
     try:
@@ -804,16 +784,30 @@ def _factor_or_none(matrix: np.ndarray) -> CholeskyFactor | None:
         return None
 
 
-def _explicit_alpha(matrix: np.ndarray, factor: CholeskyFactor | None, rhs: np.ndarray):
-    """The solution from ``matrix``'s factor, or the minimum-norm one when it is None."""
-    return _pinv_solve(matrix, rhs) if factor is None else solve_cholesky3(factor, rhs)
+def _explicit_fit(matrix, factor, rhs, n: int, target_sq, space: str) -> FitResult:
+    """The explicit fit of ``matrix @ alpha = rhs`` over ``n`` samples, a
+    :class:`Scatter3`'s system, ``target_sq`` as there.
 
-
-def _fit_explicit(scatter: Scatter3, space: str) -> FitResult:
-    _require_n(scatter.n, 3)
-    factor = _factor_or_none(scatter.matrix)
-    alpha = _explicit_alpha(scatter.matrix, factor, scatter.rhs)
-    return _explicit_result(alpha, scatter.rhs, scatter.n, scatter.target_sq, space, factor is None)
+    ``factor`` is ``matrix``'s Cholesky factor, or None when it is singular:
+    the fit then takes the minimum-norm solution and is flagged degenerate.
+    """
+    _require_n(n, matrix)
+    alpha = _pinv_solve(matrix, rhs) if factor is None else solve_cholesky3(factor, rhs)
+    rms = None
+    if target_sq is not None:
+        # At the least-squares solution the residual reduces to
+        # sum(b^2) - alpha . (M^t b).  Differencing aggregated sums puts a
+        # noise floor of about sqrt(eps * mean(b^2)) under the rms; clamp the
+        # tiny negatives the same rounding can produce.
+        sq = max(float(target_sq) - float(alpha.dot(rhs)), 0.0)  # rounds as alpha @ rhs
+        rms = math.sqrt(sq / n)
+    # rhs[2] sums the depths (standard) or inverse depths (rgbd)
+    *normal, offset = _implicit_form(*alpha.tolist(), space)
+    degenerate = factor is None or _near_centre(
+        offset, math.hypot(*normal), float(rhs[2]) / n, space
+    )
+    plane = ExplicitPlane(coefficients=alpha, space=space)
+    return FitResult(plane=plane, n_points=n, rms_residual=rms, degenerate=bool(degenerate))
 
 
 def fit_explicit_standard(scatter: Scatter3) -> FitResult:
@@ -823,7 +817,8 @@ def fit_explicit_standard(scatter: Scatter3) -> FitResult:
     form; their scatter goes rank deficient and the result comes back with
     the degenerate flag set and minimum-norm coefficients.
     """
-    return _fit_explicit(scatter, SPACE_STANDARD)
+    s = scatter
+    return _explicit_fit(s.matrix, _factor_or_none(s.matrix), s.rhs, s.n, s.target_sq, SPACE_STANDARD)
 
 
 def fit_explicit_rgbd(scatter: Scatter3) -> FitResult:
@@ -835,7 +830,8 @@ def fit_explicit_rgbd(scatter: Scatter3) -> FitResult:
     same window prefer :class:`ExplicitRgbdFitter`, which caches the
     camera-constant Cholesky factor.
     """
-    return _fit_explicit(scatter, SPACE_RGBD)
+    s = scatter
+    return _explicit_fit(s.matrix, _factor_or_none(s.matrix), s.rhs, s.n, s.target_sq, SPACE_RGBD)
 
 
 FIT_BY_FORMULATION: dict[str, Callable[..., FitResult]] = {
@@ -877,7 +873,7 @@ class ExplicitRgbdFitter:
         if window is None:
             _check_rect(rect, self.constant.width, self.constant.height)
             corners = _box_corners(rect, self.constant.width)
-            sums = _gather(self.constant, corners) | {"n": float(rect.area)}
+            sums = _gather(self.constant, corners, rect.area)
             matrix = _scatter_matrix(sums, self._spec)
             window = self._windows[rect] = _Window(corners, matrix, _factor_or_none(matrix))
         return window
@@ -903,16 +899,22 @@ class ExplicitRgbdFitter:
             raise ValueError("constant stack dimensions do not match the per-frame stack")
         window = self._window(rect)
         _require_channels(stack, self._spec.scatter, "per-frame")
-        sums = _gather(stack, window.corners)
-        n = int(sums.get(COUNT_CHANNEL, rect.area))
+        sums = _gather(stack, window.corners, rect.area)
+        n = int(sums[COUNT_CHANNEL])
         if n != rect.area or n < self._spec.size:
             return fit_explicit_rgbd(
                 scatter_from_integrals(stack, self.constant, rect, EXPLICIT_RGBD)
             )
         rhs = np.array([sums[name] for name in self._spec.rhs])
-        alpha = _explicit_alpha(window.matrix, window.factor, rhs)
         target_sq = sums.get(self._spec.residual)
-        return _explicit_result(alpha, rhs, n, target_sq, SPACE_RGBD, window.factor is None)
+        return _explicit_fit(window.matrix, window.factor, rhs, n, target_sq, SPACE_RGBD)
+
+
+def _implicit_form(a, b, c, space: str) -> tuple:
+    """The implicit coefficients of the explicit plane (a, b, c) of ``space``
+    (see :func:`explicit_to_implicit`), on floats and on arrays alike; the -1
+    is a float either way."""
+    return (a, b, c, -1.0) if space == SPACE_RGBD else (a, b, -1.0, c)
 
 
 def explicit_to_implicit(plane: ExplicitPlane) -> ImplicitPlane:
@@ -922,10 +924,7 @@ def explicit_to_implicit(plane: ExplicitPlane) -> ImplicitPlane:
     multiplying 1/Z = a*tan_x + b*tan_y + c through by Z gives
     a*X + b*Y + c*Z - 1 = 0, i.e. (a, b, c, -1).
     """
-    a, b, c = (float(v) for v in plane.coefficients)
-    if plane.space == SPACE_STANDARD:
-        return ImplicitPlane(np.array([a, b, -1.0, c]))
-    return ImplicitPlane(np.array([a, b, c, -1.0]))
+    return ImplicitPlane(np.array(_implicit_form(*plane.coefficients.tolist(), plane.space)))
 
 
 def explicit_to_implicit_rows(coefficients: np.ndarray, space: str) -> np.ndarray:
@@ -936,11 +935,8 @@ def explicit_to_implicit_rows(coefficients: np.ndarray, space: str) -> np.ndarra
         raise ValueError(f"expected (N, 3) coefficients, got shape {coef.shape}")
     if space not in (SPACE_STANDARD, SPACE_RGBD):
         raise ValueError(f"unknown plane space {space!r}")
-    a, b, c = coef.T
-    minus = np.full(len(coef), -1.0)
-    return canonicalize_implicit_rows(
-        np.stack((a, b, minus, c) if space == SPACE_STANDARD else (a, b, c, minus), axis=1)
-    )
+    implicit = np.broadcast_arrays(*_implicit_form(*coef.T, space))
+    return canonicalize_implicit_rows(np.stack(implicit, axis=1))
 
 
 def normal_angle(p: ImplicitPlane, q: ImplicitPlane) -> float:
@@ -1037,15 +1033,12 @@ def fit_sums(sums: dict[str, np.ndarray], formulation: str) -> FitBatch:
         alpha = np.stack(_cholesky_substitute(factor, rhs[:, 0], rhs[:, 1], rhs[:, 2]), axis=1)
     for i in np.flatnonzero(~solvable):
         alpha[i] = _pinv_solve(matrices[i], rhs[i])
-    # as in _explicit_result, row by row
+    # as in _explicit_fit, row by row
     rms = np.full(len(n), np.nan)
     if target_sq is not None:
         rms = np.sqrt(np.maximum(target_sq - _row_dot(alpha, rhs), 0.0) / n)
-    a, b, c = alpha.T
-    if space == SPACE_RGBD:
-        offset, normal = 1.0, np.hypot(np.hypot(a, b), c)
-    else:
-        offset, normal = c, np.hypot(np.hypot(a, b), 1.0)
+    nx, ny, nz, offset = _implicit_form(*alpha.T, space)
+    normal = np.hypot(np.hypot(nx, ny), nz)
     degenerate = ~solvable | _near_centre(offset, normal, rhs[:, 2] / n, space)
     eigenvalue = np.full(len(n), np.nan)
     return FitBatch(alpha, rms, eigenvalue, n.astype(np.int64), degenerate, space)

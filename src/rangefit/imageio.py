@@ -123,9 +123,9 @@ def read_raw_float(path: str | Path) -> np.ndarray:
     data = Path(path).read_bytes()
     if not data.startswith(RAW_MAGIC):
         raise ValueError(f"{path}: not a raw float64 lattice (missing RF64 header)")
-    newline = data.index(b"\n")
-    parts = data[len(RAW_MAGIC) : newline].split()
-    if len(parts) != 2:
+    newline = data.find(b"\n")
+    parts = data[len(RAW_MAGIC) : newline].split() if newline >= 0 else []
+    if len(parts) != 2 or not all(p.isdigit() for p in parts):
         raise ValueError(f"{path}: malformed RF64 header")
     width, height = int(parts[0]), int(parts[1])
     expected = width * height * 8

@@ -352,6 +352,18 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_raw_header_is_data_error(self, tmp_path, camera_file, capsys):
+        depth = tmp_path / "x.raw"
+        depth.write_bytes(b"RF64 64 48")  # no newline after the header
+        out = tmp_path / "fit.csv"
+        code = main([
+            "fit", "--intrinsics", str(camera_file), "--input", str(depth),
+            "--formulation", "implicit-rgbd", "--rect", "0,0,8,8", "--out", str(out),
+        ])
+        assert code == 2
+        assert f"{depth}: malformed RF64 header" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_scene_is_data_error(self, tmp_path, camera_file, capsys):
         scene = tmp_path / "bad.txt"
         scene.write_text("0 0 1\n")

@@ -618,13 +618,12 @@ class TestExplicitRgbdFitter:
                 with pytest.raises(InsufficientSamplesError):
                     fitter.fit(stack, rect)
                 continue
+            # one scalar explicit solve serves both paths: bit-identical
             got = fitter.fit(stack, rect)
-            np.testing.assert_allclose(
-                got.plane.coefficients, want.plane.coefficients, rtol=1e-12, atol=1e-12
-            )
+            np.testing.assert_array_equal(got.plane.coefficients, want.plane.coefficients)
             assert got.degenerate == want.degenerate, rect
             assert got.n_points == want.n_points, rect
-            assert got.rms_residual == pytest.approx(want.rms_residual, rel=1e-9, abs=1e-15)
+            assert got.rms_residual == want.rms_residual, rect
         assert batch[rects.index(empty)] is None
         # the hole-free sliver takes the minimum-norm path, flagged degenerate
         assert batch[rects.index(column)].degenerate
@@ -765,13 +764,19 @@ class TestFitRects:
             except InsufficientSamplesError:
                 assert got is None
                 continue
-            np.testing.assert_allclose(
-                got.plane.coefficients, want.plane.coefficients, rtol=1e-12, atol=1e-12
-            )
             assert got.degenerate == want.degenerate
             assert got.n_points == want.n_points
-            assert got.rms_residual == pytest.approx(want.rms_residual, rel=1e-9, abs=1e-15)
-            assert got.eigenvalue == pytest.approx(want.eigenvalue, rel=1e-9, abs=1e-12)
+            if formulation in (EXPLICIT_STANDARD, EXPLICIT_RGBD):
+                # the batched Cholesky rounds as the scalar one: bit-identical
+                np.testing.assert_array_equal(got.plane.coefficients, want.plane.coefficients)
+                assert got.rms_residual == want.rms_residual
+                assert got.eigenvalue is want.eigenvalue is None
+            else:
+                np.testing.assert_allclose(
+                    got.plane.coefficients, want.plane.coefficients, rtol=1e-12, atol=1e-12
+                )
+                assert got.rms_residual == pytest.approx(want.rms_residual, rel=1e-9, abs=1e-15)
+                assert got.eigenvalue == pytest.approx(want.eigenvalue, rel=1e-9, abs=1e-12)
         if formulation == EXPLICIT_RGBD:
             # a one-pixel-wide sliver has constant tan_x: rank deficient, so
             # the minimum-norm fallback runs inside the batch

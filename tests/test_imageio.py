@@ -91,3 +91,17 @@ class TestRawFloat:
         (tmp_path / "d.rf64").write_bytes(b"RF64 2 2\n" + b"\x00" * 8)
         with pytest.raises(ValueError, match="truncated"):
             read_raw_float(tmp_path / "d.rf64")
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"RF64 2 2", b"RF64 -1 -1\n", b"RF64 x 48\n"],
+        ids=["no-newline", "negative-sizes", "non-numeric-width"],
+    )
+    def test_rejects_malformed_header(self, tmp_path, header):
+        # these raised "subsection not found", a reshape error and an int()
+        # error, naming neither the file nor the fault
+        path = tmp_path / "d.rf64"
+        path.write_bytes(header + b"\x00" * 8)
+        with pytest.raises(ValueError, match="malformed RF64 header") as info:
+            read_raw_float(path)
+        assert str(path) in str(info.value)
