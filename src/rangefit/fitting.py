@@ -2,19 +2,19 @@
 
 Formulations (``FORMULATIONS``):
 
-* ``implicit-standard``: minimize sum((a*X + b*Y + c*Z + d)^2) subject to the
-  coefficient vector having unit norm; solved by the smallest eigenvector of
-  the 4x4 scatter matrix of monomials [X, Y, Z, 1].
-* ``implicit-rgbd``: the same plane equation divided through by Z, giving
-  monomials [tan_x, tan_y, 1, 1/Z].  The eigenvector is read directly as
-  (a, b, c, d); only the scatter entries involving 1/Z depend on the frame,
-  the upper-left 3x3 block is a camera constant.
-* ``explicit-standard``: minimize sum((a*X + b*Y + c - Z)^2), normal
-  equations on monomials [X, Y, 1].
-* ``explicit-rgbd``: minimize sum((a*tan_x + b*tan_y + c - 1/Z)^2).  The
-  whole normal-equation matrix is camera-constant, so its Cholesky factor can
-  be cached per window and reused across frames; only the right-hand side
-  needs fresh sums.
+* ``implicit-standard``: minimize sum((a*X + b*Y + c*Z + d)^2) over unit
+  coefficient vectors: the smallest eigenvector of the 4x4 scatter of
+  monomials [X, Y, Z, 1].
+* ``implicit-rgbd``: the same plane equation divided through by Z, on
+  monomials [tan_x, tan_y, 1, 1/Z], its eigenvector read directly as
+  (a, b, c, d); the upper-left 3x3 block is a camera constant.
+* ``explicit-standard``: minimize sum((a*X + b*Y + c - Z)^2).
+* ``explicit-rgbd``: minimize sum((a*tan_x + b*tan_y + c - 1/Z)^2), whose
+  camera-constant matrix has a Cholesky factor cached per window.
+
+An explicit system is its space's scatter with the target, Z or 1/Z, moved
+to the right-hand side (``integral.SCATTERS``), so a frame stack serves
+both formulations of its space.
 
 Backends: ``naive`` accumulates monomials directly over the window's samples;
 ``integral`` assembles every scatter entry from one box sum each, and the two
@@ -62,6 +62,9 @@ from .integral import (
     FORMULATIONS,
     IMPLICIT_RGBD,
     IMPLICIT_STANDARD,
+    SPACE_RGBD,
+    SPACE_STANDARD,
+    TARGET,
     ChannelSet,
     ChannelStack,
     Rect,
@@ -72,9 +75,6 @@ from .integral import (
     _require_channels,
 )
 from .synth import DepthImage
-
-SPACE_STANDARD = "standard"
-SPACE_RGBD = "rgbd"
 
 # Below this count a scatter system is under-determined by construction.
 MIN_SAMPLES = {f: spec.size for f, spec in FORMULATION_CHANNELS.items()}
@@ -194,7 +194,7 @@ class ExplicitPlane:
         coef = np.asarray(self.coefficients, dtype=np.float64)
         if coef.shape != (3,):
             raise ValueError(f"expected 3 coefficients, got shape {coef.shape}")
-        if self.space not in (SPACE_STANDARD, SPACE_RGBD):
+        if self.space not in TARGET:
             raise ValueError(f"unknown plane space {self.space!r}")
         object.__setattr__(self, "coefficients", coef)
 
@@ -481,11 +481,6 @@ def _check_formulation(formulation: str) -> None:
         raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
 
 
-def _space(formulation: str) -> str:
-    """The space a formulation's coefficients are read in."""
-    return SPACE_STANDARD if formulation in (IMPLICIT_STANDARD, EXPLICIT_STANDARD) else SPACE_RGBD
-
-
 def _symmetrize(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.T) * 0.5
 
@@ -554,7 +549,7 @@ def gather_window_samples(
     z = depth.values[sl][valid]
     tx = maps.tan_x[sl][valid]
     ty = maps.tan_y[sl][valid]
-    if formulation in (IMPLICIT_STANDARD, EXPLICIT_STANDARD):
+    if FORMULATION_CHANNELS[formulation].space == SPACE_STANDARD:
         return np.column_stack((z * tx, z * ty, z))
     return np.column_stack((tx, ty, z))
 
@@ -907,14 +902,15 @@ class ExplicitRgbdFitter:
             )
         rhs = np.array([sums[name] for name in self._spec.rhs])
         target_sq = sums.get(self._spec.residual)
-        return _explicit_fit(window.matrix, window.factor, rhs, n, target_sq, SPACE_RGBD)
+        return _explicit_fit(window.matrix, window.factor, rhs, n, target_sq, self._spec.space)
 
 
 def _implicit_form(a, b, c, space: str) -> tuple:
     """The implicit coefficients of the explicit plane (a, b, c) of ``space``
-    (see :func:`explicit_to_implicit`), on floats and on arrays alike; the -1
-    is a float either way."""
-    return (a, b, c, -1.0) if space == SPACE_RGBD else (a, b, -1.0, c)
+    (see :func:`explicit_to_implicit`): -1 at the target's place in the
+    scatter's variables, on floats and on arrays alike, a float either way."""
+    coef, t = (a, b, c), TARGET[space]
+    return coef[:t] + (-1.0,) + coef[t:]
 
 
 def explicit_to_implicit(plane: ExplicitPlane) -> ImplicitPlane:
@@ -933,7 +929,7 @@ def explicit_to_implicit_rows(coefficients: np.ndarray, space: str) -> np.ndarra
     coef = np.asarray(coefficients, dtype=np.float64)
     if coef.ndim != 2 or coef.shape[1] != 3:
         raise ValueError(f"expected (N, 3) coefficients, got shape {coef.shape}")
-    if space not in (SPACE_STANDARD, SPACE_RGBD):
+    if space not in TARGET:
         raise ValueError(f"unknown plane space {space!r}")
     implicit = np.broadcast_arrays(*_implicit_form(*coef.T, space))
     return canonicalize_implicit_rows(np.stack(implicit, axis=1))
@@ -1020,14 +1016,14 @@ def fit_sums(sums: dict[str, np.ndarray], formulation: str) -> FitBatch:
     minimum-norm solution for the windows it rejects, flagged degenerate.
     """
     _check_formulation(formulation)
-    space, spec = _space(formulation), FORMULATION_CHANNELS[formulation]
+    spec = FORMULATION_CHANNELS[formulation]
     n = np.asarray(sums["n"], dtype=np.float64)
     if len(n) == 0:
-        return _unfitted(0, spec.size, space)
+        return _unfitted(0, spec.size, spec.space)
     matrices, rhs, target_sq = _system(sums, spec)
     if rhs is None:
-        v, rms, lam, degenerate = _implicit_fits(matrices, n, space)
-        return FitBatch(v, rms, lam, n.astype(np.int64), degenerate, space)
+        v, rms, lam, degenerate = _implicit_fits(matrices, n, spec.space)
+        return FitBatch(v, rms, lam, n.astype(np.int64), degenerate, spec.space)
     factor, solvable = _cholesky3_batch(matrices)
     with np.errstate(invalid="ignore", divide="ignore"):
         alpha = np.stack(_cholesky_substitute(factor, rhs[:, 0], rhs[:, 1], rhs[:, 2]), axis=1)
@@ -1037,11 +1033,11 @@ def fit_sums(sums: dict[str, np.ndarray], formulation: str) -> FitBatch:
     rms = np.full(len(n), np.nan)
     if target_sq is not None:
         rms = np.sqrt(np.maximum(target_sq - _row_dot(alpha, rhs), 0.0) / n)
-    nx, ny, nz, offset = _implicit_form(*alpha.T, space)
+    nx, ny, nz, offset = _implicit_form(*alpha.T, spec.space)
     normal = np.hypot(np.hypot(nx, ny), nz)
-    degenerate = ~solvable | _near_centre(offset, normal, rhs[:, 2] / n, space)
+    degenerate = ~solvable | _near_centre(offset, normal, rhs[:, 2] / n, spec.space)
     eigenvalue = np.full(len(n), np.nan)
-    return FitBatch(alpha, rms, eigenvalue, n.astype(np.int64), degenerate, space)
+    return FitBatch(alpha, rms, eigenvalue, n.astype(np.int64), degenerate, spec.space)
 
 
 def fit_result_csv_row(

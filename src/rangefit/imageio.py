@@ -19,10 +19,10 @@ import numpy as np
 RAW_MAGIC = b"RF64"
 
 
-def _read_pnm_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
-    """Parse a binary netpbm header; returns (width, height, maxval, offset)."""
+def _read_pnm_header(data: bytes, magic: bytes, path: str | Path) -> tuple[int, int, int, int]:
+    """Parse the binary netpbm header of file ``path``; returns (width, height, maxval, offset)."""
     if not data.startswith(magic):
-        raise ValueError(f"expected {magic.decode()} file, got {data[:2]!r}")
+        raise ValueError(f"{path}: expected {magic.decode()} file, got {data[:2]!r}")
     pos = len(magic)
     fields: list[int] = []
     while len(fields) < 3:
@@ -37,7 +37,7 @@ def _read_pnm_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
             pos += 1
         token = data[start:pos]
         if not token.isdigit():
-            raise ValueError(f"malformed netpbm header token {token!r}")
+            raise ValueError(f"{path}: malformed netpbm header token {token!r}")
         fields.append(int(token))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
@@ -57,7 +57,7 @@ def _write_pnm(path: str | Path, values: np.ndarray, magic: str, sample: str) ->
 def _read_pnm(path: str | Path, magic: str, sample: str) -> np.ndarray:
     """Read a binary netpbm file written as by :func:`_write_pnm`."""
     data = Path(path).read_bytes()
-    width, height, maxval, offset = _read_pnm_header(data, magic.encode())
+    width, height, maxval, offset = _read_pnm_header(data, magic.encode(), path)
     sample = np.dtype(sample)
     expected_max = np.iinfo(sample).max
     if maxval != expected_max:

@@ -1,24 +1,24 @@
 """Multi-channel summed-area tables over scatter-matrix monomials.
 
 A summed-area table turns any rectangular sum into four lookups, so a plane
-fit over an arbitrary window costs O(1) once the tables exist.  Each fitting
-formulation needs one table per unique scatter-matrix element:
+fit over an arbitrary window costs O(1) once the tables exist.  Each space's
+scatter is stated once (``SCATTERS``), one table per depth-dependent entry:
 
-* standard implicit, monomials ``[X, Y, Z, 1]``: 9 depth-dependent channels
-  (x2, xy, xz, x, y2, yz, y, z2, z);
-* inverse-depth (rgbd) implicit, monomials ``[tan_x, tan_y, 1, 1/Z]``: only
-  4 depth-dependent channels (tan_x/Z, tan_y/Z, 1/Z, 1/Z^2) -- the remaining
-  5 (tan_x^2, tan_x*tan_y, tan_y^2, tan_x, tan_y) are camera constants built
-  once and shared across frames;
-* standard explicit: 8 depth-dependent channels;
-* rgbd explicit: 3 depth-dependent channels, with the whole normal-equation
-  matrix camera-constant.
+* standard, monomials ``[X, Y, Z, 1]``: 9 channels (x2, xy, xz, x, y2, yz,
+  y, z2, z);
+* inverse-depth (rgbd), monomials ``[tan_x, tan_y, 1, 1/Z]``: only 4
+  (tan_x/Z, tan_y/Z, 1/Z, 1/Z^2) -- the other 5 (tan_x^2, tan_x*tan_y,
+  tan_y^2, tan_x, tan_y) are camera constants built once and shared.
 
-That channel-count drop (9 -> 4 and 8 -> 3) is where the per-frame savings
-come from.  ``FORMULATION_CHANNELS`` states each formulation's system once,
-for the builder and the fits alike, and ``_MONOMIALS`` says how each channel
-is computed per pixel; one builder serves every formulation and the
-camera-constant stack.
+An explicit system is a partition of its space's scatter: the scatter less
+the row and column of the target, Z or 1/Z (``TARGET``), whose column is
+the right-hand side and whose diagonal the residual channel.  It reads 8 or
+3 per-frame channels, the rgbd matrix being camera-constant; that drop (9 ->
+4 and 8 -> 3) is where the per-frame savings come from.  So a frame stack
+with its residual channel serves both formulations of its space, and
+``FORMULATION_CHANNELS`` holds each system for the builder and the fits
+alike.  ``_MONOMIALS`` says how each channel is computed per pixel; one
+builder serves every formulation and the camera-constant stack.
 
 A stack is one float64 tensor of shape (C, H+1, W+1): one zero-padded table
 per channel, the last of a frame with holes being the validity count (a
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import combinations_with_replacement
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -49,7 +50,20 @@ from .synth import DepthImage
 
 CONSTANT_CHANNELS = ("tx2", "txty", "ty2", "tx", "ty")
 
-COUNT_CHANNEL = "n"  # the name ``FORMULATION_CHANNELS`` layouts give the count
+COUNT_CHANNEL = "n"  # the name ``SCATTERS`` layouts give the count
+
+SPACE_STANDARD = "standard"
+SPACE_RGBD = "rgbd"
+
+# Each space's scatter, stated once: the upper triangle, in row-major order,
+# of the outer product of its regression variables, [X, Y, Z, 1] or
+# [tan_x, tan_y, 1, 1/Z].  ``TARGET`` is the position of Z or 1/Z, the
+# variable an explicit fit regresses on the other three.
+SCATTERS = {
+    SPACE_STANDARD: ("x2", "xy", "xz", "x", "y2", "yz", "y", "z2", "z", "n"),
+    SPACE_RGBD: ("tx2", "txty", "tx", "tx_over_z", "ty2", "ty", "ty_over_z", "n", "inv_z", "inv_z2"),
+}
+TARGET = {SPACE_STANDARD: 2, SPACE_RGBD: 3}
 
 IMPLICIT_STANDARD = "implicit-standard"
 IMPLICIT_RGBD = "implicit-rgbd"
@@ -60,7 +74,7 @@ FORMULATIONS = (IMPLICIT_STANDARD, IMPLICIT_RGBD, EXPLICIT_STANDARD, EXPLICIT_RG
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """A formulation's least-squares system as channel names.
+    """A formulation's least-squares system in ``space`` as channel names.
 
     ``layout`` holds the scatter matrix's upper triangle in row-major order,
     ``"n"`` being the valid-sample count; ``rhs`` the explicit right-hand
@@ -71,6 +85,7 @@ class ChannelSet:
     order and so its fewest samples.
     """
 
+    space: str
     layout: tuple[str, ...]
     rhs: tuple[str, ...] = ()
     residual: str | None = None
@@ -79,21 +94,27 @@ class ChannelSet:
     size: int = field(init=False)
 
     def __post_init__(self) -> None:
-        entries = [k for k in self.layout + self.rhs if k != "n"]
+        entries = [k for k in self.layout + self.rhs if k != COUNT_CHANNEL]
         object.__setattr__(self, "scatter", tuple(k for k in entries if k not in CONSTANT_CHANNELS))
         object.__setattr__(self, "needs_constant", any(k in CONSTANT_CHANNELS for k in entries))
         object.__setattr__(self, "size", math.isqrt(2 * len(self.layout)))
 
 
+def _explicit(space: str) -> ChannelSet:
+    """``space``'s explicit system: its scatter less the target's row and
+    column, that column as the right-hand side and its diagonal the residual."""
+    t = TARGET[space]
+    entry = dict(zip(combinations_with_replacement(range(4), 2), SCATTERS[space]))
+    layout = tuple(k for (i, j), k in entry.items() if t not in (i, j))
+    rhs = tuple(entry[min(i, t), max(i, t)] for i in range(4) if i != t)
+    return ChannelSet(space, layout, rhs, entry[t, t])
+
+
 FORMULATION_CHANNELS = {
-    IMPLICIT_STANDARD: ChannelSet(("x2", "xy", "xz", "x", "y2", "yz", "y", "z2", "z", "n")),
-    IMPLICIT_RGBD: ChannelSet(
-        ("tx2", "txty", "tx", "tx_over_z", "ty2", "ty", "ty_over_z", "n", "inv_z", "inv_z2")
-    ),
-    EXPLICIT_STANDARD: ChannelSet(("x2", "xy", "x", "y2", "y", "n"), ("xz", "yz", "z"), "z2"),
-    EXPLICIT_RGBD: ChannelSet(
-        ("tx2", "txty", "tx", "ty2", "ty", "n"), ("tx_over_z", "ty_over_z", "inv_z"), "inv_z2"
-    ),
+    IMPLICIT_STANDARD: ChannelSet(SPACE_STANDARD, SCATTERS[SPACE_STANDARD]),
+    IMPLICIT_RGBD: ChannelSet(SPACE_RGBD, SCATTERS[SPACE_RGBD]),
+    EXPLICIT_STANDARD: _explicit(SPACE_STANDARD),
+    EXPLICIT_RGBD: _explicit(SPACE_RGBD),
 }
 
 # Per-pixel recipe of every channel, in an order that writes each operand
@@ -364,9 +385,7 @@ def build_channels(
     if spec is None:
         raise ValueError(f"unknown formulation {formulation!r}")
     _check_frame(depth, maps)
-    names = spec.scatter
-    if include_residual and spec.residual is not None:
-        names += (spec.residual,)
+    names = spec.scatter + ((spec.residual,) if include_residual and spec.residual else ())
     valid = None if depth.valid.all() else depth.valid
     stack = _build_stack(names, maps, depth.values, valid)
     if valid is None or not spec.needs_constant:

@@ -364,6 +364,20 @@ class TestExitCodes:
         assert f"{depth}: malformed RF64 header" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_malformed_pgm_header_is_data_error(self, tmp_path, camera_file, capsys):
+        depth = tmp_path / "bad.pgm"
+        depth.write_bytes(b"P5\n64")  # the header stops after the width
+        out = tmp_path / "fit.csv"
+        code = main([
+            "fit", "--intrinsics", str(camera_file), "--input", str(depth),
+            "--formulation", "implicit-rgbd", "--rect", "0,0,8,8", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{depth}: malformed netpbm header" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_malformed_scene_is_data_error(self, tmp_path, camera_file, capsys):
         scene = tmp_path / "bad.txt"
         scene.write_text("0 0 1\n")

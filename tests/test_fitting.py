@@ -21,6 +21,7 @@ from rangefit import (
     Rect,
     SyntheticScene,
     accumulate_scatter_naive,
+    build_channels,
     build_constant_channels,
     build_rgbd_explicit_channels,
     build_rgbd_implicit_channels,
@@ -861,6 +862,115 @@ class TestFitRects:
         ))
         with pytest.raises(ValueError, match="dimensions"):
             fit_rects(stack, other, np.array([[0, 0, 8, 8]]), IMPLICIT_RGBD)
+
+
+# Each space's two formulations and the position of the explicit target (Z
+# in [X, Y, Z, 1], 1/Z in [tan_x, tan_y, 1, 1/Z]), stated apart from the table.
+_SPACES = {
+    "standard": (IMPLICIT_STANDARD, EXPLICIT_STANDARD, 2),
+    "rgbd": (IMPLICIT_RGBD, EXPLICIT_RGBD, 3),
+}
+
+
+def _space_frame(small_maps, holes: bool) -> DepthImage:
+    """A noisy plane; with ``holes``, 10% dropout and a 6x6 block of holes."""
+    rng = np.random.default_rng(31)
+    depth, _ = render_scene(
+        SyntheticScene((random_visible_plane(rng),)), small_maps, noise=NoiseModel(), seed=9,
+        dropout=0.1 if holes else 0.0,
+    )
+    if holes:
+        valid = depth.valid.copy()
+        valid[20:26, 30:36] = False
+        depth = DepthImage(values=depth.values, valid=valid)
+    return depth
+
+
+_SPACE_WINDOWS = [
+    Rect(0, 0, 64, 48), Rect(5, 3, 45, 43), Rect(28, 18, 40, 30), Rect(0, 0, 16, 16),
+    Rect(50, 30, 64, 48), Rect(10, 5, 11, 40), Rect(31, 21, 35, 25), Rect(7, 7, 9, 8),
+]
+
+
+def _fit_or_none(*args, **kwargs):
+    try:
+        return fit_rect(*args, **kwargs)
+    except InsufficientSamplesError:
+        return None
+
+
+class TestOneScatterPerSpace:
+    """An explicit system is its space's implicit scatter with the target moved
+    to the right-hand side, so one frame stack serves both formulations."""
+
+    @pytest.mark.parametrize("space", _SPACES)
+    def test_explicit_system_partitions_the_implicit_scatter(self, small_maps, space):
+        implicit, explicit, t = _SPACES[space]
+        kept = [i for i in range(4) if i != t]
+        depth = _space_frame(small_maps, holes=True)
+        constant = build_constant_channels(small_maps)
+        windows = _SPACE_WINDOWS[:5]
+        assert any(not depth.valid[r.y0 : r.y1, r.x0 : r.x1].all() for r in windows)
+        for formulation in (implicit, explicit):
+            stack = build_channels(depth, small_maps, formulation)
+            for rect in windows:
+                full = scatter_from_integrals(stack, constant, rect, implicit)
+                part = scatter_from_integrals(stack, constant, rect, explicit)
+                np.testing.assert_array_equal(part.matrix, full.matrix[np.ix_(kept, kept)])
+                np.testing.assert_array_equal(part.rhs, full.matrix[kept, t])
+                assert part.target_sq == full.matrix[t, t]
+                assert part.n == full.n
+        for rect in windows:
+            samples = gather_window_samples(depth, small_maps, rect, implicit)
+            full = accumulate_scatter_naive(samples, implicit).matrix
+            part = accumulate_scatter_naive(samples, explicit)
+            scale = np.abs(full).max()
+            assert np.abs(part.matrix - full[np.ix_(kept, kept)]).max() <= 1e-12 * scale
+            assert np.abs(part.rhs - full[kept, t]).max() <= 1e-12 * scale
+            assert abs(part.target_sq - full[t, t]) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("holes", [False, True], ids=["hole-free", "holey"])
+    @pytest.mark.parametrize("space", _SPACES)
+    def test_one_stack_serves_both_formulations(self, small_maps, space, holes):
+        depth = _space_frame(small_maps, holes)
+        constant = build_constant_channels(small_maps)
+        pair = _SPACES[space][:2]
+        stacks = [build_channels(depth, small_maps, f) for f in pair]
+        rects = np.array(_SPACE_WINDOWS)
+        for formulation in pair:
+            a, b = (fit_rects(s, constant, rects, formulation) for s in stacks)
+            for name in ("coefficients", "rms", "eigenvalue", "n_points", "degenerate"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+            for rect in _SPACE_WINDOWS:
+                one, other = (
+                    _fit_or_none(depth, small_maps, rect, formulation, "integral", s, constant)
+                    for s in stacks
+                )
+                assert (one is None) == (other is None), rect
+                if one is not None:
+                    np.testing.assert_array_equal(one.plane.coefficients, other.plane.coefficients)
+                    assert one.rms_residual == other.rms_residual, rect
+                    assert one.eigenvalue == other.eigenvalue, rect
+                    assert (one.n_points, one.degenerate) == (other.n_points, other.degenerate)
+        if space == "rgbd":
+            fitter = ExplicitRgbdFitter(constant)
+            for rect in _SPACE_WINDOWS[:6]:
+                one, other = (fitter.fit(s, rect) for s in stacks)
+                np.testing.assert_array_equal(one.plane.coefficients, other.plane.coefficients)
+                assert one.rms_residual == other.rms_residual, rect
+                assert (one.n_points, one.degenerate) == (other.n_points, other.degenerate)
+
+    @pytest.mark.parametrize("space", _SPACES)
+    def test_implicit_fit_needs_the_residual_channel(self, small_maps, space):
+        implicit, explicit, _ = _SPACES[space]
+        depth = _space_frame(small_maps, holes=True)
+        constant = build_constant_channels(small_maps)
+        lean = build_channels(depth, small_maps, explicit, include_residual=False)
+        rect = Rect(5, 3, 45, 43)
+        with pytest.raises(ValueError, match=r"missing channels: (z2|inv_z2)$"):
+            fit_rect(depth, small_maps, rect, implicit, "integral", lean, constant)
+        with pytest.raises(ValueError, match=r"missing channels: (z2|inv_z2)$"):
+            fit_rects(lean, constant, np.array([rect]), implicit)
 
 
 class TestCsvRow:

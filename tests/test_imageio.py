@@ -48,6 +48,18 @@ class TestPgm16:
         with pytest.raises(ValueError, match="truncated"):
             read_pgm16(tmp_path / "img.pgm")
 
+    @pytest.mark.parametrize(
+        "data, fault",
+        [(b"P5\n64", "malformed netpbm header"), (b"RF64 2 2\n", "expected P5 file")],
+        ids=["short-header", "wrong-magic"],
+    )
+    def test_header_errors_name_the_file(self, tmp_path, data, fault):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=fault) as info:
+            read_pgm16(path)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 class TestPgm8:
     def test_round_trip(self, tmp_path):
