@@ -11,13 +11,17 @@ calibration, never on the measured depth.  This module precomputes them as
 dense lattices (``tan_x``, ``tan_y``: the tangents of the viewing angles
 between each pixel's ray and the optical axis), so back-projection reduces to
 ``(Z * tan_x, Z * tan_y, Z)``.  Everything downstream that separates
-camera-constant terms from depth-dependent terms starts here.
+camera-constant terms from depth-dependent terms starts here.  Without
+distortion lattices ``tan_x`` depends on the column alone and ``tan_y`` on
+the row alone; the maps then also carry those two axes
+(``TanAngleMaps.axes``), so a sum of tan monomials over a block of pixels
+factors into a column part and a row part.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -86,10 +90,21 @@ class TanAngleMaps:
     ``tan_x[y, x]`` is the (signed) tangent of the angle between the optical
     axis and the ray through pixel ``(x, y)``, seen from above; ``tan_y`` is
     the side-view analogue.  Pure functions of the intrinsics.
+
+    Derived: ``axes``, the ``(tan_x[0], tan_y[:, 0])`` pair when ``tan_x``
+    varies only along the columns and ``tan_y`` only along the rows, as a
+    camera without distortion lattices gives, else None.  Then every tan
+    monomial factors into a column weight times a row weight.
     """
 
     tan_x: np.ndarray
     tan_y: np.ndarray
+    axes: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        tan_x, tan_y = self.tan_x, self.tan_y
+        separable = (tan_x == tan_x[:1]).all() and (tan_y == tan_y[:, :1]).all()
+        object.__setattr__(self, "axes", (tan_x[0].copy(), tan_y[:, 0].copy()) if separable else None)
 
     @property
     def height(self) -> int:

@@ -357,12 +357,13 @@ class CholeskyFactor(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _eigh(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` over a (..., n, n) stack after checking its input.
+def _checked(matrices: np.ndarray) -> np.ndarray:
+    """A caller's (..., n, n) stack as float64, checked square, finite and symmetric.
 
-    Eigenvalues come back ascending, eigenvectors in columns.  Raises
-    ``ValueError`` on non-finite or asymmetric input, which LAPACK would
-    otherwise read silently from the lower triangle.
+    Raises ``ValueError`` otherwise: ``np.linalg.eigh`` would read an
+    asymmetric matrix silently from its lower triangle.  Only matrices a
+    caller hands in are checked; the scatters this module assembles
+    (``_SYMMETRIC_INDEX``, ``_symmetrize``) are symmetric by construction.
     """
     a = np.asarray(matrices, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -372,7 +373,7 @@ def _eigh(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix holds non-finite entries")
     if np.abs(a - np.swapaxes(a, -1, -2)).max() > 1e-12 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
-    return np.linalg.eigh(a)
+    return a
 
 
 def smallest_eigenvector(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -380,7 +381,7 @@ def smallest_eigenvector(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 
     Raises ``ValueError`` when the matrix is not square, finite and symmetric.
     """
-    values, vectors = _eigh(matrix)
+    values, vectors = np.linalg.eigh(_checked(matrix))
     if values.ndim != 1:
         raise ValueError(f"expected one square matrix, got shape {np.shape(matrix)}")
     vector = vectors[:, 0]
@@ -464,7 +465,7 @@ def solve_spd3(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _pinv_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution for a rank-deficient symmetric system."""
-    values, vectors = _eigh(matrix)
+    values, vectors = np.linalg.eigh(matrix)
     tol = _PIVOT_REL * max(float(np.trace(matrix)), 0.0)
     kept = values > tol
     u = vectors[:, kept]
@@ -717,7 +718,7 @@ def _implicit_fits(
     Returns the (N, 4) eigenvectors and the (N,) rms, smallest eigenvalues
     and degenerate flags.
     """
-    values, vectors = _eigh(matrices)
+    values, vectors = np.linalg.eigh(matrices)
     lam = values[:, 0]
     fro = np.linalg.norm(values, axis=1)  # Frobenius norm of a symmetric matrix
     v = vectors[:, :, 0]
@@ -734,7 +735,7 @@ def _fit_implicit(scatter: Scatter4, space: str) -> FitResult:
     # set-up of _implicit_fits costs more than the solve here
     n = scatter.n
     _require_n(n, scatter.matrix)
-    values, vectors = _eigh(scatter.matrix)
+    values, vectors = np.linalg.eigh(scatter.matrix)
     lam, second, *rest = values.tolist()
     v = vectors[:, 0]
     a, b, c, d = v.tolist()
@@ -751,13 +752,19 @@ def _fit_implicit(scatter: Scatter4, space: str) -> FitResult:
     )
 
 
+def _checked_scatter(scatter: Scatter4 | Scatter3) -> Scatter4 | Scatter3:
+    """A caller's ``scatter``, once :func:`_checked` accepts its matrix."""
+    _checked(scatter.matrix)
+    return scatter
+
+
 def fit_implicit_standard(scatter: Scatter4) -> FitResult:
     """Implicit fit on [X, Y, Z, 1] monomials: smallest scatter eigenvector.
 
     The rms residual is the algebraic residual sqrt(lambda / N) under the
     unit-coefficient constraint.
     """
-    return _fit_implicit(scatter, SPACE_STANDARD)
+    return _fit_implicit(_checked_scatter(scatter), SPACE_STANDARD)
 
 
 def fit_implicit_rgbd(scatter: Scatter4) -> FitResult:
@@ -768,7 +775,7 @@ def fit_implicit_rgbd(scatter: Scatter4) -> FitResult:
     a*X + b*Y + c*Z + d = 0.  The rms residual lives in the inverse-depth
     algebraic metric, not in meters.
     """
-    return _fit_implicit(scatter, SPACE_RGBD)
+    return _fit_implicit(_checked_scatter(scatter), SPACE_RGBD)
 
 
 def _factor_or_none(matrix: np.ndarray) -> CholeskyFactor | None:
@@ -805,6 +812,11 @@ def _explicit_fit(matrix, factor, rhs, n: int, target_sq, space: str) -> FitResu
     return FitResult(plane=plane, n_points=n, rms_residual=rms, degenerate=bool(degenerate))
 
 
+def _fit_explicit(scatter: Scatter3, space: str) -> FitResult:
+    s = scatter
+    return _explicit_fit(s.matrix, _factor_or_none(s.matrix), s.rhs, s.n, s.target_sq, space)
+
+
 def fit_explicit_standard(scatter: Scatter3) -> FitResult:
     """Explicit fit Z = a*X + b*Y + c via the normal equations.
 
@@ -812,8 +824,7 @@ def fit_explicit_standard(scatter: Scatter3) -> FitResult:
     form; their scatter goes rank deficient and the result comes back with
     the degenerate flag set and minimum-norm coefficients.
     """
-    s = scatter
-    return _explicit_fit(s.matrix, _factor_or_none(s.matrix), s.rhs, s.n, s.target_sq, SPACE_STANDARD)
+    return _fit_explicit(_checked_scatter(scatter), SPACE_STANDARD)
 
 
 def fit_explicit_rgbd(scatter: Scatter3) -> FitResult:
@@ -825,15 +836,18 @@ def fit_explicit_rgbd(scatter: Scatter3) -> FitResult:
     same window prefer :class:`ExplicitRgbdFitter`, which caches the
     camera-constant Cholesky factor.
     """
-    s = scatter
-    return _explicit_fit(s.matrix, _factor_or_none(s.matrix), s.rhs, s.n, s.target_sq, SPACE_RGBD)
+    return _fit_explicit(_checked_scatter(scatter), SPACE_RGBD)
 
 
+# The fit of each formulation's scatter as :func:`fit_rect` assembles it:
+# symmetric by construction, so unchecked, where ``fit_*`` check a caller's.
+# (Lambdas, not keyword partials: those leave a kwargs dict per call in
+# CPython's free list, which tracemalloc counts.)
 FIT_BY_FORMULATION: dict[str, Callable[..., FitResult]] = {
-    IMPLICIT_STANDARD: fit_implicit_standard,
-    IMPLICIT_RGBD: fit_implicit_rgbd,
-    EXPLICIT_STANDARD: fit_explicit_standard,
-    EXPLICIT_RGBD: fit_explicit_rgbd,
+    IMPLICIT_STANDARD: lambda scatter: _fit_implicit(scatter, SPACE_STANDARD),
+    IMPLICIT_RGBD: lambda scatter: _fit_implicit(scatter, SPACE_RGBD),
+    EXPLICIT_STANDARD: lambda scatter: _fit_explicit(scatter, SPACE_STANDARD),
+    EXPLICIT_RGBD: lambda scatter: _fit_explicit(scatter, SPACE_RGBD),
 }
 
 

@@ -33,7 +33,13 @@ segmenter fits only the nodes of a quadtree fixed by the image size, so
 :func:`build_node_pyramid` instead sums the bands into the cells of its
 lattice and each coarser level from the finer one, with no prefix sums.
 Tan sums are always the camera constants less the holes' sums, which the
-rgbd stack of a frame with holes lists.
+rgbd stack of a frame with holes lists.  When the tan maps factor into a
+column axis and a row axis (``TanAngleMaps.axes``), an rgbd pyramid's
+level 0 reads no tan map: a channel's exponents (``_POWERS``, added up from
+its ``_MONOMIALS`` recipe) split its cell sum into row weights, applied to
+the streamed 1/Z by one matmul a band, and column weights, applied on
+1/cell of the data, and its unmasked tan sums are products of the axes'
+cell sums.
 """
 
 from __future__ import annotations
@@ -143,6 +149,25 @@ _MONOMIALS = {
     "ty": (np.positive, "tan_y"),
     COUNT_CHANNEL: (lambda valid, out: np.copyto(out, valid), "valid"),
 }
+
+_SOURCE_POWERS = {"depth": (0, 0, 1), "tan_x": (1, 0, 0), "tan_y": (0, 1, 0)}
+
+
+def _powers(operand: str | float) -> tuple[int, int, int]:
+    """A ``_MONOMIALS`` operand's (tan_x, tan_y, depth) exponents, from its
+    recipe: a product adds its operands' exponents, a quotient takes off the
+    divisor's, a number has none."""
+    if not isinstance(operand, str):
+        return (0, 0, 0)
+    if operand in _SOURCE_POWERS:
+        return _SOURCE_POWERS[operand]
+    op, *operands = _MONOMIALS[operand]
+    powers = np.array([_powers(a) for a in operands])
+    return tuple((powers[0] - powers[1] if op is np.divide else powers.sum(axis=0)).tolist())
+
+
+# Every channel's monomial tan_x**i * tan_y**j * depth**p as (i, j, p).
+_POWERS = {name: _powers(name) for name in _MONOMIALS if name != COUNT_CHANNEL}
 
 
 class Rect(NamedTuple):
@@ -454,6 +479,16 @@ class NodePyramid:
         return {name: t[i] for name, i in self.index.items()}
 
 
+def _sum_cells(values: np.ndarray, cell: int, out: np.ndarray) -> None:
+    """Write into ``out`` the last axis of ``values`` summed over ``cell``-wide
+    cells: the whole cells, then the ragged last one."""
+    whole = values.shape[-1] // cell
+    cells = values[..., : whole * cell].reshape(*values.shape[:-1], whole, cell)
+    out[..., :whole] = cells.sum(axis=-1)
+    if whole < out.shape[-1]:
+        out[..., whole] = values[..., whole * cell :].sum(axis=-1)
+
+
 def _cell_sums(
     names: tuple[str, ...],
     maps: TanAngleMaps,
@@ -464,13 +499,66 @@ def _cell_sums(
 ) -> None:
     """Write into ``out`` each channel's monomial (:func:`_bands`) summed over
     ``cell``-pixel cells: each band of ``cell`` rows summed down its rows, then
-    over whole cells' columns and the ragged last cell's columns."""
-    whole = maps.width // cell  # cells of full width
+    over its cells' columns."""
     for y0, band in _bands(names, maps, depth, valid, cell):
-        summed, r = band.sum(axis=1), y0 // cell
-        out[:, r, :whole] = summed[:, : whole * cell].reshape(len(names), whole, cell).sum(axis=2)
-        if whole < out.shape[2]:
-            out[:, r, whole] = summed[:, whole * cell :].sum(axis=1)
+        _sum_cells(band.sum(axis=1), cell, out[:, y0 // cell])
+
+
+def _raised(axis: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """One row ``axis ** e`` per exponent, formed by products (``np.vander``),
+    which cost a fraction of ``np.power``'s."""
+    return np.vander(axis, exponents.max() + 1, increasing=True).T[exponents]
+
+
+def _factored_cell_sums(
+    names: tuple[str, ...],
+    maps: TanAngleMaps,
+    depth: np.ndarray,
+    valid: np.ndarray | None,
+    cell: int,
+    out: np.ndarray,
+) -> None:
+    """:func:`_cell_sums` of rgbd channels for maps with ``axes``: the sum
+    of tan_x**i * tan_y**j * (1/Z)**q (``_POWERS``, q being -p) over a cell
+    is the row weights tan_y**j applied to (1/Z)**q down the cell's rows,
+    then the column weights tan_x**i across its columns.
+
+    Only 1/Z is streamed (:func:`_bands`), whole cell rows a band.  Per band,
+    one batched matmul of each cell row's weights with 1/Z sums it down the
+    cells' rows, and another after squaring the band in place; each channel
+    is its line of those sums times its column weights, summed over the
+    cells' columns: 1/cell of the data.
+    """
+    tan_x, tan_y = maps.axes
+    i, j, p = np.array([_POWERS[name] for name in names]).T
+    q = -p
+    y_powers = _raised(tan_y, np.arange(j.max() + 1))
+    whole_rows = maps.height // cell
+    row_weights = y_powers[:, : whole_rows * cell].reshape(len(y_powers), whole_rows, cell)
+    row_weights = row_weights.swapaxes(0, 1).copy()
+    ragged_weights = y_powers[:, whole_rows * cell :]  # those of a ragged last cell row
+    column_weights = _raised(tan_x, i)[:, None]
+    # 1/Z takes a quarter of a band's bytes: its hole copy, sums and lines share the rest
+    band_cells = min(out.shape[1], max(1, _band_rows(4, maps.width) // cell))
+    sums = np.empty((q.max(), band_cells, len(y_powers), maps.width))
+    whole_columns, ones = maps.width // cell, np.ones(cell)
+    for y0, band in _bands(("inv_z",), maps, depth, valid, band_cells * cell):
+        band, r0, (whole, ragged) = band[0], y0 // cell, divmod(band.shape[1], cell)
+        cells = whole + bool(ragged)
+        for power, at in enumerate(sums[:, :cells]):
+            if power:
+                np.square(band, out=band)
+            full = band[: whole * cell].reshape(whole, cell, maps.width)
+            np.matmul(row_weights[r0 : r0 + whole], full, out=at[:whole])
+            if ragged:
+                np.matmul(ragged_weights, band[whole * cell :], out=at[whole])
+        lines = sums[q - 1, :cells, j]
+        lines *= column_weights
+        at = out[:, r0 : r0 + cells]
+        across = lines[..., : whole_columns * cell].reshape(*lines.shape[:2], whole_columns, cell)
+        np.matmul(across, ones, out=at[..., :whole_columns])  # far faster than .sum(axis=-1)
+        if whole_columns < at.shape[2]:
+            at[..., whole_columns] = lines[..., whole_columns * cell :].sum(axis=-1)
 
 
 def build_node_pyramid(
@@ -492,9 +580,16 @@ def build_node_pyramid(
     differenced and each level holds only the nodes that overlap the image.
     Level 0 is one array: its count row is each cell's area less its holes,
     taken off in one loop with an rgbd formulation's tan rows, which are
-    their unmasked sums (read from ``constant``'s tables at the lattice
-    corners or, without ``constant``, written from the tan maps) less their
-    holes' monomials.
+    their unmasked sums less their holes' monomials.
+
+    On maps with ``axes`` (no distortion lattice) an rgbd formulation takes
+    the factored path (:func:`_factored_cell_sums`), its unmasked tan sums
+    outer products of the axes' per-cell sums; ``constant`` is then checked
+    but not read, so the pyramid is the same with or without it.  Otherwise
+    each monomial is summed (:func:`_cell_sums`), the rgbd tan sums read
+    from ``constant``'s tables at the lattice corners or, without it, written
+    from the tan maps.  The standard formulations, the per-pixel baseline
+    the rgbd ones are measured against, always sum their monomials.
     """
     _check_frame(depth, maps)
     if max_depth < 0 or tile <= 0 or tile % (1 << max_depth):  # as SegConfig
@@ -510,17 +605,26 @@ def build_node_pyramid(
     names = spec.scatter + ((spec.residual,) if spec.residual else ())
     tan = CONSTANT_CHANNELS if spec.needs_constant else ()
     valid = depth.valid if holes.size else None
-    written = names + tan if constant is None else names  # tan monomials hold no depth
     index = {name: i for i, name in enumerate((*names, *tan, COUNT_CHANNEL))}
     level = np.empty((len(index), *shape))
-    _cell_sums(written, maps, depth.values, valid, cell, level[: len(written)])
     if tan and constant is not None:
         if constant.tensor.shape[1:] != (h + 1, w + 1):
             raise ValueError("constant stack dimensions do not match the frame")
         _require_channels(constant, tan, "constant")
+    if tan and maps.axes is not None:
+        _factored_cell_sums(names, maps, depth.values, valid, cell, level[: len(names)])
+        i, j, _ = np.array([_POWERS[name] for name in tan]).T
+        x_sums, y_sums = np.empty((len(tan), shape[1])), np.empty((len(tan), shape[0]))
+        _sum_cells(_raised(maps.axes[0], i), cell, x_sums)
+        _sum_cells(_raised(maps.axes[1], j), cell, y_sums)
+        np.multiply(y_sums[:, :, None], x_sums[:, None], out=level[len(names) : -1])
+    elif tan and constant is not None:  # tan monomials hold no depth
+        _cell_sums(names, maps, depth.values, valid, cell, level[: len(names)])
         rows = np.array([constant.index[name] for name in tan])
         across = np.diff(constant.tensor[rows[:, None, None], ys[:, None], xs], axis=1)
         np.subtract(across[:, :, 1:], across[:, :, :-1], out=level[len(names) : -1])
+    else:
+        _cell_sums(names + tan, maps, depth.values, valid, cell, level[:-1])
     level[-1] = np.diff(ys)[:, None] * np.diff(xs)
     if holes.size:
         at_holes = np.empty((len(tan), holes.size))

@@ -413,10 +413,11 @@ def segment(
     Sums the formulation's channels over every node of the quadtree once
     (:func:`~rangefit.integral.build_node_pyramid`), fits each level of
     the tree with one batched solve over those sums, then groups the
-    fitted tiles (:func:`group_leaves`).  The rgbd formulations read their
-    camera-constant tan sums from ``constant`` when it is given, at the
-    corners of the quadtree's cell lattice, and write them from the tan maps
-    otherwise.
+    fitted tiles (:func:`group_leaves`).  On pinhole maps the rgbd
+    formulations form their camera-constant tan sums from the maps' axes;
+    under a distortion lattice they read them from ``constant`` when it is
+    given, at the corners of the quadtree's cell lattice, and write them
+    from the tan maps otherwise.
     """
     if depth.width < 1 or depth.height < 1:
         raise ValueError("empty depth image")

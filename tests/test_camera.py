@@ -9,6 +9,7 @@ from rangefit import (
     CameraIntrinsics,
     NoiseModel,
     Point3,
+    TanAngleMaps,
     back_project,
     compute_tan_maps,
     load_intrinsics,
@@ -45,6 +46,44 @@ class TestTanMaps:
         # constant across the other axis for zero distortion
         assert np.all(small_maps.tan_x == small_maps.tan_x[:1, :])
         assert np.all(small_maps.tan_y == small_maps.tan_y[:, :1])
+
+
+class TestTanAxes:
+    """``TanAngleMaps.axes``: the column and row axes of maps that factor."""
+
+    def test_pinhole_maps_give_their_axes(self, small_maps):
+        tan_x, tan_y = small_maps.axes
+        assert np.array_equal(np.broadcast_to(tan_x, small_maps.tan_x.shape), small_maps.tan_x)
+        assert np.array_equal(np.broadcast_to(tan_y[:, None], small_maps.tan_y.shape), small_maps.tan_y)
+
+    @pytest.mark.parametrize("name", ["delta_x", "delta_y"])
+    def test_one_distorted_pixel_gives_none(self, name):
+        lattice = np.zeros((24, 32))
+        lattice[5, 7] = 0.25
+        intr = CameraIntrinsics(fx=50.0, fy=50.0, cx=15.5, cy=11.5, width=32, height=24, **{name: lattice})
+        assert compute_tan_maps(intr).axes is None
+
+    def test_a_lattice_along_its_own_axis_keeps_the_axes(self):
+        # delta_x varying by column alone and delta_y by row alone still factor
+        rng = np.random.default_rng(4)
+        intr = CameraIntrinsics(
+            fx=50.0, fy=50.0, cx=15.5, cy=11.5, width=32, height=24,
+            delta_x=np.tile(rng.uniform(-0.5, 0.5, 32), (24, 1)),
+            delta_y=np.tile(rng.uniform(-0.5, 0.5, (24, 1)), (1, 32)),
+        )
+        maps = compute_tan_maps(intr)
+        assert np.array_equal(maps.axes[0], maps.tan_x[0])
+        assert np.array_equal(maps.axes[1], maps.tan_y[:, 0])
+
+    def test_directly_built_maps_are_read_from_their_values(self):
+        column, row = np.linspace(-0.5, 0.5, 8), np.linspace(-0.4, 0.4, 6)
+        tan_x, tan_y = np.tile(column, (6, 1)), np.tile(row[:, None], (1, 8))
+        maps = TanAngleMaps(tan_x=tan_x, tan_y=tan_y)
+        assert np.array_equal(maps.axes[0], column) and np.array_equal(maps.axes[1], row)
+        for varied in (tan_x, tan_y):
+            varied[3, 2] += 1e-12
+            assert TanAngleMaps(tan_x=tan_x, tan_y=tan_y).axes is None
+            varied[3, 2] -= 1e-12
 
 
 class TestBackProject:

@@ -6,15 +6,28 @@ import numpy as np
 import pytest
 
 from rangefit import (
+    FORMULATIONS,
     DegenerateFitError,
+    NoiseModel,
+    Rect,
     Scatter3,
     Scatter4,
+    SyntheticScene,
+    build_channels,
+    build_constant_channels,
+    fit_explicit_rgbd,
     fit_explicit_standard,
+    fit_implicit_rgbd,
     fit_implicit_standard,
+    fit_rect,
+    render_scene,
+    scatter_from_integrals,
     smallest_eigenvector,
     solve_spd3,
 )
-from rangefit.fitting import cholesky3, solve_cholesky3
+from rangefit.fitting import FIT_BY_FORMULATION, cholesky3, solve_cholesky3
+
+from conftest import random_visible_plane
 
 
 def random_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
@@ -110,3 +123,51 @@ class TestSolveSpd3:
         )
         assert result.degenerate
         np.testing.assert_allclose(result.plane.coefficients, [2.0, 3.0, 0.0], atol=1e-12)
+
+
+_CALLER_FITS = {
+    "implicit-standard": (fit_implicit_standard, 4),
+    "implicit-rgbd": (fit_implicit_rgbd, 4),
+    "explicit-standard": (fit_explicit_standard, 3),
+    "explicit-rgbd": (fit_explicit_rgbd, 3),
+}
+
+
+def _caller_scatter(matrix: np.ndarray):
+    if len(matrix) == 4:
+        return Scatter4(matrix=matrix, n=8)
+    return Scatter3(matrix=matrix, rhs=np.ones(3), n=8)
+
+
+class TestCallerScatters:
+    """``fit_*`` check a caller's scatter; ``fit_rect``'s are symmetric by construction."""
+
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_asymmetric_or_non_finite_matrices_are_rejected(self, formulation):
+        fit, size = _CALLER_FITS[formulation]
+        asymmetric = np.eye(size) * 4.0
+        asymmetric[0, 1] = 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            fit(_caller_scatter(asymmetric))
+        for bad in (np.nan, np.inf):
+            matrix = np.eye(size) * 4.0
+            matrix[1, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                fit(_caller_scatter(matrix))
+
+    def test_assembled_scatters_fit_as_a_caller_s_do(self, small_maps):
+        rng = np.random.default_rng(5)
+        depth, _ = render_scene(
+            SyntheticScene((random_visible_plane(rng),)), small_maps, noise=NoiseModel(), seed=6
+        )
+        constant = build_constant_channels(small_maps)
+        for formulation in FORMULATIONS:
+            stack = build_channels(depth, small_maps, formulation)
+            fit, _ = _CALLER_FITS[formulation]
+            for rect in (Rect(0, 0, 64, 48), Rect(5, 7, 21, 30)):
+                scatter = scatter_from_integrals(stack, constant, rect, formulation)
+                ours = fit_rect(depth, small_maps, rect, formulation, "integral", stack, constant)
+                for result in (FIT_BY_FORMULATION[formulation](scatter), fit(scatter)):
+                    np.testing.assert_array_equal(result.plane.coefficients, ours.plane.coefficients)
+                    assert (result.n_points, result.degenerate) == (ours.n_points, ours.degenerate)
+                    assert (result.rms_residual, result.eigenvalue) == (ours.rms_residual, ours.eigenvalue)

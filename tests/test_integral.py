@@ -34,6 +34,7 @@ from rangefit.integral import (
     CONSTANT_CHANNELS,
     COUNT_CHANNEL,
     FORMULATION_CHANNELS,
+    _POWERS,
     _band_rows,
     _hole_sums,
     build_node_pyramid,
@@ -352,12 +353,26 @@ def _assert_tables_match_reference(stack, lattices, mask, count_source):
     assert stack.tensor.shape == (len(stack.channels) + counted, h + 1, w + 1)
 
 
-def _camera_maps(width: int, height: int, fx: float = 60.0):
+def _camera_maps(width: int, height: int, fx: float = 60.0, lattice: bool = False):
+    """Tan maps of a pinhole camera or, with ``lattice``, of one with random
+    distortion offsets, whose maps do not factor into axes."""
     from rangefit import CameraIntrinsics, compute_tan_maps
 
-    return compute_tan_maps(CameraIntrinsics(
-        fx=fx, fy=fx * 11 / 12, cx=(width - 1) / 2, cy=(height - 1) / 2, width=width, height=height
+    rng = np.random.default_rng(width * height)
+    offsets = {
+        name: rng.uniform(-0.5, 0.5, (height, width)) for name in ("delta_x", "delta_y")
+    } if lattice else {}
+    maps = compute_tan_maps(CameraIntrinsics(
+        fx=fx, fy=fx * 11 / 12, cx=(width - 1) / 2, cy=(height - 1) / 2, width=width, height=height,
+        **offsets,
     ))
+    assert (maps.axes is None) == lattice
+    return maps
+
+
+# Both level-0 paths of an rgbd pyramid: pinhole maps factor into axes, and a
+# distortion lattice takes the per-pixel monomials.
+_CAMERAS = pytest.mark.parametrize("lattice", [False, True], ids=["pinhole", "lattice"])
 
 
 def _frame(maps, holes: bool) -> DepthImage:
@@ -518,14 +533,15 @@ def _masked_lattices(depth: DepthImage, maps) -> dict[str, np.ndarray]:
 class TestNodePyramid:
     """Per-frame sums over the nodes of a fixed quadtree, against per-pixel sums."""
 
+    @_CAMERAS
     @pytest.mark.parametrize("size", [(64, 48), (97, 53)], ids=["64x48", "97x53"])
     @pytest.mark.parametrize("holes", [False, True], ids=["hole-free", "holes"])
     @pytest.mark.parametrize("with_constant", [False, True], ids=["maps", "constant"])
     @pytest.mark.parametrize("formulation", FORMULATIONS)
-    def test_node_sums_match_masked_sums(self, formulation, with_constant, holes, size):
+    def test_node_sums_match_masked_sums(self, formulation, with_constant, holes, size, lattice):
         width, height = size
         tile, max_depth = 16, 2
-        maps = _camera_maps(width, height)
+        maps = _camera_maps(width, height, lattice=lattice)
         depth = _frame(maps, holes)
         constant = build_constant_channels(maps) if with_constant else None
         pyramid = build_node_pyramid(depth, maps, formulation, tile, max_depth, constant)
@@ -552,7 +568,7 @@ class TestNodePyramid:
     @pytest.mark.parametrize("formulation", [IMPLICIT_STANDARD, EXPLICIT_RGBD])
     def test_node_sums_at_1080p_are_exact_to_rounding(self, formulation):
         # far corner and centre nodes of every level, against math.fsum; the
-        # tan sums come from the maps, written like the per-frame channels
+        # pinhole maps factor, so an rgbd pyramid's sums are those of its axes
         from rangefit import CameraIntrinsics, compute_tan_maps
 
         width, height, tile, max_depth = 1920, 1080, 64, 3
@@ -605,6 +621,52 @@ class TestNodePyramid:
             expected = padded.reshape(rows, edge, cols, edge).sum(axis=(1, 3))
             assert np.array_equal(sums[pyramid.index[COUNT_CHANNEL]], expected), level
 
+    @pytest.mark.parametrize("size", [(64, 48), (97, 53), (37, 23)], ids=["64x48", "97x53", "37x23"])
+    @pytest.mark.parametrize("holes", [False, True], ids=["hole-free", "holes"])
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_pinhole_pyramid_is_the_same_with_or_without_constant(self, formulation, holes, size):
+        # factored tan rows are products of the axes' cell sums, never the
+        # constant stack's table differences
+        maps = _camera_maps(*size)
+        depth = _frame(maps, holes)
+        constant = build_constant_channels(maps)
+        for tile, max_depth in ((16, 2), (8, 0), (1 << 20, 3)):
+            bare = build_node_pyramid(depth, maps, formulation, tile, max_depth)
+            read = build_node_pyramid(depth, maps, formulation, tile, max_depth, constant)
+            assert bare.index == read.index
+            for level, (a, b) in enumerate(zip(bare.levels, read.levels)):
+                assert np.array_equal(a, b), (tile, level)
+
+    @_CAMERAS
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_pyramid_makes_no_frame_sized_temporary(self, formulation, lattice):
+        # level 0 is summed a band of cell rows at a time, so beyond its levels
+        # the build holds less than one (H, W) float64 lattice
+        height, width = 480, 640
+        maps = _camera_maps(width, height, 525.0, lattice)
+        rng = np.random.default_rng(12)
+        depth = DepthImage(
+            values=rng.uniform(0.5, 5.0, (height, width)),
+            valid=rng.random((height, width)) >= 0.02,
+        )
+        tracemalloc.start()
+        try:
+            pyramid = build_node_pyramid(depth, maps, formulation, 64, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(level.nbytes for level in pyramid.levels) < height * width * 8
+
+    def test_channel_powers_reproduce_the_monomials(self):
+        # each channel's (tan_x, tan_y, depth) exponents, read from its
+        # recipe, give back its per-pixel monomial
+        maps = _camera_maps(64, 48, lattice=True)
+        depth = _frame(maps, holes=False)
+        for name, image in _reference_lattices(depth, maps).items():
+            i, j, p = _POWERS[name]
+            expected = maps.tan_x**i * maps.tan_y**j * depth.values**p
+            np.testing.assert_allclose(image, expected, rtol=1e-14, atol=0, err_msg=name)
+
     def test_constant_stack_must_match_the_frame(self, small_maps):
         depth = _frame(small_maps, holes=False)
         other = build_constant_channels(_camera_maps(32, 24))
@@ -643,10 +705,12 @@ def _nan_empty(shape, dtype=float, *args, **kwargs):
 class TestBandWriter:
     """No slot the band writer or a build leaves unwritten reaches a table or level."""
 
+    @_CAMERAS
     @pytest.mark.parametrize("band_bytes", [1, 1 << 40], ids=["one-row-bands", "one-band"])
     @pytest.mark.parametrize("holes", [True, False], ids=["holes", "hole-free"])
-    def test_uninitialised_buffers_reach_no_output(self, band_bytes, holes, monkeypatch):
-        maps = _camera_maps(37, 23)  # ragged last band of cells and last cell column
+    def test_uninitialised_buffers_reach_no_output(self, band_bytes, holes, lattice, monkeypatch):
+        # ragged last band of cells and last cell column
+        maps = _camera_maps(37, 23, lattice=lattice)
         depth = _frame(maps, holes)
         lattices = _reference_lattices(depth, maps)
         count = depth.valid.astype(float) if holes else None
