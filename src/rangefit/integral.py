@@ -31,15 +31,16 @@ prefix-sums the bands into the tables with the additions of a per-channel
 ``cumsum`` pair, so each is bit-identical to :func:`build_integral`.  The
 segmenter fits only the nodes of a quadtree fixed by the image size, so
 :func:`build_node_pyramid` instead sums the bands into the cells of its
-lattice and each coarser level from the finer one, with no prefix sums.
-Tan sums are always the camera constants less the holes' sums, which the
-rgbd stack of a frame with holes lists.  When the tan maps factor into a
-column axis and a row axis (``TanAngleMaps.axes``), an rgbd pyramid's
-level 0 reads no tan map: a channel's exponents (``_POWERS``, added up from
-its ``_MONOMIALS`` recipe) split its cell sum into row weights, applied to
-the streamed 1/Z by one matmul a band, and column weights, applied on
-1/cell of the data, and its unmasked tan sums are products of the axes'
-cell sums.
+lattice and each coarser level from the finer one, and reads no summed-area
+table.  Tan sums are always the camera constants less the holes' sums,
+which the rgbd stack of a frame with holes lists.  When the tan maps factor
+into a column axis and a row axis (``TanAngleMaps.axes``), an rgbd
+pyramid's level 0 reads no tan map: a channel's exponents (``_POWERS``,
+added up from its ``_MONOMIALS`` recipe) split its cell sum into row
+weights, applied to the streamed 1/Z by one matmul a band, and column
+weights, applied on 1/cell of the data, and its unmasked tan sums are
+products of the axes' cell sums.  Under a distortion lattice the tan
+monomials are summed from the maps with the frame's bands.
 """
 
 from __future__ import annotations
@@ -567,7 +568,6 @@ def build_node_pyramid(
     formulation: str,
     tile: int,
     max_depth: int,
-    constant: ChannelStack | None = None,
 ) -> NodePyramid:
     """Sums of a frame's channels over every node of a ``max_depth``-level quadtree.
 
@@ -582,14 +582,13 @@ def build_node_pyramid(
     taken off in one loop with an rgbd formulation's tan rows, which are
     their unmasked sums less their holes' monomials.
 
-    On maps with ``axes`` (no distortion lattice) an rgbd formulation takes
-    the factored path (:func:`_factored_cell_sums`), its unmasked tan sums
-    outer products of the axes' per-cell sums; ``constant`` is then checked
-    but not read, so the pyramid is the same with or without it.  Otherwise
-    each monomial is summed (:func:`_cell_sums`), the rgbd tan sums read
-    from ``constant``'s tables at the lattice corners or, without it, written
-    from the tan maps.  The standard formulations, the per-pixel baseline
-    the rgbd ones are measured against, always sum their monomials.
+    No summed-area table is read.  On maps with ``axes`` (no distortion
+    lattice) an rgbd formulation takes the factored path
+    (:func:`_factored_cell_sums`), its unmasked tan sums outer products of
+    the axes' per-cell sums.  Otherwise each monomial, the tan ones
+    included, is summed from the maps (:func:`_cell_sums`).  The standard
+    formulations, the per-pixel baseline the rgbd ones are measured
+    against, always sum their monomials.
     """
     _check_frame(depth, maps)
     if max_depth < 0 or tile <= 0 or tile % (1 << max_depth):  # as SegConfig
@@ -607,10 +606,6 @@ def build_node_pyramid(
     valid = depth.valid if holes.size else None
     index = {name: i for i, name in enumerate((*names, *tan, COUNT_CHANNEL))}
     level = np.empty((len(index), *shape))
-    if tan and constant is not None:
-        if constant.tensor.shape[1:] != (h + 1, w + 1):
-            raise ValueError("constant stack dimensions do not match the frame")
-        _require_channels(constant, tan, "constant")
     if tan and maps.axes is not None:
         _factored_cell_sums(names, maps, depth.values, valid, cell, level[: len(names)])
         i, j, _ = np.array([_POWERS[name] for name in tan]).T
@@ -618,11 +613,6 @@ def build_node_pyramid(
         _sum_cells(_raised(maps.axes[0], i), cell, x_sums)
         _sum_cells(_raised(maps.axes[1], j), cell, y_sums)
         np.multiply(y_sums[:, :, None], x_sums[:, None], out=level[len(names) : -1])
-    elif tan and constant is not None:  # tan monomials hold no depth
-        _cell_sums(names, maps, depth.values, valid, cell, level[: len(names)])
-        rows = np.array([constant.index[name] for name in tan])
-        across = np.diff(constant.tensor[rows[:, None, None], ys[:, None], xs], axis=1)
-        np.subtract(across[:, :, 1:], across[:, :, :-1], out=level[len(names) : -1])
     else:
         _cell_sums(names + tan, maps, depth.values, valid, cell, level[:-1])
     level[-1] = np.diff(ys)[:, None] * np.diff(xs)

@@ -413,11 +413,13 @@ def segment(
     Sums the formulation's channels over every node of the quadtree once
     (:func:`~rangefit.integral.build_node_pyramid`), fits each level of
     the tree with one batched solve over those sums, then groups the
-    fitted tiles (:func:`group_leaves`).  On pinhole maps the rgbd
-    formulations form their camera-constant tan sums from the maps' axes;
-    under a distortion lattice they read them from ``constant`` when it is
-    given, at the corners of the quadtree's cell lattice, and write them
-    from the tan maps otherwise.
+    fitted tiles (:func:`group_leaves`).  The rgbd formulations form their
+    camera-constant tan sums from the maps alone: from the maps' axes on
+    pinhole maps, from the maps themselves under a distortion lattice.
+
+    ``constant`` is accepted and not read: the output is the same with or
+    without it.  The keyword stays only for callers that still pass a
+    constant stack, and goes once none does.
     """
     if depth.width < 1 or depth.height < 1:
         raise ValueError("empty depth image")
@@ -427,9 +429,7 @@ def segment(
         )
 
     formulation = config.formulation
-    pyramid = build_node_pyramid(
-        depth, maps, formulation, config.initial_tile, config.max_depth, constant
-    )
+    pyramid = build_node_pyramid(depth, maps, formulation, config.initial_tile, config.max_depth)
     w, h, threshold = depth.width, depth.height, config.threshold
     # A level's nodes as (row, col) on the level's grid, level 0 row-major.
     rows, cols = (a.ravel() for a in np.indices(pyramid.levels[0].shape[1:]))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import tracemalloc
 
@@ -536,15 +537,13 @@ class TestNodePyramid:
     @_CAMERAS
     @pytest.mark.parametrize("size", [(64, 48), (97, 53)], ids=["64x48", "97x53"])
     @pytest.mark.parametrize("holes", [False, True], ids=["hole-free", "holes"])
-    @pytest.mark.parametrize("with_constant", [False, True], ids=["maps", "constant"])
     @pytest.mark.parametrize("formulation", FORMULATIONS)
-    def test_node_sums_match_masked_sums(self, formulation, with_constant, holes, size, lattice):
+    def test_node_sums_match_masked_sums(self, formulation, holes, size, lattice):
         width, height = size
         tile, max_depth = 16, 2
         maps = _camera_maps(width, height, lattice=lattice)
         depth = _frame(maps, holes)
-        constant = build_constant_channels(maps) if with_constant else None
-        pyramid = build_node_pyramid(depth, maps, formulation, tile, max_depth, constant)
+        pyramid = build_node_pyramid(depth, maps, formulation, tile, max_depth)
         names = {COUNT_CHANNEL, *_SCATTER[formulation]}
         names.add(_RESIDUAL.get(formulation, COUNT_CHANNEL))
         if formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
@@ -598,10 +597,9 @@ class TestNodePyramid:
         hole_fraction=st.floats(0.0, 0.4),
         seed=st.integers(0, 2**32 - 1),
         formulation=st.sampled_from(FORMULATIONS),
-        with_constant=st.booleans(),
     )
     def test_count_rows_are_exact(
-        self, width, height, cell, max_depth, hole_fraction, seed, formulation, with_constant
+        self, width, height, cell, max_depth, hole_fraction, seed, formulation
     ):
         # the count row at every level equals the padded block sums of the
         # validity mask exactly, whatever the frame size, lattice and holes
@@ -609,9 +607,8 @@ class TestNodePyramid:
         rng = np.random.default_rng(seed)
         valid = rng.random((height, width)) >= hole_fraction
         depth = DepthImage(values=rng.uniform(0.5, 5.0, (height, width)), valid=valid)
-        constant = build_constant_channels(maps) if with_constant else None
         tile = cell << max_depth
-        pyramid = build_node_pyramid(depth, maps, formulation, tile, max_depth, constant)
+        pyramid = build_node_pyramid(depth, maps, formulation, tile, max_depth)
         assert len(pyramid.levels) == max_depth + 1
         for level, sums in enumerate(pyramid.levels):
             edge = tile >> level
@@ -624,18 +621,31 @@ class TestNodePyramid:
     @pytest.mark.parametrize("size", [(64, 48), (97, 53), (37, 23)], ids=["64x48", "97x53", "37x23"])
     @pytest.mark.parametrize("holes", [False, True], ids=["hole-free", "holes"])
     @pytest.mark.parametrize("formulation", FORMULATIONS)
-    def test_pinhole_pyramid_is_the_same_with_or_without_constant(self, formulation, holes, size):
-        # factored tan rows are products of the axes' cell sums, never the
-        # constant stack's table differences
+    def test_factored_pyramid_matches_the_maps_path(self, formulation, holes, size):
+        # level 0's two sources agree on a pinhole camera: the axes' cell sums
+        # and, with the axes hidden, the per-pixel monomials a lattice takes
         maps = _camera_maps(*size)
+        bare = copy.copy(maps)
+        object.__setattr__(bare, "axes", None)
         depth = _frame(maps, holes)
-        constant = build_constant_channels(maps)
+        lattices = _masked_lattices(depth, maps)
         for tile, max_depth in ((16, 2), (8, 0), (1 << 20, 3)):
-            bare = build_node_pyramid(depth, maps, formulation, tile, max_depth)
-            read = build_node_pyramid(depth, maps, formulation, tile, max_depth, constant)
-            assert bare.index == read.index
-            for level, (a, b) in enumerate(zip(bare.levels, read.levels)):
-                assert np.array_equal(a, b), (tile, level)
+            factored = build_node_pyramid(depth, maps, formulation, tile, max_depth)
+            summed = build_node_pyramid(depth, bare, formulation, tile, max_depth)
+            assert factored.index == summed.index
+            for level, (a, b) in enumerate(zip(factored.levels, summed.levels)):
+                if formulation in (IMPLICIT_STANDARD, EXPLICIT_STANDARD):
+                    # no tan rows: both sources are the same per-pixel sums
+                    assert np.array_equal(a, b), (tile, level)
+                    continue
+                starts = [np.arange(n) * (tile >> level) for n in a.shape[1:]]
+                for name, i in factored.index.items():
+                    magnitude = np.add.reduceat(np.abs(lattices[name]), starts[0], axis=0)
+                    magnitude = np.add.reduceat(magnitude, starts[1], axis=1)
+                    gap = np.abs(a[i] - b[i])
+                    assert (gap <= 1e-14 * magnitude).all(), (name, tile, level, gap.max())
+                count = factored.index[COUNT_CHANNEL]
+                assert np.array_equal(a[count], b[count]), (tile, level)
 
     @_CAMERAS
     @pytest.mark.parametrize("formulation", FORMULATIONS)
@@ -667,14 +677,8 @@ class TestNodePyramid:
             expected = maps.tan_x**i * maps.tan_y**j * depth.values**p
             np.testing.assert_allclose(image, expected, rtol=1e-14, atol=0, err_msg=name)
 
-    def test_constant_stack_must_match_the_frame(self, small_maps):
+    def test_maps_must_match_the_frame(self, small_maps):
         depth = _frame(small_maps, holes=False)
-        other = build_constant_channels(_camera_maps(32, 24))
-        with pytest.raises(ValueError, match="dimensions"):
-            build_node_pyramid(depth, small_maps, IMPLICIT_RGBD, 16, 2, other)
-        frame_stack = build_channels(depth, small_maps, EXPLICIT_RGBD)
-        with pytest.raises(ValueError, match="missing channels: tx2"):
-            build_node_pyramid(depth, small_maps, IMPLICIT_RGBD, 16, 2, frame_stack)
         with pytest.raises(ValueError, match="does not match"):
             build_node_pyramid(depth, _camera_maps(32, 24), IMPLICIT_RGBD, 16, 2)
 
@@ -714,14 +718,10 @@ class TestBandWriter:
         depth = _frame(maps, holes)
         lattices = _reference_lattices(depth, maps)
         count = depth.valid.astype(float) if holes else None
-        constant = build_constant_channels(maps)
         tile, max_depth = 16, 2
-        pyramids = {  # both sources of an rgbd pyramid's tan rows
-            (formulation, with_constant): build_node_pyramid(
-                depth, maps, formulation, tile, max_depth, constant if with_constant else None
-            )
+        pyramids = {
+            formulation: build_node_pyramid(depth, maps, formulation, tile, max_depth)
             for formulation in FORMULATIONS
-            for with_constant in (True, False)
         }
         monkeypatch.setattr(np, "empty", _nan_empty)
         monkeypatch.setattr("rangefit.integral._BAND_BYTES", band_bytes)
@@ -735,9 +735,8 @@ class TestBandWriter:
                 _assert_tables_match_reference(stacks[-1], lattices, depth.valid, count)
         for stack in stacks:
             assert not np.isnan(stack.tensor).any()
-        for (formulation, with_constant), want in pyramids.items():
-            source = stacks[0] if with_constant else None
-            got = build_node_pyramid(depth, maps, formulation, tile, max_depth, source)
+        for formulation, want in pyramids.items():
+            got = build_node_pyramid(depth, maps, formulation, tile, max_depth)
             for level, (sums, expected) in enumerate(zip(got.levels, want.levels)):
-                assert not np.isnan(sums).any(), (formulation, with_constant, level)
-                assert np.array_equal(sums, expected), (formulation, with_constant, level)
+                assert not np.isnan(sums).any(), (formulation, level)
+                assert np.array_equal(sums, expected), (formulation, level)

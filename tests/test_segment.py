@@ -35,6 +35,7 @@ from rangefit import (
     fit_implicit_standard,
     fit_rect,
     gather_window_samples,
+    normal_angle,
     render_scene,
     segment,
     tile_features,
@@ -65,12 +66,14 @@ def best_label_accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
     return float(table[rows, cols].sum()) / max(int(mask.sum()), 1)
 
 
+def _implicit(plane):
+    """An explicit plane's implicit form; an implicit plane as it is."""
+    return explicit_to_implicit(plane) if isinstance(plane, ExplicitPlane) else plane
+
+
 def features_of(result) -> np.ndarray:
     """``tile_features`` of one fit's canonical implicit coefficients."""
-    plane = result.plane
-    if isinstance(plane, ExplicitPlane):
-        plane = explicit_to_implicit(plane)
-    return tile_features(plane.coefficients[None])[0]
+    return tile_features(_implicit(result.plane).coefficients[None])[0]
 
 
 class TestTileFeatures:
@@ -563,10 +566,18 @@ def _axis_rays(cells: np.ndarray) -> np.ndarray:
     return np.zeros((*cells.shape, 2))
 
 
-def _maps(width: int, height: int, focal: float = 60.0):
-    return compute_tan_maps(CameraIntrinsics(
-        fx=focal, fy=focal, cx=(width - 1) / 2, cy=(height - 1) / 2, width=width, height=height
+def _maps(width: int, height: int, focal: float = 60.0, lattice: bool = False):
+    """Tan maps of a pinhole camera or, with ``lattice``, of one with random
+    distortion offsets in [-0.25, 0.25) px, whose maps do not factor into axes."""
+    offsets = dict(zip(
+        ("delta_x", "delta_y"), np.random.default_rng(3).uniform(-0.25, 0.25, (2, height, width))
+    )) if lattice else {}
+    maps = compute_tan_maps(CameraIntrinsics(
+        fx=focal, fy=focal, cx=(width - 1) / 2, cy=(height - 1) / 2, width=width, height=height,
+        **offsets,
     ))
+    assert (maps.axes is None) == lattice
+    return maps
 
 
 def reference_paint(result) -> tuple[np.ndarray, np.ndarray]:
@@ -646,9 +657,7 @@ class TestNodePyramidSegment:
         width, height, tile, max_depth = 97, 53, 16, 2
         maps = _maps(width, height)
         depth, _ = render_scene(corner_scene(), maps, noise=NoiseModel(), seed=4, dropout=dropout)
-        pyramid = rangefit.integral.build_node_pyramid(
-            depth, maps, formulation, tile, max_depth, build_constant_channels(maps)
-        )
+        pyramid = rangefit.integral.build_node_pyramid(depth, maps, formulation, tile, max_depth)
         checked = []  # per level: the windows refitted
         for level, sums in enumerate(pyramid.levels):
             size = tile >> level
@@ -702,6 +711,42 @@ class TestNodePyramidSegment:
             (t.rect, t.level, t.status) for t in given.tiles
         ]
         np.testing.assert_array_equal(alone.labels, given.labels)
+
+    @pytest.mark.parametrize("formulation", [IMPLICIT_RGBD, EXPLICIT_RGBD])
+    def test_lattice_leaves_are_exact(self, formulation):
+        # under a distortion lattice the tan rows are summed from the maps;
+        # differencing the constant stack's tables lost digits, 4.8e-10 rad
+        # on this frame
+        maps = _maps(1920, 1080, 1728.0, lattice=True)
+        depth, _ = render_scene(corner_scene(), maps, noise=NoiseModel(), seed=4, dropout=0.02)
+        config = SegConfig(formulation=formulation, initial_tile=64, max_depth=3)
+        result = segment(depth, maps, config, constant=build_constant_channels(maps))
+        checked = 0
+        for tile in result.tiles:
+            if tile.result is None or tile.result.degenerate:
+                continue
+            naive = fit_rect(depth, maps, tile.rect, formulation, "naive")
+            gap = normal_angle(_implicit(tile.result.plane), _implicit(naive.plane))
+            assert gap <= 1e-10, (tile.rect, gap)
+            checked += 1
+        assert checked > 400
+
+    @pytest.mark.parametrize("lattice", [False, True], ids=["pinhole", "lattice"])
+    @pytest.mark.parametrize("size", [(64, 48), (97, 53)], ids=["64x48", "97x53"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1], ids=["hole-free", "holes"])
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_constant_is_unread(self, formulation, dropout, size, lattice):
+        # whole tiles and a ragged last row and column of tiles
+        maps = _maps(*size, lattice=lattice)
+        depth, _ = render_scene(corner_scene(), maps, noise=NoiseModel(), seed=4, dropout=dropout)
+        config = SegConfig(formulation=formulation, initial_tile=16, max_depth=2)
+        alone = segment(depth, maps, config)
+        given = segment(depth, maps, config, constant=build_constant_channels(maps))
+        assert alone.to_csv() == given.to_csv()
+        assert alone.labels.tobytes() == given.labels.tobytes()
+        for name in ("coefficients", "rms", "eigenvalue", "n_points", "degenerate"):
+            a, b = getattr(alone.fits, name), getattr(given.fits, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_labels_widen_past_int16(self):
         # 2x2 leaves of uniform noise, all fitted, nearly all their own segment
