@@ -8,20 +8,21 @@ the optical axis.  The pinhole model recovers the lateral coordinates as::
 
 The per-pixel ratios ``(x + delta_x - c_x) / f_x`` depend only on the camera
 calibration, never on the measured depth.  This module precomputes them as
-dense lattices (``tan_x``, ``tan_y``: the tangents of the viewing angles
+per-pixel maps (``tan_x``, ``tan_y``: the tangents of the viewing angles
 between each pixel's ray and the optical axis), so back-projection reduces to
 ``(Z * tan_x, Z * tan_y, Z)``.  Everything downstream that separates
-camera-constant terms from depth-dependent terms starts here.  Without
-distortion lattices ``tan_x`` depends on the column alone and ``tan_y`` on
-the row alone; the maps then also carry those two axes
-(``TanAngleMaps.axes``), so a sum of tan monomials over a block of pixels
-factors into a column part and a row part.
+camera-constant terms from depth-dependent terms starts here.  A camera holds
+only the distortion lattices it is given.  Without them ``tan_x`` depends on
+the column alone and ``tan_y`` on the row alone: the maps are then read-only
+views of those two axes (``TanAngleMaps.axes``), so a sum of tan monomials
+over a block of pixels factors into a column part and a row part.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,8 +43,8 @@ class CameraIntrinsics:
 
     ``delta_x`` and ``delta_y`` are per-pixel corrections (in pixels) added to
     the raw pixel coordinate before back-projection; they accept any upstream
-    lens calibration without committing to a parametric model.  Both default
-    to all-zero lattices.
+    lens calibration without committing to a parametric model.  A lattice not
+    given stays None, read as zero offsets.
     """
 
     fx: float
@@ -68,43 +69,48 @@ class CameraIntrinsics:
                 f"{self.width}x{self.height} image"
             )
         for name in ("delta_x", "delta_y"):
-            lattice = getattr(self, name)
-            if lattice is None:
-                lattice = np.zeros((self.height, self.width))
-            else:
-                lattice = np.asarray(lattice, dtype=np.float64)
-                if lattice.shape != (self.height, self.width):
-                    raise ValueError(
-                        f"{name} shape {lattice.shape} does not match image "
-                        f"({self.height}, {self.width})"
-                    )
-                if not np.isfinite(lattice).all():
-                    raise ValueError(f"{name} holds non-finite offsets")
+            if getattr(self, name) is None:
+                continue
+            lattice = np.asarray(getattr(self, name), dtype=np.float64)
+            if lattice.shape != (self.height, self.width):
+                raise ValueError(
+                    f"{name} shape {lattice.shape} does not match image "
+                    f"({self.height}, {self.width})"
+                )
+            if not np.isfinite(lattice).all():
+                raise ValueError(f"{name} holds non-finite offsets")
             object.__setattr__(self, name, lattice)
 
 
 @dataclass(frozen=True)
 class TanAngleMaps:
-    """Per-pixel tangents of the viewing angles, one lattice per image axis.
+    """Per-pixel tangents of the viewing angles, one map per image axis.
 
     ``tan_x[y, x]`` is the (signed) tangent of the angle between the optical
     axis and the ray through pixel ``(x, y)``, seen from above; ``tan_y`` is
-    the side-view analogue.  Pure functions of the intrinsics.
+    the side-view analogue.  Pure functions of the intrinsics.  Both maps
+    are 2-D and of one shape, else ValueError.
 
-    Derived: ``axes``, the ``(tan_x[0], tan_y[:, 0])`` pair when ``tan_x``
-    varies only along the columns and ``tan_y`` only along the rows, as a
-    camera without distortion lattices gives, else None.  Then every tan
-    monomial factors into a column weight times a row weight.
+    Derived from the maps' values on first read: ``axes``, the ``(tan_x[0],
+    tan_y[:, 0])`` pair when ``tan_x`` varies only along the columns and
+    ``tan_y`` only along the rows, as without distortion lattices, else
+    None.  Then every tan monomial factors into a column weight times a row
+    weight.
     """
 
     tan_x: np.ndarray
     tan_y: np.ndarray
-    axes: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        shapes = np.shape(self.tan_x), np.shape(self.tan_y)
+        if len(shapes[0]) != 2 or shapes[0] != shapes[1]:
+            raise ValueError(f"tan maps must be 2-D and of one shape, got {shapes[0]} and {shapes[1]}")
+
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, np.ndarray] | None:
         tan_x, tan_y = self.tan_x, self.tan_y
         separable = (tan_x == tan_x[:1]).all() and (tan_y == tan_y[:, :1]).all()
-        object.__setattr__(self, "axes", (tan_x[0].copy(), tan_y[:, 0].copy()) if separable else None)
+        return (tan_x[0].copy(), tan_y[:, 0].copy()) if separable else None
 
     @property
     def height(self) -> int:
@@ -143,22 +149,27 @@ class Point3(NamedTuple):
 
 
 def compute_tan_maps(intrinsics: CameraIntrinsics) -> TanAngleMaps:
-    """Precompute the per-pixel tan-angle lattices from the intrinsics.
+    """Precompute the per-pixel tan-angle maps from the intrinsics.
 
-    ``tan_x[y, x] = (x + delta_x[y, x] - cx) / fx`` and the analogous
-    expression for ``tan_y``; computed once per camera and reused for every
-    frame.
+    ``tan_x[y, x] = (x + delta_x[y, x] - cx) / fx``, a missing lattice read as
+    0, and the analogous ``tan_y``: read-only views, of W + H floats without
+    lattices, computed once per camera and reused for every frame.
     """
-    cols = np.arange(intrinsics.width, dtype=np.float64)
-    rows = np.arange(intrinsics.height, dtype=np.float64)
-    tan_x = (cols[None, :] + intrinsics.delta_x - intrinsics.cx) / intrinsics.fx
-    tan_y = (rows[:, None] + intrinsics.delta_y - intrinsics.cy) / intrinsics.fy
-    return TanAngleMaps(tan_x=tan_x, tan_y=tan_y)
+    i, shape = intrinsics, (intrinsics.height, intrinsics.width)
+    cols, rows = np.arange(i.width, dtype=np.float64), np.arange(i.height, dtype=np.float64)[:, None]
+    tan_x = (cols + (0.0 if i.delta_x is None else i.delta_x) - i.cx) / i.fx
+    tan_y = (rows + (0.0 if i.delta_y is None else i.delta_y) - i.cy) / i.fy
+    return TanAngleMaps(tan_x=np.broadcast_to(tan_x, shape), tan_y=np.broadcast_to(tan_y, shape))
 
 
-def _check_pixel(maps: TanAngleMaps, x: int, y: int) -> None:
+def _tans_at(maps: TanAngleMaps, pixel: tuple[int, int], depth: float) -> tuple[float, float]:
+    """``pixel``'s (tan_x, tan_y), once it lies in the image and ``depth`` is positive."""
+    x, y = pixel
     if not (0 <= x < maps.width and 0 <= y < maps.height):
         raise ValueError(f"pixel ({x}, {y}) outside {maps.width}x{maps.height} image")
+    if depth <= 0:
+        raise ValueError(f"depth must be positive, got {depth}")
+    return float(maps.tan_x[y, x]), float(maps.tan_y[y, x])
 
 
 def back_project(pixel: tuple[int, int], depth: float, maps: TanAngleMaps) -> Point3:
@@ -166,15 +177,8 @@ def back_project(pixel: tuple[int, int], depth: float, maps: TanAngleMaps) -> Po
 
     Returns ``(Z * tan_x, Z * tan_y, Z)``.
     """
-    x, y = pixel
-    _check_pixel(maps, x, y)
-    if depth <= 0:
-        raise ValueError(f"depth must be positive, got {depth}")
-    return Point3(
-        depth * float(maps.tan_x[y, x]),
-        depth * float(maps.tan_y[y, x]),
-        float(depth),
-    )
+    tan_x, tan_y = _tans_at(maps, pixel, depth)
+    return Point3(depth * tan_x, depth * tan_y, float(depth))
 
 
 def project_point(
@@ -191,14 +195,13 @@ def project_point(
     """
     if point.z <= 0:
         raise ValueError(f"cannot project point with Z={point.z}")
-    if distortion_pixel is None:
-        dx = dy = 0.0
-        if np.any(intrinsics.delta_x) or np.any(intrinsics.delta_y):
-            raise ValueError("distorted camera: pass distortion_pixel to project_point")
-    else:
-        px, py = distortion_pixel
-        dx = float(intrinsics.delta_x[py, px])
-        dy = float(intrinsics.delta_y[py, px])
+    if distortion_pixel is None and (np.any(intrinsics.delta_x) or np.any(intrinsics.delta_y)):
+        raise ValueError("distorted camera: pass distortion_pixel to project_point")
+    px, py = distortion_pixel or (None, None)
+    dx, dy = (
+        0.0 if px is None or delta is None else float(delta[py, px])
+        for delta in (intrinsics.delta_x, intrinsics.delta_y)
+    )
     x = intrinsics.fx * point.x / point.z + intrinsics.cx - dx
     y = intrinsics.fy * point.y / point.z + intrinsics.cy - dy
     return (x, y)
@@ -217,12 +220,9 @@ def noise_sigma(
     vanish on the optical axis and stay below ~half of sigma_Z across a
     typical field of view.
     """
-    x, y = pixel
-    _check_pixel(maps, x, y)
-    if depth <= 0:
-        raise ValueError(f"depth must be positive, got {depth}")
+    tan_x, tan_y = _tans_at(maps, pixel, depth)
     sz = float(model.sigma_z(depth))
-    return (float(maps.tan_x[y, x]) * sz, float(maps.tan_y[y, x]) * sz, sz)
+    return (tan_x * sz, tan_y * sz, sz)
 
 
 def load_intrinsics(path: str | Path) -> CameraIntrinsics:

@@ -839,7 +839,7 @@ def fit_explicit_rgbd(scatter: Scatter3) -> FitResult:
     return _fit_explicit(_checked_scatter(scatter), SPACE_RGBD)
 
 
-# The fit of each formulation's scatter as :func:`fit_rect` assembles it:
+# The fit of each formulation's scatter as fit_rect or the fitter builds it:
 # symmetric by construction, so unchecked, where ``fit_*`` check a caller's.
 # (Lambdas, not keyword partials: those leave a kwargs dict per call in
 # CPython's free list, which tracemalloc counts.)
@@ -911,9 +911,8 @@ class ExplicitRgbdFitter:
         sums = _gather(stack, window.corners, rect.area)
         n = int(sums[COUNT_CHANNEL])
         if n != rect.area or n < self._spec.size:
-            return fit_explicit_rgbd(
-                scatter_from_integrals(stack, self.constant, rect, EXPLICIT_RGBD)
-            )
+            scatter = scatter_from_integrals(stack, self.constant, rect, EXPLICIT_RGBD)
+            return FIT_BY_FORMULATION[EXPLICIT_RGBD](scatter)
         rhs = np.array([sums[name] for name in self._spec.rhs])
         target_sq = sums.get(self._spec.residual)
         return _explicit_fit(window.matrix, window.factor, rhs, n, target_sq, self._spec.space)

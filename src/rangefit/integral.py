@@ -418,7 +418,7 @@ def build_channels(
         return stack
     holes = np.flatnonzero(~depth.valid)
     running = np.zeros((len(CONSTANT_CHANNELS), holes.size + 1))
-    tan_at = maps.tan_x.take(holes), maps.tan_y.take(holes)
+    tan_at = maps.tan_x.flat[holes], maps.tan_y.flat[holes]
     _write_monomials(CONSTANT_CHANNELS, running[:, 1:], None, *tan_at)
     return replace(stack, holes=holes, hole_tan=np.cumsum(running, axis=1, out=running))
 

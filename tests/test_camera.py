@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,3 +251,81 @@ class TestIntrinsicsFile:
         )
         with pytest.raises(ValueError, match="expected 32"):
             load_intrinsics(tmp_path / "cam.txt")
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The float64 maps' bit patterns, so equality is bit for bit (-0.0 != 0.0)."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestPinholeStorage:
+    """A camera holds only what it has: no zero lattices, pinhole tan maps
+    that are read-only views of the two axes, ``axes`` derived on first read."""
+
+    def test_intrinsics_without_lattices_store_none(self, small_camera):
+        assert small_camera.delta_x is None and small_camera.delta_y is None
+
+    def test_hd_pinhole_maps_are_views_of_the_axes(self):
+        intr = CameraIntrinsics(fx=1050.0, fy=1040.0, cx=959.5, cy=539.5, width=1920, height=1080)
+        tracemalloc.start()
+        try:
+            maps = compute_tan_maps(intr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak  # one (1080, 1920) float64 map is 16.6 MB
+        assert "axes" not in vars(maps)  # no full-map compare at set-up
+        shape = (1080, 1920)
+        tan_x = np.broadcast_to((np.arange(1920, dtype=np.float64) - 959.5) / 1050.0, shape)
+        tan_y = np.broadcast_to((np.arange(1080, dtype=np.float64)[:, None] - 539.5) / 1040.0, shape)
+        assert np.array_equal(_bits(maps.tan_x), _bits(tan_x))
+        assert np.array_equal(_bits(maps.tan_y), _bits(tan_y))
+        assert np.array_equal(_bits(maps.axes[0]), _bits(tan_x[0]))
+        assert np.array_equal(_bits(maps.axes[1]), _bits(tan_y[:, 0]))
+        assert "axes" in vars(maps)
+
+    @pytest.mark.parametrize(
+        "given", [("delta_x", "delta_y"), ("delta_x",), ("delta_y",)], ids=["both", "x-only", "y-only"]
+    )
+    def test_lattice_maps_keep_their_values(self, given):
+        # the formula the maps had when every camera stored two full lattices
+        rng = np.random.default_rng(9)
+        lattices = dict(zip(("delta_x", "delta_y"), rng.uniform(-0.5, 0.5, (2, 48, 64))))
+        intr = CameraIntrinsics(
+            fx=57.0, fy=63.0, cx=30.2, cy=25.7, width=64, height=48,
+            **{name: lattices[name] for name in given},
+        )
+        maps = compute_tan_maps(intr)
+        delta_x, delta_y = (lattices[n] if n in given else np.zeros((48, 64)) for n in lattices)
+        cols, rows = np.arange(64, dtype=np.float64), np.arange(48, dtype=np.float64)
+        assert np.array_equal(_bits(maps.tan_x), _bits((cols[None, :] + delta_x - 30.2) / 57.0))
+        assert np.array_equal(_bits(maps.tan_y), _bits((rows[:, None] + delta_y - 25.7) / 63.0))
+
+    def test_project_point_reads_a_missing_lattice_as_zero(self, small_camera, small_maps):
+        delta_x = np.random.default_rng(5).uniform(-0.5, 0.5, (48, 64))
+        half = CameraIntrinsics(
+            fx=60.0, fy=60.0, cx=31.5, cy=23.5, width=64, height=48, delta_x=delta_x
+        )
+        point = back_project((10, 30), 2.0, small_maps)
+        assert project_point(point, small_camera, distortion_pixel=(10, 30)) == project_point(
+            point, small_camera
+        )
+        x, y = project_point(point, small_camera)
+        assert project_point(point, half, distortion_pixel=(10, 30)) == (x - delta_x[30, 10], y)
+
+    def test_pinhole_maps_are_read_only(self, small_maps):
+        for tan in (small_maps.tan_x, small_maps.tan_y):
+            with pytest.raises(ValueError, match="read-only"):
+                tan[3, 2] = 1.0
+
+
+class TestTanMapShapes:
+    @pytest.mark.parametrize(
+        "shapes",
+        [((64,), (64,)), ((4, 5), (5, 4)), ((48, 64), (40, 64)), ((2, 4, 5), (2, 4, 5))],
+        ids=["1-d", "transposed", "fewer-rows", "3-d"],
+    )
+    def test_malformed_maps_are_rejected(self, shapes):
+        tan_x, tan_y = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ValueError, match=re.escape(f"got {shapes[0]} and {shapes[1]}")):
+            TanAngleMaps(tan_x=tan_x, tan_y=tan_y)

@@ -722,6 +722,31 @@ class TestExplicitRgbdFitter:
         with pytest.raises(ValueError, match="dimensions"):
             fitter.fit(build_rgbd_explicit_channels(depth, other), Rect(0, 0, 20, 20))
 
+    def test_holey_windows_skip_the_caller_check(self, small_maps, monkeypatch):
+        # a holey window's scatter is assembled by the library, symmetric by
+        # construction: only a caller's matrix goes through fitting._checked
+        from rangefit import fitting
+
+        depth, _ = render_scene(
+            SyntheticScene((random_visible_plane(np.random.default_rng(17)),)),
+            small_maps, noise=NoiseModel(), seed=5, dropout=0.2,
+        )
+        constant = build_constant_channels(small_maps)
+        stack = build_rgbd_explicit_channels(depth, small_maps)
+        rect = Rect(4, 4, 44, 44)
+        assert not depth.valid[4:44, 4:44].all()
+        want = fit_explicit_rgbd(scatter_from_integrals(stack, constant, rect, EXPLICIT_RGBD))
+
+        def refuse(matrices):
+            raise AssertionError("an assembled scatter went through the caller check")
+
+        monkeypatch.setattr(fitting, "_checked", refuse)
+        got = ExplicitRgbdFitter(constant).fit(stack, rect)
+        np.testing.assert_array_equal(got.plane.coefficients, want.plane.coefficients)
+        assert (got.n_points, got.rms_residual, got.degenerate) == (
+            want.n_points, want.rms_residual, want.degenerate
+        )
+
 
 def _disc_holes(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
     """Four filled discs of invalid pixels, the shape of sensor shadows."""
