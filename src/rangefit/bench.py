@@ -3,10 +3,12 @@
 Times the two phases that matter on a live sensor stream: per-frame channel
 building (the integral tables a frame must pay for before any window can be
 fit) and the per-window fit itself, swept over how many windows get fit per
-frame.  Camera-constant work (tan maps, constant channel stack, the cached
-explicit factor) is excluded from per-frame times since it amortizes across
-a sequence.  Absolute times are hardware-bound, so the derived ratios are the
-meaningful output; the workload itself is deterministic for a fixed seed.
+frame.  Camera-constant work (tan maps, the camera constant of
+``build_constant_channels`` -- for this pinhole camera its axes' prefix
+sums, O(W + H) -- and the cached explicit factor) is excluded from
+per-frame times since it amortizes across a sequence.  Absolute times are
+hardware-bound, so the derived ratios are the meaningful output; the
+workload itself is deterministic for a fixed seed.
 """
 
 from __future__ import annotations

@@ -91,11 +91,13 @@ class TanAngleMaps:
     the side-view analogue.  Pure functions of the intrinsics.  Both maps
     are 2-D and of one shape, else ValueError.
 
-    Derived from the maps' values on first read: ``axes``, the ``(tan_x[0],
-    tan_y[:, 0])`` pair when ``tan_x`` varies only along the columns and
-    ``tan_y`` only along the rows, as without distortion lattices, else
-    None.  Then every tan monomial factors into a column weight times a row
-    weight.
+    Derived on first read: ``axes``, the ``(tan_x[0], tan_y[:, 0])`` pair
+    when ``tan_x`` varies only along the columns and ``tan_y`` only along
+    the rows, as without distortion lattices, else None.  Then every tan
+    monomial factors into a column weight times a row weight.  Maps that
+    are zero-stride views of their axes (``np.broadcast_to``, as
+    :func:`compute_tan_maps` makes without lattices) are read as such;
+    other maps are compared with their first row and column.
     """
 
     tan_x: np.ndarray
@@ -109,7 +111,11 @@ class TanAngleMaps:
     @cached_property
     def axes(self) -> tuple[np.ndarray, np.ndarray] | None:
         tan_x, tan_y = self.tan_x, self.tan_y
-        separable = (tan_x == tan_x[:1]).all() and (tan_y == tan_y[:, :1]).all()
+        # zero-stride views of the axes (compute_tan_maps' pinhole maps)
+        # factor by construction; full maps are compared
+        separable = (tan_x.strides[0] == 0 and tan_y.strides[1] == 0) or (
+            (tan_x == tan_x[:1]).all() and (tan_y == tan_y[:, :1]).all()
+        )
         return (tan_x[0].copy(), tan_y[:, 0].copy()) if separable else None
 
     @property

@@ -20,9 +20,14 @@ Backends: ``naive`` accumulates monomials directly over the window's samples;
 ``integral`` assembles every scatter entry from one box sum each, and the two
 agree to rounding.  Invalid pixels contribute nothing anywhere: the
 per-frame tables hold zero at holes, and the rgbd formulations read their
-camera-constant block from the shared precomputed stack less the tan
-monomials of the holes the frame stack lists in the window, so a window's
-scatter is always the exact Gram matrix of its valid samples.
+camera-constant block from the camera's constant less the tan monomials of
+the holes the frame stack lists in the window, so a window's scatter is
+always the exact Gram matrix of its valid samples.  The constant is read
+by one function, ``integral.tan_sums``.  A pinhole camera's tan sums are
+products of its axes' prefix sums, which keep their digits to the far
+corner of a frame, so the tan block of a window whose samples lie on one
+row or one column stays singular to rounding, and its fit is flagged
+degenerate as the naive oracle's is.
 
 Implicit fits take the smallest eigenvector from LAPACK's symmetric solver
 (``np.linalg.eigh``); explicit fits use a hand-unrolled 3x3 Cholesky
@@ -65,14 +70,17 @@ from .integral import (
     SPACE_RGBD,
     SPACE_STANDARD,
     TARGET,
+    AxisSums,
     ChannelSet,
     ChannelStack,
     Rect,
     _box_corners,
+    _box_sums,
     _check_rect,
     _check_rects,
     _hole_sums,
     _require_channels,
+    tan_sums,
 )
 from .synth import DepthImage
 
@@ -569,18 +577,11 @@ _SYMMETRIC_INDEX = {s.size: _symmetric_index(s.size) for s in FORMULATION_CHANNE
 def _gather(stack: ChannelStack, corners: np.ndarray, area) -> dict[str, float | np.ndarray]:
     """Every channel's box sums from one indexed read of the stack's tensor.
 
-    ``corners`` holds flat table indices from ``_box_corners``: (4, N) for a
-    batch, giving (N,) sums per channel, or (4,) for one window, giving
-    floats.  The sums are formed in the same order of operations as ``_box``.
-    ``"n"`` counts from the count table, or is ``area``, the windows' areas
-    batched like the sums, when the stack has none (a frame without holes).
+    ``corners`` are as for ``integral._box_sums``.  ``"n"`` counts from the
+    count table, or is ``area``, the windows' areas batched like the sums,
+    when the stack has none (a frame without holes).
     """
-    t = stack.tensor.reshape(len(stack.index), -1).take(corners, axis=1)
-    if t.ndim == 2:
-        sums = [a - b - c + d for a, b, c, d in t.tolist()]
-    else:
-        sums = t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3]
-    gathered = {name: sums[i] for name, i in stack.index.items()}
+    gathered = _box_sums(stack, corners)
     gathered.setdefault(COUNT_CHANNEL, area)
     return gathered
 
@@ -592,16 +593,16 @@ def _scatter_matrix(sums: dict[str, float | np.ndarray], spec: ChannelSet) -> np
 
 def _window_sums(
     stack: ChannelStack,
-    constant: ChannelStack | None,
+    constant: AxisSums | ChannelStack | None,
     formulation: str,
     rects: np.ndarray | Rect,
 ) -> dict[str, float | np.ndarray]:
     """Box sums of every channel a formulation's system reads, ``"n"`` the count.
 
     ``rects`` is one rect, giving a float per sum, or an (N, 4) array of
-    them, giving (N,) arrays.  The tan entries are ``constant``'s, less those
-    of the holes the frame stack lists; only the windows whose count falls
-    short of their area hold holes.
+    them, giving (N,) arrays.  The tan entries are ``constant``'s
+    (``integral.tan_sums``), less those of the holes the frame stack lists;
+    only the windows whose count falls short of their area hold holes.
     """
     spec = FORMULATION_CHANNELS[formulation]
     _require_channels(stack, spec.scatter, "per-frame")
@@ -616,11 +617,9 @@ def _window_sums(
         return sums
     if constant is None:
         raise ValueError(f"{formulation} requires the camera-constant channel stack")
-    if constant.tensor.shape[1:] != stack.tensor.shape[1:]:
-        raise ValueError("constant stack dimensions do not match the per-frame stack")
-    _require_channels(constant, CONSTANT_CHANNELS, "constant")
-    const = _gather(constant, corners, area)
-    sums.update((name, const[name]) for name in CONSTANT_CHANNELS)
+    if (constant.height, constant.width) != (stack.height, stack.width):
+        raise ValueError("camera constant dimensions do not match the per-frame stack")
+    sums.update(tan_sums(constant, rects))
     if stack.holes is None:
         return sums
     if isinstance(rects, Rect):
@@ -651,14 +650,15 @@ def _system(
 
 def scatter_from_integrals(
     stack: ChannelStack,
-    constant: ChannelStack | None,
+    constant: AxisSums | ChannelStack | None,
     rect: Rect,
     formulation: str,
 ) -> Scatter4 | Scatter3:
     """Assemble a window's scatter system with one box sum per unique entry.
 
     ``stack`` holds the frame's depth-dependent channels; ``constant``, which
-    the rgbd formulations require, the camera-constant tan channels.  The
+    the rgbd formulations require, the camera's tan sums
+    (:func:`~rangefit.integral.build_constant_channels`).  The
     sample count is always the window's valid-pixel count from ``stack``.
     """
     _check_formulation(formulation)
@@ -864,15 +864,15 @@ class ExplicitRgbdFitter:
 
     The normal-equation matrix depends only on the camera constants and the
     window, so one record per window (:class:`_Window`) holds its corner
-    indices, matrix and Cholesky factor, computed once and reused for every
-    frame; each fit then costs one indexed read of the window's box sums and
-    two triangular solves.
+    indices, matrix (from ``integral.tan_sums``) and Cholesky factor,
+    computed once and reused for every frame; each fit then costs one
+    indexed read of the window's box sums and two triangular solves.
+    ``constant`` is :func:`~rangefit.integral.build_constant_channels`'s.
     """
 
     _spec = FORMULATION_CHANNELS[EXPLICIT_RGBD]
 
-    def __init__(self, constant: ChannelStack):
-        _require_channels(constant, CONSTANT_CHANNELS, "constant")
+    def __init__(self, constant: AxisSums | ChannelStack):
         self.constant = constant
         self._windows: dict[Rect, _Window] = {}
 
@@ -881,9 +881,10 @@ class ExplicitRgbdFitter:
         window = self._windows.get(rect)
         if window is None:
             _check_rect(rect, self.constant.width, self.constant.height)
-            corners = _box_corners(rect, self.constant.width)
-            sums = _gather(self.constant, corners, rect.area)
+            sums = tan_sums(self.constant, rect)
+            sums[COUNT_CHANNEL] = rect.area
             matrix = _scatter_matrix(sums, self._spec)
+            corners = _box_corners(rect, self.constant.width)
             window = self._windows[rect] = _Window(corners, matrix, _factor_or_none(matrix))
         return window
 
@@ -904,8 +905,8 @@ class ExplicitRgbdFitter:
         from the camera-constant matrix (they are frame-specific, so there
         is nothing to cache).
         """
-        if stack.tensor.shape[1:] != self.constant.tensor.shape[1:]:
-            raise ValueError("constant stack dimensions do not match the per-frame stack")
+        if (stack.height, stack.width) != (self.constant.height, self.constant.width):
+            raise ValueError("camera constant dimensions do not match the per-frame stack")
         window = self._window(rect)
         _require_channels(stack, self._spec.scatter, "per-frame")
         sums = _gather(stack, window.corners, rect.area)
@@ -970,7 +971,7 @@ def fit_rect(
     formulation: str,
     backend: str,
     stack: ChannelStack | None = None,
-    constant: ChannelStack | None = None,
+    constant: AxisSums | ChannelStack | None = None,
     rgbd_fitter: ExplicitRgbdFitter | None = None,
 ) -> FitResult:
     """Fit one window with the chosen formulation and backend.
@@ -997,7 +998,7 @@ def fit_rect(
 
 def fit_rects(
     stack: ChannelStack,
-    constant: ChannelStack | None,
+    constant: AxisSums | ChannelStack | None,
     rects: np.ndarray,
     formulation: str,
 ) -> FitBatch:

@@ -8,7 +8,8 @@ scatter is stated once (``SCATTERS``), one table per depth-dependent entry:
   y, z2, z);
 * inverse-depth (rgbd), monomials ``[tan_x, tan_y, 1, 1/Z]``: only 4
   (tan_x/Z, tan_y/Z, 1/Z, 1/Z^2) -- the other 5 (tan_x^2, tan_x*tan_y,
-  tan_y^2, tan_x, tan_y) are camera constants built once and shared.
+  tan_y^2, tan_x, tan_y) are camera constants built once and shared
+  (:func:`build_constant_channels`, read by :func:`tan_sums`).
 
 An explicit system is a partition of its space's scatter: the scatter less
 the row and column of the target, Z or 1/Z (``TARGET``), whose column is
@@ -18,15 +19,21 @@ the right-hand side and whose diagonal the residual channel.  It reads 8 or
 with its residual channel serves both formulations of its space, and
 ``FORMULATION_CHANNELS`` holds each system for the builder and the fits
 alike.  ``_MONOMIALS`` says how each channel is computed per pixel; one
-builder serves every formulation and the camera-constant stack.
+builder serves every formulation and a lattice camera's constant stack.
+
+A pinhole camera's constant is no table: each tan monomial is a column
+weight times a row weight, so its window sums are products of the two axes'
+prefix sums (:class:`AxisSums`, 3(W + H + 2) floats).  Under a distortion
+lattice the five tan monomials get summed-area tables like the per-frame
+ones.
 
 A stack is one float64 tensor of shape (C, H+1, W+1): one zero-padded table
 per channel, the last of a frame with holes being the validity count (a
-window of a hole-free frame or of the constant stack holds its area in
-samples).  One writer, :func:`_bands`, streams a frame's monomials a band of
-rows at a time into one reused buffer: holes hold the neutral depth (0, or
-+inf for the inverse monomials), so they add zero with no mask, and the
-count is the monomial of the validity mask.  :func:`_build_stack`
+window of a hole-free frame or of a constant holds its area in samples).
+One writer, :func:`_bands`, streams a frame's monomials a band of rows at a
+time into one reused buffer: holes hold the neutral depth (0, or +inf for
+the inverse monomials), so they add zero with no mask, and the count is the
+monomial of the validity mask.  :func:`_build_stack`
 prefix-sums the bands into the tables with the additions of a per-channel
 ``cumsum`` pair, so each is bit-identical to :func:`build_integral`.  The
 segmenter fits only the nodes of a quadtree fixed by the image size, so
@@ -47,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Iterator, NamedTuple
 
@@ -87,8 +95,8 @@ class ChannelSet:
     ``"n"`` being the valid-sample count; ``rhs`` the explicit right-hand
     side; ``residual`` the optional rms diagnostic channel.  Derived:
     ``scatter``, the per-frame channels (the entries that are not camera
-    constants); ``needs_constant``, whether the rest come from the constant
-    stack (less the sums of a frame's holes); and ``size``, the system's
+    constants); ``needs_constant``, whether the rest come from the camera's
+    constant (less the sums of a frame's holes); and ``size``, the system's
     order and so its fewest samples.
     """
 
@@ -193,10 +201,10 @@ class ChannelStack:
     ``count`` are array views into it.  What a stack holds is read from its
     names: a frame stack has its formulation's per-frame channels
     (``FORMULATION_CHANNELS``), the residual channel when built with it and,
-    when the frame has holes, the count; the camera-constant stack has the
-    five tan tables, built once per camera and shared by reference across
-    frames.  A stack without a count (``count`` None) counts every pixel of
-    a window, its area.  An rgbd frame stack with holes lists them:
+    when the frame has holes, the count; a lattice camera's constant stack
+    has the five tan tables, built once per camera and shared by reference
+    across frames.  A stack without a count (``count`` None) counts every
+    pixel of a window, its area.  An rgbd frame stack with holes lists them:
     ``holes`` by flat pixel index, ascending, and ``hole_tan``, the (5, K+1)
     running sums of their tan monomials from 0.
     """
@@ -217,11 +225,11 @@ class ChannelStack:
         object.__setattr__(self, "count", views.pop(COUNT_CHANNEL, None))
         object.__setattr__(self, "channels", views)
 
-    @property
+    @cached_property  # read per window: an attribute once read
     def height(self) -> int:
         return self.tensor.shape[1] - 1
 
-    @property
+    @cached_property
     def width(self) -> int:
         return self.tensor.shape[2] - 1
 
@@ -263,6 +271,21 @@ def _box_corners(rects: np.ndarray | Rect, width: int) -> np.ndarray:
     x0, y0, x1, y1 = rects if isinstance(rects, Rect) else np.asarray(rects).T
     stride = width + 1
     return np.array((y1 * stride + x1, y0 * stride + x1, y1 * stride + x0, y0 * stride + x0))
+
+
+def _box_sums(stack: ChannelStack, corners: np.ndarray) -> dict[str, float | np.ndarray]:
+    """Every table's box sums from one indexed read of the stack's tensor.
+
+    ``corners`` holds flat table indices from ``_box_corners``: (4, N) for a
+    batch, giving (N,) sums per channel, or (4,) for one window, giving
+    floats.  The sums are formed in the same order of operations as ``_box``.
+    """
+    t = stack.tensor.reshape(len(stack.index), -1).take(corners, axis=1)
+    if t.ndim == 2:
+        sums = [a - b - c + d for a, b, c, d in t.tolist()]
+    else:
+        sums = t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3]
+    return {name: sums[i] for name, i in stack.index.items()}
 
 
 def build_integral(channel: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -378,13 +401,96 @@ def _build_stack(
     return ChannelStack(out, {name: i for i, name in enumerate(names)})
 
 
-def build_constant_channels(maps: TanAngleMaps) -> ChannelStack:
-    """Camera-constant monomial tables: tan_x^2, tan_x*tan_y, tan_y^2, tan_x, tan_y.
+@dataclass(frozen=True)
+class AxisSums:
+    """A pinhole camera's constant: the prefix sums of its two tan axes' powers.
 
-    Built once per intrinsics and reused for every frame.  The stack has no
-    count: a window's pixel count is its area.
+    ``rows[j, y]`` sums tan_y**j over pixel rows [0, y) and ``cols[i, x]``
+    tan_x**i over columns [0, x), for i, j in 0..2: a (3, H+1) and a
+    (3, W+1) array, their first column zero.  Each of the five tan
+    monomials tan_x**i * tan_y**j (``_POWERS``) is a column weight times a
+    row weight, so its sum over a window is ``(rows[j, y1] - rows[j, y0]) *
+    (cols[i, x1] - cols[i, x0])`` (:func:`tan_sums`).  It names the five
+    channels it serves, as the tables of a :class:`ChannelStack` constant do.
     """
-    return _build_stack(CONSTANT_CHANNELS, maps)
+
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @cached_property
+    def height(self) -> int:
+        return self.rows.shape[1] - 1
+
+    @cached_property
+    def width(self) -> int:
+        return self.cols.shape[1] - 1
+
+    def per_frame_channel_names(self) -> tuple[str, ...]:
+        return CONSTANT_CHANNELS
+
+    @cached_property
+    def floats(self) -> tuple[list[list[float]], list[list[float]]]:
+        """``rows`` and ``cols`` as lists of Python floats, which one window
+        reads faster than it indexes an array."""
+        return self.rows.tolist(), self.cols.tolist()
+
+
+def _axis_prefix_sums(axis: np.ndarray) -> np.ndarray:
+    """(3, n+1) prefix sums of ``axis ** [0, 1, 2]``, from a zero column."""
+    out = np.zeros((3, len(axis) + 1))
+    np.cumsum(_raised(axis, np.arange(3)), axis=1, out=out[:, 1:])
+    return out
+
+
+def build_constant_channels(maps: TanAngleMaps) -> AxisSums | ChannelStack:
+    """Camera-constant sums of tan_x^2, tan_x*tan_y, tan_y^2, tan_x, tan_y.
+
+    Built once per camera and reused for every frame; read only through
+    :func:`tan_sums`.  On maps with ``axes`` (no distortion lattice) they
+    are the axes' :class:`AxisSums`, 3(W + H + 2) floats built in O(W + H).
+    Under a distortion lattice the monomials do not factor, and the constant
+    is the five (H+1, W+1) summed-area tables, a stack with no count: a
+    window's pixel count is its area.
+    """
+    if maps.axes is None:
+        return _build_stack(CONSTANT_CHANNELS, maps)
+    tan_x, tan_y = maps.axes
+    return AxisSums(_axis_prefix_sums(tan_y), _axis_prefix_sums(tan_x))
+
+
+# Each constant channel with its (tan_x, tan_y) exponents.
+_CONSTANT_POWERS = tuple((name, *_POWERS[name][:2]) for name in CONSTANT_CHANNELS)
+
+
+def tan_sums(
+    constant: AxisSums | ChannelStack, rects: Rect | np.ndarray
+) -> dict[str, float | np.ndarray]:
+    """The five camera-constant tan sums (``CONSTANT_CHANNELS``) over windows.
+
+    ``rects`` is one rect, giving a float per sum, or an (N, 4) array of
+    checked rects, giving (N,) arrays.  The one reader of a constant in
+    either form (:func:`build_constant_channels`): an :class:`AxisSums`
+    gives the product of its two axes' differences, a stack its tables' box
+    sums.  A difference of prefix sums carries the rounding of the prefixes
+    it reads: a sequential sum of k terms is off by up to k*eps/2 times the
+    sum of their magnitudes.  An axis prefix sums one row or column of
+    terms, a table entry its whole upper-left block, so far from the origin
+    an axes' window sum is roughly a side's length more exact.
+    """
+    if isinstance(constant, ChannelStack):
+        _require_channels(constant, CONSTANT_CHANNELS, "constant")
+        sums = _box_sums(constant, _box_corners(rects, constant.width))
+        return {name: sums[name] for name in CONSTANT_CHANNELS}
+    if isinstance(rects, Rect):
+        x0, y0, x1, y1 = rects
+        rows, cols = constant.floats
+        r = [row[y1] - row[y0] for row in rows]
+        c = [col[x1] - col[x0] for col in cols]
+    else:
+        x0, y0, x1, y1 = rects.T
+        r = constant.rows[:, y1] - constant.rows[:, y0]
+        c = constant.cols[:, x1] - constant.cols[:, x0]
+    return {name: r[j] * c[i] for name, i, j in _CONSTANT_POWERS}
 
 
 def _check_frame(depth: DepthImage, maps: TanAngleMaps) -> None:

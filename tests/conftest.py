@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rangefit import CameraIntrinsics, GroundTruthPlane, compute_tan_maps
+from rangefit import CameraIntrinsics, GroundTruthPlane, SyntheticScene, compute_tan_maps
 
 
 @pytest.fixture
@@ -46,3 +46,20 @@ def random_visible_plane(rng: np.random.Generator, max_tan: float = 0.55) -> Gro
     z0 = rng.uniform(1.5, 4.0)
     d = -float(normal @ np.array([0.0, 0.0, z0]))
     return GroundTruthPlane(np.array([*normal, d]))
+
+
+def corner_scene() -> SyntheticScene:
+    """Convex room corner: two 45-degree walls meeting at a vertical crease
+    (off the tile grid) plus a tilted floor; depth is continuous across the
+    creases and nearest-intersection labels are exact."""
+    wall = np.deg2rad(45.0)
+    floor_tilt = np.deg2rad(50.0)
+    z_crease, z_floor = 1.5, 1.7
+    s, c = np.sin(wall), np.cos(wall)
+    xc = -0.05 * z_crease
+    left = GroundTruthPlane(np.array([-s, 0.0, c, s * xc - c * z_crease]))
+    right = GroundTruthPlane(np.array([s, 0.0, c, -s * xc - c * z_crease]))
+    floor = GroundTruthPlane(
+        np.array([0.0, np.sin(floor_tilt), np.cos(floor_tilt), -np.cos(floor_tilt) * z_floor])
+    )
+    return SyntheticScene((left, right, floor))

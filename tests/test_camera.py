@@ -284,6 +284,23 @@ class TestPinholeStorage:
         assert np.array_equal(_bits(maps.axes[1]), _bits(tan_y[:, 0]))
         assert "axes" in vars(maps)
 
+    def test_axes_of_view_maps_make_no_full_map_compare(self):
+        # a pinhole camera's maps are zero-stride views of the axes, read as
+        # such: comparing a 4000x4000 map with its first row would take a
+        # 16 MB bool mask
+        maps = compute_tan_maps(
+            CameraIntrinsics(fx=2000.0, fy=2000.0, cx=1999.5, cy=1999.5, width=4000, height=4000)
+        )
+        tracemalloc.start()
+        try:
+            tan_x, tan_y = maps.axes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4000 * 4000 // 100, peak
+        assert np.array_equal(_bits(tan_x), _bits(maps.tan_x[0]))
+        assert np.array_equal(_bits(tan_y), _bits(maps.tan_y[:, 0]))
+
     @pytest.mark.parametrize(
         "given", [("delta_x", "delta_y"), ("delta_x",), ("delta_y",)], ids=["both", "x-only", "y-only"]
     )

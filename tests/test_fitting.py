@@ -42,7 +42,7 @@ from rangefit import (
 )
 from rangefit.fitting import CSV_HEADER, MIN_SAMPLES, fit_result_csv_row
 
-from conftest import random_visible_plane
+from conftest import corner_scene, random_visible_plane
 
 STACK_BUILDERS = {
     IMPLICIT_STANDARD: build_standard_implicit_channels,
@@ -628,6 +628,14 @@ class TestExplicitRgbdFitter:
         assert batch[rects.index(empty)] is None
         # the hole-free sliver takes the minimum-norm path, flagged degenerate
         assert batch[rects.index(column)].degenerate
+        # so does the holey 1-px column, as the naive oracle says: its tan
+        # sums keep their digits, so its rank-2 system fails a pivot
+        holey_column = Rect(32, 10, 33, 40)
+        assert fit_rect(depth, small_maps, holey_column, EXPLICIT_RGBD, "naive").degenerate
+        assert batch[rects.index(holey_column)].degenerate
+        assert fit_rect(
+            depth, small_maps, holey_column, EXPLICIT_RGBD, "integral", stack, constant
+        ).degenerate
 
     def test_fit_rect_dispatch(self, small_maps):
         depth, _ = render_scene(
@@ -895,6 +903,37 @@ _SPACES = {
     "standard": (IMPLICIT_STANDARD, EXPLICIT_STANDARD, 2),
     "rgbd": (IMPLICIT_RGBD, EXPLICIT_RGBD, 3),
 }
+
+
+class TestRankTwoWindows:
+    """1-px rows and columns are rank 2 in the rgbd tan monomials (tan_y or
+    tan_x is constant along them), so every fit of one is degenerate, also
+    in the far corner of a 1080p frame, where the constant's tan sums must
+    keep their digits for a pivot or an eigenvalue gap to show it."""
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_far_edge_slivers_of_a_1080p_frame_are_degenerate(self, seed):
+        from rangefit import CameraIntrinsics, compute_tan_maps
+
+        width, height = 1920, 1080
+        maps = compute_tan_maps(CameraIntrinsics(
+            fx=1000.0, fy=1000.0, cx=959.5, cy=539.5, width=width, height=height
+        ))
+        depth, _ = render_scene(corner_scene(), maps, noise=NoiseModel(), seed=seed, dropout=0.05)
+        rects = [Rect(x, height - 1, x + 20, height) for x in range(0, width, 20)]
+        rects += [Rect(width - 1, y, width, y + 20) for y in range(0, height, 20)]
+        rects += [Rect(0, height - 1, width, height), Rect(width - 1, 0, width, height)]
+        constant = build_constant_channels(maps)
+        fitter = ExplicitRgbdFitter(constant)
+        for formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
+            stack = build_channels(depth, maps, formulation)
+            batch = fit_rects(stack, constant, np.array(rects), formulation)
+            for rect, fit in zip(rects, batch):
+                assert fit.degenerate, (formulation, rect)
+                one = fit_rect(depth, maps, rect, formulation, "integral", stack, constant)
+                assert one.degenerate, (formulation, rect)
+                if formulation == EXPLICIT_RGBD:
+                    assert fitter.fit(stack, rect).degenerate, rect
 
 
 def _space_frame(small_maps, holes: bool) -> DepthImage:

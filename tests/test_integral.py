@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import tracemalloc
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -36,9 +37,11 @@ from rangefit.integral import (
     COUNT_CHANNEL,
     FORMULATION_CHANNELS,
     _POWERS,
+    AxisSums,
     _band_rows,
     _hole_sums,
     build_node_pyramid,
+    tan_sums,
 )
 
 from conftest import random_visible_plane
@@ -165,23 +168,34 @@ class TestConstantChannels:
         from rangefit import CameraIntrinsics, compute_tan_maps
 
         intr = CameraIntrinsics(fx=50.0, fy=50.0, cx=15.5, cy=11.5, width=32, height=24)
-        stack = build_constant_channels(compute_tan_maps(intr))
-        total = box_sum(stack.channels["tx"], Rect(0, 0, 32, 24))
+        constant = build_constant_channels(compute_tan_maps(intr))
+        total = tan_sums(constant, Rect(0, 0, 32, 24))["tx"]
         assert abs(total) < 1e-10
 
-    def test_holds_exactly_the_five_tan_tables(self, small_maps):
+    def test_pinhole_constant_is_its_axes_prefix_sums(self, small_maps):
+        # O(W + H): [1, t, t^2] summed down the rows and along the columns
+        constant = build_constant_channels(small_maps)
+        assert isinstance(constant, AxisSums)
+        assert constant.rows.shape == (3, small_maps.height + 1)
+        assert constant.cols.shape == (3, small_maps.width + 1)
+        assert (constant.height, constant.width) == (small_maps.height, small_maps.width)
+        for prefix, axis in ((constant.rows, small_maps.axes[1]), (constant.cols, small_maps.axes[0])):
+            assert not prefix[:, 0].any()
+            powers = np.stack([np.ones_like(axis), axis, axis * axis])
+            assert np.array_equal(prefix[:, 1:], np.cumsum(powers, axis=1))
+
+    def test_lattice_constant_holds_exactly_the_five_tan_tables(self):
         # a window's pixel count is its area, so the stack needs no count table
-        stack = build_constant_channels(small_maps)
+        maps = _camera_maps(64, 48, lattice=True)
+        stack = build_constant_channels(maps)
         assert stack.count is None
         assert tuple(stack.index) == CONSTANT_CHANNELS
-        assert stack.tensor.shape == (5, small_maps.height + 1, small_maps.width + 1)
+        assert stack.tensor.shape == (5, maps.height + 1, maps.width + 1)
 
-    def test_sums_match_naive(self):
-        from rangefit import CameraIntrinsics, compute_tan_maps
-
-        intr = CameraIntrinsics(fx=4.0, fy=3.0, cx=3.5, cy=3.5, width=8, height=8)
-        maps = compute_tan_maps(intr)
-        stack = build_constant_channels(maps)
+    @pytest.mark.parametrize("lattice", [False, True], ids=["pinhole", "lattice"])
+    def test_sums_match_naive(self, lattice):
+        maps = _camera_maps(8, 8, 4.0, lattice=lattice)
+        constant = build_constant_channels(maps)
         full = Rect(0, 0, 8, 8)
         lattices = {
             "tx2": maps.tan_x**2,
@@ -190,10 +204,9 @@ class TestConstantChannels:
             "tx": maps.tan_x,
             "ty": maps.tan_y,
         }
+        sums = tan_sums(constant, full)
         for name, lattice in lattices.items():
-            assert box_sum(stack.channels[name], full) == pytest.approx(
-                float(lattice.sum()), rel=1e-12
-            )
+            assert sums[name] == pytest.approx(float(lattice.sum()), rel=1e-12)
 
 
 class TestPerFrameBuilders:
@@ -354,6 +367,53 @@ def _assert_tables_match_reference(stack, lattices, mask, count_source):
     assert stack.tensor.shape == (len(stack.channels) + counted, h + 1, w + 1)
 
 
+def _window_edges(n: int) -> list[int]:
+    """Window edges along an axis of ``n`` pixels: both ends, their inner
+    neighbours and the middle."""
+    return sorted({0, 1, n // 2, n - 1, n})
+
+
+def _assert_constant_sums_match_fsum(constant: AxisSums, maps) -> None:
+    """Every window's five tan sums through ``tan_sums``, on one rect and in
+    a batch bit for bit, against ``math.fsum`` of the per-pixel monomials.
+
+    Windows take every pair of ``_window_edges`` per axis, so they include
+    1-px rows and columns at the far edges.  Bound, with u the unit roundoff
+    and Q the prefix sums of |t**k| along an axis: a sequential prefix sum
+    over x terms is off by at most x*u*Q[x], so one axis' difference over
+    [a, b) by e = (b + 1)*u*(Q[b] + Q[a]), its rounding included.  A product
+    c*r of the column and row differences is then off by |c|*e_r + |r|*e_c +
+    e_c*e_r; its own rounding, the per-pixel product tan_x*tan_y and fsum's
+    rounding add at most 3*u*(|c| + e_c)*(|r| + e_r), where |c| and |r|
+    are the sums of the magnitudes over the window.
+    """
+    u = np.finfo(np.float64).eps / 2
+    q_col, q_row = (
+        np.concatenate([np.zeros((3, 1)), np.cumsum(np.abs([t**0, t, t * t]), axis=1)], axis=1)
+        for t in maps.axes
+    )
+    rects = [
+        Rect(x0, y0, x1, y1)
+        for x0, x1 in combinations_with_replacement(_window_edges(maps.width), 2)
+        for y0, y1 in combinations_with_replacement(_window_edges(maps.height), 2)
+    ]
+    batch = tan_sums(constant, np.array(rects))
+    lattices = _reference_lattices(DepthImage(values=np.ones(maps.tan_x.shape)), maps)
+    for k, rect in enumerate(rects):
+        sums = tan_sums(constant, rect)
+        x0, y0, x1, y1 = rect
+        window = (slice(y0, y1), slice(x0, x1))
+        for name in CONSTANT_CHANNELS:
+            assert sums[name] == batch[name][k], (name, rect)
+            i, j, _ = _POWERS[name]
+            c, r = q_col[i, x1] - q_col[i, x0], q_row[j, y1] - q_row[j, y0]
+            e_c = (x1 + 1) * u * (q_col[i, x1] + q_col[i, x0])
+            e_r = (y1 + 1) * u * (q_row[j, y1] + q_row[j, y0])
+            bound = c * e_r + r * e_c + e_c * e_r + 3 * u * (c + e_c) * (r + e_r)
+            exact = math.fsum(lattices[name][window].ravel().tolist())
+            assert abs(sums[name] - exact) <= bound, (name, rect, sums[name] - exact, bound)
+
+
 def _camera_maps(width: int, height: int, fx: float = 60.0, lattice: bool = False):
     """Tan maps of a pinhole camera or, with ``lattice``, of one with random
     distortion offsets, whose maps do not factor into axes."""
@@ -435,14 +495,18 @@ class TestChannelTensor:
         assert again.index == stack.index
         assert np.array_equal(again.tensor, stack.tensor)
 
+    @_CAMERAS
     @pytest.mark.parametrize("size", _SIZES, ids=_SIZE_IDS)
-    def test_constant_stack_matches_per_channel_reference(self, size):
-        maps = _camera_maps(*size)
-        stack = build_constant_channels(maps)
-        assert tuple(stack.channels) == ("tx2", "txty", "ty2", "tx", "ty")
-        _assert_band_layout(stack, size)
+    def test_constant_stack_matches_per_channel_reference(self, size, lattice):
+        maps = _camera_maps(*size, lattice=lattice)
+        constant = build_constant_channels(maps)
+        if not lattice:
+            _assert_constant_sums_match_fsum(constant, maps)
+            return
+        assert tuple(constant.channels) == ("tx2", "txty", "ty2", "tx", "ty")
+        _assert_band_layout(constant, size)
         depth = DepthImage(values=np.ones(maps.tan_x.shape))
-        _assert_tables_match_reference(stack, _reference_lattices(depth, maps), None, None)
+        _assert_tables_match_reference(constant, _reference_lattices(depth, maps), None, None)
 
     @pytest.mark.parametrize("formulation", FORMULATIONS)
     def test_build_makes_no_frame_sized_temporary(self, formulation):
@@ -727,8 +791,14 @@ class TestBandWriter:
         monkeypatch.setattr("rangefit.integral._BAND_BYTES", band_bytes)
         rows = _band_rows(len(CONSTANT_CHANNELS), maps.width)
         assert rows == 1 if band_bytes == 1 else rows >= maps.height
-        stacks = [build_constant_channels(maps)]
-        _assert_tables_match_reference(stacks[0], lattices, None, None)
+        constant = build_constant_channels(maps)
+        stacks = []
+        if lattice:
+            stacks.append(constant)
+            _assert_tables_match_reference(constant, lattices, None, None)
+        else:
+            assert not np.isnan(constant.rows).any() and not np.isnan(constant.cols).any()
+            _assert_constant_sums_match_fsum(constant, maps)
         for formulation in FORMULATIONS:
             for include_residual in (True, False):
                 stacks.append(build_channels(depth, maps, formulation, include_residual))

@@ -53,7 +53,7 @@ from rangefit.segment import (
     group_leaves,
 )
 
-from conftest import random_visible_plane
+from conftest import corner_scene, random_visible_plane
 
 
 def best_label_accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
@@ -247,23 +247,6 @@ def box_scene(maps, boxes: int, seed: int) -> SyntheticScene:
             np.array([*normal, -normal @ centre]), mask_rect=(x0, y0, x0 + 36, y0 + 40)
         ))
     return SyntheticScene(tuple(planes))
-
-
-def corner_scene() -> SyntheticScene:
-    """Convex room corner: two 45-degree walls meeting at a vertical crease
-    (off the tile grid) plus a tilted floor; depth is continuous across the
-    creases and nearest-intersection labels are exact."""
-    wall = np.deg2rad(45.0)
-    floor_tilt = np.deg2rad(50.0)
-    z_crease, z_floor = 1.5, 1.7
-    s, c = np.sin(wall), np.cos(wall)
-    xc = -0.05 * z_crease
-    left = GroundTruthPlane(np.array([-s, 0.0, c, s * xc - c * z_crease]))
-    right = GroundTruthPlane(np.array([s, 0.0, c, -s * xc - c * z_crease]))
-    floor = GroundTruthPlane(
-        np.array([0.0, np.sin(floor_tilt), np.cos(floor_tilt), -np.cos(floor_tilt) * z_floor])
-    )
-    return SyntheticScene((left, right, floor))
 
 
 def reference_leaves(depth, maps, config: SegConfig, constant) -> list[tuple]:
