@@ -42,12 +42,13 @@ lattice and each coarser level from the finer one, and reads no summed-area
 table.  Tan sums are always the camera constants less the holes' sums,
 which the rgbd stack of a frame with holes lists.  When the tan maps factor
 into a column axis and a row axis (``TanAngleMaps.axes``), an rgbd
-pyramid's level 0 reads no tan map: a channel's exponents (``_POWERS``,
-added up from its ``_MONOMIALS`` recipe) split its cell sum into row
-weights, applied to the streamed 1/Z by one matmul a band, and column
-weights, applied on 1/cell of the data, and its unmasked tan sums are
-products of the axes' cell sums.  Under a distortion lattice the tan
-monomials are summed from the maps with the frame's bands.
+pyramid's level 0 reads no tan map and writes no monomial band: a channel's
+exponents (``_POWERS``, added up from its ``_MONOMIALS`` recipe) split its
+cell sum into row weights, applied by one matmul a band to 1/Z divided
+straight into bands of whole cell rows (holes zeroed from the frame's hole
+list), and column weights, applied on 1/cell of the data, and its unmasked
+tan sums are products of the axes' cell sums.  Under a distortion lattice
+the tan monomials are summed from the maps with the frame's bands.
 """
 
 from __future__ import annotations
@@ -621,7 +622,7 @@ def _factored_cell_sums(
     names: tuple[str, ...],
     maps: TanAngleMaps,
     depth: np.ndarray,
-    valid: np.ndarray | None,
+    holes: np.ndarray | None,
     cell: int,
     out: np.ndarray,
 ) -> None:
@@ -630,42 +631,69 @@ def _factored_cell_sums(
     is the row weights tan_y**j applied to (1/Z)**q down the cell's rows,
     then the column weights tan_x**i across its columns.
 
-    Only 1/Z is streamed (:func:`_bands`), whole cell rows a band.  Per band,
-    one batched matmul of each cell row's weights with 1/Z sums it down the
-    cells' rows, and another after squaring the band in place; each channel
-    is its line of those sums times its column weights, summed over the
-    cells' columns: 1/cell of the data.
+    1/Z is divided straight into one reused band of whole cell rows, as many
+    as fit in ``_BAND_BYTES`` with their row sums and level cells.  The
+    entries of ``holes`` (sorted flat indices, or None) are then set to 0,
+    the 1/Z of a hole; the divide runs under ``np.errstate``, for a hole's
+    depth may be 0 or NaN.  Per band, one batched matmul of each cell row's
+    ``[1, tan_y, ...]`` weights with 1/Z sums it down the cells' rows, and
+    another after squaring the band in place.  Each channel's cells are its
+    row sum, times tan_x**i when i > 0, summed across the cells' columns on
+    1/cell of the data.  Every cell row is its own matmul of a fixed shape,
+    so the sums do not depend on the band's size.  The 1/Z**2 sums weighted
+    by tan_y, which no channel reads, are formed too: a one-row matmul runs
+    another BLAS kernel, whose sums differ in the last bits.
     """
     tan_x, tan_y = maps.axes
+    height, width = maps.height, maps.width
     i, j, p = np.array([_POWERS[name] for name in names]).T
-    q = -p
+    powers = -p.min()  # of 1/Z
+    x_powers = _raised(tan_x, np.arange(i.max() + 1))
     y_powers = _raised(tan_y, np.arange(j.max() + 1))
-    whole_rows = maps.height // cell
+    whole_rows = height // cell
     row_weights = y_powers[:, : whole_rows * cell].reshape(len(y_powers), whole_rows, cell)
     row_weights = row_weights.swapaxes(0, 1).copy()
     ragged_weights = y_powers[:, whole_rows * cell :]  # those of a ragged last cell row
-    column_weights = _raised(tan_x, i)[:, None]
-    # 1/Z takes a quarter of a band's bytes: its hole copy, sums and lines share the rest
-    band_cells = min(out.shape[1], max(1, _band_rows(4, maps.width) // cell))
-    sums = np.empty((q.max(), band_cells, len(y_powers), maps.width))
-    whole_columns, ones = maps.width // cell, np.ones(cell)
-    for y0, band in _bands(("inv_z",), maps, depth, valid, band_cells * cell):
-        band, r0, (whole, ragged) = band[0], y0 // cell, divmod(band.shape[1], cell)
+    # floats per cell row: its rows of 1/Z, row sums and weighted line, and its level cells
+    row_floats = width * (cell + powers * len(y_powers) + 1) + len(names) * out.shape[2]
+    band_cells = min(out.shape[1], max(1, _BAND_BYTES // (8 * row_floats)))
+    buffer = np.empty((min(band_cells * cell, height), width))
+    sums = np.empty((powers, band_cells, len(y_powers), width))
+    weighted = np.empty((band_cells, width))
+    whole_columns, ones = width // cell, np.ones(cell)
+    # per channel: its row sums, and its column weights (None when all ones)
+    lines = [
+        (sums[-p_ - 1, :, j_], x_powers[i_] if i_ else None)
+        for i_, j_, p_ in zip(i.tolist(), j.tolist(), p.tolist())
+    ]
+    for r0 in range(0, out.shape[1], band_cells):
+        y0 = r0 * cell
+        y1 = min(y0 + band_cells * cell, height)
+        band = buffer[: y1 - y0]
+        if holes is None:
+            np.divide(1.0, depth[y0:y1], out=band)
+        else:
+            with np.errstate(all="ignore"):
+                np.divide(1.0, depth[y0:y1], out=band)
+            lo, hi = np.searchsorted(holes, (y0 * width, y1 * width))
+            band.reshape(-1)[holes[lo:hi] - y0 * width] = 0.0
+        whole, ragged = divmod(y1 - y0, cell)
         cells = whole + bool(ragged)
         for power, at in enumerate(sums[:, :cells]):
             if power:
                 np.square(band, out=band)
-            full = band[: whole * cell].reshape(whole, cell, maps.width)
+            full = band[: whole * cell].reshape(whole, cell, width)
             np.matmul(row_weights[r0 : r0 + whole], full, out=at[:whole])
             if ragged:
                 np.matmul(ragged_weights, band[whole * cell :], out=at[whole])
-        lines = sums[q - 1, :cells, j]
-        lines *= column_weights
-        at = out[:, r0 : r0 + cells]
-        across = lines[..., : whole_columns * cell].reshape(*lines.shape[:2], whole_columns, cell)
-        np.matmul(across, ones, out=at[..., :whole_columns])  # far faster than .sum(axis=-1)
-        if whole_columns < at.shape[2]:
-            at[..., whole_columns] = lines[..., whole_columns * cell :].sum(axis=-1)
+        for channel, (line, column_weights) in zip(out[:, r0 : r0 + cells], lines):
+            line = line[:cells]
+            if column_weights is not None:
+                line = np.multiply(line, column_weights, out=weighted[:cells])
+            across = line[:, : whole_columns * cell].reshape(cells, whole_columns, cell)
+            np.matmul(across, ones, out=channel[:, :whole_columns])  # far faster than .sum(axis=-1)
+            if whole_columns < channel.shape[1]:
+                channel[:, whole_columns] = line[:, whole_columns * cell :].sum(axis=-1)
 
 
 def build_node_pyramid(
@@ -680,13 +708,14 @@ def build_node_pyramid(
     The quadtree's roots are ``tile``-pixel squares (``tile`` a positive
     multiple of ``2**max_depth``, else ValueError); its leaves are the cells
     of the ``tile >> max_depth`` lattice.  The per-frame monomials are
-    summed into cells a band of cells at a time (:func:`_bands`), and each
+    summed into cells a band of cell rows at a time, and each
     coarser level is the 2x2 sum of the finer one (a finer level of odd size
     has no partner for its last row or column), so no large sums are
     differenced and each level holds only the nodes that overlap the image.
     Level 0 is one array: its count row is each cell's area less its holes,
     taken off in one loop with an rgbd formulation's tan rows, which are
-    their unmasked sums less their holes' monomials.
+    their unmasked sums less their holes' monomials.  A hole-free frame
+    (``depth.valid.all()``) lists no holes.
 
     No summed-area table is read.  On maps with ``axes`` (no distortion
     lattice) an rgbd formulation takes the factored path
@@ -704,25 +733,25 @@ def build_node_pyramid(
     shape = (-(-h // cell), -(-w // cell))
     ys = np.minimum(np.arange(shape[0] + 1) * cell, h)
     xs = np.minimum(np.arange(shape[1] + 1) * cell, w)
-    holes = np.flatnonzero(~depth.valid)
-    hole_cells = holes // w // cell * shape[1] + holes % w // cell
+    holes = None if depth.valid.all() else np.flatnonzero(~depth.valid)
     spec = FORMULATION_CHANNELS[formulation]
     names = spec.scatter + ((spec.residual,) if spec.residual else ())
     tan = CONSTANT_CHANNELS if spec.needs_constant else ()
-    valid = depth.valid if holes.size else None
     index = {name: i for i, name in enumerate((*names, *tan, COUNT_CHANNEL))}
     level = np.empty((len(index), *shape))
     if tan and maps.axes is not None:
-        _factored_cell_sums(names, maps, depth.values, valid, cell, level[: len(names)])
+        _factored_cell_sums(names, maps, depth.values, holes, cell, level[: len(names)])
         i, j, _ = np.array([_POWERS[name] for name in tan]).T
         x_sums, y_sums = np.empty((len(tan), shape[1])), np.empty((len(tan), shape[0]))
         _sum_cells(_raised(maps.axes[0], i), cell, x_sums)
         _sum_cells(_raised(maps.axes[1], j), cell, y_sums)
         np.multiply(y_sums[:, :, None], x_sums[:, None], out=level[len(names) : -1])
     else:
+        valid = None if holes is None else depth.valid
         _cell_sums(names + tan, maps, depth.values, valid, cell, level[:-1])
     level[-1] = np.diff(ys)[:, None] * np.diff(xs)
-    if holes.size:
+    if holes is not None:
+        hole_cells = holes // w // cell * shape[1] + holes % w // cell
         at_holes = np.empty((len(tan), holes.size))
         _write_monomials(tan, at_holes, None, maps.tan_x.flat[holes], maps.tan_y.flat[holes])
         for channel, values in zip(level[len(names) :], (*at_holes, None)):

@@ -36,6 +36,7 @@ from rangefit.integral import (
     CONSTANT_CHANNELS,
     COUNT_CHANNEL,
     FORMULATION_CHANNELS,
+    _BAND_BYTES,
     _POWERS,
     AxisSums,
     _band_rows,
@@ -730,6 +731,50 @@ class TestNodePyramid:
         finally:
             tracemalloc.stop()
         assert peak - sum(level.nbytes for level in pyramid.levels) < height * width * 8
+
+    def test_hole_free_pyramid_makes_no_hole_scan(self):
+        # a hole-free frame lists no holes, so no (H, W) mask of them is made:
+        # with 32-px cells the build holds, its levels included, less than one
+        # byte a pixel (a hole mask alone is one byte a pixel)
+        from rangefit import CameraIntrinsics, compute_tan_maps
+
+        width, height = 1920, 1080
+        maps = compute_tan_maps(CameraIntrinsics(
+            fx=1000.0, fy=1000.0, cx=959.5, cy=539.5, width=width, height=height
+        ))
+        depth = DepthImage(values=np.random.default_rng(3).uniform(0.5, 5.0, (height, width)))
+        assert depth.valid.all()
+        tracemalloc.start()
+        try:
+            build_node_pyramid(depth, maps, EXPLICIT_RGBD, 32, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < height * width, peak
+
+    @pytest.mark.parametrize(
+        "size", [(97, 53, 60.0), (37, 23, 60.0), (1920, 1080, 1000.0)],
+        ids=["97x53", "37x23", "1920x1080"],
+    )
+    @pytest.mark.parametrize("holes", [False, True], ids=["hole-free", "holes"])
+    def test_levels_do_not_depend_on_the_band_budget(self, holes, size, monkeypatch):
+        # each cell row is its own matmul, so bands of one cell row, of the
+        # default budget and of the whole frame give the same bits; the sizes
+        # end in a ragged band (1080 rows of 8-px cells, two a band), cell row
+        # and cell column
+        width, height, fx = size
+        maps = _camera_maps(width, height, fx)
+        depth = _frame(maps, holes)
+        default = _BAND_BYTES
+        for formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
+            for tile, max_depth in ((16, 2), (64, 3), (8, 0)):
+                pyramids = []
+                for band_bytes in (1, default, 1 << 40):
+                    monkeypatch.setattr("rangefit.integral._BAND_BYTES", band_bytes)
+                    pyramids.append(build_node_pyramid(depth, maps, formulation, tile, max_depth))
+                for pyramid in pyramids[1:]:
+                    for level, (a, b) in enumerate(zip(pyramid.levels, pyramids[0].levels)):
+                        assert np.array_equal(a, b), (formulation, tile, level)
 
     def test_channel_powers_reproduce_the_monomials(self):
         # each channel's (tan_x, tan_y, depth) exponents, read from its
