@@ -3,8 +3,10 @@
 The inverse-depth (rgbd) forms rewrite the plane equation in precomputed
 tan-angle coordinates: a*tan_x + b*tan_y + c + d/Z = 0.  Their scatter sums
 split into camera constants plus a handful of per-frame terms, which is what
-the integral backend exploits.  On noiseless data all four recover the same
-plane; this script shows that, and the channel counts behind the speedup.
+the integral backend exploits.  The camera builds its constant on the first
+rgbd window fit and keeps it with its tan maps for every later frame.  On
+noiseless data all four recover the same plane; this script shows that, and
+the channel counts behind the speedup.
 """
 
 import numpy as np
@@ -16,7 +18,6 @@ from rangefit import (
     Rect,
     SyntheticScene,
     build_channels,
-    build_constant_channels,
     compute_tan_maps,
     explicit_to_implicit,
     fit_rect,
@@ -31,15 +32,12 @@ plane = GroundTruthPlane(np.array([0.3, -0.1, -0.95, 1.9]))
 print("ground truth (canonical):", np.round(plane.coefficients, 6))
 
 depth, _ = render_scene(SyntheticScene((plane,)), maps, noise=None)
-constant = build_constant_channels(maps)
 window = Rect(200, 150, 400, 330)
 
 for formulation in FORMULATIONS:
     stack = build_channels(depth, maps, formulation)
     for backend in ("naive", "integral"):
-        result = fit_rect(
-            depth, maps, window, formulation, backend, stack=stack, constant=constant
-        )
+        result = fit_rect(depth, maps, window, formulation, backend, stack=stack)
         coef = result.plane.coefficients
         if coef.shape == (3,):
             coef = explicit_to_implicit(result.plane).coefficients

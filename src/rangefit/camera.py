@@ -21,10 +21,10 @@ over a block of pixels factors into a column part and a row part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -102,11 +102,19 @@ class TanAngleMaps:
 
     tan_x: np.ndarray
     tan_y: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shapes = np.shape(self.tan_x), np.shape(self.tan_y)
         if len(shapes[0]) != 2 or shapes[0] != shapes[1]:
             raise ValueError(f"tan maps must be 2-D and of one shape, got {shapes[0]} and {shapes[1]}")
+
+    def derive(self, key: str, build: Callable[[TanAngleMaps], Any]) -> Any:
+        """``build(self)``, made on the first call for ``key`` and kept with
+        the maps (a camera's constant, its explicit-rgbd window records)."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, np.ndarray] | None:

@@ -1,7 +1,9 @@
 """Command-line entry point: synthesize, fit, segment, benchmark.
 
-Exit codes: 0 success, 1 usage error (unknown or malformed flags), 2 data
-error (unreadable or malformed input files, ill-posed windows).  Diagnostics
+``fit`` builds the frame's channel stack; an rgbd window then reads the
+camera's constant, which the camera builds on that first read.  Exit codes:
+0 success, 1 usage error (unknown or malformed flags), 2 data error
+(unreadable or malformed input files, ill-posed windows).  Diagnostics
 go to standard error; data goes to standard output or ``--out``.
 """
 
@@ -15,7 +17,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import fitting, imageio, synth
 from .camera import DEPTH_NOISE_COEFFICIENT, NoiseModel, TanAngleMaps, compute_tan_maps, load_intrinsics
-from .integral import FORMULATION_CHANNELS, Rect, build_channels, build_constant_channels
+from .integral import Rect, build_channels
 from .segment import SegConfig
 from .segment import segment as run_segment
 
@@ -133,14 +135,8 @@ def _load_frame(args: argparse.Namespace) -> tuple[synth.DepthImage, TanAngleMap
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     depth, maps = _load_frame(args)
-    stack = constant = None
-    if args.backend == "integral":
-        stack = build_channels(depth, maps, args.formulation)
-        if FORMULATION_CHANNELS[args.formulation].needs_constant:
-            constant = build_constant_channels(maps)
-    result = fitting.fit_rect(
-        depth, maps, args.rect, args.formulation, args.backend, stack=stack, constant=constant
-    )
+    stack = build_channels(depth, maps, args.formulation) if args.backend == "integral" else None
+    result = fitting.fit_rect(depth, maps, args.rect, args.formulation, args.backend, stack=stack)
     text = fitting.CSV_HEADER + "\n" + fitting.fit_result_csv_row(
         result, args.formulation, args.backend, args.rect
     ) + "\n"

@@ -22,8 +22,9 @@ agree to rounding.  Invalid pixels contribute nothing anywhere: the
 per-frame tables hold zero at holes, and the rgbd formulations read their
 camera-constant block from the camera's constant less the tan monomials of
 the holes the frame stack lists in the window, so a window's scatter is
-always the exact Gram matrix of its valid samples.  The constant is read
-by one function, ``integral.tan_sums``.  A pinhole camera's tan sums are
+always the exact Gram matrix of its valid samples.  The constant is the
+camera's, kept with the maps a frame stack knows, and is read by one
+function, ``integral.tan_sums``.  A pinhole camera's tan sums are
 products of its axes' prefix sums, which keep their digits to the far
 corner of a frame, so the tan block of a window whose samples lie on one
 row or one column stays singular to rounding, and its fit is flagged
@@ -31,8 +32,9 @@ degenerate as the naive oracle's is.
 
 Implicit fits take the smallest eigenvector from LAPACK's symmetric solver
 (``np.linalg.eigh``); explicit fits use a hand-unrolled 3x3 Cholesky
-factorization, which ``ExplicitRgbdFitter`` caches per window.  One scalar
-explicit solve serves ``fit_explicit_*`` and the fitter alike, and an
+factorization, which ``ExplicitRgbdFitter`` caches per window; the
+camera's own one serves every explicit-rgbd integral :func:`fit_rect`.  One
+scalar explicit solve serves ``fit_explicit_*`` and the fitter alike, and an
 explicit plane's implicit form is written in one place, which the
 conversions and the near-centre tests all read.
 :func:`fit_rect` fits one window from one indexed read of each stack, its
@@ -79,7 +81,7 @@ from .integral import (
     _check_rect,
     _check_rects,
     _hole_sums,
-    _require_channels,
+    build_constant_channels,
     tan_sums,
 )
 from .synth import DepthImage
@@ -591,21 +593,25 @@ def _scatter_matrix(sums: dict[str, float | np.ndarray], spec: ChannelSet) -> np
     return np.array([sums[k] for k in spec.layout]).T[..., _SYMMETRIC_INDEX[spec.size]]
 
 
+def _require_channels(stack: ChannelStack, names: tuple[str, ...]) -> None:
+    missing = [name for name in names if name not in stack.channels]
+    if missing:
+        raise ValueError(f"per-frame stack is missing channels: {', '.join(missing)}")
+
+
 def _window_sums(
-    stack: ChannelStack,
-    constant: AxisSums | ChannelStack | None,
-    formulation: str,
-    rects: np.ndarray | Rect,
+    stack: ChannelStack, formulation: str, rects: np.ndarray | Rect
 ) -> dict[str, float | np.ndarray]:
     """Box sums of every channel a formulation's system reads, ``"n"`` the count.
 
     ``rects`` is one rect, giving a float per sum, or an (N, 4) array of
-    them, giving (N,) arrays.  The tan entries are ``constant``'s
-    (``integral.tan_sums``), less those of the holes the frame stack lists;
-    only the windows whose count falls short of their area hold holes.
+    them, giving (N,) arrays.  The tan entries are the stack's camera
+    constant's (``integral.tan_sums``), less those of the holes the frame
+    stack lists; only the windows whose count falls short of their area
+    hold holes.
     """
     spec = FORMULATION_CHANNELS[formulation]
-    _require_channels(stack, spec.scatter, "per-frame")
+    _require_channels(stack, spec.scatter)
     corners = _box_corners(rects, stack.width)
     if isinstance(rects, Rect):
         area = float(rects.area)
@@ -615,11 +621,7 @@ def _window_sums(
     sums = _gather(stack, corners, area)
     if not spec.needs_constant:
         return sums
-    if constant is None:
-        raise ValueError(f"{formulation} requires the camera-constant channel stack")
-    if (constant.height, constant.width) != (stack.height, stack.width):
-        raise ValueError("camera constant dimensions do not match the per-frame stack")
-    sums.update(tan_sums(constant, rects))
+    sums.update(tan_sums(build_constant_channels(stack.maps), rects))
     if stack.holes is None:
         return sums
     if isinstance(rects, Rect):
@@ -648,22 +650,17 @@ def _system(
     return matrix, np.array([sums[k] for k in spec.rhs]).T, sums.get(spec.residual)
 
 
-def scatter_from_integrals(
-    stack: ChannelStack,
-    constant: AxisSums | ChannelStack | None,
-    rect: Rect,
-    formulation: str,
-) -> Scatter4 | Scatter3:
+def scatter_from_integrals(stack: ChannelStack, rect: Rect, formulation: str) -> Scatter4 | Scatter3:
     """Assemble a window's scatter system with one box sum per unique entry.
 
-    ``stack`` holds the frame's depth-dependent channels; ``constant``, which
-    the rgbd formulations require, the camera's tan sums
+    ``stack`` holds the frame's depth-dependent channels; the rgbd
+    formulations read their tan sums from its maps' camera constant
     (:func:`~rangefit.integral.build_constant_channels`).  The
     sample count is always the window's valid-pixel count from ``stack``.
     """
     _check_formulation(formulation)
     _check_rect(rect, stack.width, stack.height)
-    sums = _window_sums(stack, constant, formulation, rect)
+    sums = _window_sums(stack, formulation, rect)
     n = int(sums["n"])
     if n < MIN_SAMPLES[formulation]:
         raise InsufficientSamplesError(
@@ -832,9 +829,8 @@ def fit_explicit_rgbd(scatter: Scatter3) -> FitResult:
 
     Planes through the camera origin have no finite representation here (the
     regression targets 1/Z become unconstrained by the tan monomials); such
-    windows yield a degenerate-flagged result.  For repeated fits over the
-    same window prefer :class:`ExplicitRgbdFitter`, which caches the
-    camera-constant Cholesky factor.
+    windows yield a degenerate-flagged result.  An integral
+    :func:`fit_rect` reuses the window's cached factor instead.
     """
     return _fit_explicit(_checked_scatter(scatter), SPACE_RGBD)
 
@@ -868,6 +864,8 @@ class ExplicitRgbdFitter:
     computed once and reused for every frame; each fit then costs one
     indexed read of the window's box sums and two triangular solves.
     ``constant`` is :func:`~rangefit.integral.build_constant_channels`'s.
+    A camera's own fitter (:func:`camera_fitter`) holds one record per
+    distinct window it has fitted for as long as its maps live.
     """
 
     _spec = FORMULATION_CHANNELS[EXPLICIT_RGBD]
@@ -902,21 +900,27 @@ class ExplicitRgbdFitter:
         Hole-free windows reuse the window's cached camera-constant factor;
         windows containing invalid pixels go through
         :func:`scatter_from_integrals`, which subtracts their holes' sums
-        from the camera-constant matrix (they are frame-specific, so there
-        is nothing to cache).
+        from the matrix of the stack's camera constant (they are
+        frame-specific, so there is nothing to cache).
         """
         if (stack.height, stack.width) != (self.constant.height, self.constant.width):
             raise ValueError("camera constant dimensions do not match the per-frame stack")
         window = self._window(rect)
-        _require_channels(stack, self._spec.scatter, "per-frame")
+        _require_channels(stack, self._spec.scatter)
         sums = _gather(stack, window.corners, rect.area)
         n = int(sums[COUNT_CHANNEL])
         if n != rect.area or n < self._spec.size:
-            scatter = scatter_from_integrals(stack, self.constant, rect, EXPLICIT_RGBD)
+            scatter = scatter_from_integrals(stack, rect, formulation=EXPLICIT_RGBD)
             return FIT_BY_FORMULATION[EXPLICIT_RGBD](scatter)
         rhs = np.array([sums[name] for name in self._spec.rhs])
         target_sq = sums.get(self._spec.residual)
         return _explicit_fit(window.matrix, window.factor, rhs, n, target_sq, self._spec.space)
+
+
+def camera_fitter(maps: TanAngleMaps) -> ExplicitRgbdFitter:
+    """The camera's :class:`ExplicitRgbdFitter`, made on first use and kept
+    with ``maps`` (``TanAngleMaps.derive``), freed with them."""
+    return maps.derive(EXPLICIT_RGBD, lambda m: ExplicitRgbdFitter(build_constant_channels(m)))
 
 
 def _implicit_form(a, b, c, space: str) -> tuple:
@@ -978,9 +982,11 @@ def fit_rect(
 
     ``naive`` gathers the window's samples and accumulates monomials
     directly; ``integral`` assembles the scatter from the prebuilt channel
-    stacks (``stack`` required; ``constant`` as for
-    :func:`scatter_from_integrals`).  Passing ``rgbd_fitter`` routes
-    explicit-rgbd integral fits through the factor cache.
+    stack (``stack`` required; see :func:`scatter_from_integrals`), an
+    explicit-rgbd one through the camera's cached factor
+    (:func:`camera_fitter`, one record per distinct window for as long as
+    the maps live).  ``constant`` and ``rgbd_fitter`` are accepted and not
+    read: the result is the same with or without them.
     """
     if backend == "naive":
         samples = gather_window_samples(depth, maps, rect, formulation)
@@ -988,20 +994,15 @@ def fit_rect(
     elif backend == "integral":
         if stack is None:
             raise ValueError("integral backend requires a per-frame channel stack")
-        if formulation == EXPLICIT_RGBD and rgbd_fitter is not None:
-            return rgbd_fitter.fit(stack, rect)
-        scatter = scatter_from_integrals(stack, constant, rect, formulation)
+        if formulation == EXPLICIT_RGBD:
+            return camera_fitter(stack.maps).fit(stack, rect)
+        scatter = scatter_from_integrals(stack, rect, formulation=formulation)
     else:
         raise ValueError(f"unknown backend {backend!r}; expected 'naive' or 'integral'")
     return FIT_BY_FORMULATION[formulation](scatter)
 
 
-def fit_rects(
-    stack: ChannelStack,
-    constant: AxisSums | ChannelStack | None,
-    rects: np.ndarray,
-    formulation: str,
-) -> FitBatch:
+def fit_rects(stack: ChannelStack, rects: np.ndarray, formulation: str) -> FitBatch:
     """Fit many windows of one frame on the integral backend at once.
 
     ``rects`` is an (N, 4) integer array of (x0, y0, x1, y1) rows.  Returns
@@ -1013,7 +1014,7 @@ def fit_rects(
     """
     _check_formulation(formulation)
     rects = _check_rects(rects, stack.width, stack.height)
-    sums = _window_sums(stack, constant, formulation, rects)
+    sums = _window_sums(stack, formulation, rects)
     fitted = np.flatnonzero(sums["n"] >= MIN_SAMPLES[formulation])
     sums = {name: s[fitted] for name, s in sums.items()}
     return fit_sums(sums, formulation).expand(fitted, len(rects))

@@ -8,8 +8,8 @@ scatter is stated once (``SCATTERS``), one table per depth-dependent entry:
   y, z2, z);
 * inverse-depth (rgbd), monomials ``[tan_x, tan_y, 1, 1/Z]``: only 4
   (tan_x/Z, tan_y/Z, 1/Z, 1/Z^2) -- the other 5 (tan_x^2, tan_x*tan_y,
-  tan_y^2, tan_x, tan_y) are camera constants built once and shared
-  (:func:`build_constant_channels`, read by :func:`tan_sums`).
+  tan_y^2, tan_x, tan_y) are the camera's constant, built on first use and
+  kept with the maps a frame stack knows (:func:`build_constant_channels`).
 
 An explicit system is a partition of its space's scatter: the scatter less
 the row and column of the target, Z or 1/Z (``TARGET``), whose column is
@@ -205,15 +205,17 @@ class ChannelStack:
     when the frame has holes, the count; a lattice camera's constant stack
     has the five tan tables, built once per camera and shared by reference
     across frames.  A stack without a count (``count`` None) counts every
-    pixel of a window, its area.  An rgbd frame stack with holes lists them:
-    ``holes`` by flat pixel index, ascending, and ``hole_tan``, the (5, K+1)
-    running sums of their tan monomials from 0.
+    pixel of a window, its area.  A frame stack keeps the ``maps`` it was
+    built on.  An rgbd frame stack with holes lists them: ``holes`` by flat
+    pixel index, ascending, and ``hole_tan``, the (5, K+1) running sums of
+    their tan monomials from 0.
     """
 
     tensor: np.ndarray
     index: dict[str, int]
     holes: np.ndarray | None = None
     hole_tan: np.ndarray | None = None
+    maps: TanAngleMaps | None = field(default=None, repr=False, compare=False)
     channels: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
     count: np.ndarray | None = field(init=False, repr=False, compare=False)
 
@@ -237,12 +239,6 @@ class ChannelStack:
     def per_frame_channel_names(self) -> tuple[str, ...]:
         """Every channel in the stack but the count, in tensor order."""
         return tuple(self.channels.keys())
-
-
-def _require_channels(stack: ChannelStack, names: tuple[str, ...], what: str) -> None:
-    missing = [name for name in names if name not in stack.channels]
-    if missing:
-        raise ValueError(f"{what} stack is missing channels: {', '.join(missing)}")
 
 
 def _check_rect(rect: Rect, width: int, height: int) -> None:
@@ -443,20 +439,24 @@ def _axis_prefix_sums(axis: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_constant_channels(maps: TanAngleMaps) -> AxisSums | ChannelStack:
-    """Camera-constant sums of tan_x^2, tan_x*tan_y, tan_y^2, tan_x, tan_y.
-
-    Built once per camera and reused for every frame; read only through
-    :func:`tan_sums`.  On maps with ``axes`` (no distortion lattice) they
-    are the axes' :class:`AxisSums`, 3(W + H + 2) floats built in O(W + H).
-    Under a distortion lattice the monomials do not factor, and the constant
-    is the five (H+1, W+1) summed-area tables, a stack with no count: a
-    window's pixel count is its area.
-    """
+def _camera_constant(maps: TanAngleMaps) -> AxisSums | ChannelStack:
     if maps.axes is None:
         return _build_stack(CONSTANT_CHANNELS, maps)
     tan_x, tan_y = maps.axes
     return AxisSums(_axis_prefix_sums(tan_y), _axis_prefix_sums(tan_x))
+
+
+def build_constant_channels(maps: TanAngleMaps) -> AxisSums | ChannelStack:
+    """The camera's sums of tan_x^2, tan_x*tan_y, tan_y^2, tan_x, tan_y.
+
+    Built on first use, by this call or a frame stack's first rgbd window
+    read, and kept with ``maps`` (``TanAngleMaps.derive``); read only
+    through :func:`tan_sums`.  On maps with ``axes`` (no distortion lattice)
+    the axes' :class:`AxisSums`, 3(W + H + 2) floats built in O(W + H);
+    under a distortion lattice the five (H+1, W+1) summed-area tables, a
+    stack with no count: a window's pixel count is its area.
+    """
+    return maps.derive("constant", _camera_constant)
 
 
 # Each constant channel with its (tan_x, tan_y) exponents.
@@ -479,7 +479,6 @@ def tan_sums(
     an axes' window sum is roughly a side's length more exact.
     """
     if isinstance(constant, ChannelStack):
-        _require_channels(constant, CONSTANT_CHANNELS, "constant")
         sums = _box_sums(constant, _box_corners(rects, constant.width))
         return {name: sums[name] for name in CONSTANT_CHANNELS}
     if isinstance(rects, Rect):
@@ -508,11 +507,12 @@ def build_channels(
     """Per-frame tables of ``formulation``'s channels (``FORMULATION_CHANNELS``).
 
     ``include_residual`` adds the explicit formulations' rms diagnostic
-    channel.  rgbd stacks combine with :func:`build_constant_channels`.  Only
-    a frame with holes gets a count table, and its rgbd stacks also list the
-    holes, so a window containing holes subtracts their tan sums from the
-    constant ones, while hole-free frames and windows keep the full
-    precomputation advantage.
+    channel.  The stack keeps ``maps``, whose constant its rgbd windows
+    read (:func:`build_constant_channels`; not built here).  Only a frame
+    with holes gets a count table, and its rgbd stacks also list the holes,
+    so a window containing holes subtracts their tan sums from the constant
+    ones, while hole-free frames and windows keep the full precomputation
+    advantage.
     """
     spec = FORMULATION_CHANNELS.get(formulation)
     if spec is None:
@@ -521,13 +521,14 @@ def build_channels(
     names = spec.scatter + ((spec.residual,) if include_residual and spec.residual else ())
     valid = None if depth.valid.all() else depth.valid
     stack = _build_stack(names, maps, depth.values, valid)
-    if valid is None or not spec.needs_constant:
-        return stack
-    holes = np.flatnonzero(~depth.valid)
-    running = np.zeros((len(CONSTANT_CHANNELS), holes.size + 1))
-    tan_at = maps.tan_x.flat[holes], maps.tan_y.flat[holes]
-    _write_monomials(CONSTANT_CHANNELS, running[:, 1:], None, *tan_at)
-    return replace(stack, holes=holes, hole_tan=np.cumsum(running, axis=1, out=running))
+    holes = hole_tan = None
+    if valid is not None and spec.needs_constant:
+        holes = np.flatnonzero(~depth.valid)
+        hole_tan = np.zeros((len(CONSTANT_CHANNELS), holes.size + 1))
+        tan_at = maps.tan_x.flat[holes], maps.tan_y.flat[holes]
+        _write_monomials(CONSTANT_CHANNELS, hole_tan[:, 1:], None, *tan_at)
+        np.cumsum(hole_tan, axis=1, out=hole_tan)
+    return replace(stack, holes=holes, hole_tan=hole_tan, maps=maps)
 
 
 def _hole_sums(stack: ChannelStack, rects: np.ndarray) -> np.ndarray:

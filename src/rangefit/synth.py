@@ -75,7 +75,8 @@ class SyntheticScene:
 class DepthImage:
     """Organized depth lattice in meters with a validity mask.
 
-    Invalid pixels (holes: no intersection, dropout, non-positive depth) are
+    Invalid pixels (holes: no intersection, dropout, a depth that is not
+    positive and finite or whose inverse 1/Z or 1/Z^2 overflows) are
     excluded from every sum and fit downstream.
     """
 
@@ -86,7 +87,9 @@ class DepthImage:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError(f"depth lattice must be 2D, got shape {self.values.shape}")
-        positive = np.isfinite(self.values) & (self.values > 0)
+        with np.errstate(divide="ignore", over="ignore"):
+            inverse = 1.0 / self.values
+            positive = np.isfinite(self.values) & (self.values > 0) & np.isfinite(inverse * inverse)
         if self.valid is None:
             self.valid = positive
         else:
@@ -95,7 +98,7 @@ class DepthImage:
                 raise ValueError(
                     f"mask shape {self.valid.shape} != depth shape {self.values.shape}"
                 )
-            # valid pixels must hold finite positive depth
+            # valid pixels must hold a finite positive depth with finite inverses
             self.valid = self.valid & positive
 
     @property
@@ -249,4 +252,4 @@ def read_depth(path: str | Path) -> DepthImage:
     if path.suffix.lower() == ".pgm":
         return DepthImage.from_millimeters(imageio.read_pgm16(path))
     values = imageio.read_raw_float(path)
-    return DepthImage(values=values, valid=np.isfinite(values) & (values > 0))
+    return DepthImage(values=values)

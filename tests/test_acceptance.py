@@ -198,7 +198,6 @@ def test_a5_noiseless_exactness():
     with criterion("A5 noiseless recovery, 100 random planes x 4 formulations"):
         camera = make_camera(64, 48)
         maps = rf.compute_tan_maps(camera)
-        constant = rf.build_constant_channels(maps)
         rect = rf.Rect(0, 0, 64, 48)
         rng = np.random.default_rng(23)
         worst_angle = 0.0
@@ -211,7 +210,7 @@ def test_a5_noiseless_exactness():
             for formulation in rf.FORMULATIONS:
                 stack = STACK_BUILDERS[formulation](depth, maps)
                 result = FITTERS[formulation](
-                    rf.scatter_from_integrals(stack, constant, rect, formulation)
+                    rf.scatter_from_integrals(stack, rect, formulation)
                 )
                 got = rf.ImplicitPlane(implicit_coefficients(result))
                 angle = rf.normal_angle(got, truth)
@@ -233,7 +232,6 @@ def test_a6_backend_equivalence_oracle():
         depth, _ = rf.render_scene(
             rf.SyntheticScene((plane,)), maps, noise=rf.NoiseModel(), seed=31
         )
-        constant = rf.build_constant_channels(maps)
         stacks = {f: STACK_BUILDERS[f](depth, maps) for f in rf.FORMULATIONS}
         worst_entry = 0.0
         worst_coef = 0.0
@@ -245,7 +243,7 @@ def test_a6_backend_equivalence_oracle():
             naive = rf.accumulate_scatter_naive(
                 rf.gather_window_samples(depth, maps, rect, formulation), formulation
             )
-            tables = rf.scatter_from_integrals(stacks[formulation], constant, rect, formulation)
+            tables = rf.scatter_from_integrals(stacks[formulation], rect, formulation)
             fro = float(np.linalg.norm(naive.matrix))
             entry_err = float(np.abs(tables.matrix - naive.matrix).max()) / max(fro, 1.0)
             worst_entry = max(worst_entry, entry_err)
@@ -375,7 +373,6 @@ def test_a9_segmentation_desk_scale():
         width, height = 512, 424
         camera = make_camera(width, height)
         maps = rf.compute_tan_maps(camera)
-        constant = rf.build_constant_channels(maps)
         scene = _corner_scene()
 
         frames = []
@@ -394,7 +391,7 @@ def test_a9_segmentation_desk_scale():
                     rms_threshold=_SEG_THRESHOLDS[formulation],
                 )
                 start = time.perf_counter()
-                result = rf.segment(depth, maps, config, constant=constant)
+                result = rf.segment(depth, maps, config)
                 times[formulation].append(time.perf_counter() - start)
                 if formulation == rf.IMPLICIT_RGBD:
                     accuracies.append(_label_accuracy(result.labels, truth))

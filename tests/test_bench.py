@@ -122,6 +122,49 @@ class TestRunBench:
         with pytest.raises(ValueError, match="paired"):
             report.build_ratio("implicit")
 
+    def test_warm_up_pays_for_the_camera_constant_and_factor(self, monkeypatch):
+        # A2 times frame builds and A3 fits through a cached factor: the
+        # camera's constant and explicit-rgbd record come from a warm-up fit
+        import rangefit.bench
+        import rangefit.fitting
+        import rangefit.integral
+
+        config = BenchConfig(
+            width=96, height=72, tile=20, plane_counts=(0, 1, 3), repetitions=3, warmup=1,
+            backends=("integral",),
+        )
+        log = []  # every spied call, in call order
+
+        def spy(module, name, entry):
+            original = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                log.append(entry(args))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(rangefit.fitting, "fit_rect", lambda args: ("fit", args[3]))
+        spy(rangefit.bench, "build_channels", lambda args: ("build", args[2]))
+        spy(rangefit.integral, "_camera_constant", lambda args: ("constant", None))
+        spy(rangefit.fitting, "cholesky3", lambda args: ("factor", None))
+        run_bench(config)
+        # builds and fits do not nest, so a constant build or a factorization
+        # belongs to the last build or fit begun before it
+        fits, owner, owned = 0, None, {"constant": [], "factor": []}
+        for kind, formulation in log:
+            fits += kind == "fit"
+            if kind in ("fit", "build"):
+                owner = (kind, formulation, fits)
+            else:
+                owned[kind].append(owner)
+        warm_up_fits = config.warmup * len(config.formulations) * sum(config.plane_counts)
+        assert fits == (config.warmup + config.repetitions) * warm_up_fits
+        [(kind, _, at)] = owned["constant"]
+        assert kind == "fit" and at <= warm_up_fits
+        [at] = [at for kind, f, at in owned["factor"] if (kind, f) == ("fit", EXPLICIT_RGBD)]
+        assert at <= warm_up_fits
+
     def test_summary_text(self, report):
         text = report.summary()
         assert "build ratio" in text

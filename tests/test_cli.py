@@ -8,12 +8,12 @@ import json
 import numpy as np
 import pytest
 
-from rangefit import cli
+import rangefit.integral
 from rangefit.cli import main
 from rangefit.fitting import CSV_HEADER, fit_rect, fit_result_csv_row
 from rangefit.imageio import read_pgm8, read_ppm
 from rangefit import (
-    Rect, SegConfig, build_channels, build_constant_channels, compute_tan_maps, load_intrinsics,
+    Rect, SegConfig, build_channels, compute_tan_maps, load_intrinsics,
     read_depth, segment,
 )
 
@@ -167,16 +167,18 @@ class TestFit:
         depth, rect = read_depth(depth_path), Rect(4, 2, 40, 30)
         result = fit_rect(
             depth, maps, rect, formulation, "integral",
-            stack=build_channels(depth, maps, formulation), constant=build_constant_channels(maps),
+            stack=build_channels(depth, maps, formulation),
         )
         expected = CSV_HEADER + "\n" + fit_result_csv_row(result, formulation, "integral", rect) + "\n"
         calls = []
+        original = rangefit.integral._camera_constant
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return build_constant_channels(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "build_constant_channels", counting)
+        # the camera builds its constant on the first rgbd window read
+        monkeypatch.setattr(rangefit.integral, "_camera_constant", counting)
         capsys.readouterr()
         assert main([
             "fit", "--intrinsics", str(camera_file), "--input", str(depth_path),

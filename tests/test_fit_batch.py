@@ -18,7 +18,6 @@ from rangefit import (
     NoiseModel,
     SyntheticScene,
     build_channels,
-    build_constant_channels,
     canonicalize_implicit,
     explicit_to_implicit,
     fit_rects,
@@ -156,12 +155,9 @@ class TestVectorisedRowsMatchScalar:
             SyntheticScene((random_visible_plane(rng), random_visible_plane(rng))),
             small_maps, noise=NoiseModel(), seed=2, dropout=0.05,
         )
-        constant = build_constant_channels(small_maps)
         rects = np.array([[x, y, x + 8, y + 8] for y in range(0, 41, 4) for x in range(0, 57, 4)])
         for formulation in FORMULATIONS:
-            batch = fit_rects(
-                build_channels(depth, small_maps, formulation), constant, rects, formulation
-            )
+            batch = fit_rects(build_channels(depth, small_maps, formulation), rects, formulation)
             for result, canonical in zip(batch, batch.canonical):
                 plane = result.plane
                 if isinstance(plane, ExplicitPlane):
@@ -186,7 +182,7 @@ class TestFitBatchRows:
         depth, _ = render_scene(SyntheticScene((masked,)), small_maps, noise=NoiseModel(), seed=4)
         rects = np.array([[8, 8, 28, 28], [40, 0, 60, 20], [4, 4, 12, 12], [4, 4, 4, 9]])
         stack = build_channels(depth, small_maps, FORMULATIONS[1])
-        return fit_rects(stack, build_constant_channels(small_maps), rects, FORMULATIONS[1]), rects
+        return fit_rects(stack, rects, FORMULATIONS[1]), rects
 
     def test_unfitted_rows_read_none(self, batch):
         batch, rects = batch

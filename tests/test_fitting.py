@@ -19,6 +19,7 @@ from rangefit import (
     InsufficientSamplesError,
     NoiseModel,
     Rect,
+    SegConfig,
     SyntheticScene,
     accumulate_scatter_naive,
     build_channels,
@@ -39,6 +40,7 @@ from rangefit import (
     normal_angle,
     render_scene,
     scatter_from_integrals,
+    segment,
 )
 from rangefit.fitting import CSV_HEADER, MIN_SAMPLES, fit_result_csv_row
 
@@ -176,7 +178,6 @@ def noisy_scene(small_maps):
 class TestBackendEquivalence:
     def test_scatter_and_fit_agree_across_backends(self, small_maps, noisy_scene):
         _, depth = noisy_scene
-        constant = build_constant_channels(small_maps)
         rng = np.random.default_rng(13)
         for formulation in FORMULATIONS:
             stack = STACK_BUILDERS[formulation](depth, small_maps)
@@ -187,7 +188,7 @@ class TestBackendEquivalence:
                 naive = accumulate_scatter_naive(
                     gather_window_samples(depth, small_maps, rect, formulation), formulation
                 )
-                from_tables = scatter_from_integrals(stack, constant, rect, formulation)
+                from_tables = scatter_from_integrals(stack, rect, formulation)
                 fro = np.linalg.norm(naive.matrix)
                 assert np.abs(from_tables.matrix - naive.matrix).max() <= 1e-8 * fro
                 assert from_tables.n == naive.n
@@ -203,9 +204,9 @@ class TestBackendEquivalence:
     def test_two_disjoint_rects_add_entrywise(self, small_maps, noisy_scene):
         _, depth = noisy_scene
         stack = build_standard_implicit_channels(depth, small_maps)
-        left = scatter_from_integrals(stack, None, Rect(2, 3, 20, 30), IMPLICIT_STANDARD)
-        right = scatter_from_integrals(stack, None, Rect(20, 3, 44, 30), IMPLICIT_STANDARD)
-        union = scatter_from_integrals(stack, None, Rect(2, 3, 44, 30), IMPLICIT_STANDARD)
+        left = scatter_from_integrals(stack, Rect(2, 3, 20, 30), IMPLICIT_STANDARD)
+        right = scatter_from_integrals(stack, Rect(20, 3, 44, 30), IMPLICIT_STANDARD)
+        union = scatter_from_integrals(stack, Rect(2, 3, 44, 30), IMPLICIT_STANDARD)
         np.testing.assert_allclose(
             left.matrix + right.matrix, union.matrix, rtol=1e-12, atol=1e-9
         )
@@ -217,7 +218,7 @@ class TestBackendEquivalence:
         naive = accumulate_scatter_naive(
             gather_window_samples(depth, small_maps, full, EXPLICIT_STANDARD), EXPLICIT_STANDARD
         )
-        tables = scatter_from_integrals(stack, None, full, EXPLICIT_STANDARD)
+        tables = scatter_from_integrals(stack, full, EXPLICIT_STANDARD)
         np.testing.assert_allclose(tables.matrix, naive.matrix, rtol=1e-10)
         np.testing.assert_allclose(tables.rhs, naive.rhs, rtol=1e-10)
         assert tables.target_sq == pytest.approx(naive.target_sq, rel=1e-10)
@@ -227,18 +228,7 @@ class TestBackendEquivalence:
         depth, _ = render_scene(SyntheticScene((masked,)), small_maps)
         stack = build_standard_implicit_channels(depth, small_maps)
         with pytest.raises(InsufficientSamplesError):
-            scatter_from_integrals(stack, None, Rect(40, 8, 60, 28), IMPLICIT_STANDARD)
-
-    def test_rgbd_requires_constant_stack(self, small_maps, noisy_scene):
-        # a hole-free frame stack carries no tan tables of its own
-        _, depth = noisy_scene
-        assert depth.valid.all()
-        for formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
-            stack = STACK_BUILDERS[formulation](depth, small_maps)
-            with pytest.raises(ValueError, match="constant"):
-                scatter_from_integrals(stack, None, Rect(0, 0, 20, 20), formulation)
-            with pytest.raises(ValueError, match="constant"):
-                fit_rects(stack, None, np.array([[0, 0, 20, 20]]), formulation)
+            scatter_from_integrals(stack, Rect(40, 8, 60, 28), IMPLICIT_STANDARD)
 
     @pytest.mark.parametrize("holes", ["dropout", "discs"])
     def test_holey_windows_match_naive_in_rgbd_formulations(self, small_maps, holes):
@@ -253,7 +243,6 @@ class TestBackendEquivalence:
         if holes == "discs":
             depth = DepthImage(values=depth.values, valid=depth.valid & ~_disc_holes((48, 64), rng))
         assert not depth.valid.all()
-        constant = build_constant_channels(small_maps)
         for formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
             stack = STACK_BUILDERS[formulation](depth, small_maps)
             assert stack.holes is not None
@@ -266,16 +255,16 @@ class TestBackendEquivalence:
                 naive = accumulate_scatter_naive(
                     gather_window_samples(depth, small_maps, rect, formulation), formulation
                 )
-                tables = scatter_from_integrals(stack, constant, rect, formulation)
+                tables = scatter_from_integrals(stack, rect, formulation)
                 fro = np.linalg.norm(naive.matrix)
                 assert np.abs(tables.matrix - naive.matrix).max() <= 1e-9 * fro
                 a = implicit_from_result(FITTERS[formulation](naive))
                 b = implicit_from_result(
-                    fit_rect(depth, small_maps, rect, formulation, "integral", stack, constant)
+                    fit_rect(depth, small_maps, rect, formulation, "integral", stack)
                 )
                 assert np.abs(a - b).max() <= 1e-6
             assert any(not depth.valid[r.y0 : r.y1, r.x0 : r.x1].all() for r in rects)
-            batch = fit_rects(stack, constant, np.array(rects), formulation)
+            batch = fit_rects(stack, np.array(rects), formulation)
             for rect, got in zip(rects, batch):
                 naive = fit_rect(depth, small_maps, rect, formulation, "naive")
                 assert np.abs(implicit_from_result(naive) - implicit_from_result(got)).max() <= 1e-6
@@ -294,12 +283,11 @@ class TestNoiselessRecovery:
             SyntheticScene((GroundTruthPlane(np.array([0.0, 0.0, 1.0, -3.0])),)), small_maps
         )
         expected = np.array([0.0, 0.0, 1.0, -3.0]) / np.sqrt(10)
-        constant = build_constant_channels(small_maps)
         rect = Rect(0, 0, 64, 48)
         for formulation in FORMULATIONS:
             stack = STACK_BUILDERS[formulation](depth, small_maps)
             result = FITTERS[formulation](
-                scatter_from_integrals(stack, constant, rect, formulation)
+                scatter_from_integrals(stack, rect, formulation)
             )
             np.testing.assert_allclose(
                 implicit_from_result(result), expected, atol=1e-9,
@@ -338,7 +326,6 @@ class TestNoiselessRecovery:
 
     def test_random_planes_recovered_by_all_formulations(self, small_maps):
         rng = np.random.default_rng(4)
-        constant = build_constant_channels(small_maps)
         rect = Rect(0, 0, 64, 48)
         for _ in range(25):
             plane = random_visible_plane(rng)
@@ -347,7 +334,7 @@ class TestNoiselessRecovery:
             for formulation in FORMULATIONS:
                 stack = STACK_BUILDERS[formulation](depth, small_maps)
                 result = FITTERS[formulation](
-                    scatter_from_integrals(stack, constant, rect, formulation)
+                    scatter_from_integrals(stack, rect, formulation)
                 )
                 got = implicit_from_result(result)
                 angle = normal_angle(ImplicitPlane(got), ImplicitPlane(truth))
@@ -400,22 +387,13 @@ class TestNoiselessRecovery:
     def test_implicit_rgbd_matches_standard_noiseless(self, small_maps):
         rng = np.random.default_rng(5)
         rect = Rect(8, 4, 56, 44)
-        constant = build_constant_channels(small_maps)
         for _ in range(25):
             plane = random_visible_plane(rng)
             depth, _ = render_scene(SyntheticScene((plane,)), small_maps)
-            std = fit_implicit_standard(
-                scatter_from_integrals(
-                    build_standard_implicit_channels(depth, small_maps), None, rect,
-                    IMPLICIT_STANDARD,
-                )
-            )
-            rgbd = fit_implicit_rgbd(
-                scatter_from_integrals(
-                    build_rgbd_implicit_channels(depth, small_maps), constant, rect,
-                    IMPLICIT_RGBD,
-                )
-            )
+            standard = build_standard_implicit_channels(depth, small_maps)
+            inverse = build_rgbd_implicit_channels(depth, small_maps)
+            std = fit_implicit_standard(scatter_from_integrals(standard, rect, IMPLICIT_STANDARD))
+            rgbd = fit_implicit_rgbd(scatter_from_integrals(inverse, rect, IMPLICIT_RGBD))
             angle = normal_angle(std.plane, rgbd.plane)
             assert angle <= 1e-6
 
@@ -471,6 +449,52 @@ class TestDegenerateInputs:
         scatter = Scatter4(matrix=np.eye(4), n=3)
         with pytest.raises(InsufficientSamplesError):
             fit_implicit_standard(scatter)
+
+
+class TestOverflowingInverseDepths:
+    """A positive depth whose 1/Z or 1/Z^2 overflows is a hole, as a zero
+    depth is: at 1e-310 m (subnormal) 1/Z overflows, at 1e-200 m 1/Z^2."""
+
+    @pytest.mark.parametrize("tiny", [1e-310, 1e-200])
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_pixel_counts_as_a_hole(self, small_maps, formulation, tiny):
+        rendered, _ = render_scene(corner_scene(), small_maps, noise=NoiseModel(), seed=2)
+        assert rendered.valid.all()
+        values = rendered.values.copy()
+        values[20, 30] = tiny
+        depth = DepthImage(values=values)
+        valid = np.ones((48, 64), dtype=bool)
+        valid[20, 30] = False
+        np.testing.assert_array_equal(depth.valid, valid)
+        marked = DepthImage(values=rendered.values, valid=valid)  # the pixel marked a hole
+        rects = [
+            Rect(24, 16, 40, 28), Rect(0, 0, 64, 48), Rect(30, 20, 31, 21), Rect(16, 16, 32, 32),
+        ]
+        for backend in ("naive", "integral"):
+            stacks = [build_channels(d, small_maps, formulation) for d in (depth, marked)]
+            for rect in rects:
+                got, want = (
+                    _fit_or_none(d, small_maps, rect, formulation, backend, s)
+                    for d, s in zip((depth, marked), stacks)
+                )
+                if rect.area == 1:
+                    assert got is want is None
+                    continue
+                holds_it = rect.x0 <= 30 < rect.x1 and rect.y0 <= 20 < rect.y1
+                assert got.n_points == rect.area - holds_it
+                assert np.isfinite(got.plane.coefficients).all() and not got.degenerate
+                np.testing.assert_array_equal(got.plane.coefficients, want.plane.coefficients)
+                assert (got.n_points, got.rms_residual) == (want.n_points, want.rms_residual)
+        got, want = (fit_rects(s, np.array(rects), formulation) for s in stacks)
+        for name in ("coefficients", "rms", "eigenvalue", "n_points", "degenerate"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        config = SegConfig(formulation=formulation, initial_tile=16, max_depth=2)
+        got, want = (segment(d, small_maps, config) for d in (depth, marked))
+        assert got.to_csv() == want.to_csv()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        fitted = got.fits.fitted
+        assert fitted.any() and np.isfinite(got.fits.coefficients[fitted]).all()
+        assert got.fits.coefficients.tobytes() == want.fits.coefficients.tobytes()
 
 
 class TestExplicitToImplicit:
@@ -564,7 +588,7 @@ class TestExplicitRgbdFitter:
             stack = build_rgbd_explicit_channels(depth, small_maps)
             cached = fitter.fit(stack, rect)
             fresh = fit_explicit_rgbd(
-                scatter_from_integrals(stack, constant, rect, EXPLICIT_RGBD)
+                scatter_from_integrals(stack, rect, EXPLICIT_RGBD)
             )
             np.testing.assert_array_equal(
                 cached.plane.coefficients, fresh.plane.coefficients
@@ -613,7 +637,7 @@ class TestExplicitRgbdFitter:
         assert all(valid[r.y0 : r.y1, r.x0 : r.x1].all() for r in hole_free + [column])
         assert not any(valid[r.y0 : r.y1, r.x0 : r.x1].all() for r in holey)
         assert fitter.factor_for(column) is None
-        batch = fit_rects(stack, constant, np.array(rects), EXPLICIT_RGBD)
+        batch = fit_rects(stack, np.array(rects), EXPLICIT_RGBD)
         for rect, want in zip(rects, batch):
             if want is None:
                 with pytest.raises(InsufficientSamplesError):
@@ -634,7 +658,7 @@ class TestExplicitRgbdFitter:
         assert fit_rect(depth, small_maps, holey_column, EXPLICIT_RGBD, "naive").degenerate
         assert batch[rects.index(holey_column)].degenerate
         assert fit_rect(
-            depth, small_maps, holey_column, EXPLICIT_RGBD, "integral", stack, constant
+            depth, small_maps, holey_column, EXPLICIT_RGBD, "integral", stack
         ).degenerate
 
     def test_fit_rect_dispatch(self, small_maps):
@@ -646,12 +670,12 @@ class TestExplicitRgbdFitter:
         rect = Rect(0, 0, 32, 32)
         a = fit_rect(depth, small_maps, rect, EXPLICIT_RGBD, "naive")
         b = fit_rect(
-            depth, small_maps, rect, EXPLICIT_RGBD, "integral", stack=stack, constant=constant
+            depth, small_maps, rect, EXPLICIT_RGBD, "integral", stack=stack
         )
         fitter = ExplicitRgbdFitter(constant)
         c = fit_rect(
             depth, small_maps, rect, EXPLICIT_RGBD, "integral",
-            stack=stack, constant=constant, rgbd_fitter=fitter,
+            stack=stack, rgbd_fitter=fitter,
         )
         for result in (b, c):
             np.testing.assert_allclose(
@@ -699,7 +723,7 @@ class TestExplicitRgbdFitter:
         fitter = ExplicitRgbdFitter(constant)
         stack = build_rgbd_explicit_channels(depth, small_maps)
         for rect in (Rect(5, 3, 45, 43), Rect(0, 0, 64, 48), Rect(61, 40, 64, 47)):
-            assembled = scatter_from_integrals(stack, constant, rect, EXPLICIT_RGBD)
+            assembled = scatter_from_integrals(stack, rect, EXPLICIT_RGBD)
             assert np.array_equal(fitter.matrix_for(rect), assembled.matrix)
 
     def test_rejects_stack_without_its_channels(self, small_maps, noisy_scene):
@@ -714,7 +738,7 @@ class TestExplicitRgbdFitter:
         with pytest.raises(ValueError, match="missing channels"):
             fit_rect(
                 depth, small_maps, rect, EXPLICIT_RGBD, "integral",
-                stack=stack, constant=constant, rgbd_fitter=fitter,
+                stack=stack, rgbd_fitter=fitter,
             )
 
     def test_rejects_stack_from_another_camera(self, small_maps):
@@ -743,7 +767,7 @@ class TestExplicitRgbdFitter:
         stack = build_rgbd_explicit_channels(depth, small_maps)
         rect = Rect(4, 4, 44, 44)
         assert not depth.valid[4:44, 4:44].all()
-        want = fit_explicit_rgbd(scatter_from_integrals(stack, constant, rect, EXPLICIT_RGBD))
+        want = fit_explicit_rgbd(scatter_from_integrals(stack, rect, EXPLICIT_RGBD))
 
         def refuse(matrices):
             raise AssertionError("an assembled scatter went through the caller check")
@@ -785,15 +809,14 @@ class TestFitRects:
             SyntheticScene((random_visible_plane(rng),)),
             small_maps, noise=NoiseModel(), seed=5, dropout=dropout,
         )
-        constant = build_constant_channels(small_maps)
         stack = STACK_BUILDERS[formulation](depth, small_maps)
         rects = _batch_windows(rng)
-        batch = fit_rects(stack, constant, np.array(rects), formulation)
+        batch = fit_rects(stack, np.array(rects), formulation)
         assert len(batch) == len(rects)
         for rect, got in zip(rects, batch):
             try:
                 want = fit_rect(
-                    depth, small_maps, rect, formulation, "integral", stack=stack, constant=constant
+                    depth, small_maps, rect, formulation, "integral", stack=stack
                 )
             except InsufficientSamplesError:
                 assert got is None
@@ -817,9 +840,7 @@ class TestFitRects:
             assert any(r is not None and r.degenerate for r in batch)
 
     @pytest.mark.parametrize("formulation", [IMPLICIT_RGBD, EXPLICIT_RGBD])
-    def test_mixed_batch_matches_naive_with_and_without_constant_stack(
-        self, small_maps, formulation
-    ):
+    def test_mixed_batch_matches_naive(self, small_maps, formulation):
         # localized holes: one batch mixes hole-free and holey windows, and
         # every window reads the constant tan sums, less its holes' if any
         rng = np.random.default_rng(23)
@@ -832,11 +853,7 @@ class TestFitRects:
         full = [bool(depth.valid[r.y0 : r.y1, r.x0 : r.x1].all()) for r in rects]
         assert any(full) and not all(full)
         stack = STACK_BUILDERS[formulation](depth, small_maps)
-        constant = build_constant_channels(small_maps)
-        with_constant = fit_rects(stack, constant, np.array(rects), formulation)
-        with pytest.raises(ValueError, match="requires the camera-constant channel stack"):
-            fit_rects(stack, None, np.array(rects), formulation)
-        for rect, got in zip(rects, with_constant):
+        for rect, got in zip(rects, fit_rects(stack, np.array(rects), formulation)):
             naive = fit_rect(depth, small_maps, rect, formulation, "naive")
             assert got.n_points == naive.n_points
             a, b = implicit_from_result(naive), implicit_from_result(got)
@@ -845,21 +862,19 @@ class TestFitRects:
     def test_too_small_windows_give_none(self, small_maps):
         masked = GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0]), mask_rect=(0, 0, 32, 48))
         depth, _ = render_scene(SyntheticScene((masked,)), small_maps)
-        constant = build_constant_channels(small_maps)
         rects = np.array([[40, 8, 60, 28], [0, 0, 2, 1], [4, 4, 4, 9], [0, 0, 8, 8]])
         for formulation in FORMULATIONS:
             stack = STACK_BUILDERS[formulation](depth, small_maps)
-            results = fit_rects(stack, constant, rects, formulation)
+            results = fit_rects(stack, rects, formulation)
             assert results[:3] == [None, None, None]
             assert results[3] is not None and results[3].n_points == 64
 
     def test_empty_rect_array(self, small_maps, noisy_scene):
         _, depth = noisy_scene
-        constant = build_constant_channels(small_maps)
         for formulation in FORMULATIONS:
             stack = STACK_BUILDERS[formulation](depth, small_maps)
             for empty in (np.zeros((0, 4), dtype=np.int64), [], np.array([], dtype=np.int64)):
-                assert len(fit_rects(stack, constant, empty, formulation)) == 0
+                assert len(fit_rects(stack, empty, formulation)) == 0
 
     @pytest.mark.parametrize(
         "rect",
@@ -868,33 +883,25 @@ class TestFitRects:
     )
     def test_rejects_out_of_bounds_and_inverted_rects(self, small_maps, noisy_scene, rect):
         _, depth = noisy_scene
-        constant = build_constant_channels(small_maps)
         for formulation in FORMULATIONS:
             stack = STACK_BUILDERS[formulation](depth, small_maps)
             with pytest.raises(ValueError, match="out of bounds"):
-                fit_rects(stack, constant, np.array([[0, 0, 8, 8], rect]), formulation)
+                fit_rects(stack, np.array([[0, 0, 8, 8], rect]), formulation)
 
     def test_rejects_malformed_arrays_and_mismatched_stacks(self, small_maps, noisy_scene):
         _, depth = noisy_scene
-        constant = build_constant_channels(small_maps)
         stack = build_rgbd_implicit_channels(depth, small_maps)
         with pytest.raises(ValueError, match="integer"):
-            fit_rects(stack, constant, np.array([[0.0, 0.0, 8.0, 8.0]]), IMPLICIT_RGBD)
+            fit_rects(stack, np.array([[0.0, 0.0, 8.0, 8.0]]), IMPLICIT_RGBD)
         with pytest.raises(ValueError, match=r"\(N, 4\)"):
-            fit_rects(stack, constant, np.array([0, 0, 8, 8]), IMPLICIT_RGBD)
+            fit_rects(stack, np.array([0, 0, 8, 8]), IMPLICIT_RGBD)
         for shape in ((2, 0), (0, 3), (0, 0), (0, 4, 1)):
             # empty but malformed: these returned [] when only non-empty input was checked
             with pytest.raises(ValueError, match=r"\(N, 4\)"):
-                fit_rects(stack, constant, np.zeros(shape, dtype=np.int64), IMPLICIT_RGBD)
-        with pytest.raises(ValueError, match="constant"):
-            fit_rects(stack, None, np.array([[0, 0, 8, 8]]), IMPLICIT_RGBD)
-        from rangefit import CameraIntrinsics, compute_tan_maps
-
-        other = build_constant_channels(compute_tan_maps(
-            CameraIntrinsics(fx=75.0, fy=75.0, cx=39.5, cy=29.5, width=80, height=60)
-        ))
-        with pytest.raises(ValueError, match="dimensions"):
-            fit_rects(stack, other, np.array([[0, 0, 8, 8]]), IMPLICIT_RGBD)
+                fit_rects(stack, np.zeros(shape, dtype=np.int64), IMPLICIT_RGBD)
+        standard = build_standard_implicit_channels(depth, small_maps)
+        with pytest.raises(ValueError, match="missing channels: tx_over_z, ty_over_z, inv_z"):
+            fit_rects(standard, np.array([[0, 0, 8, 8]]), IMPLICIT_RGBD)
 
 
 # Each space's two formulations and the position of the explicit target (Z
@@ -927,10 +934,10 @@ class TestRankTwoWindows:
         fitter = ExplicitRgbdFitter(constant)
         for formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
             stack = build_channels(depth, maps, formulation)
-            batch = fit_rects(stack, constant, np.array(rects), formulation)
+            batch = fit_rects(stack, np.array(rects), formulation)
             for rect, fit in zip(rects, batch):
                 assert fit.degenerate, (formulation, rect)
-                one = fit_rect(depth, maps, rect, formulation, "integral", stack, constant)
+                one = fit_rect(depth, maps, rect, formulation, "integral", stack)
                 assert one.degenerate, (formulation, rect)
                 if formulation == EXPLICIT_RGBD:
                     assert fitter.fit(stack, rect).degenerate, rect
@@ -972,14 +979,13 @@ class TestOneScatterPerSpace:
         implicit, explicit, t = _SPACES[space]
         kept = [i for i in range(4) if i != t]
         depth = _space_frame(small_maps, holes=True)
-        constant = build_constant_channels(small_maps)
         windows = _SPACE_WINDOWS[:5]
         assert any(not depth.valid[r.y0 : r.y1, r.x0 : r.x1].all() for r in windows)
         for formulation in (implicit, explicit):
             stack = build_channels(depth, small_maps, formulation)
             for rect in windows:
-                full = scatter_from_integrals(stack, constant, rect, implicit)
-                part = scatter_from_integrals(stack, constant, rect, explicit)
+                full = scatter_from_integrals(stack, rect, implicit)
+                part = scatter_from_integrals(stack, rect, explicit)
                 np.testing.assert_array_equal(part.matrix, full.matrix[np.ix_(kept, kept)])
                 np.testing.assert_array_equal(part.rhs, full.matrix[kept, t])
                 assert part.target_sq == full.matrix[t, t]
@@ -1002,12 +1008,12 @@ class TestOneScatterPerSpace:
         stacks = [build_channels(depth, small_maps, f) for f in pair]
         rects = np.array(_SPACE_WINDOWS)
         for formulation in pair:
-            a, b = (fit_rects(s, constant, rects, formulation) for s in stacks)
+            a, b = (fit_rects(s, rects, formulation) for s in stacks)
             for name in ("coefficients", "rms", "eigenvalue", "n_points", "degenerate"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
             for rect in _SPACE_WINDOWS:
                 one, other = (
-                    _fit_or_none(depth, small_maps, rect, formulation, "integral", s, constant)
+                    _fit_or_none(depth, small_maps, rect, formulation, "integral", s)
                     for s in stacks
                 )
                 assert (one is None) == (other is None), rect
@@ -1028,13 +1034,12 @@ class TestOneScatterPerSpace:
     def test_implicit_fit_needs_the_residual_channel(self, small_maps, space):
         implicit, explicit, _ = _SPACES[space]
         depth = _space_frame(small_maps, holes=True)
-        constant = build_constant_channels(small_maps)
         lean = build_channels(depth, small_maps, explicit, include_residual=False)
         rect = Rect(5, 3, 45, 43)
         with pytest.raises(ValueError, match=r"missing channels: (z2|inv_z2)$"):
-            fit_rect(depth, small_maps, rect, implicit, "integral", lean, constant)
+            fit_rect(depth, small_maps, rect, implicit, "integral", lean)
         with pytest.raises(ValueError, match=r"missing channels: (z2|inv_z2)$"):
-            fit_rects(lean, constant, np.array([rect]), implicit)
+            fit_rects(lean, np.array([rect]), implicit)
 
 
 class TestCsvRow:

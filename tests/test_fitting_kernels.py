@@ -14,7 +14,6 @@ from rangefit import (
     Scatter4,
     SyntheticScene,
     build_channels,
-    build_constant_channels,
     fit_explicit_rgbd,
     fit_explicit_standard,
     fit_implicit_rgbd,
@@ -160,13 +159,12 @@ class TestCallerScatters:
         depth, _ = render_scene(
             SyntheticScene((random_visible_plane(rng),)), small_maps, noise=NoiseModel(), seed=6
         )
-        constant = build_constant_channels(small_maps)
         for formulation in FORMULATIONS:
             stack = build_channels(depth, small_maps, formulation)
             fit, _ = _CALLER_FITS[formulation]
             for rect in (Rect(0, 0, 64, 48), Rect(5, 7, 21, 30)):
-                scatter = scatter_from_integrals(stack, constant, rect, formulation)
-                ours = fit_rect(depth, small_maps, rect, formulation, "integral", stack, constant)
+                scatter = scatter_from_integrals(stack, rect, formulation)
+                ours = fit_rect(depth, small_maps, rect, formulation, "integral", stack)
                 for result in (FIT_BY_FORMULATION[formulation](scatter), fit(scatter)):
                     np.testing.assert_array_equal(result.plane.coefficients, ours.plane.coefficients)
                     assert (result.n_points, result.degenerate) == (ours.n_points, ours.degenerate)

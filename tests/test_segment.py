@@ -278,7 +278,7 @@ def reference_leaves(depth, maps, config: SegConfig, constant) -> list[tuple]:
             continue
         try:
             result = fit_rect(
-                depth, maps, rect, config.formulation, "integral", stack=stack, constant=constant
+                depth, maps, rect, config.formulation, "integral", stack=stack
             )
         except InsufficientSamplesError:
             leaves.append((rect, level, TileStatus.TOO_INVALID, None))
@@ -321,7 +321,7 @@ class TestSegment:
 
         monkeypatch.setattr(rangefit.fitting, "fit_sums", counting)
         tiles = sorted(
-            segment(depth, maps, config, constant=constant).tiles,
+            segment(depth, maps, config).tiles,
             key=lambda t: (t.level, t.rect.y0, t.rect.x0),
         )
         expected = sorted(
@@ -703,7 +703,7 @@ class TestNodePyramidSegment:
         maps = _maps(1920, 1080, 1728.0, lattice=True)
         depth, _ = render_scene(corner_scene(), maps, noise=NoiseModel(), seed=4, dropout=0.02)
         config = SegConfig(formulation=formulation, initial_tile=64, max_depth=3)
-        result = segment(depth, maps, config, constant=build_constant_channels(maps))
+        result = segment(depth, maps, config)
         checked = 0
         for tile in result.tiles:
             if tile.result is None or tile.result.degenerate:
