@@ -17,14 +17,11 @@ to the right-hand side (``integral.SCATTERS``), so a frame stack serves
 both formulations of its space.
 
 Backends: ``naive`` accumulates monomials directly over the window's samples;
-``integral`` assembles every scatter entry from one box sum each, and the two
-agree to rounding.  Invalid pixels contribute nothing anywhere: the
-per-frame tables hold zero at holes, and the rgbd formulations read their
-camera-constant block from the camera's constant less the tan monomials of
-the holes the frame stack lists in the window, so a window's scatter is
-always the exact Gram matrix of its valid samples.  The constant is the
-camera's, kept with the maps a frame stack knows, and is read by one
-function, ``integral.tan_sums``.  A pinhole camera's tan sums are
+``integral`` assembles every scatter entry from one sum each, and the two
+agree to rounding.  This module only assembles and solves: a window's sums
+are read by one function, ``integral.window_sums``, which owns the count,
+camera-constant and hole rules, so a window's scatter is always the exact
+Gram matrix of its valid samples.  A pinhole camera's tan sums are
 products of its axes' prefix sums, which keep their digits to the far
 corner of a frame, so the tan block of a window whose samples lie on one
 row or one column stays singular to rounding, and its fit is flagged
@@ -37,11 +34,11 @@ camera's own one serves every explicit-rgbd integral :func:`fit_rect`.  One
 scalar explicit solve serves ``fit_explicit_*`` and the fitter alike, and an
 explicit plane's implicit form is written in one place, which the
 conversions and the near-centre tests all read.
-:func:`fit_rect` fits one window from one indexed read of each stack, its
-sums and its one system's diagnostics as floats; :func:`fit_rects`
-fits many windows of one frame at once, gathering every box sum with one
-indexed read per stack and solving the whole batch with array operations
-in :func:`fit_sums`, which also fits windows whose sums come from elsewhere.
+:func:`fit_rect` fits one window from one read of its stack, its sums and
+its one system's diagnostics as floats; :func:`fit_rects` fits many
+windows of one frame at once, reading every sum with one batched read and
+solving the whole batch with array operations in :func:`fit_sums`, which
+also fits windows whose sums come from elsewhere.
 A batch comes back as a :class:`FitBatch` of arrays, its canonical implicit
 coefficients formed in one vectorised pass; a :class:`FitResult` is built
 only for the rows a caller asks for.  A per-window solve or result object in
@@ -61,7 +58,6 @@ import numpy as np
 from .camera import TanAngleMaps
 from .errors import DegenerateFitError, InsufficientSamplesError
 from .integral import (
-    CONSTANT_CHANNELS,
     COUNT_CHANNEL,
     EXPLICIT_RGBD,
     EXPLICIT_STANDARD,
@@ -76,13 +72,11 @@ from .integral import (
     ChannelSet,
     ChannelStack,
     Rect,
-    _box_corners,
-    _box_sums,
     _check_rect,
     _check_rects,
-    _hole_sums,
     build_constant_channels,
     tan_sums,
+    window_sums,
 )
 from .synth import DepthImage
 
@@ -576,64 +570,9 @@ def _symmetric_index(size: int) -> np.ndarray:
 _SYMMETRIC_INDEX = {s.size: _symmetric_index(s.size) for s in FORMULATION_CHANNELS.values()}
 
 
-def _gather(stack: ChannelStack, corners: np.ndarray, area) -> dict[str, float | np.ndarray]:
-    """Every channel's box sums from one indexed read of the stack's tensor.
-
-    ``corners`` are as for ``integral._box_sums``.  ``"n"`` counts from the
-    count table, or is ``area``, the windows' areas batched like the sums,
-    when the stack has none (a frame without holes).
-    """
-    gathered = _box_sums(stack, corners)
-    gathered.setdefault(COUNT_CHANNEL, area)
-    return gathered
-
-
 def _scatter_matrix(sums: dict[str, float | np.ndarray], spec: ChannelSet) -> np.ndarray:
     """The symmetric matrix of ``spec``'s layout entries, batched like ``sums``."""
     return np.array([sums[k] for k in spec.layout]).T[..., _SYMMETRIC_INDEX[spec.size]]
-
-
-def _require_channels(stack: ChannelStack, names: tuple[str, ...]) -> None:
-    missing = [name for name in names if name not in stack.channels]
-    if missing:
-        raise ValueError(f"per-frame stack is missing channels: {', '.join(missing)}")
-
-
-def _window_sums(
-    stack: ChannelStack, formulation: str, rects: np.ndarray | Rect
-) -> dict[str, float | np.ndarray]:
-    """Box sums of every channel a formulation's system reads, ``"n"`` the count.
-
-    ``rects`` is one rect, giving a float per sum, or an (N, 4) array of
-    them, giving (N,) arrays.  The tan entries are the stack's camera
-    constant's (``integral.tan_sums``), less those of the holes the frame
-    stack lists; only the windows whose count falls short of their area
-    hold holes.
-    """
-    spec = FORMULATION_CHANNELS[formulation]
-    _require_channels(stack, spec.scatter)
-    corners = _box_corners(rects, stack.width)
-    if isinstance(rects, Rect):
-        area = float(rects.area)
-    else:
-        x0, y0, x1, y1 = rects.T
-        area = ((x1 - x0) * (y1 - y0)).astype(np.float64)
-    sums = _gather(stack, corners, area)
-    if not spec.needs_constant:
-        return sums
-    sums.update(tan_sums(build_constant_channels(stack.maps), rects))
-    if stack.holes is None:
-        return sums
-    if isinstance(rects, Rect):
-        if sums[COUNT_CHANNEL] != area:
-            holes = _hole_sums(stack, np.array([rects]))[:, 0].tolist()
-            sums.update((name, sums[name] - h) for name, h in zip(CONSTANT_CHANNELS, holes))
-        return sums
-    holey = np.flatnonzero(sums[COUNT_CHANNEL] != area)
-    if holey.size:
-        for name, h in zip(CONSTANT_CHANNELS, _hole_sums(stack, rects[holey])):
-            sums[name][holey] -= h
-    return sums
 
 
 def _system(
@@ -651,23 +590,24 @@ def _system(
 
 
 def scatter_from_integrals(stack: ChannelStack, rect: Rect, formulation: str) -> Scatter4 | Scatter3:
-    """Assemble a window's scatter system with one box sum per unique entry.
+    """Assemble a window's scatter system from one sum per unique entry.
 
-    ``stack`` holds the frame's depth-dependent channels; the rgbd
-    formulations read their tan sums from its maps' camera constant
-    (:func:`~rangefit.integral.build_constant_channels`).  The
-    sample count is always the window's valid-pixel count from ``stack``.
+    The sums are read by :func:`~rangefit.integral.window_sums`: ``stack``
+    holds the frame's depth-dependent channels, the rgbd formulations' tan
+    sums are its maps' camera constant's less the window's holes', and the
+    sample count is the window's valid-pixel count.
     """
     _check_formulation(formulation)
     _check_rect(rect, stack.width, stack.height)
-    sums = _window_sums(stack, formulation, rect)
-    n = int(sums["n"])
+    spec = FORMULATION_CHANNELS[formulation]
+    sums = window_sums(stack, rect, spec.entries)
+    n = int(sums[COUNT_CHANNEL])
     if n < MIN_SAMPLES[formulation]:
         raise InsufficientSamplesError(
             f"window {rect} holds {n} valid samples; "
             f"{formulation} needs {MIN_SAMPLES[formulation]}"
         )
-    matrix, rhs, target_sq = _system(sums, FORMULATION_CHANNELS[formulation])
+    matrix, rhs, target_sq = _system(sums, spec)
     if rhs is None:
         return Scatter4(matrix=matrix, n=n)
     return Scatter3(matrix=matrix, rhs=rhs, n=n, target_sq=target_sq)
@@ -848,9 +788,8 @@ FIT_BY_FORMULATION: dict[str, Callable[..., FitResult]] = {
 
 
 class _Window(NamedTuple):
-    """A window's flat table indices, constant matrix and factor (None: singular)."""
+    """A window's camera-constant matrix and its factor (None: singular)."""
 
-    corners: np.ndarray
     matrix: np.ndarray
     factor: CholeskyFactor | None
 
@@ -859,13 +798,14 @@ class ExplicitRgbdFitter:
     """Explicit inverse-depth fits with per-window factor caching.
 
     The normal-equation matrix depends only on the camera constants and the
-    window, so one record per window (:class:`_Window`) holds its corner
-    indices, matrix (from ``integral.tan_sums``) and Cholesky factor,
-    computed once and reused for every frame; each fit then costs one
-    indexed read of the window's box sums and two triangular solves.
-    ``constant`` is :func:`~rangefit.integral.build_constant_channels`'s.
-    A camera's own fitter (:func:`camera_fitter`) holds one record per
-    distinct window it has fitted for as long as its maps live.
+    window, so one record per window (:class:`_Window`) holds its matrix
+    (from ``integral.tan_sums``) and Cholesky factor, computed once and
+    reused for every frame; each fit then costs one read of the window's
+    per-frame sums (``integral.window_sums``) and two triangular solves.
+    ``constant`` is :func:`~rangefit.integral.build_constant_channels`'s,
+    and the fitter fits only stacks of that camera.  A camera's own fitter
+    (:func:`camera_fitter`) holds one record per distinct window it has
+    fitted for as long as its maps live.
     """
 
     _spec = FORMULATION_CHANNELS[EXPLICIT_RGBD]
@@ -882,8 +822,7 @@ class ExplicitRgbdFitter:
             sums = tan_sums(self.constant, rect)
             sums[COUNT_CHANNEL] = rect.area
             matrix = _scatter_matrix(sums, self._spec)
-            corners = _box_corners(rect, self.constant.width)
-            window = self._windows[rect] = _Window(corners, matrix, _factor_or_none(matrix))
+            window = self._windows[rect] = _Window(matrix, _factor_or_none(matrix))
         return window
 
     def matrix_for(self, rect: Rect) -> np.ndarray:
@@ -899,15 +838,18 @@ class ExplicitRgbdFitter:
 
         Hole-free windows reuse the window's cached camera-constant factor;
         windows containing invalid pixels go through
-        :func:`scatter_from_integrals`, which subtracts their holes' sums
-        from the matrix of the stack's camera constant (they are
-        frame-specific, so there is nothing to cache).
+        :func:`scatter_from_integrals`, which reads the stack's camera
+        constant less their holes' sums (they are frame-specific, so there
+        is nothing to cache).  A stack of another camera raises
+        ``ValueError``: its windows are fitted by that camera's fitter.
         """
-        if (stack.height, stack.width) != (self.constant.height, self.constant.width):
-            raise ValueError("camera constant dimensions do not match the per-frame stack")
+        if build_constant_channels(stack.maps) is not self.constant:
+            raise ValueError(
+                "the per-frame stack is of another camera than this fitter's constant; "
+                "fit it with fitting.camera_fitter(stack.maps)"
+            )
         window = self._window(rect)
-        _require_channels(stack, self._spec.scatter)
-        sums = _gather(stack, window.corners, rect.area)
+        sums = window_sums(stack, rect, self._spec.scatter)
         n = int(sums[COUNT_CHANNEL])
         if n != rect.area or n < self._spec.size:
             scatter = scatter_from_integrals(stack, rect, formulation=EXPLICIT_RGBD)
@@ -1014,8 +956,8 @@ def fit_rects(stack: ChannelStack, rects: np.ndarray, formulation: str) -> FitBa
     """
     _check_formulation(formulation)
     rects = _check_rects(rects, stack.width, stack.height)
-    sums = _window_sums(stack, formulation, rects)
-    fitted = np.flatnonzero(sums["n"] >= MIN_SAMPLES[formulation])
+    sums = window_sums(stack, rects, FORMULATION_CHANNELS[formulation].entries)
+    fitted = np.flatnonzero(sums[COUNT_CHANNEL] >= MIN_SAMPLES[formulation])
     sums = {name: s[fitted] for name, s in sums.items()}
     return fit_sums(sums, formulation).expand(fitted, len(rects))
 

@@ -40,9 +40,11 @@ segmenter fits only the nodes of a quadtree fixed by the image size, so
 :func:`build_node_pyramid` instead sums the bands into the cells of its
 lattice and each coarser level from the finer one, and reads no summed-area
 table.  Tan sums are always the camera constants less the holes' sums,
-which the rgbd stack of a frame with holes lists.  When the tan maps factor
-into a column axis and a row axis (``TanAngleMaps.axes``), an rgbd
-pyramid's level 0 reads no tan map and writes no monomial band: a channel's
+which the rgbd stack of a frame with holes lists.  One function,
+:func:`window_sums`, reads a frame stack's windows: their box sums, count
+or area, and tan sums less their holes'.  When the tan maps factor into a
+column axis and a row axis (``TanAngleMaps.axes``), an rgbd pyramid's
+level 0 reads no tan map and writes no monomial band: a channel's
 exponents (``_POWERS``, added up from its ``_MONOMIALS`` recipe) split its
 cell sum into row weights, applied by one matmul a band to 1/Z divided
 straight into bands of whole cell rows (holes zeroed from the frame's hole
@@ -95,22 +97,25 @@ class ChannelSet:
     ``layout`` holds the scatter matrix's upper triangle in row-major order,
     ``"n"`` being the valid-sample count; ``rhs`` the explicit right-hand
     side; ``residual`` the optional rms diagnostic channel.  Derived:
-    ``scatter``, the per-frame channels (the entries that are not camera
-    constants); ``needs_constant``, whether the rest come from the camera's
-    constant (less the sums of a frame's holes); and ``size``, the system's
-    order and so its fewest samples.
+    ``entries``, those of the layout and ``rhs`` but the count, which a fit
+    reads (:func:`window_sums`); ``scatter``, the per-frame channels (the
+    entries that are not camera constants); ``needs_constant``, whether the
+    rest come from the camera's constant (less the sums of a frame's holes);
+    and ``size``, the system's order and so its fewest samples.
     """
 
     space: str
     layout: tuple[str, ...]
     rhs: tuple[str, ...] = ()
     residual: str | None = None
+    entries: tuple[str, ...] = field(init=False)
     scatter: tuple[str, ...] = field(init=False)
     needs_constant: bool = field(init=False)
     size: int = field(init=False)
 
     def __post_init__(self) -> None:
-        entries = [k for k in self.layout + self.rhs if k != COUNT_CHANNEL]
+        entries = tuple(k for k in self.layout + self.rhs if k != COUNT_CHANNEL)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "scatter", tuple(k for k in entries if k not in CONSTANT_CHANNELS))
         object.__setattr__(self, "needs_constant", any(k in CONSTANT_CHANNELS for k in entries))
         object.__setattr__(self, "size", math.isqrt(2 * len(self.layout)))
@@ -260,23 +265,16 @@ def _check_rects(rects: np.ndarray, width: int, height: int) -> np.ndarray:
     return rects.astype(np.int64, copy=False)
 
 
-def _box_corners(rects: np.ndarray | Rect, width: int) -> np.ndarray:
-    """(4, N) flat table indices of each rect's corners, in ``_box`` order.
-
-    One ``Rect`` gives the (4,) indices of its corners, from Python ints.
-    """
-    x0, y0, x1, y1 = rects if isinstance(rects, Rect) else np.asarray(rects).T
-    stride = width + 1
-    return np.array((y1 * stride + x1, y0 * stride + x1, y1 * stride + x0, y0 * stride + x0))
-
-
-def _box_sums(stack: ChannelStack, corners: np.ndarray) -> dict[str, float | np.ndarray]:
+def _box_sums(stack: ChannelStack, rects: Rect | np.ndarray) -> dict[str, float | np.ndarray]:
     """Every table's box sums from one indexed read of the stack's tensor.
 
-    ``corners`` holds flat table indices from ``_box_corners``: (4, N) for a
-    batch, giving (N,) sums per channel, or (4,) for one window, giving
-    floats.  The sums are formed in the same order of operations as ``_box``.
+    One rect gives a float per table, its corners' flat indices formed from
+    Python ints; an (N, 4) array of checked rects gives (N,) sums.  The sums
+    are formed in the same order of operations as ``_box``.
     """
+    x0, y0, x1, y1 = rects if isinstance(rects, Rect) else rects.T
+    stride = stack.width + 1
+    corners = np.array((y1 * stride + x1, y0 * stride + x1, y1 * stride + x0, y0 * stride + x0))
     t = stack.tensor.reshape(len(stack.index), -1).take(corners, axis=1)
     if t.ndim == 2:
         sums = [a - b - c + d for a, b, c, d in t.tolist()]
@@ -479,7 +477,7 @@ def tan_sums(
     an axes' window sum is roughly a side's length more exact.
     """
     if isinstance(constant, ChannelStack):
-        sums = _box_sums(constant, _box_corners(rects, constant.width))
+        sums = _box_sums(constant, rects)
         return {name: sums[name] for name in CONSTANT_CHANNELS}
     if isinstance(rects, Rect):
         x0, y0, x1, y1 = rects
@@ -511,8 +509,8 @@ def build_channels(
     read (:func:`build_constant_channels`; not built here).  Only a frame
     with holes gets a count table, and its rgbd stacks also list the holes,
     so a window containing holes subtracts their tan sums from the constant
-    ones, while hole-free frames and windows keep the full precomputation
-    advantage.
+    ones (:func:`window_sums`), while hole-free frames and windows keep the
+    full precomputation advantage.
     """
     spec = FORMULATION_CHANNELS.get(formulation)
     if spec is None:
@@ -531,15 +529,64 @@ def build_channels(
     return replace(stack, holes=holes, hole_tan=hole_tan, maps=maps)
 
 
-def _hole_sums(stack: ChannelStack, rects: np.ndarray) -> np.ndarray:
-    """(5, N) tan monomial sums over the holes of N rects of a row or more: per
-    rect row, the stack's running sums at the ends of its span of the hole list."""
-    x0, y0, x1, y1 = np.asarray(rects).T
+def window_sums(
+    stack: ChannelStack, rects: Rect | np.ndarray, names: tuple[str, ...]
+) -> dict[str, float | np.ndarray]:
+    """A frame stack's sums over windows: the one reader of a window.
+
+    ``rects`` is one rect, giving a Python float per sum, or an (N, 4) array
+    of checked rects, giving (N,) arrays.  The result holds every table's box
+    sums and ``"n"``: the count table's or, in a frame without holes, the
+    window's area.  ``names`` are the entries the caller reads (a
+    ``ChannelSet``'s ``entries`` or ``scatter``); a per-frame one the stack
+    lacks raises ``ValueError``.  When they name tan entries, the result also
+    holds the camera constant's (:func:`tan_sums` of the stack's maps) less
+    the sums of the holes the stack lists in the window: per row of the
+    window, the difference of the running hole sums at the ends of the row's
+    span of the hole list.  Only a window whose count falls short of its area
+    holds holes, so a whole one returns with the constant's sums.
+    """
+    absent = [k for k in names if k not in stack.channels]  # tan entries, or missing
+    missing = [k for k in absent if k not in CONSTANT_CHANNELS]
+    if missing:
+        raise ValueError(f"per-frame stack is missing channels: {', '.join(missing)}")
+    sums = _box_sums(stack, rects)
+    one = isinstance(rects, Rect)
+    if one:
+        area = float(rects.area)
+    else:
+        x0, y0, x1, y1 = rects.T
+        area = ((x1 - x0) * (y1 - y0)).astype(np.float64)
+    n = sums.setdefault(COUNT_CHANNEL, area)
+    if not absent:
+        return sums
+    # the constant kept with the maps, looked up as build_constant_channels
+    # does: framebench traces that call as the once-per-camera build
+    sums.update(tan_sums(stack.maps.derive("constant", _camera_constant), rects))
+    if stack.holes is None:
+        return sums
+    if one:
+        if n == area:
+            return sums
+        spans = np.array([rects])
+    else:
+        holey = np.flatnonzero(n != area)
+        if not holey.size:
+            return sums
+        spans = rects[holey]
+    x0, y0, x1, y1 = spans.T
     first = np.cumsum(y1 - y0) - (y1 - y0)  # each rect's first row among all rows
     rect = np.repeat(np.arange(len(first)), y1 - y0)
     start = (np.arange(len(rect)) - first[rect] + y0[rect]) * stack.width
     lo, hi = np.searchsorted(stack.holes, (start + x0[rect], start + x1[rect]))
-    return np.add.reduceat(stack.hole_tan[:, hi] - stack.hole_tan[:, lo], first, axis=1)
+    at_holes = np.add.reduceat(stack.hole_tan[:, hi] - stack.hole_tan[:, lo], first, axis=1)
+    if one:
+        at_holes = at_holes[:, 0].tolist()
+        sums.update((name, sums[name] - h) for name, h in zip(CONSTANT_CHANNELS, at_holes))
+    else:
+        for name, h in zip(CONSTANT_CHANNELS, at_holes):
+            sums[name][holey] -= h
+    return sums
 
 
 def build_standard_implicit_channels(depth: DepthImage, maps: TanAngleMaps) -> ChannelStack:

@@ -751,8 +751,34 @@ class TestExplicitRgbdFitter:
             SyntheticScene((GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0])),)), other
         )
         fitter = ExplicitRgbdFitter(build_constant_channels(small_maps))
-        with pytest.raises(ValueError, match="dimensions"):
+        with pytest.raises(ValueError, match="another camera"):
             fitter.fit(build_rgbd_explicit_channels(depth, other), Rect(0, 0, 20, 20))
+
+    def test_rejects_stack_from_another_camera_of_the_same_size(self, small_maps):
+        # a dimension check passed this stack, and its hole-free window was
+        # solved with the other camera's matrix: (10.94, 7.53, 9.40) against
+        # the camera's (-0.635, 0, 0.635)
+        from rangefit import CameraIntrinsics, compute_tan_maps
+        from rangefit.fitting import camera_fitter
+
+        wider = compute_tan_maps(
+            CameraIntrinsics(fx=45.0, fy=45.0, cx=31.5, cy=23.5, width=64, height=48)
+        )
+        depth, _ = render_scene(corner_scene(), small_maps)
+        stack = build_rgbd_explicit_channels(depth, small_maps)
+        rect = Rect(0, 0, 16, 16)
+        assert depth.valid[:16, :16].all()
+        fitter = ExplicitRgbdFitter(build_constant_channels(wider))
+        with pytest.raises(ValueError, match=r"fitting\.camera_fitter\(stack\.maps\)"):
+            fitter.fit(stack, rect)
+        assert not fitter._windows  # raised before any record was built
+        want = camera_fitter(small_maps).fit(stack, rect)
+        got = ExplicitRgbdFitter(build_constant_channels(small_maps)).fit(stack, rect)
+        np.testing.assert_array_equal(got.plane.coefficients, want.plane.coefficients)
+        naive = fit_rect(depth, small_maps, rect, EXPLICIT_RGBD, "naive")
+        np.testing.assert_allclose(
+            got.plane.coefficients, naive.plane.coefficients, atol=1e-9
+        )
 
     def test_holey_windows_skip_the_caller_check(self, small_maps, monkeypatch):
         # a holey window's scatter is assembled by the library, symmetric by

@@ -40,9 +40,9 @@ from rangefit.integral import (
     _POWERS,
     AxisSums,
     _band_rows,
-    _hole_sums,
     build_node_pyramid,
     tan_sums,
+    window_sums,
 )
 
 from conftest import random_visible_plane
@@ -535,7 +535,7 @@ class TestChannelTensor:
 
 
 class TestHoleList:
-    """A holey rgbd stack lists its holes; window tan sums over them against brute force."""
+    """A holey rgbd stack lists its holes; window tan sums less them against brute force."""
 
     def test_window_hole_sums_match_brute_force(self):
         width, height = 37, 23
@@ -562,14 +562,54 @@ class TestHoleList:
         ]
         for _ in range(20):
             rects.append(random_rect(rng, width, height, min_size=1))
-        got = _hole_sums(stack, np.array(rects))
+        # the window reader's tan entries are the constant's less the holes'
+        names = FORMULATION_CHANNELS[EXPLICIT_RGBD].entries
+        batch = window_sums(stack, np.array(rects), names)
         lattices = _reference_lattices(depth, maps)
-        assert got.shape == (len(CONSTANT_CHANNELS), len(rects))
-        for i, (x0, y0, x1, y1) in enumerate(rects):
-            holes = ~valid[y0:y1, x0:x1]
-            for name, sums in zip(CONSTANT_CHANNELS, got):
-                expected = lattices[name][y0:y1, x0:x1][holes].sum()
-                assert sums[i] == pytest.approx(expected, rel=1e-12, abs=1e-12), (name, i)
+        for i, rect in enumerate(rects):
+            one = window_sums(stack, rect, names)
+            x0, y0, x1, y1 = rect
+            kept = valid[y0:y1, x0:x1]
+            for name in CONSTANT_CHANNELS:
+                expected = lattices[name][y0:y1, x0:x1][kept].sum()
+                for got in (one[name], batch[name][i]):
+                    assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), (name, i)
+
+
+class TestWindowSums:
+    """The window reader: one rect's floats are its row of a batched read."""
+
+    @_CAMERAS
+    @pytest.mark.parametrize("holes", [False, True], ids=["hole-free", "holes"])
+    @pytest.mark.parametrize("formulation", FORMULATIONS)
+    def test_one_rect_equals_its_row_of_the_batch(self, formulation, holes, lattice):
+        width, height = 37, 23
+        maps = _camera_maps(width, height, lattice=lattice)
+        depth = _frame(maps, holes=False)
+        rng = np.random.default_rng(32)
+        rects = [
+            Rect(3, 7, 30, 8),  # 1 px tall
+            Rect(12, 0, 13, height),  # 1 px wide
+            Rect(36, 22, 37, 23),  # 1 px, the far corner
+            Rect(5, 5, 5, 9),  # empty
+            Rect(0, 0, width, height),
+        ]
+        if holes:
+            valid = rng.random((height, width)) >= 0.15
+            valid[15:19, 20:28] = False
+            depth = DepthImage(values=depth.values, valid=valid)
+            rects += [Rect(20, 15, 28, 19), Rect(21, 16, 22, 17)]  # all holes
+        rects += [random_rect(rng, width, height, min_size=1) for _ in range(20)]
+        stack = build_channels(depth, maps, formulation)
+        names = FORMULATION_CHANNELS[formulation].entries
+        batch = window_sums(stack, np.array(rects), names)
+        assert set(names) | {COUNT_CHANNEL} <= batch.keys()
+        for i, rect in enumerate(rects):
+            one = window_sums(stack, rect, names)
+            assert one.keys() == batch.keys()
+            for name, value in one.items():
+                assert type(value) is float, (name, rect)
+                assert np.float64(value).tobytes() == batch[name][i].tobytes(), (name, rect)
 
 
 class TestFormulationTable:
