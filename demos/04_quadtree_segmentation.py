@@ -43,12 +43,10 @@ config = SegConfig(
 )
 result = segment(depth, maps, config)
 
-print(f"tiles: {len(result.tiles)} total, {result.n_fitted} fitted, "
+print(f"tiles: {len(result.rects)} total, {result.n_fitted} fitted, "
       f"{result.n_too_invalid} too-invalid, {result.n_high_error} high-error")
-levels = {}
-for tile in result.tiles:
-    levels[tile.level] = levels.get(tile.level, 0) + 1
-print("tiles per subdivision level:", dict(sorted(levels.items())))
+levels, counts = np.unique(result.level, return_counts=True)
+print("tiles per subdivision level:", dict(zip(levels.tolist(), counts.tolist())))
 
 valid = (result.labels >= 0) & (truth != 255)
 print("segments:", int(result.cluster.max()) + 1)

@@ -928,7 +928,8 @@ def fit_rect(
     explicit-rgbd one through the camera's cached factor
     (:func:`camera_fitter`, one record per distinct window for as long as
     the maps live).  ``constant`` and ``rgbd_fitter`` are accepted and not
-    read: the result is the same with or without them.
+    read: the result is the same with or without them.  framebench is their
+    only caller, and they are deleted once it stops passing them.
     """
     if backend == "naive":
         samples = gather_window_samples(depth, maps, rect, formulation)

@@ -589,28 +589,26 @@ def window_sums(
     return sums
 
 
+# Compatibility names read only by framebench, which traces and calls them;
+# they are deleted once it calls build_channels.
 def build_standard_implicit_channels(depth: DepthImage, maps: TanAngleMaps) -> ChannelStack:
-    """Per-frame tables for the standard implicit scatter of [X, Y, Z, 1]: 9 channels."""
+    """``build_channels(depth, maps, IMPLICIT_STANDARD)``: 9 tables; framebench only."""
     return build_channels(depth, maps, IMPLICIT_STANDARD)
 
 
 def build_rgbd_implicit_channels(depth: DepthImage, maps: TanAngleMaps) -> ChannelStack:
-    """Per-frame tables for the inverse-depth implicit scatter: 4 channels."""
+    """``build_channels(depth, maps, IMPLICIT_RGBD)``: 4 tables; framebench only."""
     return build_channels(depth, maps, IMPLICIT_RGBD)
 
 
-def build_standard_explicit_channels(
-    depth: DepthImage, maps: TanAngleMaps, include_residual: bool = True
-) -> ChannelStack:
-    """Per-frame tables for the standard explicit normal equations: 8 channels (+ Z^2)."""
-    return build_channels(depth, maps, EXPLICIT_STANDARD, include_residual)
+def build_standard_explicit_channels(depth: DepthImage, maps: TanAngleMaps) -> ChannelStack:
+    """``build_channels(depth, maps, EXPLICIT_STANDARD)``: 8 (+ Z^2) tables; framebench only."""
+    return build_channels(depth, maps, EXPLICIT_STANDARD)
 
 
-def build_rgbd_explicit_channels(
-    depth: DepthImage, maps: TanAngleMaps, include_residual: bool = True
-) -> ChannelStack:
-    """Per-frame tables for the inverse-depth explicit fit: 3 channels (+ 1/Z^2)."""
-    return build_channels(depth, maps, EXPLICIT_RGBD, include_residual)
+def build_rgbd_explicit_channels(depth: DepthImage, maps: TanAngleMaps) -> ChannelStack:
+    """``build_channels(depth, maps, EXPLICIT_RGBD)``: 3 (+ 1/Z^2) tables; framebench only."""
+    return build_channels(depth, maps, EXPLICIT_RGBD)
 
 
 @dataclass(frozen=True)

@@ -189,7 +189,11 @@ class Segmentation:
 
     @cached_property
     def tiles(self) -> list[Tile]:
-        """The leaves as :class:`Tile` objects, built on first use."""
+        """The leaves as :class:`Tile` objects, built on first use.
+
+        A second view of the arrays, read only by framebench; it and
+        :class:`Tile` are deleted once framebench reads the arrays.
+        """
         return [
             Tile(Rect(*rect), STATUSES[status], level, self.fits[i], cluster)
             for i, (rect, status, level, cluster) in enumerate(zip(
@@ -418,8 +422,8 @@ def segment(
     pinhole maps, from the maps themselves under a distortion lattice.
 
     ``constant`` is accepted and not read: the output is the same with or
-    without it.  The keyword stays only for callers that still pass a
-    constant stack, and goes once none does.
+    without it.  framebench is its only caller, and it is deleted once
+    framebench stops passing it.
     """
     if depth.width < 1 or depth.height < 1:
         raise ValueError("empty depth image")

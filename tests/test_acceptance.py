@@ -51,13 +51,6 @@ def random_plane(rng: np.random.Generator) -> rf.GroundTruthPlane:
     return rf.GroundTruthPlane(np.array([*normal, d]))
 
 
-STACK_BUILDERS = {
-    rf.IMPLICIT_STANDARD: rf.build_standard_implicit_channels,
-    rf.IMPLICIT_RGBD: rf.build_rgbd_implicit_channels,
-    rf.EXPLICIT_STANDARD: rf.build_standard_explicit_channels,
-    rf.EXPLICIT_RGBD: rf.build_rgbd_explicit_channels,
-}
-
 FITTERS = {
     rf.IMPLICIT_STANDARD: rf.fit_implicit_standard,
     rf.IMPLICIT_RGBD: rf.fit_implicit_rgbd,
@@ -93,14 +86,16 @@ def test_a1_channel_count_audit():
         depth, _ = rf.render_scene(
             rf.SyntheticScene((rf.GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0])),)), maps
         )
-        assert len(rf.build_standard_implicit_channels(depth, maps).per_frame_channel_names()) == 9
-        assert len(rf.build_rgbd_implicit_channels(depth, maps).per_frame_channel_names()) == 4
         assert len(
-            rf.build_standard_explicit_channels(depth, maps, include_residual=False)
+            rf.build_channels(depth, maps, rf.IMPLICIT_STANDARD).per_frame_channel_names()
+        ) == 9
+        assert len(rf.build_channels(depth, maps, rf.IMPLICIT_RGBD).per_frame_channel_names()) == 4
+        assert len(
+            rf.build_channels(depth, maps, rf.EXPLICIT_STANDARD, include_residual=False)
             .per_frame_channel_names()
         ) == 8
         assert len(
-            rf.build_rgbd_explicit_channels(depth, maps, include_residual=False)
+            rf.build_channels(depth, maps, rf.EXPLICIT_RGBD, include_residual=False)
             .per_frame_channel_names()
         ) == 3
 
@@ -208,7 +203,7 @@ def test_a5_noiseless_exactness():
             truth = rf.ImplicitPlane(plane.coefficients)
             truth_offset = -truth.offset / np.linalg.norm(truth.normal)
             for formulation in rf.FORMULATIONS:
-                stack = STACK_BUILDERS[formulation](depth, maps)
+                stack = rf.build_channels(depth, maps, formulation)
                 result = FITTERS[formulation](
                     rf.scatter_from_integrals(stack, rect, formulation)
                 )
@@ -232,7 +227,7 @@ def test_a6_backend_equivalence_oracle():
         depth, _ = rf.render_scene(
             rf.SyntheticScene((plane,)), maps, noise=rf.NoiseModel(), seed=31
         )
-        stacks = {f: STACK_BUILDERS[f](depth, maps) for f in rf.FORMULATIONS}
+        stacks = {f: rf.build_channels(depth, maps, f) for f in rf.FORMULATIONS}
         worst_entry = 0.0
         worst_coef = 0.0
         for index in range(1000):
@@ -418,7 +413,7 @@ def test_a10_additivity_and_tiling_properties():
         depth, _ = rf.render_scene(
             rf.SyntheticScene((plane,)), maps, noise=rf.NoiseModel(), seed=47, dropout=0.05
         )
-        stack = rf.build_standard_implicit_channels(depth, maps)
+        stack = rf.build_channels(depth, maps, rf.IMPLICIT_STANDARD)
         for _ in range(300):
             name = rng.choice(list(stack.channels))
             image = stack.channels[name]
@@ -440,8 +435,8 @@ def test_a10_additivity_and_tiling_properties():
         )
         result = rf.segment(depth, maps, config)
         coverage = np.zeros((72, 96), dtype=np.int32)
-        for tile in result.tiles:
-            r = tile.rect
+        rects = [rf.Rect(*r) for r in result.rects.tolist()]
+        for r in rects:
             coverage[r.y0 : r.y1, r.x0 : r.x1] += 1
         assert (coverage == 1).all()
-        assert sum(t.rect.area for t in result.tiles) == 96 * 72
+        assert sum(r.area for r in rects) == 96 * 72

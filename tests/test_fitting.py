@@ -24,10 +24,6 @@ from rangefit import (
     accumulate_scatter_naive,
     build_channels,
     build_constant_channels,
-    build_rgbd_explicit_channels,
-    build_rgbd_implicit_channels,
-    build_standard_explicit_channels,
-    build_standard_implicit_channels,
     canonicalize_implicit,
     explicit_to_implicit,
     fit_explicit_rgbd,
@@ -45,13 +41,6 @@ from rangefit import (
 from rangefit.fitting import CSV_HEADER, MIN_SAMPLES, fit_result_csv_row
 
 from conftest import corner_scene, random_visible_plane
-
-STACK_BUILDERS = {
-    IMPLICIT_STANDARD: build_standard_implicit_channels,
-    IMPLICIT_RGBD: build_rgbd_implicit_channels,
-    EXPLICIT_STANDARD: build_standard_explicit_channels,
-    EXPLICIT_RGBD: build_rgbd_explicit_channels,
-}
 
 FITTERS = {
     IMPLICIT_STANDARD: fit_implicit_standard,
@@ -180,7 +169,7 @@ class TestBackendEquivalence:
         _, depth = noisy_scene
         rng = np.random.default_rng(13)
         for formulation in FORMULATIONS:
-            stack = STACK_BUILDERS[formulation](depth, small_maps)
+            stack = build_channels(depth, small_maps, formulation)
             for _ in range(25):
                 x0 = int(rng.integers(0, 56))
                 y0 = int(rng.integers(0, 40))
@@ -203,7 +192,7 @@ class TestBackendEquivalence:
 
     def test_two_disjoint_rects_add_entrywise(self, small_maps, noisy_scene):
         _, depth = noisy_scene
-        stack = build_standard_implicit_channels(depth, small_maps)
+        stack = build_channels(depth, small_maps, IMPLICIT_STANDARD)
         left = scatter_from_integrals(stack, Rect(2, 3, 20, 30), IMPLICIT_STANDARD)
         right = scatter_from_integrals(stack, Rect(20, 3, 44, 30), IMPLICIT_STANDARD)
         union = scatter_from_integrals(stack, Rect(2, 3, 44, 30), IMPLICIT_STANDARD)
@@ -213,7 +202,7 @@ class TestBackendEquivalence:
 
     def test_full_image_rect_equals_naive_over_all_pixels(self, small_maps, noisy_scene):
         _, depth = noisy_scene
-        stack = build_standard_explicit_channels(depth, small_maps)
+        stack = build_channels(depth, small_maps, EXPLICIT_STANDARD)
         full = Rect(0, 0, 64, 48)
         naive = accumulate_scatter_naive(
             gather_window_samples(depth, small_maps, full, EXPLICIT_STANDARD), EXPLICIT_STANDARD
@@ -226,7 +215,7 @@ class TestBackendEquivalence:
     def test_fully_invalid_rect_raises(self, small_maps):
         masked = GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0]), mask_rect=(0, 0, 32, 48))
         depth, _ = render_scene(SyntheticScene((masked,)), small_maps)
-        stack = build_standard_implicit_channels(depth, small_maps)
+        stack = build_channels(depth, small_maps, IMPLICIT_STANDARD)
         with pytest.raises(InsufficientSamplesError):
             scatter_from_integrals(stack, Rect(40, 8, 60, 28), IMPLICIT_STANDARD)
 
@@ -244,7 +233,7 @@ class TestBackendEquivalence:
             depth = DepthImage(values=depth.values, valid=depth.valid & ~_disc_holes((48, 64), rng))
         assert not depth.valid.all()
         for formulation in (IMPLICIT_RGBD, EXPLICIT_RGBD):
-            stack = STACK_BUILDERS[formulation](depth, small_maps)
+            stack = build_channels(depth, small_maps, formulation)
             assert stack.holes is not None
             rects = []
             for _ in range(20):
@@ -272,7 +261,7 @@ class TestBackendEquivalence:
     def test_hole_free_frame_stacks_stay_lean(self, small_maps, noisy_scene):
         _, depth = noisy_scene
         assert depth.valid.all()
-        stack = build_rgbd_implicit_channels(depth, small_maps)
+        stack = build_channels(depth, small_maps, IMPLICIT_RGBD)
         assert stack.per_frame_channel_names() == ("tx_over_z", "ty_over_z", "inv_z", "inv_z2")
         assert stack.holes is None and stack.hole_tan is None
 
@@ -285,7 +274,7 @@ class TestNoiselessRecovery:
         expected = np.array([0.0, 0.0, 1.0, -3.0]) / np.sqrt(10)
         rect = Rect(0, 0, 64, 48)
         for formulation in FORMULATIONS:
-            stack = STACK_BUILDERS[formulation](depth, small_maps)
+            stack = build_channels(depth, small_maps, formulation)
             result = FITTERS[formulation](
                 scatter_from_integrals(stack, rect, formulation)
             )
@@ -332,7 +321,7 @@ class TestNoiselessRecovery:
             depth, _ = render_scene(SyntheticScene((plane,)), small_maps)
             truth = canonicalize_implicit(plane.coefficients)
             for formulation in FORMULATIONS:
-                stack = STACK_BUILDERS[formulation](depth, small_maps)
+                stack = build_channels(depth, small_maps, formulation)
                 result = FITTERS[formulation](
                     scatter_from_integrals(stack, rect, formulation)
                 )
@@ -390,8 +379,8 @@ class TestNoiselessRecovery:
         for _ in range(25):
             plane = random_visible_plane(rng)
             depth, _ = render_scene(SyntheticScene((plane,)), small_maps)
-            standard = build_standard_implicit_channels(depth, small_maps)
-            inverse = build_rgbd_implicit_channels(depth, small_maps)
+            standard = build_channels(depth, small_maps, IMPLICIT_STANDARD)
+            inverse = build_channels(depth, small_maps, IMPLICIT_RGBD)
             std = fit_implicit_standard(scatter_from_integrals(standard, rect, IMPLICIT_STANDARD))
             rgbd = fit_implicit_rgbd(scatter_from_integrals(inverse, rect, IMPLICIT_RGBD))
             angle = normal_angle(std.plane, rgbd.plane)
@@ -585,7 +574,7 @@ class TestExplicitRgbdFitter:
             depth, _ = render_scene(
                 SyntheticScene((plane,)), small_maps, noise=NoiseModel(), seed=seed
             )
-            stack = build_rgbd_explicit_channels(depth, small_maps)
+            stack = build_channels(depth, small_maps, EXPLICIT_RGBD)
             cached = fitter.fit(stack, rect)
             fresh = fit_explicit_rgbd(
                 scatter_from_integrals(stack, rect, EXPLICIT_RGBD)
@@ -604,7 +593,7 @@ class TestExplicitRgbdFitter:
         )
         constant = build_constant_channels(small_maps)
         fitter = ExplicitRgbdFitter(constant)
-        stack = build_rgbd_explicit_channels(depth, small_maps)
+        stack = build_channels(depth, small_maps, EXPLICIT_RGBD)
         rect = Rect(4, 4, 44, 44)
         via_fitter = fitter.fit(stack, rect)
         naive = fit_explicit_rgbd(
@@ -628,7 +617,7 @@ class TestExplicitRgbdFitter:
         depth = DepthImage(values=depth.values, valid=valid)
         constant = build_constant_channels(small_maps)
         fitter = ExplicitRgbdFitter(constant)
-        stack = build_rgbd_explicit_channels(depth, small_maps)
+        stack = build_channels(depth, small_maps, EXPLICIT_RGBD)
         hole_free = [Rect(0, 0, 16, 16), Rect(40, 30, 64, 48), Rect(0, 44, 64, 45)]
         column = Rect(5, 0, 6, 48)  # constant tan_x: a singular camera-constant matrix
         holey = [Rect(24, 16, 48, 40), Rect(0, 0, 64, 48), Rect(32, 10, 33, 40)]
@@ -666,17 +655,13 @@ class TestExplicitRgbdFitter:
             SyntheticScene((GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0])),)), small_maps
         )
         constant = build_constant_channels(small_maps)
-        stack = build_rgbd_explicit_channels(depth, small_maps)
+        stack = build_channels(depth, small_maps, EXPLICIT_RGBD)
         rect = Rect(0, 0, 32, 32)
         a = fit_rect(depth, small_maps, rect, EXPLICIT_RGBD, "naive")
         b = fit_rect(
             depth, small_maps, rect, EXPLICIT_RGBD, "integral", stack=stack
         )
-        fitter = ExplicitRgbdFitter(constant)
-        c = fit_rect(
-            depth, small_maps, rect, EXPLICIT_RGBD, "integral",
-            stack=stack, rgbd_fitter=fitter,
-        )
+        c = ExplicitRgbdFitter(constant).fit(stack, rect)
         for result in (b, c):
             np.testing.assert_allclose(
                 result.plane.coefficients, a.plane.coefficients, atol=1e-10
@@ -697,7 +682,7 @@ class TestExplicitRgbdFitter:
             small_maps, noise=NoiseModel(), seed=4, dropout=0.05,
         )
         fitter = ExplicitRgbdFitter(build_constant_channels(small_maps))
-        stack = build_rgbd_explicit_channels(depth, small_maps)
+        stack = build_channels(depth, small_maps, EXPLICIT_RGBD)
         with pytest.raises(ValueError, match="out of bounds"):
             fitter.fit(stack, rect)
 
@@ -721,7 +706,7 @@ class TestExplicitRgbdFitter:
         assert depth.valid.all()
         constant = build_constant_channels(small_maps)
         fitter = ExplicitRgbdFitter(constant)
-        stack = build_rgbd_explicit_channels(depth, small_maps)
+        stack = build_channels(depth, small_maps, EXPLICIT_RGBD)
         for rect in (Rect(5, 3, 45, 43), Rect(0, 0, 64, 48), Rect(61, 40, 64, 47)):
             assembled = scatter_from_integrals(stack, rect, EXPLICIT_RGBD)
             assert np.array_equal(fitter.matrix_for(rect), assembled.matrix)
@@ -731,15 +716,12 @@ class TestExplicitRgbdFitter:
         _, depth = noisy_scene
         constant = build_constant_channels(small_maps)
         fitter = ExplicitRgbdFitter(constant)
-        stack = build_standard_explicit_channels(depth, small_maps)
+        stack = build_channels(depth, small_maps, EXPLICIT_STANDARD)
         rect = Rect(0, 0, 16, 16)
         with pytest.raises(ValueError, match="missing channels: tx_over_z, ty_over_z, inv_z"):
             fitter.fit(stack, rect)
         with pytest.raises(ValueError, match="missing channels"):
-            fit_rect(
-                depth, small_maps, rect, EXPLICIT_RGBD, "integral",
-                stack=stack, rgbd_fitter=fitter,
-            )
+            fit_rect(depth, small_maps, rect, EXPLICIT_RGBD, "integral", stack=stack)
 
     def test_rejects_stack_from_another_camera(self, small_maps):
         from rangefit import CameraIntrinsics, compute_tan_maps
@@ -752,7 +734,7 @@ class TestExplicitRgbdFitter:
         )
         fitter = ExplicitRgbdFitter(build_constant_channels(small_maps))
         with pytest.raises(ValueError, match="another camera"):
-            fitter.fit(build_rgbd_explicit_channels(depth, other), Rect(0, 0, 20, 20))
+            fitter.fit(build_channels(depth, other, EXPLICIT_RGBD), Rect(0, 0, 20, 20))
 
     def test_rejects_stack_from_another_camera_of_the_same_size(self, small_maps):
         # a dimension check passed this stack, and its hole-free window was
@@ -765,7 +747,7 @@ class TestExplicitRgbdFitter:
             CameraIntrinsics(fx=45.0, fy=45.0, cx=31.5, cy=23.5, width=64, height=48)
         )
         depth, _ = render_scene(corner_scene(), small_maps)
-        stack = build_rgbd_explicit_channels(depth, small_maps)
+        stack = build_channels(depth, small_maps, EXPLICIT_RGBD)
         rect = Rect(0, 0, 16, 16)
         assert depth.valid[:16, :16].all()
         fitter = ExplicitRgbdFitter(build_constant_channels(wider))
@@ -790,7 +772,7 @@ class TestExplicitRgbdFitter:
             small_maps, noise=NoiseModel(), seed=5, dropout=0.2,
         )
         constant = build_constant_channels(small_maps)
-        stack = build_rgbd_explicit_channels(depth, small_maps)
+        stack = build_channels(depth, small_maps, EXPLICIT_RGBD)
         rect = Rect(4, 4, 44, 44)
         assert not depth.valid[4:44, 4:44].all()
         want = fit_explicit_rgbd(scatter_from_integrals(stack, rect, EXPLICIT_RGBD))
@@ -835,7 +817,7 @@ class TestFitRects:
             SyntheticScene((random_visible_plane(rng),)),
             small_maps, noise=NoiseModel(), seed=5, dropout=dropout,
         )
-        stack = STACK_BUILDERS[formulation](depth, small_maps)
+        stack = build_channels(depth, small_maps, formulation)
         rects = _batch_windows(rng)
         batch = fit_rects(stack, np.array(rects), formulation)
         assert len(batch) == len(rects)
@@ -878,7 +860,7 @@ class TestFitRects:
         rects += [Rect(0, 0, 64, 48), Rect(5, 3, 45, 43), Rect(50, 30, 64, 48)]
         full = [bool(depth.valid[r.y0 : r.y1, r.x0 : r.x1].all()) for r in rects]
         assert any(full) and not all(full)
-        stack = STACK_BUILDERS[formulation](depth, small_maps)
+        stack = build_channels(depth, small_maps, formulation)
         for rect, got in zip(rects, fit_rects(stack, np.array(rects), formulation)):
             naive = fit_rect(depth, small_maps, rect, formulation, "naive")
             assert got.n_points == naive.n_points
@@ -890,7 +872,7 @@ class TestFitRects:
         depth, _ = render_scene(SyntheticScene((masked,)), small_maps)
         rects = np.array([[40, 8, 60, 28], [0, 0, 2, 1], [4, 4, 4, 9], [0, 0, 8, 8]])
         for formulation in FORMULATIONS:
-            stack = STACK_BUILDERS[formulation](depth, small_maps)
+            stack = build_channels(depth, small_maps, formulation)
             results = fit_rects(stack, rects, formulation)
             assert results[:3] == [None, None, None]
             assert results[3] is not None and results[3].n_points == 64
@@ -898,7 +880,7 @@ class TestFitRects:
     def test_empty_rect_array(self, small_maps, noisy_scene):
         _, depth = noisy_scene
         for formulation in FORMULATIONS:
-            stack = STACK_BUILDERS[formulation](depth, small_maps)
+            stack = build_channels(depth, small_maps, formulation)
             for empty in (np.zeros((0, 4), dtype=np.int64), [], np.array([], dtype=np.int64)):
                 assert len(fit_rects(stack, empty, formulation)) == 0
 
@@ -910,13 +892,13 @@ class TestFitRects:
     def test_rejects_out_of_bounds_and_inverted_rects(self, small_maps, noisy_scene, rect):
         _, depth = noisy_scene
         for formulation in FORMULATIONS:
-            stack = STACK_BUILDERS[formulation](depth, small_maps)
+            stack = build_channels(depth, small_maps, formulation)
             with pytest.raises(ValueError, match="out of bounds"):
                 fit_rects(stack, np.array([[0, 0, 8, 8], rect]), formulation)
 
     def test_rejects_malformed_arrays_and_mismatched_stacks(self, small_maps, noisy_scene):
         _, depth = noisy_scene
-        stack = build_rgbd_implicit_channels(depth, small_maps)
+        stack = build_channels(depth, small_maps, IMPLICIT_RGBD)
         with pytest.raises(ValueError, match="integer"):
             fit_rects(stack, np.array([[0.0, 0.0, 8.0, 8.0]]), IMPLICIT_RGBD)
         with pytest.raises(ValueError, match=r"\(N, 4\)"):
@@ -925,7 +907,7 @@ class TestFitRects:
             # empty but malformed: these returned [] when only non-empty input was checked
             with pytest.raises(ValueError, match=r"\(N, 4\)"):
                 fit_rects(stack, np.zeros(shape, dtype=np.int64), IMPLICIT_RGBD)
-        standard = build_standard_implicit_channels(depth, small_maps)
+        standard = build_channels(depth, small_maps, IMPLICIT_STANDARD)
         with pytest.raises(ValueError, match="missing channels: tx_over_z, ty_over_z, inv_z"):
             fit_rects(standard, np.array([[0, 0, 8, 8]]), IMPLICIT_RGBD)
 

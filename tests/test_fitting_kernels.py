@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rangefit import (
+    EXPLICIT_STANDARD,
     FORMULATIONS,
     DegenerateFitError,
     NoiseModel,
@@ -24,7 +25,14 @@ from rangefit import (
     smallest_eigenvector,
     solve_spd3,
 )
-from rangefit.fitting import FIT_BY_FORMULATION, cholesky3, solve_cholesky3
+from rangefit.fitting import (
+    FIT_BY_FORMULATION,
+    _cholesky3_batch,
+    cholesky3,
+    fit_sums,
+    solve_cholesky3,
+)
+from rangefit.integral import FORMULATION_CHANNELS
 
 from conftest import random_visible_plane
 
@@ -105,6 +113,27 @@ class TestSolveSpd3:
         s = m.T @ m
         with pytest.raises(DegenerateFitError):
             solve_spd3(s, np.ones(3))
+
+    def test_first_pivot_under_the_floor(self):
+        # p0 = 1e-14 lies under 1e-12 of the trace (6): the fit is degenerate
+        bad = np.diag([1e-14, 1.0, 5.0])
+        with pytest.raises(DegenerateFitError, match="pivot 1"):
+            cholesky3(bad)
+        # a well-posed explicit-standard system beside it: [X, Y, 1] of six
+        # samples of Z = 0.1 X + 0.2 Y + 2
+        xy = np.random.default_rng(4).uniform(-1.0, 1.0, (6, 2))
+        m = np.column_stack([xy, np.ones(6)])
+        z = m @ np.array([0.1, 0.2, 2.0])
+        matrices = np.stack([m.T @ m, bad])
+        _, solvable = _cholesky3_batch(matrices)
+        assert solvable.tolist() == [True, False]
+        spec = FORMULATION_CHANNELS[EXPLICIT_STANDARD]
+        sums = {k: matrices[:, i, j] for k, i, j in zip(spec.layout, *np.triu_indices(3))}
+        sums.update(zip(spec.rhs, np.stack([m.T @ z, np.ones(3)]).T))
+        assert sums["n"].tolist() == [6.0, 5.0]
+        batch = fit_sums(sums, EXPLICIT_STANDARD)
+        assert batch.degenerate.tolist() == [False, True]
+        np.testing.assert_allclose(batch.coefficients[0], [0.1, 0.2, 2.0], rtol=0, atol=1e-12)
 
     def test_factor_reuse_matches_direct_solve(self):
         rng = np.random.default_rng(3)

@@ -26,10 +26,6 @@ from rangefit import (
     build_channels,
     build_constant_channels,
     build_integral,
-    build_rgbd_explicit_channels,
-    build_rgbd_implicit_channels,
-    build_standard_explicit_channels,
-    build_standard_implicit_channels,
     render_scene,
 )
 from rangefit.integral import (
@@ -212,34 +208,29 @@ class TestConstantChannels:
 
 class TestPerFrameBuilders:
     @pytest.mark.parametrize(
-        "builder,expected_channels",
-        [
-            (build_standard_implicit_channels, 9),
-            (build_rgbd_implicit_channels, 4),
-            (build_standard_explicit_channels, 8),
-            (build_rgbd_explicit_channels, 3),
-        ],
+        "formulation,expected_channels",
+        [(IMPLICIT_STANDARD, 9), (IMPLICIT_RGBD, 4), (EXPLICIT_STANDARD, 8), (EXPLICIT_RGBD, 3)],
     )
-    def test_scatter_channel_counts(self, noisy_frame, small_maps, builder, expected_channels):
+    def test_scatter_channel_counts(self, noisy_frame, small_maps, formulation, expected_channels):
         # the scatter channels come first, then the residual; holes add none
-        names = builder(noisy_frame, small_maps).per_frame_channel_names()
+        names = build_channels(noisy_frame, small_maps, formulation).per_frame_channel_names()
         scatter = [spec.scatter for spec in FORMULATION_CHANNELS.values()]
         assert names[:expected_channels] in scatter
         assert set(names[expected_channels:]) <= {"z2", "inv_z2"}
 
     def test_explicit_residual_channel_is_separate(self, noisy_frame, small_maps):
-        with_res = build_standard_explicit_channels(noisy_frame, small_maps)
+        with_res = build_channels(noisy_frame, small_maps, EXPLICIT_STANDARD)
         assert with_res.per_frame_channel_names()[8:] == ("z2",)
-        bare = build_standard_explicit_channels(noisy_frame, small_maps, include_residual=False)
+        bare = build_channels(noisy_frame, small_maps, EXPLICIT_STANDARD, include_residual=False)
         assert "z2" not in bare.channels
         assert len(bare.per_frame_channel_names()) == 8
 
         # the frame has holes: the residual is still the last table
-        rgbd = build_rgbd_explicit_channels(noisy_frame, small_maps)
+        rgbd = build_channels(noisy_frame, small_maps, EXPLICIT_RGBD)
         assert rgbd.per_frame_channel_names()[3:] == ("inv_z2",)
 
     def test_standard_implicit_sums_match_naive(self, noisy_frame, small_maps):
-        stack = build_standard_implicit_channels(noisy_frame, small_maps)
+        stack = build_channels(noisy_frame, small_maps, IMPLICIT_STANDARD)
         z = np.where(noisy_frame.valid, noisy_frame.values, 0.0)
         x = z * small_maps.tan_x
         y = z * small_maps.tan_y
@@ -257,7 +248,7 @@ class TestPerFrameBuilders:
                 )
 
     def test_rgbd_implicit_sums_match_naive(self, noisy_frame, small_maps):
-        stack = build_rgbd_implicit_channels(noisy_frame, small_maps)
+        stack = build_channels(noisy_frame, small_maps, IMPLICIT_RGBD)
         inv = np.where(noisy_frame.valid, 1.0 / np.where(noisy_frame.valid, noisy_frame.values, 1.0), 0.0)
         oracles = {
             "tx_over_z": small_maps.tan_x * inv,
@@ -275,7 +266,7 @@ class TestPerFrameBuilders:
                 )
 
     def test_count_ignores_invalid(self, noisy_frame, small_maps):
-        stack = build_rgbd_implicit_channels(noisy_frame, small_maps)
+        stack = build_channels(noisy_frame, small_maps, IMPLICIT_RGBD)
         full = Rect(0, 0, 64, 48)
         assert box_sum(stack.count, full) == float(noisy_frame.valid.sum())
 
@@ -286,18 +277,18 @@ class TestPerFrameBuilders:
         depth, _ = render_scene(
             SyntheticScene((GroundTruthPlane(np.array([0.0, 0.0, 1.0, -2.0])),)), small_maps
         )
-        stack = build_rgbd_implicit_channels(depth, small_maps)
+        stack = build_channels(depth, small_maps, IMPLICIT_RGBD)
         rect = Rect(4, 4, 24, 14)
         assert stack.count is None  # hole-free: the window's count is its area, 200
         assert box_sum(stack.channels["inv_z"], rect) == pytest.approx(100.0, rel=1e-12)
 
-        std = build_standard_implicit_channels(depth, small_maps)
+        std = build_channels(depth, small_maps, IMPLICIT_STANDARD)
         assert box_sum(std.channels["z"], rect) == pytest.approx(400.0, rel=1e-12)
         # symmetric rect around the principal column: odd symmetry kills the
         # X and XZ sums on constant depth
         sym = Rect(12, 10, 52, 20)  # centered on cx = 31.5
         assert abs(box_sum(std.channels["x"], sym)) < 1e-9
-        explicit = build_standard_explicit_channels(depth, small_maps)
+        explicit = build_channels(depth, small_maps, EXPLICIT_STANDARD)
         assert abs(box_sum(explicit.channels["xz"], sym)) < 1e-9
 
     def test_unit_tan_maps_and_unit_depth(self):
@@ -307,7 +298,7 @@ class TestPerFrameBuilders:
 
         maps = TanAngleMaps(tan_x=np.ones((6, 8)), tan_y=np.ones((6, 8)))
         depth = DepthImage(values=np.ones((6, 8)))
-        stack = build_standard_explicit_channels(depth, maps)
+        stack = build_channels(depth, maps, EXPLICIT_STANDARD)
         full = Rect(0, 0, 8, 6)
         for name in stack.channels:
             assert box_sum(stack.channels[name], full) == 48.0
@@ -321,7 +312,7 @@ class TestPerFrameBuilders:
         )
         for formulation in FORMULATIONS:
             with pytest.raises(ValueError, match="does not match"):
-                _WRAPPERS[formulation](noisy_frame, other)
+                build_channels(noisy_frame, other, formulation, include_residual=False)
             with pytest.raises(ValueError, match="does not match"):
                 build_channels(noisy_frame, other, formulation)
 
@@ -334,12 +325,6 @@ _SCATTER = {
     EXPLICIT_RGBD: ("tx_over_z", "ty_over_z", "inv_z"),
 }
 _RESIDUAL = {EXPLICIT_STANDARD: "z2", EXPLICIT_RGBD: "inv_z2"}
-_WRAPPERS = {
-    IMPLICIT_STANDARD: build_standard_implicit_channels,
-    IMPLICIT_RGBD: build_rgbd_implicit_channels,
-    EXPLICIT_STANDARD: build_standard_explicit_channels,
-    EXPLICIT_RGBD: build_rgbd_explicit_channels,
-}
 
 
 def _reference_lattices(depth: DepthImage, maps) -> dict[str, np.ndarray]:
@@ -481,10 +466,7 @@ class TestChannelTensor:
         names = _SCATTER[formulation]
         if include_residual and formulation in _RESIDUAL:
             names += (_RESIDUAL[formulation],)
-        if formulation in (IMPLICIT_STANDARD, IMPLICIT_RGBD):
-            stack = _WRAPPERS[formulation](depth, maps)
-        else:
-            stack = _WRAPPERS[formulation](depth, maps, include_residual=include_residual)
+        stack = build_channels(depth, maps, formulation, include_residual)
         assert tuple(stack.channels) == names
         assert (stack.holes is not None) == (stack.hole_tan is not None) == (holes and rgbd)
         _assert_band_layout(stack, size)
@@ -492,7 +474,7 @@ class TestChannelTensor:
         # only a frame with holes has a count table
         count = depth.valid.astype(float) if holes else None
         _assert_tables_match_reference(stack, lattices, depth.valid, count)
-        again = build_channels(depth, maps, formulation, include_residual)
+        again = build_channels(depth, maps, formulation, include_residual)  # a rebuild is bit-equal
         assert again.index == stack.index
         assert np.array_equal(again.tensor, stack.tensor)
 
@@ -574,6 +556,29 @@ class TestHoleList:
                 expected = lattices[name][y0:y1, x0:x1][kept].sum()
                 for got in (one[name], batch[name][i]):
                     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), (name, i)
+
+
+    @_CAMERAS
+    def test_batch_without_holey_windows_reads_the_constant(self, lattice):
+        # the stack lists holes, but none lies in any of the windows
+        width, height = 37, 23
+        maps = _camera_maps(width, height, lattice=lattice)
+        depth = _frame(maps, holes=False)
+        valid = np.ones((height, width), dtype=bool)
+        valid[:, 30:] = np.random.default_rng(33).random((height, width - 30)) >= 0.3
+        depth = DepthImage(values=depth.values, valid=valid)
+        stack = build_channels(depth, maps, EXPLICIT_RGBD)
+        assert stack.holes.size
+        rects = [Rect(0, 0, 30, height), Rect(3, 7, 4, 8), Rect(10, 2, 25, 20), Rect(29, 0, 30, 1)]
+        names = FORMULATION_CHANNELS[EXPLICIT_RGBD].entries
+        batch = window_sums(stack, np.array(rects), names)
+        constant = tan_sums(build_constant_channels(maps), np.array(rects))
+        for name in CONSTANT_CHANNELS:
+            assert batch[name].tobytes() == constant[name].tobytes(), name
+        for i, rect in enumerate(rects):
+            one = window_sums(stack, rect, names)
+            for name, value in one.items():
+                assert np.float64(value).tobytes() == batch[name][i].tobytes(), (name, rect)
 
 
 class TestWindowSums:

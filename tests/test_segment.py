@@ -47,6 +47,7 @@ from rangefit.segment import (
     D_SCALE,
     HIGH_ERROR_COLOR,
     JOIN,
+    STATUSES,
     STEP,
     TOO_INVALID_COLOR,
     UNLABELED,
@@ -320,35 +321,35 @@ class TestSegment:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(rangefit.fitting, "fit_sums", counting)
-        tiles = sorted(
-            segment(depth, maps, config).tiles,
-            key=lambda t: (t.level, t.rect.y0, t.rect.x0),
-        )
+        leaves = segment(depth, maps, config)
+        order = np.lexsort((leaves.rects[:, 0], leaves.rects[:, 1], leaves.level))
         expected = sorted(
             reference_leaves(depth, maps, config, constant),
             key=lambda leaf: (leaf[1], leaf[0].y0, leaf[0].x0),
         )
 
-        assert len(tiles) == len(expected)
-        for tile, (rect, level, status, result) in zip(tiles, expected):
-            assert (tile.rect, tile.level, tile.status) == (rect, level, status)
+        assert len(order) == len(expected)
+        for i, (rect, level, status, result) in zip(order.tolist(), expected):
+            fit = leaves.fits[i]
+            got = Rect(*leaves.rects[i].tolist()), leaves.level[i], STATUSES[leaves.status[i]]
+            assert got == (rect, level, status)
             if result is None:
-                assert tile.result is None
+                assert fit is None
                 continue
             # Node sums carry no summed-area cancellation, so the naive oracle
             # is the exact side: on the 64x48 frame the largest coefficient
             # gap to it is 1.8e-10 (explicit-rgbd), against 5.1e-10 for the
             # summed-area refits of the same rects.
-            naive = fit_rect(depth, maps, tile.rect, formulation, "naive")
+            naive = fit_rect(depth, maps, rect, formulation, "naive")
             np.testing.assert_allclose(
-                tile.result.plane.coefficients, naive.plane.coefficients, rtol=0, atol=1e-9
+                fit.plane.coefficients, naive.plane.coefficients, rtol=0, atol=1e-9
             )
-            assert tile.result.degenerate == result.degenerate
-            assert tile.result.n_points == result.n_points
-        statuses = {tile.status for tile in tiles}
+            assert fit.degenerate == result.degenerate
+            assert fit.n_points == result.n_points
+        statuses = {STATUSES[status] for status in leaves.status.tolist()}
         assert statuses == set(TileStatus)
         # one batched fit per quadtree level
-        assert len(batch_calls) == max(tile.level for tile in tiles) + 1 == 4
+        assert len(batch_calls) == leaves.level.max() + 1 == 4
 
     def test_single_plane_all_tiles_fit_at_level_zero(self, small_maps):
         depth, _ = render_scene(
@@ -358,9 +359,9 @@ class TestSegment:
             formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=2
         )
         result = segment(depth, small_maps, config)
-        assert result.n_fitted == len(result.tiles) == (64 // 16) * (48 // 16)
-        assert all(t.level == 0 for t in result.tiles)
-        assert all(t.cluster == 0 for t in result.tiles)
+        assert result.n_fitted == len(result.rects) == (64 // 16) * (48 // 16)
+        assert (result.level == 0).all()
+        assert (result.cluster == 0).all()
 
     def test_leaf_tiles_cover_image_exactly(self, small_maps):
         rng = np.random.default_rng(6)
@@ -371,9 +372,8 @@ class TestSegment:
         )
         result = segment(depth, small_maps, config)
         coverage = np.zeros((48, 64), dtype=np.int32)
-        for tile in result.tiles:
-            r = tile.rect
-            coverage[r.y0 : r.y1, r.x0 : r.x1] += 1
+        for x0, y0, x1, y1 in result.rects.tolist():
+            coverage[y0:y1, x0:x1] += 1
         assert (coverage == 1).all()
 
     @pytest.mark.parametrize("formulation", FORMULATIONS)
@@ -385,7 +385,7 @@ class TestSegment:
         )
         result = segment(depth, small_maps, config)
         stats = result.stats()
-        assert stats["leaves"] == len(result.tiles)
+        assert stats["leaves"] == len(result.rects)
         levels = stats["levels"]
         assert [level["level"] for level in levels] == list(range(len(levels)))
         assert [level["tile"] for level in levels] == [16 >> i for i in range(len(levels))]
@@ -400,11 +400,11 @@ class TestSegment:
                              ("high_error", TileStatus.HIGH_ERROR)):
             per_level = [level[name] for level in levels]
             assert per_level == [
-                sum(1 for t in result.tiles if t.status is status and t.level == i)
+                np.count_nonzero((result.status == STATUSES.index(status)) & (result.level == i))
                 for i in range(len(levels))
             ]
-        assert sum(level["degenerate"] for level in levels) == sum(
-            1 for t in result.tiles if t.result is not None and t.result.degenerate
+        assert sum(level["degenerate"] for level in levels) == np.count_nonzero(
+            result.fits.fitted & result.fits.degenerate
         )
         assert (result.n_fitted, result.n_too_invalid, result.n_high_error) == tuple(
             sum(level[name] for level in levels) for name in ("fitted", "too_invalid", "high_error")
@@ -419,12 +419,12 @@ class TestSegment:
         depth, _ = render_scene(SyntheticScene(planes), small_maps)
         config = SegConfig(formulation=IMPLICIT_STANDARD, initial_tile=16)
         result = segment(depth, small_maps, config)
-        rejected = [t for t in result.tiles if t.status is TileStatus.TOO_INVALID]
+        rejected = result.status == STATUSES.index(TileStatus.TOO_INVALID)
         # tiles fully inside the empty region (y boundary 24 halves the y0=16
         # row, leaving those tiles exactly at the 50% validity gate)
-        assert len(rejected) == 2
-        assert all(t.rect.x0 >= 32 and t.rect.y0 >= 32 for t in rejected)
-        assert all(t.cluster == -1 for t in rejected)
+        assert np.count_nonzero(rejected) == 2
+        assert (result.rects[rejected, :2] >= 32).all()
+        assert (result.cluster[rejected] == -1).all()
         assert (result.labels[32:, 32:] == -1).all()
 
     def test_corner_scene_accuracy(self, small_maps):
@@ -457,7 +457,7 @@ class TestSegment:
                 formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=3,
                 rms_threshold=threshold,
             )
-            leaf_counts.append(len(segment(depth, small_maps, config).tiles))
+            leaf_counts.append(len(segment(depth, small_maps, config).rects))
         assert leaf_counts == sorted(leaf_counts)
 
     def test_max_metric_available(self, small_maps):
@@ -489,19 +489,20 @@ class TestSegment:
         )
         result = segment(depth, small_maps, config)
         assert result.n_fitted > 0 and result.n_high_error > 0
-        for tile in result.tiles:
-            if tile.result is None:
+        for rect, status, fit in zip(result.rects.tolist(), result.status.tolist(), result.fits):
+            if fit is None:
                 continue
-            sl = (slice(tile.rect.y0, tile.rect.y1), slice(tile.rect.x0, tile.rect.x1))
+            x0, y0, x1, y1 = rect
+            sl = (slice(y0, y1), slice(x0, x1))
             valid = depth.valid[sl]
             worst = np.abs(residual(
-                tile.result.plane.coefficients, small_maps.tan_x[sl][valid],
+                fit.plane.coefficients, small_maps.tan_x[sl][valid],
                 small_maps.tan_y[sl][valid], depth.values[sl][valid],
             )).max()
-            if tile.status is TileStatus.FITTED:
-                assert worst <= config.threshold * (1 + rel), tile.rect
+            if STATUSES[status] is TileStatus.FITTED:
+                assert worst <= config.threshold * (1 + rel), rect
             else:
-                assert tile.result.degenerate or worst > config.threshold * (1 - rel), tile.rect
+                assert fit.degenerate or worst > config.threshold * (1 - rel), rect
 
     def test_color_output_and_csv(self, small_maps):
         scene = corner_scene()
@@ -516,7 +517,7 @@ class TestSegment:
         csv = result.to_csv()
         header, *rows = csv.strip().split("\n")
         assert header == "x0,y0,x1,y1,status,a,b,c,d,rms,cluster"
-        assert len(rows) == len(result.tiles)
+        assert len(rows) == len(result.rects)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="subdivisions"):
@@ -567,16 +568,17 @@ def reference_paint(result) -> tuple[np.ndarray, np.ndarray]:
     """Labels and colour image painted tile by tile at full resolution."""
     labels = np.full(result.labels.shape, UNLABELED, dtype=np.int16)
     rgb = np.zeros((*result.labels.shape, 3), dtype=np.uint8)
-    for tile in result.tiles:
-        r = tile.rect
-        if tile.status is TileStatus.FITTED:
-            labels[r.y0 : r.y1, r.x0 : r.x1] = tile.cluster
-            color = CLUSTER_PALETTE[tile.cluster % len(CLUSTER_PALETTE)]
-        elif tile.status is TileStatus.TOO_INVALID:
+    for (x0, y0, x1, y1), status, cluster in zip(
+        result.rects.tolist(), result.status.tolist(), result.cluster.tolist()
+    ):
+        if STATUSES[status] is TileStatus.FITTED:
+            labels[y0:y1, x0:x1] = cluster
+            color = CLUSTER_PALETTE[cluster % len(CLUSTER_PALETTE)]
+        elif STATUSES[status] is TileStatus.TOO_INVALID:
             color = TOO_INVALID_COLOR
         else:
             color = HIGH_ERROR_COLOR
-        rgb[r.y0 : r.y1, r.x0 : r.x1] = color
+        rgb[y0:y1, x0:x1] = color
     return labels, rgb
 
 
@@ -594,41 +596,41 @@ class TestNodePyramidSegment:
         result = segment(depth, maps, SegConfig(
             formulation=formulation, initial_tile=16, max_depth=2, rms_threshold=threshold,
         ))
+        rects = [Rect(*r) for r in result.rects.tolist()]
         coverage = np.zeros((height, width), dtype=np.int32)
-        for tile in result.tiles:
-            r = tile.rect
+        for r, level in zip(rects, result.level.tolist()):
             coverage[r.y0 : r.y1, r.x0 : r.x1] += 1
             # every edge on the 4-px lattice or on the image border
             assert r.x0 % 4 == 0 and r.y0 % 4 == 0, r
             assert r.x1 % 4 == 0 or r.x1 == width, r
             assert r.y1 % 4 == 0 or r.y1 == height, r
-            assert max(r.x1 - r.x0, r.y1 - r.y0) <= 16 >> tile.level, (r, tile.level)
+            assert max(r.x1 - r.x0, r.y1 - r.y0) <= 16 >> level, (r, level)
         assert (coverage == 1).all()
         # ragged edge tiles were split, so the rule above was exercised
-        assert any(
-            t.level > 0 and (t.rect.x1 == width or t.rect.y1 == height) for t in result.tiles
-        )
+        x1, y1 = result.rects[:, 2], result.rects[:, 3]
+        assert ((result.level > 0) & ((x1 == width) | (y1 == height))).any()
         if dropout == 0.0:
             # min_valid_fraction is taken over the clipped area
             assert result.n_too_invalid == 0
         # A 1-px sliver's samples lie on one image column or row; their
         # viewing plane, through the camera centre, fits them exactly.
         slivers = [
-            t for t in result.tiles
-            if t.result is not None and 1 in (t.rect.x1 - t.rect.x0, t.rect.y1 - t.rect.y0)
+            (r, fit, STATUSES[status])
+            for r, fit, status in zip(rects, result.fits, result.status.tolist())
+            if fit is not None and 1 in (r.x1 - r.x0, r.y1 - r.y0)
         ]
         assert bool(slivers) == (width == 97)
-        for t in slivers:
-            assert t.result.degenerate and t.status is TileStatus.HIGH_ERROR, t.rect
+        for r, fit, status in slivers:
+            assert fit.degenerate and status is TileStatus.HIGH_ERROR, r
         # every fitted leaf, ragged ones included, is its window's naive refit
-        for t in result.tiles:
-            if t.result is not None:
-                naive = fit_rect(depth, maps, t.rect, formulation, "naive")
-                assert naive.degenerate == t.result.degenerate, t.rect
+        for r, fit in zip(rects, result.fits):
+            if fit is not None:
+                naive = fit_rect(depth, maps, r, formulation, "naive")
+                assert naive.degenerate == fit.degenerate, r
                 # 1e-6: a ragged 4x1 sliver holding 3 collinear samples is
                 # ill-conditioned; its two fits differ by 7e-7 (97x53, holes)
                 np.testing.assert_allclose(
-                    naive.plane.coefficients, t.result.plane.coefficients, rtol=0, atol=1e-6
+                    naive.plane.coefficients, fit.plane.coefficients, rtol=0, atol=1e-6
                 )
 
     @pytest.mark.parametrize("dropout", [0.0, 0.1], ids=["hole-free", "holes"])
@@ -690,9 +692,8 @@ class TestNodePyramidSegment:
         monkeypatch.setattr(segment_module, "build_constant_channels", counting, raising=False)
         alone = segment(depth, small_maps, config)
         assert calls == []
-        assert [(t.rect, t.level, t.status) for t in alone.tiles] == [
-            (t.rect, t.level, t.status) for t in given.tiles
-        ]
+        for name in ("rects", "level", "status"):
+            assert np.array_equal(getattr(alone, name), getattr(given, name)), name
         np.testing.assert_array_equal(alone.labels, given.labels)
 
     @pytest.mark.parametrize("formulation", [IMPLICIT_RGBD, EXPLICIT_RGBD])
@@ -705,12 +706,12 @@ class TestNodePyramidSegment:
         config = SegConfig(formulation=formulation, initial_tile=64, max_depth=3)
         result = segment(depth, maps, config)
         checked = 0
-        for tile in result.tiles:
-            if tile.result is None or tile.result.degenerate:
+        for rect, fit in zip((Rect(*r) for r in result.rects.tolist()), result.fits):
+            if fit is None or fit.degenerate:
                 continue
-            naive = fit_rect(depth, maps, tile.rect, formulation, "naive")
-            gap = normal_angle(_implicit(tile.result.plane), _implicit(naive.plane))
-            assert gap <= 1e-10, (tile.rect, gap)
+            naive = fit_rect(depth, maps, rect, formulation, "naive")
+            gap = normal_angle(_implicit(fit.plane), _implicit(naive.plane))
+            assert gap <= 1e-10, (rect, gap)
             checked += 1
         assert checked > 400
 
@@ -772,7 +773,7 @@ class TestNodePyramidSegment:
             formulation=IMPLICIT_RGBD, initial_tile=16, max_depth=2,
             rms_threshold=SegConfig().threshold / 8,
         ))
-        assert {t.status for t in result.tiles} == set(TileStatus)
+        assert {STATUSES[status] for status in result.status.tolist()} == set(TileStatus)
         labels, rgb = reference_paint(result)
         assert result.labels.dtype == labels.dtype and result.labels.tobytes() == labels.tobytes()
         color = result.to_color()
